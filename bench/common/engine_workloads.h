@@ -26,7 +26,7 @@ namespace psd {
 struct EngineRunOutcome {
   uint64_t frames = 0;    // wire frames carried (the "packets" denominator)
   uint64_t events = 0;    // simulator events executed
-  uint64_t switches = 0;  // OS-level thread handoffs (the engine's wall cost)
+  uint64_t switches = 0;  // control transfers into fibers (Simulator::thread_switches)
   SimTime virtual_end = 0;
   double wall_ns = 0;     // host time for the simulation phase
 };

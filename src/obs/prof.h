@@ -21,7 +21,7 @@
 //     Charge() yield) is NOT charged for the host time other fibers consume
 //     while it waits — its stack is simply not the running one.
 //   * The gap between a context switch's "depart" and "arrive" edges is
-//     exactly the ucontext swap cost, charged to fiber.swap.
+//     exactly the fiber stack-switch cost, charged to fiber.swap.
 //   * Everything between Start() and the snapshot lands somewhere: time
 //     outside any explicit scope is charged to the context's root domain
 //     (fiber.run for fibers, "other" for the base context), so attribution
@@ -61,7 +61,7 @@ enum class ProfDomain : uint8_t {
   kOther = 0,       // base-context root: setup, teardown, unscoped host work
   kSimSched,        // event-loop dispatch + timer-wheel/heap insert
   kSimEvent,        // event-context closures (timers, wire arms, wakeups)
-  kFiberSwap,       // ucontext swap cost (depart->arrive gap)
+  kFiberSwap,       // fiber stack-switch cost (depart->arrive gap)
   kFiberRun,        // fiber bodies outside any tracked scope
   kPoolFrame,       // FramePool acquire/copy/recycle
   kPoolMbuf,        // mbuf cluster pool ops

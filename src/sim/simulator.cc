@@ -1,13 +1,81 @@
 #include "src/sim/simulator.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cassert>
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
 #include <optional>
 
-#include "src/base/log.h"
-#include <cstdio>
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#include <sanitizer/common_interface_defs.h>
+#endif
+
+#if !defined(__x86_64__)
+#error "src/sim implements the fiber context switch for x86-64 only"
+#endif
+
+// Fiber context switch. psd_fiber_switch saves the running context on its
+// own stack — the callee-saved registers, MXCSR and the x87 control word —
+// stores rsp into *save_sp, loads load_sp, restores the same layout from
+// the new stack and returns into that context. No signal mask, no syscall.
+// A new fiber's stack is pre-built in that layout with its return address
+// at psd_fiber_entry, which calls r13(r12) — SimThread::FiberEntry(this) —
+// and marks itself the outermost frame for unwinders.
+extern "C" {
+void psd_fiber_switch(void** save_sp, void* load_sp);
+void psd_fiber_entry();
+}
+
+asm(R"(
+  .pushsection .text
+  .p2align 4
+  .globl psd_fiber_switch
+  .hidden psd_fiber_switch
+  .type psd_fiber_switch, @function
+psd_fiber_switch:
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  subq $16, %rsp
+  stmxcsr 8(%rsp)
+  fnstcw 12(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr 8(%rsp)
+  fldcw 12(%rsp)
+  addq $16, %rsp
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  ret
+  .size psd_fiber_switch, .-psd_fiber_switch
+
+  .p2align 4
+  .globl psd_fiber_entry
+  .hidden psd_fiber_entry
+  .type psd_fiber_entry, @function
+psd_fiber_entry:
+  .cfi_startproc
+  .cfi_undefined rip
+  movq %r12, %rdi
+  callq *%r13
+  ud2
+  .cfi_endproc
+  .size psd_fiber_entry, .-psd_fiber_entry
+  .popsection
+)");
 
 namespace psd {
 
@@ -15,6 +83,88 @@ namespace {
 
 // Min-heap comparator for the legacy backend: true when `a` executes later.
 bool NodeAfter(const EventNode* a, const EventNode* b) { return b->Before(*a); }
+
+constexpr size_t kStackBytes = 1024 * 1024;
+constexpr size_t kGuardBytes = 4096;
+
+[[noreturn]] void DieErrno(const char* what) {
+  std::fprintf(stderr, "psd: fiber stack %s failed: %s\n", what, std::strerror(errno));
+  std::abort();
+}
+
+// Fiber stacks, recycled per OS thread so a warm Spawn makes no syscall.
+// Each is a 1 MB MAP_NORESERVE mapping (only touched pages cost memory)
+// above a PROT_NONE guard page, so running off the end faults.
+struct StackPool {
+  std::vector<uint8_t*> free;
+
+  StackPool() = default;
+  StackPool(const StackPool&) = delete;
+  StackPool& operator=(const StackPool&) = delete;
+  ~StackPool() {
+    for (uint8_t* lo : free) {
+      munmap(lo - kGuardBytes, kGuardBytes + kStackBytes);
+    }
+  }
+
+  uint8_t* Acquire() {
+    if (!free.empty()) {
+      uint8_t* lo = free.back();
+      free.pop_back();
+      return lo;
+    }
+    void* base = mmap(nullptr, kGuardBytes + kStackBytes, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1, 0);
+    if (base == MAP_FAILED) {
+      DieErrno("mmap");
+    }
+    if (mprotect(base, kGuardBytes, PROT_NONE) != 0) {
+      DieErrno("guard mprotect");
+    }
+    return static_cast<uint8_t*>(base) + kGuardBytes;
+  }
+
+  void Release(uint8_t* lo) {
+#if defined(__SANITIZE_ADDRESS__)
+    // A finished fiber leaves its frames' redzones poisoned; the next fiber
+    // on this stack must not inherit them.
+    __asan_unpoison_memory_region(lo, kStackBytes);
+#endif
+    free.push_back(lo);
+  }
+};
+
+thread_local StackPool stack_pool;
+
+// ASan must be told about every stack switch, or it mistakes the fiber
+// stacks for wild memory. No-ops in other builds.
+inline void AsanStartSwitch(void** fake_stack, const void* to_lo, size_t to_size) {
+#if defined(__SANITIZE_ADDRESS__)
+  __sanitizer_start_switch_fiber(fake_stack, to_lo, to_size);
+#else
+  (void)fake_stack, (void)to_lo, (void)to_size;
+#endif
+}
+
+inline void AsanFinishSwitch(void* fake_stack, const void** from_lo, size_t* from_size) {
+#if defined(__SANITIZE_ADDRESS__)
+  __sanitizer_finish_switch_fiber(fake_stack, from_lo, from_size);
+#else
+  (void)fake_stack, (void)from_lo, (void)from_size;
+#endif
+}
+
+// Switches from the running context to `load_sp`, saving ours in *save_sp;
+// returns once some context switches back. [to_lo, to_lo + to_size) bounds
+// the stack being entered; the bounds of the stack that eventually switches
+// back land in *from_lo/*from_size (either may be null).
+inline void SwitchStack(void** save_sp, void* load_sp, const void* to_lo, size_t to_size,
+                        const void** from_lo, size_t* from_size) {
+  void* fake_stack = nullptr;
+  AsanStartSwitch(&fake_stack, to_lo, to_size);
+  psd_fiber_switch(save_sp, load_sp);
+  AsanFinishSwitch(fake_stack, from_lo, from_size);
+}
 
 }  // namespace
 
@@ -246,22 +396,34 @@ void Simulator::ResumeThread(SimThread* t) {
 
 SimThread::SimThread(Simulator* sim, std::string name, HostCpu* cpu, std::function<void()> body)
     : sim_(sim), name_(std::move(name)), cpu_(cpu), body_(std::move(body)) {
-  stack_.reset(new uint8_t[kStackBytes]);
-  getcontext(&fiber_ctx_);
-  fiber_ctx_.uc_stack.ss_sp = stack_.get();
-  fiber_ctx_.uc_stack.ss_size = kStackBytes;
-  fiber_ctx_.uc_link = nullptr;  // FiberMain swaps back explicitly
-  uintptr_t self = reinterpret_cast<uintptr_t>(this);
-  makecontext(&fiber_ctx_, reinterpret_cast<void (*)()>(&SimThread::FiberTrampoline), 2,
-              static_cast<unsigned>(self >> 32), static_cast<unsigned>(self & 0xffffffffu));
+  stack_ = stack_pool.Acquire();
+  // The frame psd_fiber_switch pops on first entry, which leaves rsp 16-byte
+  // aligned at psd_fiber_entry's call, as the ABI requires. The fiber
+  // inherits the spawning context's FP environment.
+  uint32_t mxcsr = __builtin_ia32_stmxcsr();
+  uint16_t fpucw;
+  asm("fnstcw %0" : "=m"(fpucw));
+  auto* frame = reinterpret_cast<uint64_t*>(stack_ + kStackBytes) - 9;
+  frame[0] = 0;                                             // pad
+  frame[1] = mxcsr | static_cast<uint64_t>(fpucw) << 32;    // MXCSR, x87 CW
+  frame[2] = 0;                                             // r15
+  frame[3] = 0;                                             // r14
+  frame[4] = reinterpret_cast<uint64_t>(&FiberEntry);       // r13
+  frame[5] = reinterpret_cast<uint64_t>(this);              // r12
+  frame[6] = 0;                                             // rbx
+  frame[7] = 0;                                             // rbp: ends frame-pointer walks
+  frame[8] = reinterpret_cast<uint64_t>(&psd_fiber_entry);  // return address
+  fiber_sp_ = frame;
 }
 
-void SimThread::FiberTrampoline(unsigned hi, unsigned lo) {
-  uintptr_t p = (static_cast<uintptr_t>(hi) << 32) | static_cast<uintptr_t>(lo);
-  reinterpret_cast<SimThread*>(p)->FiberMain();
+SimThread::~SimThread() {
+  if (stack_ != nullptr) {
+    stack_pool.Release(stack_);
+  }
 }
 
 void SimThread::FiberMain() {
+  AsanFinishSwitch(nullptr, &return_stack_lo_, &return_stack_size_);
   if (HostProfiler::enabled()) {
     HostProfiler::Get().ArriveFiber(&prof_ctx_, name_);
   }
@@ -279,8 +441,10 @@ void SimThread::FiberMain() {
   if (HostProfiler::enabled()) {
     HostProfiler::Get().Depart();
   }
-  // Final exit; whoever entered this fiber frees the stack.
-  swapcontext(&fiber_ctx_, &return_ctx_);
+  // Final exit; whoever entered this fiber returns the stack to the pool.
+  AsanStartSwitch(nullptr, return_stack_lo_, return_stack_size_);
+  psd_fiber_switch(&fiber_sp_, return_sp_);
+  __builtin_unreachable();
 }
 
 void SimThread::RunUntilBlocked() {
@@ -295,12 +459,13 @@ void SimThread::RunUntilBlocked() {
   // Each entry freshly records the caller's context, so nested drain chains
   // (fiber A drains and enters fiber B, which later yields) unwind to the
   // right frame.
-  swapcontext(&return_ctx_, &fiber_ctx_);
+  SwitchStack(&return_sp_, fiber_sp_, stack_, kStackBytes, nullptr, nullptr);
   if (HostProfiler::enabled()) {
     HostProfiler::Get().Arrive(prof_prev);
   }
   if (finished_ && stack_ != nullptr) {
-    stack_.reset();  // dead fibers keep their SimThread, not their stack
+    stack_pool.Release(stack_);  // dead fibers keep their SimThread, not their stack
+    stack_ = nullptr;
   }
 }
 
@@ -309,7 +474,8 @@ void SimThread::YieldToSimulator() {
   if (HostProfiler::enabled()) {
     HostProfiler::Get().Depart();
   }
-  swapcontext(&fiber_ctx_, &return_ctx_);
+  SwitchStack(&fiber_sp_, return_sp_, return_stack_lo_, return_stack_size_, &return_stack_lo_,
+              &return_stack_size_);
   if (HostProfiler::enabled()) {
     HostProfiler::Get().ArriveFiber(&prof_ctx_, name_);
   }

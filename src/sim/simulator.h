@@ -2,10 +2,12 @@
 //
 // Execution model:
 //  * A single thread of control — literally: SimThreads are fibers
-//    (ucontext stacks) multiplexed on the caller's OS thread. User code
-//    still runs in ordinary blocking style; control transfers are direct
-//    swapcontext jumps (~100ns) instead of futex round trips, which is
-//    what makes the per-event cost independent of host scheduler load.
+//    multiplexed on the caller's OS thread. User code still runs in
+//    ordinary blocking style; a control transfer is a ~15 ns user-space
+//    stack switch (callee-saved registers + rsp, no syscall), so the
+//    per-event cost is independent of host scheduler load. Fiber stacks
+//    are pooled 1 MB mappings with a PROT_NONE guard page: an overflow
+//    faults instead of corrupting the heap.
 //    Exactly one of {event loop, some SimThread} runs at any instant, so
 //    simulation state needs no locking and runs are bit-for-bit
 //    reproducible.
@@ -24,11 +26,9 @@
 // fast paths that never change virtual behavior: events scheduled at
 // exactly Now() go to a FIFO (no ordering structure needed — sequence
 // numbers are monotonic), and a thread whose own wakeup is the next event
-// continues without handing control to the event-loop OS thread.
+// continues without handing control back to the event loop.
 #ifndef PSD_SRC_SIM_SIMULATOR_H_
 #define PSD_SRC_SIM_SIMULATOR_H_
-
-#include <ucontext.h>
 
 #include <cstdint>
 #include <functional>
@@ -138,10 +138,10 @@ class Simulator {
   // Number of Schedule() calls whose target time was already in the past.
   uint64_t past_time_clamps() const { return past_time_clamps_; }
 
-  // Number of OS-level control transfers into a SimThread (each implies a
-  // matching park of the transferring side: two futex round trips on a
-  // contended host). The engine fast paths exist to minimize this number;
-  // bench/bench_engine reports it per packet.
+  // Number of control transfers into a SimThread (each implies a matching
+  // switch back out when it parks: two fiber stack switches). The engine
+  // fast paths exist to minimize this number; bench/bench_engine reports it
+  // per packet.
   uint64_t thread_switches() const { return thread_switches_; }
 
   // True when PSD_SIM_HEAP_SCHEDULER selected the legacy heap backend.
@@ -214,7 +214,7 @@ class Simulator {
 // instead of OS synchronization.
 class SimThread {
  public:
-  ~SimThread() = default;
+  ~SimThread();
 
   SimThread(const SimThread&) = delete;
   SimThread& operator=(const SimThread&) = delete;
@@ -245,8 +245,8 @@ class SimThread {
 
   SimThread(Simulator* sim, std::string name, HostCpu* cpu, std::function<void()> body);
 
-  static void FiberTrampoline(unsigned hi, unsigned lo);
-  void FiberMain();
+  static void FiberEntry(SimThread* t) { t->FiberMain(); }
+  [[noreturn]] void FiberMain();
   // Transfers control into this thread's fiber; returns when it yields or
   // finishes. The caller's context becomes this fiber's return target.
   void RunUntilBlocked();
@@ -258,14 +258,19 @@ class SimThread {
   std::string name_;
   HostCpu* cpu_;
 
-  // Fiber machinery. The body runs on its own heap-allocated stack; the
-  // stack is freed the moment the body finishes (threads accumulate in
-  // Simulator::threads_ over a run, their stacks must not).
-  static constexpr size_t kStackBytes = 1024 * 1024;
-  ucontext_t fiber_ctx_;
-  ucontext_t return_ctx_;
-  std::unique_ptr<uint8_t[]> stack_;
-  std::function<void()> body_;  // consumed at first entry
+  // Fiber machinery. The body runs on its own pooled stack, which goes back
+  // to the pool the moment the body finishes (threads accumulate in
+  // Simulator::threads_ over a run, their stacks must not). A suspended
+  // context is just its saved stack pointer: the switch keeps everything
+  // else on that context's own stack.
+  uint8_t* stack_ = nullptr;     // lowest usable byte; the guard page is below
+  void* fiber_sp_ = nullptr;     // this fiber, while it is not running
+  void* return_sp_ = nullptr;    // whoever entered it via RunUntilBlocked
+  std::function<void()> body_;   // consumed at first entry
+  // Bounds of the stack that last entered this fiber, which ASan must be
+  // told about when the fiber switches back to it (unused in other builds).
+  const void* return_stack_lo_ = nullptr;
+  size_t return_stack_size_ = 0;
 
   bool finished_ = false;
   // True while this thread is parked (yielded, or not yet started):

@@ -196,8 +196,8 @@ TEST(TcpRobustness, ListenBacklogLimitsPendingConnections) {
   EXPECT_GE(DropLedger::Get().total(DropReason::kTcpListenOverflow), 1u);
   // The admitted children all completed their handshakes, so the listener
   // holds exactly syn_backlog accept-ready children and no embryonic ones.
+  // The simulation is stopped, so no domain lock (that needs a fiber).
   Stack* server = w.stack(1);
-  DomainLock lock(server->sync());
   TcpPcb* listener = nullptr;
   for (const auto& pcb : server->tcp().pcbs()) {
     if (pcb->state == TcpState::kListen) {

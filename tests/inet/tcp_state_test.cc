@@ -242,6 +242,8 @@ class TcpPortLifecycleTest : public ::testing::Test {
  protected:
   TcpPortLifecycleTest() : w(Config::kInKernel, MachineProfile::DecStation5000()) {}
 
+  // The tests drive the TCP layer with the simulation stopped, so they take
+  // no domain lock (that needs a fiber).
   Stack* stack() { return w.kernel_node(0)->stack(); }
 
   World w;
@@ -249,7 +251,6 @@ class TcpPortLifecycleTest : public ::testing::Test {
 
 TEST_F(TcpPortLifecycleTest, MigratedOutPcbKeepsPortAllocated) {
   Stack* s = stack();
-  DomainLock lock(s->sync());
   TcpPcb* pcb = s->tcp().Create();
   ASSERT_TRUE(s->tcp().Bind(pcb, SockAddrIn{Ipv4Addr::Any(), 0}).ok());
   uint16_t port = pcb->local.port;
@@ -266,7 +267,6 @@ TEST_F(TcpPortLifecycleTest, MigratedOutPcbKeepsPortAllocated) {
 
 TEST_F(TcpPortLifecycleTest, ListenerClosingFirstPassesPortToChildren) {
   Stack* s = stack();
-  DomainLock lock(s->sync());
   TcpPcb* listener = s->tcp().Create();
   ASSERT_TRUE(s->tcp().Bind(listener, SockAddrIn{Ipv4Addr::Any(), 7777}).ok());
   TcpPcb* c1 = s->tcp().Create();

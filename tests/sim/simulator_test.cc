@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <unistd.h>
+
+#include <cfenv>
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "src/obs/probe.h"
@@ -190,6 +196,95 @@ TEST(Simulator, KillThreadUnwinds) {
   EXPECT_TRUE(t->finished());
   EXPECT_FALSE(finished_normally);
   EXPECT_TRUE(q.empty()) << "killed thread must not linger in wait queues";
+}
+
+// Recurses until the stack runs out. Each frame is a few hundred bytes,
+// well under the 4 KB guard page, so the overflow cannot step over it.
+volatile bool keep_recursing = true;
+
+size_t Recurse(size_t depth) {
+  volatile char frame[256];
+  frame[depth % sizeof(frame)] = 1;
+  if (!keep_recursing) {
+    return depth;
+  }
+  return Recurse(depth + 1) + frame[0];
+}
+
+// Set on entry to the overflowing fiber. Its stack's page-aligned top is
+// the next page boundary up; the 1 MB stack and then the guard page lie
+// below that.
+uintptr_t deep_fiber_entry = 0;
+
+// Lets the fault kill the process only if it landed on the guard page: a
+// fault anywhere else means the overflow ran past the stack's end first.
+void OnOverflowFault(int, siginfo_t* info, void*) {
+  constexpr uintptr_t kPage = 4096;
+  uintptr_t top = (deep_fiber_entry + kPage - 1) & ~(kPage - 1);
+  uintptr_t guard_hi = top - 1024 * 1024;
+  uintptr_t addr = reinterpret_cast<uintptr_t>(info->si_addr);
+  if (addr < guard_hi - kPage || addr >= guard_hi) {
+    _exit(1);
+  }
+  signal(SIGSEGV, SIG_DFL);  // the faulting write re-runs, now fatally
+}
+
+TEST(SimThreadDeathTest, StackOverflowFaultsOnGuardPage) {
+  EXPECT_EXIT(
+      {
+        // The fiber stack is exhausted, so the handler needs its own.
+        static char alt_stack[64 * 1024];
+        stack_t ss{};
+        ss.ss_sp = alt_stack;
+        ss.ss_size = sizeof(alt_stack);
+        sigaltstack(&ss, nullptr);
+        struct sigaction sa {};
+        sa.sa_sigaction = OnOverflowFault;
+        sa.sa_flags = SA_SIGINFO | SA_ONSTACK;
+        sigaction(SIGSEGV, &sa, nullptr);
+        Simulator sim;
+        HostCpu cpu;
+        sim.Spawn("deep", &cpu, [] {
+          deep_fiber_entry = reinterpret_cast<uintptr_t>(__builtin_frame_address(0));
+          Recurse(0);
+        });
+        sim.Run();
+      },
+      ::testing::KilledBySignal(SIGSEGV), "");
+}
+
+// fegetround reads the x87 control word and the SSE division obeys MXCSR,
+// so the test covers both halves of the FP environment.
+TEST(SimThread, FloatingPointEnvironmentIsPerContext) {
+  volatile double one = 1.0;
+  volatile double three = 3.0;
+  const double nearest_third = one / three;
+  Simulator sim;
+  HostCpu cpu;
+  WaitQueue q(&sim);
+  int event_round = -1;
+  double event_third = 0;
+  int resumed_round = -1;
+  double resumed_third = 0;
+  sim.Spawn("upward", &cpu, [&] {
+    std::fesetround(FE_UPWARD);
+    // A timed wait parks the fiber outright, so the event at 1 ms runs on
+    // the event loop's own context rather than drained on this fiber.
+    sim.current_thread()->WaitOn(&q, Millis(2));
+    resumed_round = std::fegetround();
+    resumed_third = one / three;
+    std::fesetround(FE_TONEAREST);
+  });
+  sim.Schedule(Millis(1), [&] {
+    event_round = std::fegetround();
+    event_third = one / three;
+  });
+  sim.Run();
+  EXPECT_EQ(event_round, FE_TONEAREST);
+  EXPECT_EQ(event_third, nearest_third);
+  EXPECT_EQ(resumed_round, FE_UPWARD);
+  EXPECT_GT(resumed_third, nearest_third);
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
 }
 
 TEST(Simulator, DeterministicAcrossRuns) {
