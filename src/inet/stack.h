@@ -3,6 +3,15 @@
 // synchronization domain, and a timer thread driving the BSD fast (200 ms)
 // and slow (500 ms) protocol timeouts.
 //
+// When the fast tick runs: the timer thread sleeps while no timer can fire,
+// and a kick restarts both grids and visits the first fast point. After
+// that, since the fast tick only sends delayed ACKs, the thread visits the
+// fast grid only while some pcb is ESTABLISHED or owes a delayed ACK, and
+// otherwise sleeps to the next slow tick. If InputFrame arms a delayed ACK
+// meanwhile, it wakes the thread, which sleeps on to the next fast grid
+// point without taking the domain lock: the ACK leaves at the grid instant
+// it always did.
+//
 // The same Stack class is instantiated in all three placements; only its
 // StackParams differ. In the library placement ARP is disabled and the MAC
 // resolver / route-miss hooks are provided by the application's metastate
@@ -95,7 +104,8 @@ class Stack {
 
  private:
   void TimerThreadBody();
-  bool TimersNeeded() const;
+  // True if any timer can fire; *fast_needed tells whether the fast tick can.
+  bool TimersNeeded(bool* fast_needed) const;
 
   std::string name_;
   SyncDomain sync_;
@@ -111,6 +121,10 @@ class Stack {
 
   WaitQueue timer_kick_;
   bool timer_idle_ = false;
+  // Set while the timer thread skips fast ticks; InputFrame wakes it when
+  // TcpStats::acks_delayed moves past the value seen when it began waiting.
+  bool timer_skips_fast_ = false;
+  uint64_t timer_acks_delayed_ = 0;
   SimThread* timer_thread_ = nullptr;
   uint64_t frames_in_ = 0;
   uint64_t ether_bad_frames_ = 0;

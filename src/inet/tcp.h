@@ -319,6 +319,8 @@ class TcpLayer {
   PortAlloc* ports_;
   std::function<bool(const SockAddrIn&, const SockAddrIn&)> rst_suppress_;
   std::vector<std::unique_ptr<TcpPcb>> pcbs_;
+  // SlowTick's visit list, kept to reuse its storage; empty between ticks.
+  std::vector<TcpPcb*> sweep_;
   TcpStats stats_;
   uint32_t iss_clock_ = 1;
   uint64_t next_id_ = 1;

@@ -87,6 +87,7 @@ void TcpLayer::Destroy(TcpPcb* pcb) {
       ports_->Release(pcb->local.port);
     }
   }
+  std::replace(sweep_.begin(), sweep_.end(), pcb, static_cast<TcpPcb*>(nullptr));
   pcbs_.erase(std::remove_if(pcbs_.begin(), pcbs_.end(),
                              [pcb](const std::unique_ptr<TcpPcb>& p) { return p.get() == pcb; }),
               pcbs_.end());

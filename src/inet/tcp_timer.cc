@@ -34,23 +34,14 @@ void TcpLayer::SlowTick() {
       i++;
     }
   }
-  // Collect first: timer handlers can destroy pcbs.
-  std::vector<TcpPcb*> live;
-  live.reserve(pcbs_.size());
+  // Sweep a snapshot: timer handlers can create pcbs (not visited) and
+  // destroy them (Destroy nulls their slot, e.g. RST on a sibling).
   for (const auto& p : pcbs_) {
-    live.push_back(p.get());
+    sweep_.push_back(p.get());
   }
-  for (TcpPcb* pcb : live) {
-    // Validate the pointer is still alive (a previous handler may have
-    // destroyed it, e.g. RST on a sibling).
-    bool alive = false;
-    for (const auto& p : pcbs_) {
-      if (p.get() == pcb) {
-        alive = true;
-        break;
-      }
-    }
-    if (!alive || pcb->state == TcpState::kClosed || pcb->state == TcpState::kListen) {
+  for (size_t k = 0; k < sweep_.size(); k++) {
+    TcpPcb* pcb = sweep_[k];
+    if (pcb == nullptr || pcb->state == TcpState::kClosed || pcb->state == TcpState::kListen) {
       continue;
     }
     pcb->t_idle++;
@@ -82,6 +73,7 @@ void TcpLayer::SlowTick() {
       }
     }
   }
+  sweep_.clear();
 }
 
 void TcpLayer::RexmtTimeout(TcpPcb* pcb) {

@@ -12,6 +12,25 @@
 
 namespace psd {
 
+namespace {
+uint64_t MacKey(const MacAddr& mac) {
+  uint64_t key = 0;
+  for (uint8_t x : mac.b) {
+    key = key << 8 | x;
+  }
+  return key;
+}
+}  // namespace
+
+void EthernetSegment::Attach(Nic* nic) {
+  const uint64_t key = MacKey(nic->mac());
+  // After every equal key, so duplicates stay in attach order. Hosts attach
+  // in MAC order, which makes this an append.
+  auto at = std::upper_bound(by_mac_.begin(), by_mac_.end(), std::pair{key, UINT32_MAX});
+  by_mac_.insert(at, {key, static_cast<uint32_t>(nics_.size())});
+  nics_.push_back(nic);
+}
+
 // Per-frame fault decisions run in a fixed order — shaper admission,
 // corruption, loss (bursty then independent), delay, reorder, duplication —
 // and every class draws only from its own stream, so the decision sequence
@@ -266,51 +285,68 @@ void EthernetSegment::Deliver(Nic* src, Frame frame, SimTime at) {
   PSD_PROF_SCOPE(kWireDeliver);
   // Hardware MAC filtering is resolved here, at target computation: a
   // bystander NIC that would discard the frame anyway never costs a frame
-  // copy or a delivery event. The whole fan-out of one frame then rides in
-  // ONE drain event (the frame moved, not copied, for the common unicast
+  // copy or a delivery event, and a unicast frame on an unpartitioned
+  // segment finds its targets through the MAC index without visiting
+  // bystanders at all. The whole fan-out of one frame then rides in ONE
+  // drain event (the frame moved, not copied, for the common unicast
   // case) instead of one frame-copying closure per NIC. Targets are
   // visited in attach order inside that event — the same order the
   // per-NIC events executed in (their sequence numbers were consecutive),
   // so execution order is byte-identical. Deliveries of *different*
   // frames are never coalesced: a third-party event scheduled between two
   // Transmit calls at the same instant must keep its place between them.
-  const bool partitioned = !faults_.partitions.empty();
-  int src_idx = partitioned ? IndexOf(src) : -1;
   MacAddr dst;
   std::memcpy(dst.b.data(), frame.data(), 6);
   const bool bcast = dst.IsBroadcast();
   Nic* single = nullptr;                 // unicast/2-NIC fast path: no vector
-  std::vector<Nic*> targets;             // broadcast on wider segments
-  for (Nic* nic : nics_) {
-    if (nic == src) {
-      continue;
-    }
-    if (partitioned && PartitionBlocks(src_idx, IndexOf(nic), at)) {
-      frames_partitioned_++;
-      // Ledger the drop as the frame's terminal only for the receiver the
-      // frame was addressed to; a blocked broadcast copy (or a copy for a
-      // bystander NIC that would have MAC-filtered it anyway) is not this
-      // packet's fate.
-      if (dst == nic->mac()) {
-        DropLedger::Get().Record(frame.pkt_id, TraceLayer::kWire, DropReason::kWirePartition, at,
-                                 "wire");
-        if (tracer_ != nullptr && tracer_->enabled()) {
-          tracer_->Instant(sim_, "wire/partition", TraceLayer::kWire);
-        }
-      }
-      continue;
-    }
-    if (!bcast && !(dst == nic->mac())) {
-      continue;
-    }
+  std::vector<Nic*> targets;             // broadcast, or a MAC shared by several NICs
+  auto add_target = [&](Nic* nic) {
     if (single == nullptr && targets.empty()) {
       single = nic;
-    } else {
-      if (targets.empty()) {
-        targets.push_back(single);
-        single = nullptr;
+      return;
+    }
+    if (targets.empty()) {
+      targets.push_back(single);
+      single = nullptr;
+    }
+    targets.push_back(nic);
+  };
+  if (faults_.partitions.empty() && !bcast) {
+    const uint64_t key = MacKey(dst);
+    for (auto it = std::lower_bound(by_mac_.begin(), by_mac_.end(), std::pair{key, 0u});
+         it != by_mac_.end() && it->first == key; ++it) {
+      if (nics_[it->second] != src) {
+        add_target(nics_[it->second]);
       }
-      targets.push_back(nic);
+    }
+  } else {
+    // Broadcasts reach every NIC, and partitions count every blocked
+    // bystander, so both keep the scan.
+    const bool partitioned = !faults_.partitions.empty();
+    const int src_idx = partitioned ? IndexOf(src) : -1;
+    for (size_t i = 0; i < nics_.size(); i++) {
+      Nic* nic = nics_[i];
+      if (nic == src) {
+        continue;
+      }
+      if (partitioned && PartitionBlocks(src_idx, static_cast<int>(i), at)) {
+        frames_partitioned_++;
+        // Ledger the drop as the frame's terminal only for the receiver the
+        // frame was addressed to; a blocked broadcast copy (or a copy for a
+        // bystander NIC that would have MAC-filtered it anyway) is not this
+        // packet's fate.
+        if (dst == nic->mac()) {
+          DropLedger::Get().Record(frame.pkt_id, TraceLayer::kWire, DropReason::kWirePartition,
+                                   at, "wire");
+          if (tracer_ != nullptr && tracer_->enabled()) {
+            tracer_->Instant(sim_, "wire/partition", TraceLayer::kWire);
+          }
+        }
+        continue;
+      }
+      if (bcast || dst == nic->mac()) {
+        add_target(nic);
+      }
     }
   }
   if (single != nullptr) {

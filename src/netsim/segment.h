@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "src/base/rng.h"
@@ -81,7 +82,9 @@ class EthernetSegment {
     SetFaults(FaultPlan{});
   }
 
-  void Attach(Nic* nic) { nics_.push_back(nic); }
+  // Adds `nic` with the MAC it carries now (it must not change afterwards).
+  // Several NICs may share a MAC; each gets its own copy of a frame.
+  void Attach(Nic* nic);
 
   // NIC attach index (partition endpoints are named by it); -1 if foreign.
   int IndexOf(const Nic* nic) const {
@@ -169,6 +172,10 @@ class EthernetSegment {
   Rng reorder_rng_;
   bool burst_bad_ = false;  // Gilbert–Elliott state
   std::vector<Nic*> nics_;
+  // (MAC as a 48-bit key, attach index), sorted by key and, for equal
+  // keys, by attach index: a unicast lookup yields its targets in attach
+  // order without visiting bystander NICs.
+  std::vector<std::pair<uint64_t, uint32_t>> by_mac_;
   SimTime medium_free_at_ = 0;
   int queued_frames_ = 0;  // transmissions waiting for or occupying the medium
   uint64_t frames_carried_ = 0;
