@@ -33,9 +33,6 @@
 // that run's per-domain attribution is emitted as the host_profile section
 // of every row (plus a prof.<domain> summary on stdout).
 //
-// With --compare-heap the udp_blast workload is re-run under the legacy
-// heap scheduler (PSD_SIM_HEAP_SCHEDULER=1) for a machine-independent
-// relative gate: the wheel must not be slower than the heap it replaced.
 // Emits BENCH_engine.json in the working directory (shared bench schema).
 #include <algorithm>
 #include <cstdio>
@@ -141,25 +138,21 @@ WorkloadStats MeasureWorkload(const char* name, EngineWorkloadFn fn, const Machi
 int main(int argc, char** argv) {
   using namespace psd;
   int trials = 3;
-  bool compare_heap = false;
   for (int i = 1; i < argc; i++) {
     if (std::strncmp(argv[i], "--trials=", 9) == 0) {
       trials = std::atoi(argv[i] + 9);
-    } else if (std::strcmp(argv[i], "--compare-heap") == 0) {
-      compare_heap = true;
     } else {
-      std::fprintf(stderr, "usage: %s [--trials=N] [--compare-heap]\n", argv[0]);
+      std::fprintf(stderr, "usage: %s [--trials=N]\n", argv[0]);
       return 1;
     }
   }
   if (trials < 1) {
     trials = 1;
   }
-  const bool heap_env = std::getenv("PSD_SIM_HEAP_SCHEDULER") != nullptr;
   MachineProfile prof = MachineProfile::DecStation5000();
 
-  std::printf("-- Engine wall-clock bench (profile %s, scheduler %s, %d trial%s) --\n",
-              prof.name.c_str(), heap_env ? "heap" : "wheel", trials, trials == 1 ? "" : "s");
+  std::printf("-- Engine wall-clock bench (profile %s, %d trial%s) --\n", prof.name.c_str(),
+              trials, trials == 1 ? "" : "s");
 
   std::vector<WorkloadStats> all;
   all.push_back(MeasureWorkload("tcp_stream", RunEngineTcpStream, prof, trials));
@@ -167,25 +160,10 @@ int main(int argc, char** argv) {
   all.push_back(MeasureWorkload("churn_256", RunEngineChurn256, prof, trials));
 
   BenchJson out("engine", prof.name);
-  out.summary().Set("scheduler", heap_env ? "heap" : "wheel");
   out.summary().Set("trials", trials);
   for (const WorkloadStats& st : all) {
     out.summary().Set(st.name + "_wall_ns_per_pkt", st.wall_ns_per_pkt());
     out.summary().Set(st.name + "_events_per_sec", st.events_per_sec());
-  }
-
-  if (compare_heap && !heap_env) {
-    // Machine-independent relative gate: same binary, same workload, legacy
-    // heap scheduler. Virtual behavior may differ slightly (event counts);
-    // the wall-clock ratio is the point.
-    setenv("PSD_SIM_HEAP_SCHEDULER", "1", 1);
-    WorkloadStats heap = MeasureWorkload("udp_blast_heap", RunEngineUdpBlast, prof, trials);
-    unsetenv("PSD_SIM_HEAP_SCHEDULER");
-    double speedup = heap.wall_ns_per_pkt() / all[1].wall_ns_per_pkt();
-    std::printf("wheel vs heap (udp_blast): %.2fx\n", speedup);
-    out.summary().Set("udp_blast_heap_wall_ns_per_pkt", heap.wall_ns_per_pkt());
-    out.summary().Set("wheel_vs_heap_speedup", speedup);
-    all.push_back(std::move(heap));
   }
 
   for (const WorkloadStats& st : all) {

@@ -29,10 +29,11 @@
 //
 // By construction the profiler touches no virtual state: hooks read the
 // host clock and write into profiler-private arrays, never into simulation
-// state, and scopes charge no virtual cost. The determinism A/B matrix
-// (wheel vs heap x 5 placements) runs with the profiler attached to prove
-// it. Cost when compiled in but not running: one static bool load per
-// site. PSD_OBS_DISABLE_PROF compiles every site out entirely.
+// state, and scopes charge no virtual cost. The replay matrix
+// (tests/sim/replay_ab_test.cc: every torture scenario x 5 placements, once
+// profiled and once not) proves it. Cost when compiled in but not
+// running: one static bool load per site. PSD_OBS_DISABLE_PROF compiles
+// every site out entirely.
 //
 // Timing: raw TSC reads (x86_64 rdtsc / aarch64 cntvct), calibrated against
 // steady_clock over the Start..snapshot window; steady_clock fallback
@@ -59,7 +60,7 @@ class StatsRegistry;
 // src/sim and src/netsim.
 enum class ProfDomain : uint8_t {
   kOther = 0,       // base-context root: setup, teardown, unscoped host work
-  kSimSched,        // event-loop dispatch + timer-wheel/heap insert
+  kSimSched,        // event-loop dispatch + event-heap push/pop
   kSimEvent,        // event-context closures (timers, wire arms, wakeups)
   kFiberSwap,       // fiber stack-switch cost (depart->arrive gap)
   kFiberRun,        // fiber bodies outside any tracked scope

@@ -34,7 +34,7 @@ struct EventNode {
 
   SimTime time = 0;
   uint64_t seq = 0;
-  EventNode* next = nullptr;  // freelist / wheel-slot chain / ready-FIFO link
+  EventNode* next = nullptr;  // freelist / ready-FIFO link
   SimThread* resumes = nullptr;
   void (*invoke)(EventNode*) = nullptr;
   void (*destroy)(EventNode*) = nullptr;
@@ -82,10 +82,6 @@ class EventArena {
     EventNode* n = free_;
     free_ = n->next;
     n->next = nullptr;
-    live_++;
-    if (live_ > high_watermark_) {
-      high_watermark_ = live_;
-    }
     return n;
   }
 
@@ -96,12 +92,7 @@ class EventArena {
     n->destroy = nullptr;
     n->next = free_;
     free_ = n;
-    live_--;
   }
-
-  size_t live() const { return live_; }
-  size_t capacity() const { return capacity_; }
-  size_t high_watermark() const { return high_watermark_; }
 
  private:
   static constexpr size_t kChunkNodes = 256;
@@ -113,13 +104,9 @@ class EventArena {
       chunk[i].next = free_;
       free_ = &chunk[i];
     }
-    capacity_ += kChunkNodes;
   }
 
   EventNode* free_ = nullptr;
-  size_t live_ = 0;
-  size_t capacity_ = 0;
-  size_t high_watermark_ = 0;
   std::vector<std::unique_ptr<EventNode[]>> chunks_;
 };
 

@@ -81,7 +81,7 @@ namespace psd {
 
 namespace {
 
-// Min-heap comparator for the legacy backend: true when `a` executes later.
+// Min-heap comparator for heap_: true when `a` executes later.
 bool NodeAfter(const EventNode* a, const EventNode* b) { return b->Before(*a); }
 
 constexpr size_t kStackBytes = 1024 * 1024;
@@ -168,12 +168,6 @@ inline void SwitchStack(void** save_sp, void* load_sp, const void* to_lo, size_t
 
 }  // namespace
 
-Simulator::Simulator() {
-  const char* env = std::getenv("PSD_SIM_HEAP_SCHEDULER");
-  use_heap_ = env != nullptr && *env != '\0' && *env != '0';
-  trace_ = std::getenv("PSD_SIM_TRACE") != nullptr;
-}
-
 Simulator::~Simulator() {
   shutting_down_ = true;
   // Force every live thread to unwind: resuming a thread makes its blocking
@@ -194,7 +188,6 @@ Simulator::~Simulator() {
   for (EventNode* n : heap_) {
     n->DestroyCallable();
   }
-  wheel_.ForEachPending([](EventNode* n) { n->DestroyCallable(); });
 }
 
 void Simulator::InsertNode(EventNode* n) {
@@ -209,11 +202,9 @@ void Simulator::InsertNode(EventNode* n) {
       ready_head_ = n;
     }
     ready_tail_ = n;
-  } else if (use_heap_) {
+  } else {
     heap_.push_back(n);
     std::push_heap(heap_.begin(), heap_.end(), NodeAfter);
-  } else {
-    wheel_.Insert(n);
   }
 }
 
@@ -225,12 +216,7 @@ EventNode* Simulator::ScheduleResume(SimThread* t, SimTime when) {
 }
 
 EventNode* Simulator::PeekNext() {
-  EventNode* b;
-  if (use_heap_) {
-    b = heap_.empty() ? nullptr : heap_.front();
-  } else {
-    b = wheel_.Front();
-  }
+  EventNode* b = heap_.empty() ? nullptr : heap_.front();
   EventNode* r = ready_head_;
   if (r == nullptr) {
     return b;
@@ -248,12 +234,10 @@ void Simulator::RemovePeeked(EventNode* n) {
       ready_tail_ = nullptr;
     }
     n->next = nullptr;
-  } else if (use_heap_) {
+  } else {
     std::pop_heap(heap_.begin(), heap_.end(), NodeAfter);
     assert(heap_.back() == n);
     heap_.pop_back();
-  } else {
-    wheel_.PopFront();
   }
 }
 
@@ -270,7 +254,7 @@ void Simulator::Run(SimTime until) {
   in_run_ = true;
   run_until_ = until;
   // Host-profiler attribution (reads the TSC, never virtual state): loop
-  // dispatch — peek/pop, wheel cascades, arena frees — charges to sim.sched
+  // dispatch — heap peek/pop, arena frees — charges to sim.sched
   // exclusively; closure bodies charge to sim.event; time while a resumed
   // fiber runs charges to that fiber via the Depart/Arrive edges in
   // RunUntilBlocked.
@@ -283,7 +267,6 @@ void Simulator::Run(SimTime until) {
     RemovePeeked(n);
     now_ = n->time;
     events_executed_++;
-    if (trace_) std::fprintf(stderr, "EV %lld %llu\n", (long long)n->time, (unsigned long long)n->seq);
     if (n->resumes != nullptr) {
       SimThread* t = n->resumes;
       arena_.Free(n);
@@ -343,7 +326,6 @@ bool Simulator::TryFastResume(SimThread* t, EventNode* n) {
     RemovePeeked(top);
     now_ = top->time;
     events_executed_++;
-    if (trace_) std::fprintf(stderr, "EV %lld %llu\n", (long long)top->time, (unsigned long long)top->seq);
     if (top == n) {
       arena_.Free(n);
       return true;

@@ -18,15 +18,12 @@
 //    the same host (threads, softirqs and interrupt handlers contend for the
 //    CPU exactly as on the paper's uniprocessor DECstation).
 //
-// Scheduler internals (see DESIGN.md "Engine internals"): events are
-// arena-recycled EventNodes ordered by (time, seq) in a hierarchical timer
-// wheel — or, with PSD_SIM_HEAP_SCHEDULER=1 in the environment, in the
-// legacy binary-heap order structure, kept for differential determinism
-// tests. Both execute the exact same (time, seq) sequence. Two wall-clock
-// fast paths that never change virtual behavior: events scheduled at
-// exactly Now() go to a FIFO (no ordering structure needed — sequence
-// numbers are monotonic), and a thread whose own wakeup is the next event
-// continues without handing control back to the event loop.
+// Scheduler internals (see DESIGN.md "Engine internals"): one event queue.
+// Events are arena-recycled EventNodes ordered by (time, seq) in a binary
+// heap, plus a FIFO for events scheduled at exactly Now() (no ordering
+// structure needed there — sequence numbers are monotonic). One wall-clock
+// fast path never changes virtual behavior: a thread whose own wakeup is the
+// next event continues without handing control back to the event loop.
 #ifndef PSD_SRC_SIM_SIMULATOR_H_
 #define PSD_SRC_SIM_SIMULATOR_H_
 
@@ -40,7 +37,6 @@
 #include "src/base/time.h"
 #include "src/obs/prof.h"
 #include "src/sim/event_node.h"
-#include "src/sim/timer_wheel.h"
 
 namespace psd {
 
@@ -78,7 +74,7 @@ struct SimShutdown {};
 
 class Simulator {
  public:
-  Simulator();
+  Simulator() = default;
   ~Simulator();
 
   Simulator(const Simulator&) = delete;
@@ -144,12 +140,6 @@ class Simulator {
   // per packet.
   uint64_t thread_switches() const { return thread_switches_; }
 
-  // True when PSD_SIM_HEAP_SCHEDULER selected the legacy heap backend.
-  bool using_heap_scheduler() const { return use_heap_; }
-
-  // Event-node arena stats, for engine diagnostics.
-  const EventArena& event_arena() const { return arena_; }
-
  private:
   friend class SimThread;
   friend class WaitQueue;
@@ -192,19 +182,16 @@ class Simulator {
   bool stopped_ = false;
   bool shutting_down_ = false;
   bool in_run_ = false;
-  bool trace_ = false;
   SimTime run_until_ = 0;
   SimThread* current_ = nullptr;
 
   EventArena arena_;
   // FIFO of events scheduled at exactly Now(): they are younger (higher
   // seq) than anything else at Now(), so plain append order is (time, seq)
-  // order. Drained against the backend front by (time, seq) comparison.
+  // order. Drained against the heap front by (time, seq) comparison.
   EventNode* ready_head_ = nullptr;
   EventNode* ready_tail_ = nullptr;
-  bool use_heap_ = false;
-  TimerWheel wheel_;
-  std::vector<EventNode*> heap_;  // legacy backend (PSD_SIM_HEAP_SCHEDULER)
+  std::vector<EventNode*> heap_;  // min-heap on (time, seq) of later events
 
   std::vector<std::unique_ptr<SimThread>> threads_;
 };

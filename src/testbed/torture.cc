@@ -687,9 +687,9 @@ TortureResult RunTorture(Config config, const TortureSpec& spec, uint64_t seed,
   rep << "=== torture scenario=" << spec.name << " config=" << ConfigName(config)
       << " seed=" << seed << " ===\n";
   rep << "virtual-end: " << w.sim().Now() / Millis(1) << " ms\n";
-  // Scheduler-visible work: any divergence between event-queue backends
-  // (timer wheel vs heap) shows up here even when all endpoint counters
-  // agree, so the A/B harness diffs it for free.
+  // Scheduler-visible work: any divergence in event order or count (a
+  // profiled run vs a plain one, or a replay) shows up here even when all
+  // endpoint counters agree, so the replay harness diffs it for free.
   rep << "events-executed: " << w.sim().events_executed() << "\n";
   rep << "journey: minted=" << pj.minted() << " delivered=" << pj.delivered()
       << " consumed=" << pj.consumed() << " dropped=" << pj.dropped()

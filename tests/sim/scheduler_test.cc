@@ -1,34 +1,32 @@
-// Scheduler-focused regression tests: timer-wheel ordering across levels
-// (page crossings, overflow pull-back, cursor rewind), past-time clamping,
-// wait-queue intrusive-list integrity, and a randomized wheel-vs-heap
-// differential. The determinism A/B harness (determinism_ab_test.cc) covers
-// whole-system equivalence; these pin down the scheduler primitives the
-// equivalence rests on.
+// Scheduler-focused regression tests: (time, seq) ordering across short,
+// medium and long horizons, inserts from event context, scheduling after an
+// idle Run(until), past-time clamping, and wait-queue intrusive-list
+// integrity. The replay harness (replay_ab_test.cc) covers whole-system
+// determinism; these pin down the scheduler primitives it rests on.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <random>
 #include <vector>
 
 #include "src/sim/simulator.h"
-#include "src/sim/timer_wheel.h"
 
 namespace psd {
 namespace {
 
-// L0 spans 2^(12+10) ns = ~4.19 ms; L1 spans ~4.29 s.
-constexpr SimTime kL0Span = 1ll << (TimerWheel::kSlotBits + TimerWheel::kWheelBits);
-constexpr SimTime kL1Span = kL0Span << TimerWheel::kWheelBits;
+// Two horizons the cases straddle: 2^22 ns (~4.19 ms) and 2^32 ns (~4.29 s).
+constexpr SimTime kShortHorizon = SimTime{1} << 22;
+constexpr SimTime kLongHorizon = SimTime{1} << 32;
 
-TEST(TimerWheel, OrderingAcrossAllLevels) {
-  // Times land in L0, L1 and the overflow list, inserted in shuffled order;
-  // execution must come back globally sorted with ties in schedule order.
+TEST(Scheduler, OrderingAcrossAllLevels) {
+  // Times below, between and past the two horizons, inserted in shuffled
+  // order; execution must come back globally sorted with ties in schedule
+  // order.
   Simulator sim;
   std::vector<SimTime> times;
   for (int i = 0; i < 64; i++) {
-    times.push_back(Micros(1) + i * (kL0Span / 97));         // within L0
-    times.push_back(kL0Span + i * (kL1Span / 131));          // within L1
-    times.push_back(kL1Span + Seconds(1) + i * Millis(37));  // overflow
+    times.push_back(Micros(1) + i * (kShortHorizon / 97));          // short
+    times.push_back(kShortHorizon + i * (kLongHorizon / 131));      // medium
+    times.push_back(kLongHorizon + Seconds(1) + i * Millis(37));    // long
   }
   std::mt19937 rng(42);
   std::shuffle(times.begin(), times.end(), rng);
@@ -43,33 +41,32 @@ TEST(TimerWheel, OrderingAcrossAllLevels) {
   EXPECT_EQ(fired, times);
 }
 
-TEST(TimerWheel, PageCrossingInsertWhileRunning) {
-  // Regression: events scheduled from inside an event near an L0 page
-  // boundary must cascade correctly into the freshly-advanced page instead
-  // of landing behind the scan cursor.
+TEST(Scheduler, PageCrossingInsertWhileRunning) {
+  // Events scheduled from inside an event just before a horizon boundary,
+  // on both sides of it, must interleave exactly with events queued
+  // earlier.
   Simulator sim;
   std::vector<int> order;
-  const SimTime near_edge = kL0Span - Micros(2);
+  const SimTime near_edge = kShortHorizon - Micros(2);
   sim.Schedule(near_edge, [&] {
     order.push_back(1);
-    // Crosses into the next L0 page relative to the current cursor.
-    sim.Schedule(kL0Span + Micros(2), [&] { order.push_back(3); });
-    // Same page, later slot.
+    // Past the boundary.
+    sim.Schedule(kShortHorizon + Micros(2), [&] { order.push_back(3); });
+    // Before the boundary, later than now.
     sim.Schedule(near_edge + Micros(1), [&] { order.push_back(2); });
   });
-  sim.Schedule(kL0Span + Micros(5), [&] { order.push_back(4); });
+  sim.Schedule(kShortHorizon + Micros(5), [&] { order.push_back(4); });
   sim.Run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
 }
 
-TEST(TimerWheel, OverflowPulledBackInPagePortions) {
-  // Long protocol-timer territory: events far past the L1 horizon must be
-  // pulled back and still interleave exactly with near-term events
-  // scheduled later.
+TEST(Scheduler, OverflowPulledBackInPagePortions) {
+  // Long protocol-timer territory: events far past the long horizon must
+  // still interleave exactly with near-term events scheduled later.
   Simulator sim;
   std::vector<int> order;
-  sim.Schedule(kL1Span + Seconds(3), [&] { order.push_back(4); });
-  sim.Schedule(kL1Span + Seconds(2), [&] {
+  sim.Schedule(kLongHorizon + Seconds(3), [&] { order.push_back(4); });
+  sim.Schedule(kLongHorizon + Seconds(2), [&] {
     order.push_back(2);
     // Scheduled from deep-future context; lands after this instant.
     sim.Schedule(sim.Now() + Micros(1), [&] { order.push_back(3); });
@@ -79,11 +76,11 @@ TEST(TimerWheel, OverflowPulledBackInPagePortions) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
 }
 
-TEST(TimerWheel, RewindAfterIdleGap) {
-  // Run(until) walks the scan cursor far ahead across an idle stretch; a
-  // later insert behind the cursor (but after Now()) must rewind it.
+TEST(Scheduler, RewindAfterIdleGap) {
+  // Run(until) advances the clock across an idle stretch; an insert just
+  // after the new Now() must still run.
   Simulator sim;
-  sim.Run(Seconds(2));  // no events: cursor may advance arbitrarily
+  sim.Run(Seconds(2));  // no events: the clock jumps to the deadline
   ASSERT_EQ(sim.Now(), Seconds(2));
   bool ran = false;
   sim.Schedule(Seconds(2) + Micros(3), [&] { ran = true; });
@@ -149,48 +146,6 @@ TEST(WaitQueue, NotifyInvalidatesPendingTimeout) {
   sim.Schedule(Millis(4), [&] { q.NotifyOne(); });  // after the stale event
   sim.Run();
   EXPECT_EQ(results, (std::vector<bool>{true, true}));
-}
-
-// Runs a seeded random scheduling workload (timers at mixed horizons, some
-// rescheduling from event context) and returns the execution-order digest.
-uint64_t RandomWorkloadDigest(uint64_t seed) {
-  Simulator sim;
-  std::mt19937_64 rng(seed);
-  uint64_t digest = 1469598103934665603ull;  // FNV-1a offset basis
-  auto mix = [&digest](uint64_t v) {
-    digest = (digest ^ v) * 1099511628211ull;
-  };
-  std::function<void(int)> chain = [&](int depth) {
-    mix(static_cast<uint64_t>(sim.Now()));
-    if (depth > 0) {
-      int fan = 1 + static_cast<int>(rng() % 3);
-      for (int i = 0; i < fan; i++) {
-        SimTime dt = static_cast<SimTime>(rng() % static_cast<uint64_t>(kL0Span * 3));
-        sim.Schedule(sim.Now() + dt, [&, depth] { chain(depth - 1); });
-      }
-    }
-  };
-  for (int i = 0; i < 32; i++) {
-    SimTime t = static_cast<SimTime>(rng() % static_cast<uint64_t>(Seconds(6)));
-    sim.Schedule(t, [&] { chain(3); });
-  }
-  sim.Run();
-  mix(sim.events_executed());
-  return digest;
-}
-
-TEST(Scheduler, WheelMatchesHeapOnRandomWorkload) {
-  // Differential check of the two backends over workloads that straddle
-  // every wheel level. PSD_SIM_HEAP_SCHEDULER is read at Simulator
-  // construction, so flipping it between runs selects the backend.
-  for (uint64_t seed : {1ull, 7ull, 1993ull}) {
-    unsetenv("PSD_SIM_HEAP_SCHEDULER");
-    uint64_t wheel = RandomWorkloadDigest(seed);
-    setenv("PSD_SIM_HEAP_SCHEDULER", "1", 1);
-    uint64_t heap = RandomWorkloadDigest(seed);
-    unsetenv("PSD_SIM_HEAP_SCHEDULER");
-    EXPECT_EQ(wheel, heap) << "backends diverged for seed " << seed;
-  }
 }
 
 }  // namespace
