@@ -435,11 +435,9 @@ void TcpLayer::Input(Chain seg, Ipv4Addr src, Ipv4Addr dst) {
     if (SeqLeq(ack, pcb->snd_una)) {
       if (tlen == 0 && win == pcb->snd_wnd) {
         stats_.dup_acks++;
-#ifndef PSD_OBS_DISABLE_TRACING
         if (env_->tracer != nullptr && env_->tracer->enabled()) {
           env_->tracer->Instant(env_->sim, "tcp/dupack", TraceLayer::kInet, pcb->id);
         }
-#endif
         if (pcb->t_timer[TcpPcb::kTimerRexmt] == 0 || ack != pcb->snd_una) {
           pcb->t_dupacks = 0;
         } else {

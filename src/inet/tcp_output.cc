@@ -263,11 +263,9 @@ Result<void> TcpLayer::Output(TcpPcb* pcb) {
       if (is_retransmit) {
         stats_.retransmits++;
         pcb->rexmt_segs++;
-#ifndef PSD_OBS_DISABLE_TRACING
         if (env_->tracer != nullptr && env_->tracer->enabled()) {
           env_->tracer->Instant(env_->sim, "tcp/rexmit", TraceLayer::kInet, pcb->id);
         }
-#endif
       }
     }
 

@@ -154,11 +154,9 @@ void Kernel::DeliverFrame() {
     }
     PacketJourney::Get().Hop(f.pkt_id, TraceLayer::kKern, name_ + "/ipf-deliver", sim_->Now());
     const DeliveryEndpoint& ep = epit->second;
-#ifndef PSD_OBS_DISABLE_PCAP
     if (pcap_ != nullptr) {
       pcap_->CaptureFrame(sim_->Now(), f);
     }
-#endif
     ProbeSpan span(tracer_, sim_, Stage::kKernelCopyout);
     // Single copy: device memory straight into the destination domain.
     self->Charge(static_cast<SimDuration>(f.size()) * nic_->params().rx_read_per_byte);
@@ -207,11 +205,9 @@ void Kernel::DeliverFrame() {
   }
   PacketJourney::Get().Hop(f.pkt_id, TraceLayer::kKern, name_ + "/deliver", sim_->Now());
   const DeliveryEndpoint& ep = epit->second;
-#ifndef PSD_OBS_DISABLE_PCAP
   if (pcap_ != nullptr) {
     pcap_->CaptureFrame(sim_->Now(), f);
   }
-#endif
   switch (ep.kind) {
     case DeliverKind::kDirect:
       // In-kernel stack: the netisr queue holds the kernel buffer directly.

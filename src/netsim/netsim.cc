@@ -203,11 +203,9 @@ void EthernetSegment::Transmit(Nic* src, Frame frame, std::function<void()> done
       }
     }
   }
-#ifndef PSD_OBS_DISABLE_PCAP
   if (pcap_ != nullptr) {
     pcap_->CaptureFrame(start, frame);
   }
-#endif
 
   if (LossDecision()) {
     frames_dropped_++;

@@ -66,8 +66,6 @@ const char* PktDispositionName(PktDisposition d) {
   return "?";
 }
 
-#ifndef PSD_OBS_DISABLE_JOURNEY
-
 DropLedger& DropLedger::Get() {
   static DropLedger* ledger = new DropLedger();
   return *ledger;
@@ -110,6 +108,8 @@ void DropLedger::ExportStats(StatsRegistry* reg, const std::string& prefix) cons
 void DropLedger::Reset() {
   for (auto& t : totals_) t = 0;
   recent_.clear();
+  enabled_ = true;
+  ring_capacity_ = kDefaultRingCapacity;
 }
 
 PacketJourney& PacketJourney::Get() {
@@ -207,21 +207,9 @@ void PacketJourney::Reset() {
   minted_ = delivered_ = consumed_ = dropped_ = conflicts_ = 0;
   hops_.clear();
   terminals_.clear();
+  enabled_ = true;
+  hop_capacity_ = kDefaultHopCapacity;
 }
-
-#else  // PSD_OBS_DISABLE_JOURNEY
-
-DropLedger& DropLedger::Get() {
-  static DropLedger* ledger = new DropLedger();
-  return *ledger;
-}
-
-PacketJourney& PacketJourney::Get() {
-  static PacketJourney* journey = new PacketJourney();
-  return *journey;
-}
-
-#endif  // PSD_OBS_DISABLE_JOURNEY
 
 // ---------------------------------------------------------------------------
 // pktwalk rendering.

@@ -21,9 +21,8 @@
 //                    dropped(reason), or is still in flight at exit.
 //
 // Recording charges no simulated cost — Table 2/3/4 outputs are
-// byte-identical with the recorder running (asserted in tests). Compiles out
-// under PSD_OBS_DISABLE_JOURNEY (mirroring PSD_OBS_DISABLE_TRACING); both
-// recorders also have a runtime kill switch (set_enabled).
+// byte-identical with the recorder running (asserted in tests). Both
+// recorders have a runtime kill switch (set_enabled).
 //
 // Reset contract: both singletons accumulate across Worlds in one process.
 // Tests and tools that reason about one run must Reset() before it starts.
@@ -110,8 +109,6 @@ enum class PktDisposition : uint8_t {
 
 const char* PktDispositionName(PktDisposition d);
 
-#ifndef PSD_OBS_DISABLE_JOURNEY
-
 struct DropEvent {
   uint64_t pkt = 0;  // 0 = packet had no id yet (tx-side drop before mint)
   TraceLayer layer = TraceLayer::kWire;
@@ -143,11 +140,15 @@ class DropLedger {
   bool enabled() const { return enabled_; }
   void set_ring_capacity(size_t n) { ring_capacity_ = n; }
 
+  // Returns the ledger to its constructed state: zero totals, empty ring,
+  // enabled, default ring capacity.
   void Reset();
+
+  static constexpr size_t kDefaultRingCapacity = 1024;
 
  private:
   bool enabled_ = true;
-  size_t ring_capacity_ = 1024;
+  size_t ring_capacity_ = kDefaultRingCapacity;
   uint64_t totals_[static_cast<size_t>(DropReason::kNumReasons)] = {};
   std::deque<DropEvent> recent_;
 };
@@ -201,7 +202,11 @@ class PacketJourney {
   bool enabled() const { return enabled_; }
   void set_hop_capacity(size_t n) { hop_capacity_ = n; }
 
+  // Returns the recorder to its constructed state: ids restart at 1, no
+  // hops or terminals, enabled, default hop capacity.
   void Reset();
+
+  static constexpr size_t kDefaultHopCapacity = 1 << 16;
 
  private:
   struct Terminal {
@@ -214,7 +219,7 @@ class PacketJourney {
   void PushHop(HopEvent ev);
 
   bool enabled_ = true;
-  size_t hop_capacity_ = 1 << 16;
+  size_t hop_capacity_ = kDefaultHopCapacity;
   uint64_t next_id_ = 1;
   uint64_t minted_ = 0;
   uint64_t delivered_ = 0;
@@ -224,76 +229,6 @@ class PacketJourney {
   std::deque<HopEvent> hops_;
   std::unordered_map<uint64_t, Terminal> terminals_;
 };
-
-#else  // PSD_OBS_DISABLE_JOURNEY
-
-struct DropEvent {
-  uint64_t pkt = 0;
-  TraceLayer layer = TraceLayer::kWire;
-  DropReason reason = DropReason::kNone;
-  SimTime at = 0;
-  std::string node;
-};
-
-struct HopEvent {
-  uint64_t pkt = 0;
-  TraceLayer layer = TraceLayer::kWire;
-  SimTime at = 0;
-  PktDisposition disp = PktDisposition::kNone;
-  DropReason reason = DropReason::kNone;
-  uint64_t aux = 0;
-  std::string node;
-};
-
-// No-op stand-ins: same API, zero state, zero code at call sites after
-// inlining. Frames keep their pkt_id field (always 0: Mint returns 0).
-class DropLedger {
- public:
-  static DropLedger& Get();
-  void Record(uint64_t, TraceLayer, DropReason, SimTime = 0, std::string = {}) {}
-  uint64_t total(DropReason) const { return 0; }
-  uint64_t total_drops() const { return 0; }
-  const std::deque<DropEvent>& recent() const { return recent_; }
-  void ExportStats(StatsRegistry*, const std::string&) const {}
-  void set_enabled(bool) {}
-  bool enabled() const { return false; }
-  void set_ring_capacity(size_t) {}
-  void Reset() {}
-
- private:
-  std::deque<DropEvent> recent_;
-};
-
-class PacketJourney {
- public:
-  static PacketJourney& Get();
-  uint64_t Mint() { return 0; }
-  void Hop(uint64_t, TraceLayer, std::string, SimTime, uint64_t = 0) {}
-  void Deliver(uint64_t, TraceLayer, std::string, SimTime) {}
-  void Consume(uint64_t, TraceLayer, std::string, SimTime) {}
-  void Dropped(uint64_t, TraceLayer, DropReason, std::string, SimTime) {}
-  void ConsumeIfOpen(uint64_t, TraceLayer, std::string, SimTime) {}
-  bool HasTerminal(uint64_t) const { return false; }
-  PktDisposition DispositionOf(uint64_t) const { return PktDisposition::kNone; }
-  DropReason ReasonOf(uint64_t) const { return DropReason::kNone; }
-  uint64_t minted() const { return 0; }
-  uint64_t delivered() const { return 0; }
-  uint64_t consumed() const { return 0; }
-  uint64_t dropped() const { return 0; }
-  uint64_t in_flight() const { return 0; }
-  uint64_t conflicts() const { return 0; }
-  const std::deque<HopEvent>& hops() const { return hops_; }
-  std::vector<HopEvent> JourneyOf(uint64_t) const { return {}; }
-  void set_enabled(bool) {}
-  bool enabled() const { return false; }
-  void set_hop_capacity(size_t) {}
-  void Reset() {}
-
- private:
-  std::deque<HopEvent> hops_;
-};
-
-#endif  // PSD_OBS_DISABLE_JOURNEY
 
 // ---------------------------------------------------------------------------
 // pktwalk rendering (shared by tools/pktwalk and the golden tests). Reads

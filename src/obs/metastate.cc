@@ -39,8 +39,6 @@ const char* MigrationPhaseName(MigrationPhase p) {
   return "?";
 }
 
-#ifndef PSD_OBS_DISABLE_METASTATE
-
 MetastateLedger& MetastateLedger::Get() {
   static MetastateLedger ledger;
   return ledger;
@@ -67,14 +65,5 @@ void MetastateLedger::Reset() {
   }
   enabled_ = true;
 }
-
-#else  // PSD_OBS_DISABLE_METASTATE
-
-MetastateLedger& MetastateLedger::Get() {
-  static MetastateLedger ledger;
-  return ledger;
-}
-
-#endif  // PSD_OBS_DISABLE_METASTATE
 
 }  // namespace psd

@@ -22,8 +22,7 @@
 // Process-wide singleton like DropLedger (port allocators, ARP caches and
 // route tables do not share an obs handle). Recording charges no simulated
 // cost — Table 2/3 outputs are byte-identical with the ledger running.
-// Compiles out under PSD_OBS_DISABLE_METASTATE; runtime kill switch via
-// set_enabled.
+// Runtime kill switch via set_enabled.
 //
 // Reset contract: accumulates across Worlds in one process. Tests and tools
 // that reason about one run must Reset() before it starts.
@@ -81,8 +80,6 @@ enum class MigrationPhase : uint8_t {
 
 const char* MigrationPhaseName(MigrationPhase p);
 
-#ifndef PSD_OBS_DISABLE_METASTATE
-
 class MetastateLedger {
  public:
   static MetastateLedger& Get();
@@ -117,28 +114,6 @@ class MetastateLedger {
   uint64_t totals_[static_cast<size_t>(MetaEvent::kNumEvents)] = {};
   LatencyHistogram phases_[static_cast<size_t>(MigrationPhase::kNumPhases)];
 };
-
-#else  // PSD_OBS_DISABLE_METASTATE
-
-// No-op stand-in: same API, zero state, zero code at call sites after
-// inlining. phase() returns a shared empty histogram.
-class MetastateLedger {
- public:
-  static MetastateLedger& Get();
-  void Count(MetaEvent, uint64_t = 1) {}
-  uint64_t total(MetaEvent) const { return 0; }
-  void RecordPhase(MigrationPhase, SimDuration) {}
-  const LatencyHistogram& phase(MigrationPhase) const { return empty_; }
-  void ExportStats(StatsRegistry*, const std::string&) const {}
-  void set_enabled(bool) {}
-  bool enabled() const { return false; }
-  void Reset() {}
-
- private:
-  LatencyHistogram empty_;
-};
-
-#endif  // PSD_OBS_DISABLE_METASTATE
 
 }  // namespace psd
 

@@ -11,8 +11,8 @@
 //   * the kernel delivery boundary (Kernel::SetPcapTap): frames as they are
 //     handed to a matched endpoint, after filtering.
 // Capturing copies bytes on the host but charges no simulated cost, so a
-// tap cannot perturb virtual time. Defining PSD_OBS_DISABLE_PCAP compiles
-// the tap points out entirely (mirroring PSD_OBS_DISABLE_TRACING).
+// tap cannot perturb virtual time. With no tap attached each tap point is
+// a null-pointer test.
 #ifndef PSD_SRC_OBS_PCAP_H_
 #define PSD_SRC_OBS_PCAP_H_
 

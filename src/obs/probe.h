@@ -89,15 +89,11 @@ class ProbeSpan {
  public:
   ProbeSpan(Tracer* tracer, Simulator* sim, Stage s)
       : tracer_(tracer), sim_(sim), prof_(StageProfDomain(s)) {
-#ifndef PSD_OBS_DISABLE_TRACING
     if (tracer_ != nullptr && tracer_->enabled()) {
       tracer_->Begin(sim_, StageName(s), StageLayer(s), static_cast<int>(s), /*sid=*/0,
                      /*exclusive=*/true);
       open_ = true;
     }
-#else
-    (void)s;
-#endif
   }
   ~ProbeSpan() {
     if (open_) {

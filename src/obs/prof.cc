@@ -128,7 +128,7 @@ std::string RenderHostProfTable(const HostProfReport& r) {
   std::string out;
   char buf[256];
   if (!r.enabled) {
-    return "host profiler disabled (PSD_OBS_DISABLE_PROF or never started)\n";
+    return "host profiler disabled (never started)\n";
   }
   std::snprintf(buf, sizeof buf,
                 "-- host profile: %.1f ms wall, %.1f%% attributed to named domains --\n",
@@ -258,8 +258,6 @@ std::string HostProfileJsonFragment(const HostProfReport& r) {
   out += "}";
   return out;
 }
-
-#ifndef PSD_OBS_DISABLE_PROF
 
 // ---------------------------------------------------------------------------
 // HostProfiler
@@ -574,7 +572,5 @@ void HostProfiler::ExportStats(StatsRegistry* reg, const std::string& prefix) co
     });
   }
 }
-
-#endif  // PSD_OBS_DISABLE_PROF
 
 }  // namespace psd

@@ -31,9 +31,8 @@
 // host clock and write into profiler-private arrays, never into simulation
 // state, and scopes charge no virtual cost. The replay matrix
 // (tests/sim/replay_ab_test.cc: every torture scenario x 5 placements, once
-// profiled and once not) proves it. Cost when compiled in but not
-// running: one static bool load per site. PSD_OBS_DISABLE_PROF compiles
-// every site out entirely.
+// profiled and once not) proves it. Cost when not running: one static
+// bool load per site.
 //
 // Timing: raw TSC reads (x86_64 rdtsc / aarch64 cntvct), calibrated against
 // steady_clock over the Start..snapshot window; steady_clock fallback
@@ -113,7 +112,7 @@ struct HostProfSpan {
 };
 
 struct HostProfReport {
-  bool enabled = false;  // profiler compiled in and Start() was called
+  bool enabled = false;  // Start() was called
   double wall_ns = 0;    // steady_clock, Start() .. snapshot (or Stop())
   double ns_per_tick = 1.0;
   HostContext host;
@@ -151,8 +150,6 @@ std::string RenderHostProfJson(const HostProfReport& r);
 // Compact {"cpu_model":...,"attributed_pct":...,"domains":{...}} fragment
 // for embedding as the host_profile section of shared-schema bench rows.
 std::string HostProfileJsonFragment(const HostProfReport& r);
-
-#ifndef PSD_OBS_DISABLE_PROF
 
 class HostProfiler {
  public:
@@ -328,47 +325,6 @@ class ProfScope {
 #define PSD_PROF_SCOPE_CAT(a, b) PSD_PROF_SCOPE_CAT2(a, b)
 #define PSD_PROF_SCOPE(dom) \
   ::psd::ProfScope PSD_PROF_SCOPE_CAT(psd_prof_scope_, __LINE__)(::psd::ProfDomain::dom)
-
-#else  // PSD_OBS_DISABLE_PROF
-
-// Compiled-out stub: every site vanishes; Snapshot reports disabled.
-class HostProfiler {
- public:
-  struct Token {};
-
-  static HostProfiler& Get() {
-    static HostProfiler p;
-    return p;
-  }
-  static constexpr bool enabled() { return false; }
-
-  void Start() {}
-  void Stop() {}
-  bool running() const { return false; }
-  void RecordSpans(size_t) {}
-  HostProfReport Snapshot() { return HostProfReport{}; }
-  void ExportStats(StatsRegistry*, const std::string& = "prof.") const {}
-
-  Token Push(ProfDomain) { return {}; }
-  void Pop(const Token&) {}
-  uint32_t Depart() { return 0; }
-  void Arrive(uint32_t) {}
-  void ArriveFiber(uint32_t*, const std::string&) {}
-  static uint64_t NowTicks() { return 0; }
-};
-
-class ProfScope {
- public:
-  explicit ProfScope(ProfDomain) {}
-  ProfScope(const ProfScope&) = delete;
-  ProfScope& operator=(const ProfScope&) = delete;
-};
-
-#define PSD_PROF_SCOPE(dom) \
-  do {                      \
-  } while (false)
-
-#endif  // PSD_OBS_DISABLE_PROF
 
 }  // namespace psd
 

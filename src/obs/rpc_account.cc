@@ -4,8 +4,6 @@
 
 namespace psd {
 
-#ifndef PSD_OBS_DISABLE_RPC_ACCOUNT
-
 void RpcOpRecorder::Merge(const RpcOpRecorder& other) {
   assert(other.ops_.size() == ops_.size());
   for (size_t i = 0; i < ops_.size() && i < other.ops_.size(); i++) {
@@ -41,7 +39,5 @@ void RpcClientCounter::Reset() {
   }
   total_ = 0;
 }
-
-#endif  // PSD_OBS_DISABLE_RPC_ACCOUNT
 
 }  // namespace psd

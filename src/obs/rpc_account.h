@@ -19,9 +19,7 @@
 //                       API layer, so RPCs-per-connection amplification can
 //                       be computed without trusting the server's view.
 //
-// Virtual durations only; recording charges no simulated cost. Compiles out
-// under PSD_OBS_DISABLE_RPC_ACCOUNT (same discipline as the tracer and the
-// journey ledger).
+// Virtual durations only; recording charges no simulated cost.
 #ifndef PSD_SRC_OBS_RPC_ACCOUNT_H_
 #define PSD_SRC_OBS_RPC_ACCOUNT_H_
 
@@ -42,8 +40,6 @@ struct RpcOpStats {
   LatencyHistogram queue_wait;
   LatencyHistogram service;
 };
-
-#ifndef PSD_OBS_DISABLE_RPC_ACCOUNT
 
 class RpcOpRecorder {
  public:
@@ -98,43 +94,6 @@ class RpcClientCounter {
   std::vector<uint64_t> counts_;
   uint64_t total_ = 0;
 };
-
-#else  // PSD_OBS_DISABLE_RPC_ACCOUNT
-
-// No-op stand-ins: same API, zero state. op() reads a shared empty slot.
-class RpcOpRecorder {
- public:
-  explicit RpcOpRecorder(size_t slots) : slots_(slots) {}
-  void Record(int, uint64_t, uint64_t, SimDuration, SimDuration) {}
-  void Merge(const RpcOpRecorder&) {}
-  const RpcOpStats& op(size_t) const { return Empty(); }
-  size_t slots() const { return slots_; }
-  uint64_t total_count() const { return 0; }
-  uint64_t unknown() const { return 0; }
-  void Reset() {}
-
- private:
-  static const RpcOpStats& Empty() {
-    static const RpcOpStats empty;
-    return empty;
-  }
-  size_t slots_;
-};
-
-class RpcClientCounter {
- public:
-  explicit RpcClientCounter(size_t slots) : slots_(slots) {}
-  void Count(int) {}
-  uint64_t count(size_t) const { return 0; }
-  size_t slots() const { return slots_; }
-  uint64_t total() const { return 0; }
-  void Reset() {}
-
- private:
-  size_t slots_;
-};
-
-#endif  // PSD_OBS_DISABLE_RPC_ACCOUNT
 
 }  // namespace psd
 

@@ -8,8 +8,6 @@
 
 namespace psd {
 
-#ifndef PSD_OBS_DISABLE_TIMESERIES
-
 namespace {
 
 bool HasPrefix(const std::string& s, const std::string& prefix) {
@@ -148,7 +146,5 @@ void TimeSeriesSampler::Reset() {
   samples_.clear();
   taken_ = 0;
 }
-
-#endif  // PSD_OBS_DISABLE_TIMESERIES
 
 }  // namespace psd

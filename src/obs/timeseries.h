@@ -15,9 +15,6 @@
 // sampler keeps the event loop non-empty — callers must Stop() it when the
 // measured workload completes or Run(horizon) will idle-tick to the
 // horizon. Attached identically, runs stay deterministic across trials.
-//
-// Compiles out under PSD_OBS_DISABLE_TIMESERIES (Start becomes a no-op, no
-// tick events exist at all).
 #ifndef PSD_SRC_OBS_TIMESERIES_H_
 #define PSD_SRC_OBS_TIMESERIES_H_
 
@@ -38,8 +35,6 @@ struct TimeSample {
   SimTime at = 0;
   std::vector<StatsRegistry::Entry> entries;  // sorted by name (Snapshot order)
 };
-
-#ifndef PSD_OBS_DISABLE_TIMESERIES
 
 class TimeSeriesSampler {
  public:
@@ -94,33 +89,6 @@ class TimeSeriesSampler {
   // a tick scheduled past the sampler's lifetime cannot touch freed state.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
-
-#else  // PSD_OBS_DISABLE_TIMESERIES
-
-class TimeSeriesSampler {
- public:
-  TimeSeriesSampler(Simulator*, const StatsRegistry*, SimDuration interval, size_t = 4096)
-      : interval_(interval) {}
-  void Start() {}
-  void Stop() {}
-  bool running() const { return false; }
-  const std::deque<TimeSample>& samples() const { return samples_; }
-  uint64_t taken() const { return 0; }
-  uint64_t dropped() const { return 0; }
-  SimDuration interval() const { return interval_; }
-  double RatePerSec(const std::string&) const { return 0.0; }
-  std::string Json(const std::string& = "") const {
-    return "{\"timeseries\":1,\"interval_ns\":0,\"taken\":0,\"dropped\":0,\"samples\":[]}";
-  }
-  std::string Csv(const std::string& = "") const { return "t_ns\n"; }
-  void Reset() {}
-
- private:
-  SimDuration interval_;
-  std::deque<TimeSample> samples_;
-};
-
-#endif  // PSD_OBS_DISABLE_TIMESERIES
 
 }  // namespace psd
 

@@ -16,8 +16,7 @@
 //
 // Cost: with no tracer attached (the null pointer everywhere by default) the
 // instrumentation is a pointer test; simulated costs are never charged by
-// the tracer itself, so attaching one cannot perturb virtual time. Defining
-// PSD_OBS_DISABLE_TRACING compiles the RAII emission points out entirely.
+// the tracer itself, so attaching one cannot perturb virtual time.
 #ifndef PSD_SRC_OBS_TRACE_H_
 #define PSD_SRC_OBS_TRACE_H_
 
@@ -128,14 +127,10 @@ class TraceSpan {
  public:
   TraceSpan(Tracer* tracer, Simulator* sim, const char* name, TraceLayer layer, uint64_t sid = 0)
       : tracer_(tracer), sim_(sim), prof_(LayerProfDomain(layer)) {
-#ifndef PSD_OBS_DISABLE_TRACING
     if (tracer_ != nullptr && tracer_->enabled()) {
       tracer_->Begin(sim_, name, layer, /*stage=*/-1, sid, /*exclusive=*/false);
       open_ = true;
     }
-#else
-    (void)name, (void)layer, (void)sid;
-#endif
   }
   ~TraceSpan() {
     if (open_) {

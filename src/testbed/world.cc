@@ -1,5 +1,7 @@
 #include "src/testbed/world.h"
 
+#include <strings.h>
+
 #include "src/mbuf/mbuf.h"
 #include "src/netsim/frame_pool.h"
 #include "src/obs/stats.h"
@@ -20,6 +22,17 @@ const char* ConfigName(Config c) {
       return "Library-SHM-IPF";
   }
   return "?";
+}
+
+bool ParseConfig(const char* name, Config* out) {
+  for (Config c : {Config::kInKernel, Config::kServer, Config::kLibraryIpc, Config::kLibraryShm,
+                   Config::kLibraryShmIpf}) {
+    if (strcasecmp(name, ConfigName(c)) == 0) {
+      *out = c;
+      return true;
+    }
+  }
+  return false;
 }
 
 bool IsLibraryConfig(Config c) {

@@ -28,6 +28,9 @@ enum class Config {
 };
 
 const char* ConfigName(Config c);
+// Matches `name` against ConfigName case-insensitively ("library-shm-ipf"
+// selects kLibraryShmIpf). Returns false for an unknown name.
+bool ParseConfig(const char* name, Config* out);
 bool IsLibraryConfig(Config c);
 
 class World {

@@ -28,8 +28,6 @@ namespace {
 void ResetJourney() {
   DropLedger::Get().Reset();
   PacketJourney::Get().Reset();
-  DropLedger::Get().set_enabled(true);
-  PacketJourney::Get().set_enabled(true);
   DropLedger::Get().set_ring_capacity(1 << 14);
   PacketJourney::Get().set_hop_capacity(1 << 20);
 }
@@ -117,6 +115,42 @@ TEST(DropLedgerUnit, RecentRingIsBoundedButTotalsAreExact) {
   led.Reset();
   EXPECT_EQ(led.total_drops(), 0u);
   EXPECT_TRUE(led.recent().empty());
+}
+
+// Reset returns both recorders to their constructed state, so a kill
+// switch or a resized ring from one run cannot leak into the next run in
+// the same process (torture sizes the hop ring to 1 << 20 for its run).
+TEST(JourneyReset, RestoresConstructedState) {
+  DropLedger& led = DropLedger::Get();
+  PacketJourney& j = PacketJourney::Get();
+  led.set_ring_capacity(2);
+  j.set_hop_capacity(1 << 20);
+  led.Reset();
+  j.Reset();
+  const uint64_t pkt = j.Mint();
+  EXPECT_EQ(pkt, 1u);
+  for (size_t i = 0; i < DropLedger::kDefaultRingCapacity + 5; i++) {
+    led.Record(0, TraceLayer::kKern, DropReason::kQueueOverflow, static_cast<SimTime>(i), "q");
+  }
+  EXPECT_EQ(led.recent().size(), DropLedger::kDefaultRingCapacity)
+      << "ring capacity must be back at its default";
+  for (size_t i = 0; i < PacketJourney::kDefaultHopCapacity + 5; i++) {
+    j.Hop(pkt, TraceLayer::kWire, "w", static_cast<SimTime>(i));
+  }
+  EXPECT_EQ(j.hops().size(), PacketJourney::kDefaultHopCapacity)
+      << "hop capacity must be back at its default";
+
+  led.set_enabled(false);
+  j.set_enabled(false);
+  led.Reset();
+  j.Reset();
+  EXPECT_TRUE(led.enabled()) << "Reset must re-arm the ledger";
+  EXPECT_TRUE(j.enabled()) << "Reset must re-arm the journey recorder";
+  EXPECT_EQ(j.Mint(), 1u);
+  led.Record(0, TraceLayer::kKern, DropReason::kQueueOverflow, 0, "q");
+  EXPECT_EQ(led.total(DropReason::kQueueOverflow), 1u);
+  led.Reset();
+  j.Reset();
 }
 
 TEST(DropLedgerUnit, ExportStatsRegistersOneGaugePerReason) {
@@ -617,8 +651,6 @@ TEST(JourneyZeroCost, DisabledAndEnabledRunsAreVirtualTimeIdentical) {
     EXPECT_TRUE(PacketJourney::Get().hops().empty()) << ConfigName(config);
 
     EXPECT_EQ(plain, recorded) << ConfigName(config);
-    DropLedger::Get().set_enabled(true);
-    PacketJourney::Get().set_enabled(true);
   }
 }
 

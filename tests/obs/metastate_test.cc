@@ -49,8 +49,6 @@ TEST_F(MetastateTest, EveryPhaseHasAUniqueStableName) {
   EXPECT_STREQ(MigrationPhaseName(MigrationPhase::kResume), "resume");
 }
 
-#ifndef PSD_OBS_DISABLE_METASTATE
-
 TEST_F(MetastateTest, CountAccumulatesPerEvent) {
   MetastateLedger& m = MetastateLedger::Get();
   m.Count(MetaEvent::kArpMiss);
@@ -123,8 +121,6 @@ TEST_F(MetastateTest, ResetZeroesTotalsAndPhases) {
   }
   EXPECT_TRUE(m.enabled()) << "Reset must re-arm the ledger";
 }
-
-#endif  // PSD_OBS_DISABLE_METASTATE
 
 }  // namespace
 }  // namespace psd

@@ -23,8 +23,6 @@
 namespace psd {
 namespace {
 
-#ifndef PSD_OBS_DISABLE_PROF
-
 // Busy-spins for roughly `us` host microseconds so open scopes accrue
 // real, attributable time.
 void Spin(int us) {
@@ -256,18 +254,6 @@ TEST(HostProf, ZeroPerturbationOnEngineWorkload) {
   EXPECT_EQ(off.switches, on.switches);
   EXPECT_EQ(off.virtual_end, on.virtual_end);
 }
-
-#else  // PSD_OBS_DISABLE_PROF
-
-TEST(HostProf, DisabledBuildReportsDisabled) {
-  HostProfiler::Get().Start();
-  HostProfReport r = HostProfiler::Get().Snapshot();
-  HostProfiler::Get().Stop();
-  EXPECT_FALSE(r.enabled);
-  EXPECT_FALSE(HostProfiler::enabled());
-}
-
-#endif  // PSD_OBS_DISABLE_PROF
 
 }  // namespace
 }  // namespace psd

@@ -8,8 +8,6 @@
 namespace psd {
 namespace {
 
-#ifndef PSD_OBS_DISABLE_RPC_ACCOUNT
-
 TEST(RpcOpRecorder, RecordsPerSlotCountsBytesAndSplitTimes) {
   RpcOpRecorder r(4);
   r.Record(1, /*bytes_in=*/100, /*bytes_out=*/20, /*queue_wait=*/Micros(5),
@@ -82,8 +80,6 @@ TEST(RpcClientCounter, TotalsIncludeUnmappedOpsPerSlotCountsDoNot) {
   EXPECT_EQ(c.total(), 0u);
   EXPECT_EQ(c.count(0), 0u);
 }
-
-#endif  // PSD_OBS_DISABLE_RPC_ACCOUNT
 
 }  // namespace
 }  // namespace psd

@@ -14,8 +14,6 @@
 namespace psd {
 namespace {
 
-#ifndef PSD_OBS_DISABLE_TIMESERIES
-
 TEST(TimeSeriesSampler, SamplesAtFixedVirtualInterval) {
   Simulator sim;
   StatsRegistry reg;
@@ -160,21 +158,6 @@ TEST(TimeSeriesSampler, AttachedSamplerDoesNotPerturbWorkloadTimestamps) {
   EXPECT_EQ(without, with);
   EXPECT_EQ(end_a, end_b);
 }
-
-#else  // PSD_OBS_DISABLE_TIMESERIES
-
-TEST(TimeSeriesSampler, CompiledOutStandInTakesNothing) {
-  Simulator sim;
-  StatsRegistry reg;
-  TimeSeriesSampler sampler(&sim, &reg, Millis(10));
-  sampler.Start();
-  sim.Run(Millis(100));
-  EXPECT_EQ(sampler.taken(), 0u);
-  EXPECT_FALSE(sampler.running());
-  EXPECT_EQ(sampler.Json(), "{\"timeseries\":1,\"interval_ns\":0,\"taken\":0,\"dropped\":0,\"samples\":[]}");
-}
-
-#endif  // PSD_OBS_DISABLE_TIMESERIES
 
 }  // namespace
 }  // namespace psd

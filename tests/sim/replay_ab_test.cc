@@ -9,9 +9,7 @@
 // pair is profiled. And no observability state leaks from one run into the
 // next inside one process: the second run of each pair, and every run
 // after the first cell, starts where earlier runs left the singletons.
-// (In PSD_OBS_DISABLE_PROF builds Start/Stop are no-op stubs and both
-// sides run unprofiled; the replay half of the check still holds.) The
-// two-process replay is the torture_replay_is_byte_identical ctest.
+// The two-process replay is the torture_replay_is_byte_identical ctest.
 #include <gtest/gtest.h>
 
 #include <string>

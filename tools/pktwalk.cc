@@ -27,24 +27,6 @@ using namespace psd;
 
 namespace {
 
-bool ParseConfig(const char* s, Config* out) {
-  struct {
-    const char* name;
-    Config cfg;
-  } static const kTable[] = {
-      {"in-kernel", Config::kInKernel},           {"server", Config::kServer},
-      {"library-ipc", Config::kLibraryIpc},       {"library-shm", Config::kLibraryShm},
-      {"library-shm-ipf", Config::kLibraryShmIpf},
-  };
-  for (const auto& e : kTable) {
-    if (strcasecmp(s, e.name) == 0) {
-      *out = e.cfg;
-      return true;
-    }
-  }
-  return false;
-}
-
 int Usage(const char* argv0) {
   fprintf(stderr,
           "usage: %s [--config in-kernel|server|library-ipc|library-shm|library-shm-ipf]\n"

@@ -58,15 +58,6 @@ int Main(int argc, char** argv) {
     return Usage();
   }
 
-#ifdef PSD_OBS_DISABLE_PROF
-  std::fprintf(stderr, "psdprof: built with PSD_OBS_DISABLE_PROF; no host profile available\n");
-  (void)min_attributed;
-  EngineRunOutcome run = fn(MachineProfile::DecStation5000(), scale);
-  std::printf("%s: %llu frames, %llu events, %.1f ms wall (profiler compiled out)\n", workload,
-              static_cast<unsigned long long>(run.frames),
-              static_cast<unsigned long long>(run.events), run.wall_ns / 1e6);
-  return 0;
-#else
   HostProfiler& hp = HostProfiler::Get();
   hp.Start();
   EngineRunOutcome run = fn(MachineProfile::DecStation5000(), scale);
@@ -96,7 +87,6 @@ int Main(int argc, char** argv) {
     return 4;
   }
   return 0;
-#endif
 }
 
 }  // namespace

@@ -37,24 +37,6 @@ using namespace psd;
 
 namespace {
 
-bool ParseConfig(const char* s, Config* out) {
-  struct {
-    const char* name;
-    Config cfg;
-  } static const kTable[] = {
-      {"in-kernel", Config::kInKernel},           {"server", Config::kServer},
-      {"library-ipc", Config::kLibraryIpc},       {"library-shm", Config::kLibraryShm},
-      {"library-shm-ipf", Config::kLibraryShmIpf},
-  };
-  for (const auto& e : kTable) {
-    if (strcasecmp(s, e.name) == 0) {
-      *out = e.cfg;
-      return true;
-    }
-  }
-  return false;
-}
-
 int Usage(const char* argv0) {
   fprintf(stderr,
           "usage: %s [--config in-kernel|server|library-ipc|library-shm|library-shm-ipf]\n"
@@ -136,12 +118,10 @@ int main(int argc, char** argv) {
 
     StatsRegistry reg;
     MetastateLedger::Get().ExportStats(&reg, "meta.");
-#ifndef PSD_OBS_DISABLE_PROF
     // Host wall-clock attribution rides the same sampler: prof.* gauges
     // are host ns per domain, so their sampled deltas are host-time rates.
     HostProfiler::Get().Start();
     HostProfiler::Get().ExportStats(&reg, "prof.");
-#endif
     if (w.library(0) != nullptr) {
       reg.RegisterGauge("rpc.total", [&w] { return w.library(0)->rpc_calls().total(); });
     } else if (w.ux_node(0) != nullptr) {
@@ -260,12 +240,8 @@ int main(int argc, char** argv) {
       server_traps = w.kernel_node(0)->traps();
     }
   }
-#ifndef PSD_OBS_DISABLE_PROF
   HostProfiler::Get().Stop();
   const HostProfReport host_rep = HostProfiler::Get().Snapshot();
-#else
-  const HostProfReport host_rep;
-#endif
 
   std::sort(ops.begin(), ops.end(),
             [](const OpRow& a, const OpRow& b) { return a.stats.count > b.stats.count; });

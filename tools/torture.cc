@@ -36,16 +36,6 @@ using namespace psd;
 
 namespace {
 
-struct ConfigEntry {
-  const char* name;
-  Config cfg;
-};
-const ConfigEntry kConfigs[] = {
-    {"in-kernel", Config::kInKernel},           {"server", Config::kServer},
-    {"library-ipc", Config::kLibraryIpc},       {"library-shm", Config::kLibraryShm},
-    {"library-shm-ipf", Config::kLibraryShmIpf},
-};
-
 int Usage(const char* argv0) {
   fprintf(stderr,
           "usage: %s [--scenario NAME|all] [--config NAME|all] [--seed N]\n"
@@ -124,27 +114,24 @@ int main(int argc, char** argv) {
       s.name += "+" + mix;
     }
   }
-  std::vector<ConfigEntry> configs;
+  std::vector<Config> configs;
+  Config one;
   if (config == "all") {
-    configs.assign(kConfigs, kConfigs + 5);
+    configs = {Config::kInKernel, Config::kServer, Config::kLibraryIpc, Config::kLibraryShm,
+               Config::kLibraryShmIpf};
+  } else if (ParseConfig(config.c_str(), &one)) {
+    configs.push_back(one);
   } else {
-    for (const ConfigEntry& e : kConfigs) {
-      if (strcasecmp(config.c_str(), e.name) == 0) {
-        configs.push_back(e);
-      }
-    }
-    if (configs.empty()) {
-      fprintf(stderr, "unknown config '%s'\n", config.c_str());
-      return Usage(argv[0]);
-    }
+    fprintf(stderr, "unknown config '%s'\n", config.c_str());
+    return Usage(argv[0]);
   }
 
   int runs = 0;
   int failures = 0;
   for (const TortureSpec& s : specs) {
-    for (const ConfigEntry& c : configs) {
+    for (Config c : configs) {
       PcapCapture pcap;
-      TortureResult r = RunTorture(c.cfg, s, seed, &pcap);
+      TortureResult r = RunTorture(c, s, seed, &pcap);
       fputs(r.report.c_str(), stdout);
       fputs("\n", stdout);
       runs++;
@@ -152,7 +139,7 @@ int main(int argc, char** argv) {
         failures++;
         if (!artifacts.empty()) {
           std::string stem =
-              artifacts + "/torture-" + s.name + "-" + c.name + "-" + std::to_string(seed);
+              artifacts + "/torture-" + s.name + "-" + ConfigName(c) + "-" + std::to_string(seed);
           PktwalkFilter pf;
           FILE* f = fopen((stem + ".pktwalk.txt").c_str(), "w");
           if (f != nullptr) {

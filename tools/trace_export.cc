@@ -28,24 +28,6 @@ using namespace psd;
 
 namespace {
 
-bool ParseConfig(const char* s, Config* out) {
-  struct {
-    const char* name;
-    Config cfg;
-  } static const kTable[] = {
-      {"in-kernel", Config::kInKernel},           {"server", Config::kServer},
-      {"library-ipc", Config::kLibraryIpc},       {"library-shm", Config::kLibraryShm},
-      {"library-shm-ipf", Config::kLibraryShmIpf},
-  };
-  for (const auto& e : kTable) {
-    if (strcasecmp(s, e.name) == 0) {
-      *out = e.cfg;
-      return true;
-    }
-  }
-  return false;
-}
-
 int Usage(const char* argv0) {
   fprintf(stderr,
           "usage: %s [--config in-kernel|server|library-ipc|library-shm|library-shm-ipf]\n"
@@ -124,14 +106,11 @@ int main(int argc, char** argv) {
     };
   }
 
-#ifndef PSD_OBS_DISABLE_PROF
   if (host_prof) {
     HostProfiler::Get().RecordSpans(1 << 20);
     HostProfiler::Get().Start();
   }
-#endif
   double rtt_ms = RunProtolatTraced(config, MachineProfile::DecStation5000(), opt, hooks);
-#ifndef PSD_OBS_DISABLE_PROF
   if (host_prof) {
     HostProfiler::Get().Stop();
     HostProfReport rep = HostProfiler::Get().Snapshot();
@@ -139,17 +118,12 @@ int main(int argc, char** argv) {
     printf("host profile: %.1f ms wall, %.1f%% attributed, %zu host spans merged\n",
            rep.wall_ns / 1e6, rep.attributed_pct(), rep.spans.size());
   }
-#else
-  if (host_prof) {
-    fprintf(stderr, "--host-prof ignored: built with PSD_OBS_DISABLE_PROF\n");
-  }
-#endif
   if (rtt_ms < 0) {
     fprintf(stderr, "protolat run did not complete\n");
     return 1;
   }
   if (sink.span_count() == 0) {
-    fprintf(stderr, "trace is empty: no spans recorded (is tracing compiled out?)\n");
+    fprintf(stderr, "trace is empty: no spans recorded\n");
     return 1;
   }
 
