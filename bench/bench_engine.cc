@@ -4,7 +4,7 @@
 // how many real (host) nanoseconds the engine burns per simulated packet,
 // which is what bounds the scenario sizes every other open item needs.
 // The three canonical workloads live in bench/common/engine_workloads.{h,cc}
-// (tools/psdprof and the profiler tests drive the same scenarios):
+// (`psdobs prof` and the profiler tests drive the same scenarios):
 //
 //   tcp_stream — one ttcp-style bulk TCP transfer, in-kernel placement
 //                (windowed stream: timers, retransmit machinery armed,

@@ -1,6 +1,6 @@
 // The three canonical engine workloads (see bench/bench_engine.cc for the
 // methodology they anchor), extracted so more than one binary can drive
-// them: bench_engine measures them, tools/psdprof profiles them, and the
+// them: bench_engine measures them, `psdobs prof` profiles them, and the
 // profiler tests re-run them at reduced scale.
 //
 //   tcp_stream — ttcp-style bulk TCP transfer, In-Kernel placement.

@@ -123,10 +123,8 @@ SweepResult TtcpBestBuffer(Config config, const MachineProfile& profile, TtcpOpt
   return sweep;
 }
 
-namespace {
-
-double ProtolatImpl(Config config, const MachineProfile& profile, const ProtolatOptions& opt,
-                    const ProtolatHooks& hooks) {
+double RunProtolat(Config config, const MachineProfile& profile, const ProtolatOptions& opt,
+                   const ProtolatHooks& hooks) {
   World w(config, profile, 2, opt.pio_nic);
   if (hooks.tracer != nullptr) {
     w.AttachTracer(0, hooks.tracer);
@@ -255,17 +253,6 @@ double ProtolatImpl(Config config, const MachineProfile& profile, const Protolat
   return done ? mean_ms : -1.0;
 }
 
-}  // namespace
-
-double RunProtolat(Config config, const MachineProfile& profile, const ProtolatOptions& opt) {
-  return ProtolatImpl(config, profile, opt, ProtolatHooks{});
-}
-
-double RunProtolatTraced(Config config, const MachineProfile& profile, const ProtolatOptions& opt,
-                         const ProtolatHooks& hooks) {
-  return ProtolatImpl(config, profile, opt, hooks);
-}
-
 double RunProtolatProbed(Config config, const MachineProfile& profile, const ProtolatOptions& opt,
                          StageRecorder* recorder) {
   Tracer tracer;
@@ -273,7 +260,7 @@ double RunProtolatProbed(Config config, const MachineProfile& profile, const Pro
   ProtolatHooks hooks;
   hooks.tracer = &tracer;
   hooks.on_measure_begin = [recorder] { recorder->Reset(); };
-  return ProtolatImpl(config, profile, opt, hooks);
+  return RunProtolat(config, profile, opt, hooks);
 }
 
 }  // namespace psd

@@ -56,9 +56,6 @@ struct ProtolatOptions {
   bool pio_nic = false;
 };
 
-// Mean round-trip time in milliseconds.
-double RunProtolat(Config config, const MachineProfile& profile, const ProtolatOptions& opt);
-
 // Observability hooks for an instrumented protolat run. The tracer (if any)
 // is attached to both hosts before the run, so its sinks see the client's
 // send path and the echo host's receive path.
@@ -76,11 +73,12 @@ struct ProtolatHooks {
   std::function<void(World&)> on_done;
 };
 
-// Instrumented run: same workload and virtual-time behaviour as
-// RunProtolat (the tracer charges nothing), with spans flowing to the
-// tracer's sinks.
-double RunProtolatTraced(Config config, const MachineProfile& profile, const ProtolatOptions& opt,
-                         const ProtolatHooks& hooks);
+// Mean round-trip time in milliseconds, or -1 if the run did not complete
+// (a lost UDP datagram stalls protolat, which has no retry). Hooks observe
+// the run without changing its virtual-time behaviour (the tracer charges
+// nothing).
+double RunProtolat(Config config, const MachineProfile& profile, const ProtolatOptions& opt,
+                   const ProtolatHooks& hooks = {});
 
 // Table 4 convenience wrapper: runs protolat with a private Tracer feeding
 // `recorder`, reset at the warmup boundary so cells cover only measured

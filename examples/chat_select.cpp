@@ -7,6 +7,7 @@
 // for the rest.
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -80,10 +81,12 @@ int main() {
 
   // Clients all run on host 0 as separate processes (each gets its own
   // protocol library sharing host 0's OS server).
+  // Declared after the World, so each node goes before the library it wraps.
+  std::vector<std::unique_ptr<LibraryNode>> nodes;
   for (int id = 0; id < kClients; id++) {
     ProtocolLibrary* lib =
         id == 0 ? w.library(0) : w.AddLibrary(0, "h0/chat" + std::to_string(id));
-    auto* node = new LibraryNode(lib);  // leaked at end of simulation: example scope
+    LibraryNode* node = nodes.emplace_back(std::make_unique<LibraryNode>(lib)).get();
     w.SpawnApp(0, "chat-client-" + std::to_string(id), [&, id, node] {
       SocketApi* api = node;
       SimThread* self = w.sim().current_thread();

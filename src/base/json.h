@@ -1,7 +1,7 @@
 // The one JSON string-escaping implementation.
 //
 // Every JSON emitter in the tree (shared bench schema, chrome-trace export,
-// pktwalk/psdstat/psdtop, the host profiler) escapes through these two
+// the psdobs views, the host profiler) escapes through these two
 // helpers; hand-rolled copies kept drifting (one lacked \t, another control
 // characters), so the bug surface is now exactly here.
 #ifndef PSD_SRC_BASE_JSON_H_

@@ -255,7 +255,7 @@ void EthernetSegment::Transmit(Nic* src, Frame frame, std::function<void()> done
   Deliver(src, std::move(frame), deliver_at);
   if (dup_this) {
     // The duplicate is its own packet: new id, aux links back to the
-    // original so pktwalk can show the clone relationship.
+    // original so `psdobs walk` can show the clone relationship.
     dup.pkt_id = PacketJourney::Get().Mint();
     if (dup.pkt_id != 0) {
       PacketJourney::Get().Hop(dup.pkt_id, TraceLayer::kWire, "wire/dup", deliver_at, parent);

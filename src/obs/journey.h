@@ -231,7 +231,7 @@ class PacketJourney {
 };
 
 // ---------------------------------------------------------------------------
-// pktwalk rendering (shared by tools/pktwalk and the golden tests). Reads
+// pktwalk rendering (shared by `psdobs walk`, torture and the golden tests). Reads
 // the singletons; deterministic for a deterministic run.
 
 struct PktwalkFilter {

@@ -142,7 +142,7 @@ struct HostProfReport {
   }
 };
 
-// Renderers (tools/psdprof, bench rows). Implemented in prof.cc so the
+// Renderers (`psdobs prof`, bench rows). Implemented in prof.cc so the
 // table/flamegraph grammar is testable without the CLI.
 std::string RenderHostProfTable(const HostProfReport& r);
 std::string RenderHostProfFlame(const HostProfReport& r);

@@ -33,7 +33,7 @@ class StatsRegistry {
   // callback must outlive the registry's last Snapshot call.
   //
   // Names must be unique: a duplicate would produce colliding JSON keys in
-  // every snapshot consumer (psdstat --json, the time-series sampler), and
+  // every snapshot consumer (psdobs stat --json, the time-series sampler), and
   // which value wins is accidental. A duplicate registration asserts in
   // debug builds; in release builds it is rejected (the first registration
   // stays live) and counted in duplicates_rejected(). Returns whether the

@@ -8,7 +8,7 @@
 //   * StageRecorder (src/obs/probe.h) aggregates per-stage means and feeds
 //     the Table 4 breakdown bench;
 //   * ChromeTraceSink (src/obs/chrome_trace.h) keeps the full span stream
-//     and exports chrome://tracing JSON (tools/trace_export).
+//     and exports chrome://tracing JSON (`psdobs trace`).
 //
 // Concurrency: the simulator runs exactly one of {event loop, SimThread} at
 // any instant, so the tracer needs no locks — plain containers are

@@ -48,8 +48,8 @@ enum class ServOp : uint32_t {
   kServOpCount,
 };
 
-// Stable display names, indexed by op - kServOpFirst (the span names psdstat
-// and psdtop render). Adding an op to ServOp without extending this table
+// Stable display names, indexed by op - kServOpFirst (the span names
+// `psdobs stat` and `psdobs top` render). Adding an op to ServOp without extending this table
 // fails the static_assert, so a new RPC op can never show up as a raw
 // integer in tool output.
 inline constexpr const char* kServOpNames[] = {

@@ -66,8 +66,7 @@ TEST(FlightRecorder, CountersMatchTracerUnderLoss) {
   opt.proto = IpProto::kTcp;
   opt.msg_size = 512;
   opt.trials = 40;
-  ASSERT_GT(RunProtolatTraced(Config::kInKernel, MachineProfile::DecStation5000(), opt, hooks),
-            0.0);
+  ASSERT_GT(RunProtolat(Config::kInKernel, MachineProfile::DecStation5000(), opt, hooks), 0.0);
 
   // 5% loss on a TCP echo must actually have exercised the recovery paths.
   ASSERT_GT(wire_dropped, 0u);
@@ -114,7 +113,7 @@ TEST(FlightRecorder, FullRecorderChargesZeroVirtualCost) {
       netstat_text = NetstatText(reg.Snapshot());
       reg.Reset();
     };
-    double recorded = RunProtolatTraced(config, prof, opt, hooks);
+    double recorded = RunProtolat(config, prof, opt, hooks);
 
     // Byte-identical virtual time: the recorder observed everything and
     // charged nothing.
@@ -136,7 +135,7 @@ TEST(FlightRecorder, RttHistogramCoversMeasuredTrials) {
   opt.msg_size = 1;
   opt.trials = 25;
   double mean_ms =
-      RunProtolatTraced(Config::kLibraryShmIpf, MachineProfile::DecStation5000(), opt, hooks);
+      RunProtolat(Config::kLibraryShmIpf, MachineProfile::DecStation5000(), opt, hooks);
   ASSERT_GT(mean_ms, 0.0);
   const LatencyHistogram* rtt = hist.Find("protolat/rtt");
   ASSERT_NE(rtt, nullptr);
@@ -169,7 +168,7 @@ TEST(FlightRecorder, StatsRegistryResetPreventsCarryOverBetweenWorlds) {
     // dies — afterwards it is empty, and the next run starts clean.
     reg.Reset();
   };
-  ASSERT_GT(RunProtolatTraced(Config::kInKernel, prof, opt, first), 0.0);
+  ASSERT_GT(RunProtolat(Config::kInKernel, prof, opt, first), 0.0);
   EXPECT_GT(first_gauges, 0u);
   EXPECT_EQ(reg.size(), 0u);
   EXPECT_TRUE(reg.Snapshot().empty());
@@ -185,7 +184,7 @@ TEST(FlightRecorder, StatsRegistryResetPreventsCarryOverBetweenWorlds) {
     EXPECT_EQ(reg.size(), first_gauges) << "same config must re-register the same gauge set";
     reg.Reset();
   };
-  ASSERT_GT(RunProtolatTraced(Config::kInKernel, prof, opt, second), 0.0);
+  ASSERT_GT(RunProtolat(Config::kInKernel, prof, opt, second), 0.0);
   int carried = 0;
   for (const auto& e : snap) {
     if (e.name == "wire.frames_carried") {

@@ -357,7 +357,7 @@ TEST(JourneyReconciliation, LegacyCountersEqualLedgerUnderLossEverywhere) {
       wire_dropped = w.wire().frames_dropped();
       nic_dropped = w.host(0)->nic()->rx_dropped() + w.host(1)->nic()->rx_dropped();
     };
-    ASSERT_GT(RunProtolatTraced(config, prof, opt, hooks), 0.0) << ConfigName(config);
+    ASSERT_GT(RunProtolat(config, prof, opt, hooks), 0.0) << ConfigName(config);
 
     SCOPED_TRACE(ConfigName(config));
     // The run must actually have lost frames, and each one must be ledgered.
@@ -430,8 +430,7 @@ TEST(JourneyFaults, DupAndDelayAreEventsNotDrops) {
     plan.seed = 11;
     w.wire().SetFaults(plan);
   };
-  ASSERT_GT(
-      RunProtolatTraced(Config::kInKernel, MachineProfile::DecStation5000(), opt, hooks), 0.0);
+  ASSERT_GT(RunProtolat(Config::kInKernel, MachineProfile::DecStation5000(), opt, hooks), 0.0);
   const DropLedger& led = DropLedger::Get();
   const PacketJourney& j = PacketJourney::Get();
   ASSERT_GT(led.total(DropReason::kWireDup), 0u);
@@ -595,8 +594,7 @@ TEST(QueueGauges, EveryPacketQueueExportsDepthDroppedAndHighWatermark) {
   opt.msg_size = 64;
   opt.trials = 10;
   ASSERT_GT(
-      RunProtolatTraced(Config::kLibraryShmIpf, MachineProfile::DecStation5000(), opt, hooks),
-      0.0);
+      RunProtolat(Config::kLibraryShmIpf, MachineProfile::DecStation5000(), opt, hooks), 0.0);
   size_t hwm_gauges = 0, depth_gauges = 0, dropped_gauges = 0;
   uint64_t max_hwm = 0;
   for (const auto& e : snap) {

@@ -127,8 +127,7 @@ TEST(Pcap, WireAndKernelTapsMatchStats) {
   opt.proto = IpProto::kTcp;
   opt.msg_size = 100;
   opt.trials = 5;
-  ASSERT_GT(RunProtolatTraced(Config::kInKernel, MachineProfile::DecStation5000(), opt, hooks),
-            0.0);
+  ASSERT_GT(RunProtolat(Config::kInKernel, MachineProfile::DecStation5000(), opt, hooks), 0.0);
 
   // The wire tap sees exactly the frames the segment carried; the kernel
   // tap sees exactly the frames delivered to a matched endpoint.

@@ -63,8 +63,7 @@ TEST(TraceExport, ProtolatCoversAllDecomposedLayers) {
   opt.proto = IpProto::kUdp;
   opt.msg_size = 100;
   opt.trials = 5;
-  double rtt = RunProtolatTraced(Config::kLibraryShmIpf, MachineProfile::DecStation5000(), opt,
-                                 hooks);
+  double rtt = RunProtolat(Config::kLibraryShmIpf, MachineProfile::DecStation5000(), opt, hooks);
   ASSERT_GT(rtt, 0.0);
   EXPECT_GT(sink.span_count(), 0u);
   // The ISSUE's acceptance bar: spans from all five decomposed subsystems.
@@ -97,8 +96,7 @@ TEST(TraceExport, ServerConfigEmitsServLayer) {
   opt.proto = IpProto::kUdp;
   opt.msg_size = 1;
   opt.trials = 3;
-  double rtt =
-      RunProtolatTraced(Config::kServer, MachineProfile::DecStation5000(), opt, hooks);
+  double rtt = RunProtolat(Config::kServer, MachineProfile::DecStation5000(), opt, hooks);
   ASSERT_GT(rtt, 0.0);
   EXPECT_TRUE(sink.HasLayer(TraceLayer::kServ));
   EXPECT_TRUE(sink.HasLayer(TraceLayer::kIpc));
@@ -117,7 +115,7 @@ TEST(TraceExport, TracerDoesNotPerturbVirtualTime) {
     tracer.AddSink(&sink);
     ProtolatHooks hooks;
     hooks.tracer = &tracer;
-    double traced = RunProtolatTraced(config, prof, opt, hooks);
+    double traced = RunProtolat(config, prof, opt, hooks);
     EXPECT_EQ(plain, traced) << ConfigName(config);
     EXPECT_GT(sink.span_count(), 0u);
   }
@@ -141,8 +139,7 @@ TEST(TraceExport, StatsRegistryExportsEndToEndCounters) {
   opt.proto = IpProto::kUdp;
   opt.msg_size = 1;
   opt.trials = 3;
-  ASSERT_GT(RunProtolatTraced(Config::kLibraryShmIpf, MachineProfile::DecStation5000(), opt,
-                              hooks),
+  ASSERT_GT(RunProtolat(Config::kLibraryShmIpf, MachineProfile::DecStation5000(), opt, hooks),
             0.0);
   ASSERT_FALSE(snap.empty());
   auto value = [&snap](const std::string& name) -> int64_t {

@@ -1,6 +1,6 @@
 // The traffic mixes surface their adapter counters through the unified
 // StatsRegistry (proto.client.* / proto.server.*), the same interface every
-// other subsystem exports through — so psdstat-style snapshot consumers see
+// other subsystem exports through — so `psdobs stat`-style snapshot consumers see
 // application-protocol activity next to the wire and stack gauges.
 #include <gtest/gtest.h>
 
