@@ -21,12 +21,12 @@
 // (exit 4 on divergence). Emits BENCH_appmix.json (shared schema).
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench/common/bench_json.h"
+#include "bench/common/flags.h"
 #include "src/obs/journey.h"
 #include "src/testbed/traffic_mix.h"
 #include "src/testbed/world.h"
@@ -99,20 +99,20 @@ int main(int argc, char** argv) {
   uint64_t seed = 1993;
   std::string only_mix;
   for (int i = 1; i < argc; i++) {
+    bool ok = true;
     if (std::strncmp(argv[i], "--trials=", 9) == 0) {
-      trials = std::atoi(argv[i] + 9);
+      ok = ParseInt(argv[i] + 9, 1, &trials);
     } else if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-      seed = static_cast<uint64_t>(std::atoll(argv[i] + 7));
+      ok = ParseInt(argv[i] + 7, 0, &seed);
     } else if (std::strncmp(argv[i], "--mix=", 6) == 0) {
       only_mix = argv[i] + 6;
     } else {
+      ok = false;
+    }
+    if (!ok) {
       std::fprintf(stderr, "usage: %s [--trials=N] [--seed=N] [--mix=NAME]\n", argv[0]);
       return 1;
     }
-  }
-  if (trials < 1) {
-    std::fprintf(stderr, "bench_appmix: bad parameters\n");
-    return 1;
   }
   std::vector<MixSpec> mixes;
   for (const MixSpec& m : TrafficMixes()) {

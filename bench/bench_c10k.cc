@@ -30,12 +30,12 @@
 // BENCH_c10k.json (shared schema).
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "bench/common/bench_json.h"
 #include "bench/common/c10k.h"
+#include "bench/common/flags.h"
 #include "src/obs/prof.h"
 
 namespace psd {
@@ -73,26 +73,26 @@ int main(int argc, char** argv) {
   int trials = 1;
   uint64_t seed = 1993;
   for (int i = 1; i < argc; i++) {
+    bool ok = true;
     if (std::strncmp(argv[i], "--clients=", 10) == 0) {
-      p.clients = std::atoi(argv[i] + 10);
+      ok = ParseInt(argv[i] + 10, 1, &p.clients);
     } else if (std::strncmp(argv[i], "--conns=", 8) == 0) {
-      p.conns = std::atoi(argv[i] + 8);
+      ok = ParseInt(argv[i] + 8, 1, &p.conns);
     } else if (std::strncmp(argv[i], "--trials=", 9) == 0) {
-      trials = std::atoi(argv[i] + 9);
+      ok = ParseInt(argv[i] + 9, 1, &trials);
     } else if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-      seed = static_cast<uint64_t>(std::atoll(argv[i] + 7));
+      ok = ParseInt(argv[i] + 7, 0, &seed);
     } else if (std::strncmp(argv[i], "--migrate=", 10) == 0) {
-      p.migrate = std::atoi(argv[i] + 10);
+      ok = ParseInt(argv[i] + 10, 0, &p.migrate);
     } else {
+      ok = false;
+    }
+    if (!ok) {
       std::fprintf(stderr,
                    "usage: %s [--clients=N] [--conns=N] [--trials=N] [--seed=N] [--migrate=N]\n",
                    argv[0]);
       return 1;
     }
-  }
-  if (p.clients < 1 || p.conns < 1 || trials < 1 || p.migrate < 0) {
-    std::fprintf(stderr, "bench_c10k: bad parameters\n");
-    return 1;
   }
   MachineProfile prof = MachineProfile::DecStation5000();
   std::printf("-- C10K churn bench (%d clients x %d conns, profile %s, %d trial%s) --\n",

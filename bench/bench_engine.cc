@@ -43,6 +43,7 @@
 
 #include "bench/common/bench_json.h"
 #include "bench/common/engine_workloads.h"
+#include "bench/common/flags.h"
 #include "src/obs/prof.h"
 
 namespace psd {
@@ -139,15 +140,10 @@ int main(int argc, char** argv) {
   using namespace psd;
   int trials = 3;
   for (int i = 1; i < argc; i++) {
-    if (std::strncmp(argv[i], "--trials=", 9) == 0) {
-      trials = std::atoi(argv[i] + 9);
-    } else {
+    if (std::strncmp(argv[i], "--trials=", 9) != 0 || !ParseInt(argv[i] + 9, 1, &trials)) {
       std::fprintf(stderr, "usage: %s [--trials=N]\n", argv[0]);
       return 1;
     }
-  }
-  if (trials < 1) {
-    trials = 1;
   }
   MachineProfile prof = MachineProfile::DecStation5000();
 

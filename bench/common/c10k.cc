@@ -305,7 +305,7 @@ C10kOutcome RunC10k(Config config, const MachineProfile& prof, const C10kParams&
       return slash != nullptr ? slash + 1 : name;
     };
     if (w.net_server(0) != nullptr) {
-      RpcOpRecorder rec = w.net_server(0)->MergedRpcStats();
+      const RpcOpRecorder& rec = w.net_server(0)->MergedRpcStats();
       for (size_t i = 0; i < rec.slots(); i++) {
         if (rec.op(i).count == 0) {
           continue;
@@ -314,7 +314,7 @@ C10kOutcome RunC10k(Config config, const MachineProfile& prof, const C10kParams&
                                  rec.op(i));
       }
     } else if (w.ux_server(0) != nullptr) {
-      RpcOpRecorder rec = w.ux_server(0)->MergedRpcStats();
+      const RpcOpRecorder& rec = w.ux_server(0)->MergedRpcStats();
       for (size_t i = 0; i < rec.slots(); i++) {
         if (rec.op(i).count == 0) {
           continue;

@@ -85,17 +85,7 @@ ProtocolLibrary::~ProtocolLibrary() {
 
 void ProtocolLibrary::InputBody() {
   if (path_ == RxPath::kIpc) {
-    IpcMessage msg;
-    for (;;) {
-      if (!pkt_port_.Receive(&msg)) {
-        continue;
-      }
-      // Re-attach the packet id the kernel stashed in arg[5]: the payload
-      // vector crossed the port without its Frame metadata.
-      Frame f(std::move(msg.payload));
-      f.pkt_id = msg.arg[5];
-      stack_->InputFrame(f);
-    }
+    RunPacketInput(&pkt_port_, stack_.get());
   } else {
     Frame f;
     bool blocked = false;

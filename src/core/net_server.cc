@@ -1,9 +1,7 @@
 #include "src/core/net_server.h"
 
 #include <cassert>
-#include <cstring>
 
-#include "src/api/kernel_node.h"
 #include "src/base/log.h"
 #include "src/filter/session_filter.h"
 #include "src/obs/journey.h"
@@ -19,73 +17,28 @@ constexpr int kAppFilterPriority = 10;  // above the server catch-all
 
 NetServer::NetServer(SimHost* host, int workers)
     : host_(host),
-      control_port_(host->sim(), host->prof(), host->name() + "/ns-ctl"),
-      packet_port_(host->sim(), host->prof(), host->name() + "/ns-pkt",
-                   PortCosts::PacketDelivery(*host->prof())) {
-  StackParams params;
-  params.sim = host->sim();
-  params.cpu = host->cpu();
-  params.prof = host->prof();
-  params.placement = Placement::kServer;
-  Kernel* kernel = host->kernel();
-  params.send_frame = [kernel](Frame f) { kernel->NetSendFromUser(std::move(f)); };
-  params.ip = host->ip();
-  params.mac = host->mac();
-  params.with_arp = true;
-  params.sync_pair_cost = host->prof()->sync_spl_emulated;
-  params.name = host->name() + "/ns";
-  stack_ = std::make_unique<Stack>(params);
-  stack_->routes().Add(Ipv4Addr(host->ip().v & 0xffff0000), Ipv4Addr(0xffff0000),
-                       Ipv4Addr::Any());
-
+      core_(host, "ns", "ns-ctl", workers, ProxyOpSlot, static_cast<size_t>(kNumProxyOpSlots),
+            [this](const IpcMessage& req) { return Handle(req); },
+            {{"cb", [this] { CallbackBody(); }}}),
+      callback_wq_(host->sim()) {
   // Strays for tuples in application hands are dropped, not RST.
-  stack_->tcp().SetRstSuppressor([this](const SockAddrIn& l, const SockAddrIn& r) {
+  stack()->tcp().SetRstSuppressor([this](const SockAddrIn& l, const SockAddrIn& r) {
     return suppressed_.count(TupleKey(l, r)) > 0;
   });
 
   // Metastate invalidation callbacks into registered applications (§3.3):
   // queued here, delivered by the callback thread.
-  callback_wq_ = std::make_unique<WaitQueue>(host->sim());
-  stack_->arp()->SetChangeHook([this](Ipv4Addr ip) {
+  stack()->arp()->SetChangeHook([this](Ipv4Addr ip) {
     for (auto& [id, lib] : libraries_) {
       if (lib.subscriber != nullptr) {
         pending_callbacks_.emplace_back(id, ip);
       }
     }
-    callback_wq_->NotifyOne();
+    callback_wq_.NotifyOne();
   });
-
-  // The server receives everything the per-session filters don't claim.
-  kernel->InstallFilter(CompileCatchAllFilter(), /*priority=*/0,
-                        DeliveryEndpoint{DeliverKind::kIpc, nullptr, &packet_port_});
-  threads_.push_back(
-      host->sim()->Spawn(host->name() + "/ns-in", host->cpu(), [this] { InputBody(); }));
-  threads_.push_back(
-      host->sim()->Spawn(host->name() + "/ns-cb", host->cpu(), [this] { CallbackBody(); }));
-  worker_rpc_.reserve(static_cast<size_t>(workers));
-  for (int i = 0; i < workers; i++) {
-    worker_rpc_.emplace_back(static_cast<size_t>(kNumProxyOpSlots));
-    size_t idx = static_cast<size_t>(i);
-    threads_.push_back(host->sim()->Spawn(host->name() + "/ns-w" + std::to_string(i),
-                                          host->cpu(), [this, idx] { WorkerBody(idx); }));
-  }
 }
 
-NetServer::~NetServer() {
-  if (!host_->sim()->shutting_down()) {
-    for (SimThread* t : threads_) {
-      host_->sim()->KillThread(t);
-    }
-  }
-}
-
-void NetServer::SetTracer(Tracer* tracer) {
-  tracer_ = tracer;
-  stack_->env()->tracer = tracer;
-  host_->kernel()->SetTracer(tracer);
-  control_port_.SetTracer(tracer);
-  packet_port_.SetTracer(tracer);
-}
+NetServer::~NetServer() { core_.Stop(); }
 
 void NetServer::ExportStats(StatsRegistry* reg, const std::string& prefix) const {
   reg->RegisterGauge(prefix + "sessions", [this] { return static_cast<uint64_t>(sessions_.size()); });
@@ -93,45 +46,15 @@ void NetServer::ExportStats(StatsRegistry* reg, const std::string& prefix) const
   reg->RegisterGauge(prefix + "migrations_out", [this] { return migrations_out_; });
   reg->RegisterGauge(prefix + "migrations_in", [this] { return migrations_in_; });
   reg->RegisterGauge(prefix + "arp_callbacks_sent", [this] { return arp_callbacks_sent_; });
-  reg->RegisterGauge(prefix + "rpc.total", [this] {
-    uint64_t n = 0;
-    for (const RpcOpRecorder& r : worker_rpc_) {
-      n += r.total_count();
-    }
-    return n;
+  core_.ExportRpcStats(reg, prefix, [](size_t slot) {
+    return ProxyOpName(ProxyOpFromSlot(static_cast<int>(slot)));
   });
-  for (int slot = 0; slot < kNumProxyOpSlots; slot++) {
-    // "proxy/accept" -> "<prefix>rpc.accept.count".
-    const char* name = ProxyOpName(ProxyOpFromSlot(slot));
-    const char* slash = std::strchr(name, '/');
-    std::string leaf = slash != nullptr ? slash + 1 : name;
-    size_t i = static_cast<size_t>(slot);
-    reg->RegisterGauge(prefix + "rpc." + leaf + ".count", [this, i] {
-      uint64_t n = 0;
-      for (const RpcOpRecorder& r : worker_rpc_) {
-        n += r.op(i).count;
-      }
-      return n;
-    });
-  }
 }
 
 uint64_t NetServer::RegisterLibrary(DeliveryEndpoint endpoint, MetastateSubscriber* subscriber) {
   uint64_t id = next_lib_++;
   libraries_[id] = LibraryRec{endpoint, subscriber};
   return id;
-}
-
-void NetServer::InputBody() {
-  IpcMessage msg;
-  for (;;) {
-    if (!packet_port_.Receive(&msg)) {
-      continue;
-    }
-    Frame f(std::move(msg.payload));
-    f.pkt_id = msg.arg[5];
-    stack_->InputFrame(f);
-  }
 }
 
 void NetServer::CallbackBody() {
@@ -149,35 +72,8 @@ void NetServer::CallbackBody() {
       arp_callbacks_sent_++;
       it->second.subscriber->InvalidateArpEntry(ip);
     }
-    self->WaitOn(callback_wq_.get());
+    self->WaitOn(&callback_wq_);
   }
-}
-
-void NetServer::WorkerBody(size_t idx) {
-  RpcOpRecorder& rec = worker_rpc_[idx];
-  IpcMessage msg;
-  for (;;) {
-    if (!control_port_.Receive(&msg)) {
-      continue;
-    }
-    SimTime start = host_->sim()->Now();
-    SimDuration queue_wait = msg.enqueued_at > 0 ? start - msg.enqueued_at : 0;
-    uint64_t bytes_in = msg.payload.size();
-    IpcMessage reply = Handle(msg);
-    rec.Record(ProxyOpSlot(msg.kind), bytes_in, reply.payload.size(), queue_wait,
-               host_->sim()->Now() - start);
-    if (msg.reply_port != nullptr) {
-      msg.reply_port->Send(std::move(reply));
-    }
-  }
-}
-
-RpcOpRecorder NetServer::MergedRpcStats() const {
-  RpcOpRecorder merged(static_cast<size_t>(kNumProxyOpSlots));
-  for (const RpcOpRecorder& r : worker_rpc_) {
-    merged.Merge(r);
-  }
-  return merged;
 }
 
 Result<NetServer::Session*> NetServer::Find(uint64_t sid) {
@@ -223,9 +119,9 @@ std::vector<uint8_t> NetServer::MigrateTcpOut(Session* s) {
   SimTime t2 = sim->Now();
   TcpMigrationState st;
   {
-    DomainLock lock(stack_->sync());
+    DomainLock lock(stack()->sync());
     s->shadow_snd_nxt = pcb->snd_nxt;
-    st = stack_->tcp().ExtractForMigration(pcb);
+    st = stack()->tcp().ExtractForMigration(pcb);
   }
   s->sock.reset();
   s->where = Where::kApp;
@@ -240,13 +136,14 @@ std::vector<uint8_t> NetServer::MigrateTcpOut(Session* s) {
   meta.RecordPhase(MigrationPhase::kEncode, t4 - t3);
   meta.Count(MetaEvent::kMigrationOut);
   migrations_out_++;
-  if (tracer_ != nullptr && tracer_->enabled()) {
+  Tracer* tracer = core_.tracer();
+  if (tracer != nullptr && tracer->enabled()) {
     // The freeze span encloses the nested install span (contiguous
     // interval); the freeze histogram above excludes it.
-    tracer_->Emit(sim, "migrate/freeze", TraceLayer::kCore, -1, t0, t3 - t0, s->filter_id);
-    tracer_->Emit(sim, "migrate/install", TraceLayer::kCore, -1, t1, t2 - t1, s->filter_id);
-    tracer_->Emit(sim, "migrate/encode", TraceLayer::kCore, -1, t3, t4 - t3, s->filter_id);
-    tracer_->Instant(sim, "migrate/out", TraceLayer::kCore, s->filter_id);
+    tracer->Emit(sim, "migrate/freeze", TraceLayer::kCore, -1, t0, t3 - t0, s->filter_id);
+    tracer->Emit(sim, "migrate/install", TraceLayer::kCore, -1, t1, t2 - t1, s->filter_id);
+    tracer->Emit(sim, "migrate/encode", TraceLayer::kCore, -1, t3, t4 - t3, s->filter_id);
+    tracer->Instant(sim, "migrate/out", TraceLayer::kCore, s->filter_id);
   }
   return enc;
 }
@@ -254,7 +151,7 @@ std::vector<uint8_t> NetServer::MigrateTcpOut(Session* s) {
 IpcMessage NetServer::Handle(const IpcMessage& req) {
   // One span per proxy request handled, named by operation, tagged with the
   // session id argument where the protocol carries one.
-  TraceSpan span(tracer_, host_->sim(), ProxyOpName(static_cast<ProxyOp>(req.kind)),
+  TraceSpan span(core_.tracer(), host_->sim(), ProxyOpName(static_cast<ProxyOp>(req.kind)),
                  TraceLayer::kCore, req.arg[1]);
   switch (static_cast<ProxyOp>(req.kind)) {
     case ProxyOp::kProxySocket:
@@ -320,7 +217,7 @@ IpcMessage NetServer::HandleSocket(const IpcMessage& req) {
   s.owner_lib = lib;
   s.tuple.proto = proto;
   if (proto == IpProto::kTcp) {
-    s.sock = std::make_unique<Socket>(stack_.get(), IpProto::kTcp);
+    s.sock = std::make_unique<Socket>(stack(), IpProto::kTcp);
   }
   // UDP sessions hold no server pcb until bound.
   reply.arg[1] = sid;
@@ -354,7 +251,7 @@ IpcMessage NetServer::HandleBind(const IpcMessage& req) {
   // the (stateless) session to the application immediately: install its
   // packet filter and return the binding (paper Table 1: "UDP sessions
   // migrate to the application").
-  Result<uint16_t> port = stack_->ports().Acquire(want.port);
+  Result<uint16_t> port = stack()->ports().Acquire(want.port);
   if (!port.ok()) {
     reply.arg[0] = static_cast<uint64_t>(port.error());
     return reply;
@@ -388,7 +285,7 @@ IpcMessage NetServer::HandleConnect(const IpcMessage& req) {
       // Rebinding the filter with the connected remote narrows delivery.
       RemoveSessionFilter(s);
     } else {
-      Result<uint16_t> port = stack_->ports().Acquire(0);
+      Result<uint16_t> port = stack()->ports().Acquire(0);
       if (!port.ok()) {
         reply.arg[0] = static_cast<uint64_t>(port.error());
         return reply;
@@ -411,7 +308,7 @@ IpcMessage NetServer::HandleConnect(const IpcMessage& req) {
   // establishment is managed entirely by the operating system"), then the
   // established session migrates into the application.
   Result<void> r = s->sock->Connect(remote);
-  stack_->Kick();
+  stack()->Kick();
   if (!r.ok()) {
     reply.arg[0] = static_cast<uint64_t>(r.error());
     return reply;
@@ -493,34 +390,35 @@ IpcMessage NetServer::HandleReturn(const IpcMessage& req) {
       SimTime resume_start = host_->sim()->Now();
       TcpPcb* pcb = nullptr;
       {
-        DomainLock lock(stack_->sync());
-        pcb = stack_->tcp().AdoptMigrated(*st);
+        DomainLock lock(stack()->sync());
+        pcb = stack()->tcp().AdoptMigrated(*st);
       }
       // Erase under the authoritative tuple recorded at migration time, not
       // the app-decoded endpoints, so the entry removed is exactly the one
       // MigrateTcpOut inserted.
       suppressed_.erase(TupleKey(s->tuple.local, s->tuple.remote));
-      s->sock = std::make_unique<Socket>(stack_.get(), pcb);
-      stack_->Kick();
+      s->sock = std::make_unique<Socket>(stack(), pcb);
+      stack()->Kick();
       migrations_in_++;
       MetastateLedger& meta = MetastateLedger::Get();
       meta.Count(MetaEvent::kMigrationIn);
       meta.RecordPhase(MigrationPhase::kResume, host_->sim()->Now() - resume_start);
-      if (tracer_ != nullptr && tracer_->enabled()) {
-        tracer_->Emit(host_->sim(), "migrate/resume", TraceLayer::kCore, -1, resume_start,
+      Tracer* tracer = core_.tracer();
+      if (tracer != nullptr && tracer->enabled()) {
+        tracer->Emit(host_->sim(), "migrate/resume", TraceLayer::kCore, -1, resume_start,
                       host_->sim()->Now() - resume_start, req.arg[1]);
-        tracer_->Instant(host_->sim(), "migrate/in", TraceLayer::kCore, req.arg[1]);
+        tracer->Instant(host_->sim(), "migrate/in", TraceLayer::kCore, req.arg[1]);
       }
     } else {
       // UDP: recreate the binding server-side.
       UdpPcb* pcb = nullptr;
       {
-        DomainLock lock(stack_->sync());
-        pcb = stack_->udp().Create();
-        stack_->udp().AdoptBinding(pcb, s->tuple.local);
+        DomainLock lock(stack()->sync());
+        pcb = stack()->udp().Create();
+        stack()->udp().AdoptBinding(pcb, s->tuple.local);
         pcb->remote = s->tuple.remote;
       }
-      s->sock = std::make_unique<Socket>(stack_.get(), pcb);
+      s->sock = std::make_unique<Socket>(stack(), pcb);
       migrations_in_++;
       MetastateLedger::Get().Count(MetaEvent::kMigrationIn);
     }
@@ -535,7 +433,7 @@ IpcMessage NetServer::HandleReturn(const IpcMessage& req) {
         s->sock->Close();
       }
       if (s->tuple.local.port != 0) {
-        stack_->ports().Release(s->tuple.local.port);
+        stack()->ports().Release(s->tuple.local.port);
       }
       sessions_.erase(req.arg[1]);
     }
@@ -593,7 +491,7 @@ IpcMessage NetServer::HandleSelect(const IpcMessage& req) {
   }
   std::vector<bool> rready, wready;
   std::vector<Socket*> none;
-  int ready = SelectSockets(stack_.get(), rd, none, timeout, &rready, &wready, &w->cv, &w->pinged);
+  int ready = SelectSockets(stack(), rd, none, timeout, &rready, &wready, &w->cv, &w->pinged);
   bool pinged = w->pinged;
   select_waiters_.erase(token);
   Encoder e;
@@ -610,8 +508,8 @@ IpcMessage NetServer::HandleMetastate(const IpcMessage& req) {
   IpcMessage reply;
   if (static_cast<ProxyOp>(req.kind) == ProxyOp::kProxyArpLookup) {
     Ipv4Addr ip(static_cast<uint32_t>(req.arg[2]));
-    DomainLock lock(stack_->sync());
-    Result<MacAddr> mac = stack_->arp()->ResolveBlocking(ip);
+    DomainLock lock(stack()->sync());
+    Result<MacAddr> mac = stack()->arp()->ResolveBlocking(ip);
     if (!mac.ok()) {
       reply.arg[0] = static_cast<uint64_t>(mac.error());
       return reply;
@@ -621,7 +519,7 @@ IpcMessage NetServer::HandleMetastate(const IpcMessage& req) {
   }
   // Route lookup.
   Ipv4Addr dst(static_cast<uint32_t>(req.arg[2]));
-  auto route = stack_->routes().Lookup(dst);
+  auto route = stack()->routes().Lookup(dst);
   if (!route) {
     reply.arg[0] = static_cast<uint64_t>(Err::kNetUnreach);
     return reply;
@@ -648,72 +546,26 @@ IpcMessage NetServer::HandleForwarded(const IpcMessage& req) {
     return reply;
   }
   switch (static_cast<ProxyOp>(req.kind)) {
-    case ProxyOp::kProxyFwdSend: {
-      SockAddrIn to;
-      const SockAddrIn* top = nullptr;
-      if (req.arg[2] != 0) {
-        to.addr = Ipv4Addr(static_cast<uint32_t>(req.arg[3] >> 16));
-        to.port = static_cast<uint16_t>(req.arg[3] & 0xffff);
-        top = &to;
-      }
-      Result<size_t> r = s->sock->Send(req.payload.data(), req.payload.size(), top);
-      stack_->Kick();
-      if (!r.ok()) {
-        reply.arg[0] = static_cast<uint64_t>(r.error());
-        return reply;
-      }
-      reply.arg[1] = *r;
-      return reply;
-    }
-    case ProxyOp::kProxyFwdRecv: {
-      size_t max = req.arg[2];
-      std::vector<uint8_t> buf(max);
-      SockAddrIn from;
-      Result<size_t> r = s->sock->Recv(buf.data(), max, &from, req.arg[3] != 0);
-      if (!r.ok()) {
-        reply.arg[0] = static_cast<uint64_t>(r.error());
-        return reply;
-      }
-      buf.resize(*r);
-      reply.arg[1] = *r;
-      reply.arg[2] = static_cast<uint64_t>(from.addr.v) << 16 | from.port;
-      reply.payload = std::move(buf);
-      return reply;
-    }
+    case ProxyOp::kProxyFwdSend:
+      return core_.HandleSocketOp(SocketOp::kSend, s->sock.get(), req);
+    case ProxyOp::kProxyFwdRecv:
+      return core_.HandleSocketOp(SocketOp::kRecv, s->sock.get(), req);
+    case ProxyOp::kProxyFwdShutdown:
+      return core_.HandleSocketOp(SocketOp::kShutdown, s->sock.get(), req);
+    case ProxyOp::kProxyFwdSetOpt:
+      return core_.HandleSocketOp(SocketOp::kSetOpt, s->sock.get(), req);
+    case ProxyOp::kProxyFwdLocalAddr:
+      return core_.HandleSocketOp(SocketOp::kLocalAddr, s->sock.get(), req);
+    case ProxyOp::kProxyFwdListen:
+      return core_.HandleSocketOp(SocketOp::kListen, s->sock.get(), req);
+    case ProxyOp::kProxyFwdConnect:
+      return core_.HandleSocketOp(SocketOp::kConnect, s->sock.get(), req);
     case ProxyOp::kProxyFwdClose: {
       if (--s->refcount <= 0) {
         if (s->sock != nullptr) {
           s->sock->Close();
         }
         sessions_.erase(req.arg[1]);
-      }
-      return reply;
-    }
-    case ProxyOp::kProxyFwdShutdown: {
-      Result<void> r = s->sock->Shutdown(req.arg[2] != 0, req.arg[3] != 0);
-      if (!r.ok()) {
-        reply.arg[0] = static_cast<uint64_t>(r.error());
-      }
-      return reply;
-    }
-    case ProxyOp::kProxyFwdSetOpt: {
-      Result<void> r = ApplySockOpt(s->sock.get(), static_cast<SockOpt>(req.arg[2]),
-                                    static_cast<size_t>(req.arg[3]));
-      if (!r.ok()) {
-        reply.arg[0] = static_cast<uint64_t>(r.error());
-      }
-      return reply;
-    }
-    case ProxyOp::kProxyFwdLocalAddr: {
-      Encoder e;
-      EncodeAddr(&e, s->sock->local_addr());
-      reply.payload = e.Take();
-      return reply;
-    }
-    case ProxyOp::kProxyFwdListen: {
-      Result<void> r = s->sock->Listen(static_cast<int>(req.arg[2]));
-      if (!r.ok()) {
-        reply.arg[0] = static_cast<uint64_t>(r.error());
       }
       return reply;
     }
@@ -727,15 +579,6 @@ IpcMessage NetServer::HandleForwarded(const IpcMessage& req) {
       Encoder e;
       EncodeAddr(&e, s->sock->local_addr());
       reply.payload = e.Take();
-      return reply;
-    }
-    case ProxyOp::kProxyFwdConnect: {
-      Decoder d(req.payload);
-      Result<void> r = s->sock->Connect(DecodeAddr(&d));
-      stack_->Kick();
-      if (!r.ok()) {
-        reply.arg[0] = static_cast<uint64_t>(r.error());
-      }
       return reply;
     }
     case ProxyOp::kProxyFwdAccept: {
@@ -781,12 +624,12 @@ void NetServer::OnProcessDeath(uint64_t lib_id) {
     if (s.where == Where::kApp || mid_handover) {
       RemoveSessionFilter(&s);
       if (s.proto == IpProto::kTcp) {
-        DomainLock lock(stack_->sync());
-        stack_->tcp().SendRawRst(s.tuple.local, s.tuple.remote, s.shadow_snd_nxt);
+        DomainLock lock(stack()->sync());
+        stack()->tcp().SendRawRst(s.tuple.local, s.tuple.remote, s.shadow_snd_nxt);
         suppressed_.erase(TupleKey(s.tuple.local, s.tuple.remote));
       }
       if (s.tuple.local.port != 0) {
-        stack_->ports().Release(s.tuple.local.port);
+        stack()->ports().Release(s.tuple.local.port);
       }
       if (s.sock != nullptr) {
         // Mid-handover shell socket; its pcb is detached or extracted.
@@ -822,8 +665,9 @@ void NetServer::OnProcessDeath(uint64_t lib_id) {
     }
   }
   libraries_.erase(lib_id);
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    tracer_->Instant(host_->sim(), "crash/cleanup", TraceLayer::kCore, lib_id);
+  Tracer* tracer = core_.tracer();
+  if (tracer != nullptr && tracer->enabled()) {
+    tracer->Instant(host_->sim(), "crash/cleanup", TraceLayer::kCore, lib_id);
   }
 }
 

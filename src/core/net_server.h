@@ -12,6 +12,9 @@
 //   * crash cleanup: when a process dies, its sessions are aborted with
 //     RSTs to the remote peers (§3.2);
 //   * the cooperative half of select (§3.2).
+// It is the UX server extended with the proxy protocol: both run on
+// ServerCore (src/serv/server_core.h), which owns the stack, ports, fibers
+// and RPC accounting; this class keeps the sessions and Table 1 handlers.
 #ifndef PSD_SRC_CORE_NET_SERVER_H_
 #define PSD_SRC_CORE_NET_SERVER_H_
 
@@ -22,11 +25,8 @@
 #include <vector>
 
 #include "src/core/proxy_protocol.h"
-#include "src/ipc/port.h"
-#include "src/kern/host.h"
-#include "src/obs/rpc_account.h"
+#include "src/serv/server_core.h"
 #include "src/sock/select.h"
-#include "src/sock/socket.h"
 
 namespace psd {
 
@@ -47,20 +47,20 @@ class NetServer {
   NetServer(const NetServer&) = delete;
   NetServer& operator=(const NetServer&) = delete;
 
-  Port* control_port() { return &control_port_; }
-  Stack* stack() { return stack_.get(); }
+  Port* control_port() { return core_.request_port(); }
+  Stack* stack() { return core_.stack(); }
   SimHost* host() { return host_; }
 
   // Attaches the observability tracer to the server stack, the host kernel,
   // the server's ports, and the proxy dispatch loop. May be null.
-  void SetTracer(Tracer* tracer);
+  void SetTracer(Tracer* tracer) { core_.SetTracer(tracer); }
 
   // Registers server counters (migrations, callbacks, sessions) plus the
   // server stack's protocol counters under "<prefix>...".
   void ExportStats(StatsRegistry* reg, const std::string& prefix) const;
 
-  // Per-op proxy-RPC accounting: all worker recorders folded into one.
-  RpcOpRecorder MergedRpcStats() const;
+  // Per-op proxy-RPC accounting over every worker.
+  const RpcOpRecorder& MergedRpcStats() const { return core_.rpc(); }
 
   // Suppression key for tuples whose pcb is app-managed or in handover: all
   // four endpoint fields. (A 64-bit pack of only {local port, remote port,
@@ -112,8 +112,6 @@ class NetServer {
     explicit SelectWaiter(Simulator* sim) : cv(sim) {}
   };
 
-  void InputBody();
-  void WorkerBody(size_t idx);
   void CallbackBody();
   IpcMessage Handle(const IpcMessage& req);
 
@@ -138,10 +136,8 @@ class NetServer {
   IpcMessage HandleForwarded(const IpcMessage& req);
 
   SimHost* host_;
-  std::unique_ptr<Stack> stack_;
-  Port control_port_;
-  Port packet_port_;
-  std::vector<SimThread*> threads_;
+  // Declared before the session table: its stack must outlive their sockets.
+  ServerCore core_;
 
   std::map<uint64_t, Session> sessions_;
   uint64_t next_sid_ = 1;
@@ -150,7 +146,6 @@ class NetServer {
   // Tuples whose pcb is currently app-managed or in handover: the server
   // stack must not answer their strays with RST. Keyed by TupleKey above.
   std::set<std::tuple<uint32_t, uint16_t, uint32_t, uint16_t>> suppressed_;
-  Tracer* tracer_ = nullptr;
   std::map<uint64_t, std::unique_ptr<SelectWaiter>> select_waiters_;
   uint64_t next_select_token_ = 1;
   // Pending metastate invalidation callbacks, delivered asynchronously by a
@@ -158,13 +153,11 @@ class NetServer {
   // synchronously from packet processing would deadlock with applications
   // blocked mid-send on a metastate RPC).
   std::deque<std::pair<uint64_t, Ipv4Addr>> pending_callbacks_;
-  std::unique_ptr<WaitQueue> callback_wq_;
+  WaitQueue callback_wq_;
 
   uint64_t migrations_out_ = 0;
   uint64_t migrations_in_ = 0;
   uint64_t arp_callbacks_sent_ = 0;
-  // One per worker fiber (single-writer recording), merged at export.
-  std::vector<RpcOpRecorder> worker_rpc_;
 };
 
 }  // namespace psd

@@ -9,9 +9,6 @@
 
 #include <cstdint>
 
-#include "src/base/codec.h"
-#include "src/inet/addr.h"
-
 namespace psd {
 
 enum class ProxyOp : uint32_t {
@@ -125,18 +122,6 @@ inline const char* ProxyOpName(ProxyOp op) {
       break;
   }
   return "proxy/?";
-}
-
-inline void EncodeAddr(Encoder* e, const SockAddrIn& a) {
-  e->U32(a.addr.v);
-  e->U16(a.port);
-}
-
-inline SockAddrIn DecodeAddr(Decoder* d) {
-  SockAddrIn a;
-  a.addr = Ipv4Addr(d->U32());
-  a.port = d->U16();
-  return a;
 }
 
 }  // namespace psd

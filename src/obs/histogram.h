@@ -53,8 +53,7 @@ class LatencyHistogram {
 
   // Folds `other` into this histogram as if every sample had been recorded
   // here. Bucket counts add exactly; min/max/total merge exactly; only
-  // quantiles keep the usual bucket-resolution error. Used to combine
-  // per-worker RPC recorders at export time.
+  // quantiles keep the usual bucket-resolution error.
   void Merge(const LatencyHistogram& other);
 
   // Human-readable summary: a count/mean/p50/p90/p99 line plus one row per

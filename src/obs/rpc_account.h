@@ -13,8 +13,8 @@
 //
 // Two sides:
 //  * RpcOpRecorder    — server side, indexed by op slot. One recorder per
-//                       worker fiber (recording is single-writer by
-//                       construction), merged via Merge() on export.
+//                       server: the engine runs one fiber at a time, so all
+//                       of a server's workers record into it single-writer.
 //  * RpcClientCounter — client side, per-op call counts in the placement's
 //                       API layer, so RPCs-per-connection amplification can
 //                       be computed without trusting the server's view.
@@ -59,9 +59,6 @@ class RpcOpRecorder {
     s.queue_wait.Record(queue_wait);
     s.service.Record(service);
   }
-
-  // Folds `other` (same slot count) into this recorder.
-  void Merge(const RpcOpRecorder& other);
 
   const RpcOpStats& op(size_t slot) const { return ops_[slot]; }
   size_t slots() const { return ops_.size(); }

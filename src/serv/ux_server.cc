@@ -3,144 +3,19 @@
 #include <cassert>
 #include <cstring>
 
-#include "src/api/kernel_node.h"
 #include "src/base/codec.h"
-#include "src/base/log.h"
-#include "src/filter/session_filter.h"
-#include "src/obs/stats.h"
 
 namespace psd {
 
-namespace {
-
-void PutAddr(Encoder* e, const SockAddrIn& a) {
-  e->U32(a.addr.v);
-  e->U16(a.port);
-}
-
-SockAddrIn GetAddr(Decoder* d) {
-  SockAddrIn a;
-  a.addr = Ipv4Addr(d->U32());
-  a.port = d->U16();
-  return a;
-}
-
-}  // namespace
-
 UxServer::UxServer(SimHost* host, int workers)
     : host_(host),
-      request_port_(host->sim(), host->prof(), host->name() + "/ux-req"),
-      packet_port_(host->sim(), host->prof(), host->name() + "/ux-pkt",
-                   PortCosts::PacketDelivery(*host->prof())) {
-  StackParams params;
-  params.sim = host->sim();
-  params.cpu = host->cpu();
-  params.prof = host->prof();
-  params.placement = Placement::kServer;
-  Kernel* kernel = host->kernel();
-  params.send_frame = [kernel](Frame f) { kernel->NetSendFromUser(std::move(f)); };
-  params.ip = host->ip();
-  params.mac = host->mac();
-  params.with_arp = true;
-  params.sync_pair_cost = host->prof()->sync_spl_emulated;
-  params.name = host->name() + "/ux";
-  stack_ = std::make_unique<Stack>(params);
-  stack_->routes().Add(Ipv4Addr(host->ip().v & 0xffff0000), Ipv4Addr(0xffff0000),
-                       Ipv4Addr::Any());
+      core_(host, "ux", "ux-req", workers, ServOpSlot, kNumServOps,
+            [this](const IpcMessage& req) { return Handle(req); }) {}
 
-  kernel->InstallFilter(CompileCatchAllFilter(), /*priority=*/0,
-                        DeliveryEndpoint{DeliverKind::kIpc, nullptr, &packet_port_});
-  threads_.push_back(host->sim()->Spawn(host->name() + "/ux-in", host->cpu(),
-                                        [this] { InputBody(); }));
-  worker_rpc_.reserve(static_cast<size_t>(workers));
-  for (int i = 0; i < workers; i++) {
-    worker_rpc_.emplace_back(kNumServOps);
-    size_t idx = static_cast<size_t>(i);
-    threads_.push_back(host->sim()->Spawn(host->name() + "/ux-w" + std::to_string(i),
-                                          host->cpu(), [this, idx] { WorkerBody(idx); }));
-  }
-}
-
-UxServer::~UxServer() {
-  if (!host_->sim()->shutting_down()) {
-    for (SimThread* t : threads_) {
-      host_->sim()->KillThread(t);
-    }
-  }
-}
-
-void UxServer::SetTracer(Tracer* tracer) {
-  tracer_ = tracer;
-  stack_->env()->tracer = tracer;
-  host_->kernel()->SetTracer(tracer);
-  request_port_.SetTracer(tracer);
-  packet_port_.SetTracer(tracer);
-}
-
-void UxServer::InputBody() {
-  IpcMessage msg;
-  for (;;) {
-    if (!packet_port_.Receive(&msg)) {
-      continue;
-    }
-    Frame f(std::move(msg.payload));
-    f.pkt_id = msg.arg[5];
-    stack_->InputFrame(f);
-  }
-}
-
-void UxServer::WorkerBody(size_t idx) {
-  RpcOpRecorder& rec = worker_rpc_[idx];
-  IpcMessage msg;
-  for (;;) {
-    if (!request_port_.Receive(&msg)) {
-      continue;
-    }
-    // Queue wait: request enqueue -> this worker dequeued it. Service: the
-    // handler itself — for blocking ops (kPollWait, kAccept) that includes
-    // the parked wait, which *is* the placement's notification path.
-    SimTime start = host_->sim()->Now();
-    SimDuration queue_wait = msg.enqueued_at > 0 ? start - msg.enqueued_at : 0;
-    uint64_t bytes_in = msg.payload.size();
-    IpcMessage reply = Handle(msg);
-    rec.Record(ServOpSlot(msg.kind), bytes_in, reply.payload.size(), queue_wait,
-               host_->sim()->Now() - start);
-    if (msg.reply_port != nullptr) {
-      msg.reply_port->Send(std::move(reply));
-    }
-  }
-}
-
-RpcOpRecorder UxServer::MergedRpcStats() const {
-  RpcOpRecorder merged(kNumServOps);
-  for (const RpcOpRecorder& r : worker_rpc_) {
-    merged.Merge(r);
-  }
-  return merged;
-}
+UxServer::~UxServer() { core_.Stop(); }
 
 void UxServer::ExportStats(StatsRegistry* reg, const std::string& prefix) const {
-  reg->RegisterGauge(prefix + "rpc.total", [this] {
-    uint64_t n = 0;
-    for (const RpcOpRecorder& r : worker_rpc_) {
-      n += r.total_count();
-    }
-    return n;
-  });
-  for (uint32_t i = 0; i < kNumServOps; i++) {
-    // "ux/accept" -> gauge "<prefix>rpc.accept.count" (the "ux/" family tag
-    // is redundant inside the ux. export prefix).
-    const char* name = kServOpNames[i];
-    const char* slash = std::strchr(name, '/');
-    std::string leaf = slash != nullptr ? slash + 1 : name;
-    reg->RegisterGauge(prefix + "rpc." + leaf + ".count", [this, i] {
-      uint64_t n = 0;
-      for (const RpcOpRecorder& r : worker_rpc_) {
-        n += r.op(i).count;
-      }
-      return n;
-    });
-  }
+  core_.ExportRpcStats(reg, prefix, [](size_t slot) { return kServOpNames[slot]; });
 }
 
 Result<Socket*> UxServer::Lookup(uint64_t id) {
@@ -149,6 +24,16 @@ Result<Socket*> UxServer::Lookup(uint64_t id) {
     return Err::kBadF;
   }
   return it->second.get();
+}
+
+IpcMessage UxServer::SocketCall(SocketOp op, uint64_t id, const IpcMessage& req) {
+  Result<Socket*> s = Lookup(id);
+  if (!s.ok()) {
+    IpcMessage reply;
+    reply.arg[0] = static_cast<uint64_t>(s.error());
+    return reply;
+  }
+  return core_.HandleSocketOp(op, *s, req);
 }
 
 PollSet* UxServer::poll_set(uint64_t id) {
@@ -165,33 +50,40 @@ IpcMessage UxServer::Handle(const IpcMessage& req) {
   ServOp op = static_cast<ServOp>(req.kind);
   uint64_t id = req.arg[1];
   // One span per socket RPC handled by the server task.
-  TraceSpan span(tracer_, host_->sim(), ServOpName(op), TraceLayer::kServ, id);
+  TraceSpan span(core_.tracer(), host_->sim(), ServOpName(op), TraceLayer::kServ, id);
 
   switch (op) {
     case ServOp::kSocket: {
       IpProto proto = static_cast<IpProto>(req.arg[2]);
-      auto sock = std::make_unique<Socket>(stack_.get(), proto);
+      auto sock = std::make_unique<Socket>(core_.stack(), proto);
       uint64_t sid = next_id_++;
       socks_[sid] = std::move(sock);
       reply.arg[1] = sid;
       return reply;
     }
+    case ServOp::kListen:
+      return SocketCall(SocketOp::kListen, id, req);
+    case ServOp::kConnect:
+      return SocketCall(SocketOp::kConnect, id, req);
+    case ServOp::kSend:
+      return SocketCall(SocketOp::kSend, id, req);
+    case ServOp::kRecv:
+    case ServOp::kRecvChain:
+      return SocketCall(SocketOp::kRecv, id, req);
+    case ServOp::kSetOpt:
+      return SocketCall(SocketOp::kSetOpt, id, req);
+    case ServOp::kShutdown:
+      return SocketCall(SocketOp::kShutdown, id, req);
+    case ServOp::kLocalAddr:
+      return SocketCall(SocketOp::kLocalAddr, id, req);
     case ServOp::kBind: {
       Result<Socket*> s = Lookup(id);
       if (!s.ok()) {
         return fail(s.error());
       }
       Decoder d(req.payload);
-      SockAddrIn a = GetAddr(&d);
+      SockAddrIn a = DecodeAddr(&d);
       Result<void> r = (*s)->Bind(a);
-      return r.ok() ? reply : fail(r.error());
-    }
-    case ServOp::kListen: {
-      Result<Socket*> s = Lookup(id);
-      if (!s.ok()) {
-        return fail(s.error());
-      }
-      Result<void> r = (*s)->Listen(static_cast<int>(req.arg[2]));
       return r.ok() ? reply : fail(r.error());
     }
     case ServOp::kAccept: {
@@ -208,75 +100,9 @@ IpcMessage UxServer::Handle(const IpcMessage& req) {
       socks_[sid] = std::move(*child);
       reply.arg[1] = sid;
       Encoder e;
-      PutAddr(&e, peer);
+      EncodeAddr(&e, peer);
       reply.payload = e.Take();
       return reply;
-    }
-    case ServOp::kConnect: {
-      Result<Socket*> s = Lookup(id);
-      if (!s.ok()) {
-        return fail(s.error());
-      }
-      Decoder d(req.payload);
-      Result<void> r = (*s)->Connect(GetAddr(&d));
-      stack_->Kick();
-      return r.ok() ? reply : fail(r.error());
-    }
-    case ServOp::kSend: {
-      Result<Socket*> s = Lookup(id);
-      if (!s.ok()) {
-        return fail(s.error());
-      }
-      SockAddrIn to;
-      const SockAddrIn* top = nullptr;
-      if (req.arg[2] != 0) {
-        to.addr = Ipv4Addr(static_cast<uint32_t>(req.arg[3] >> 16));
-        to.port = static_cast<uint16_t>(req.arg[3] & 0xffff);
-        top = &to;
-      }
-      Result<size_t> r = (*s)->Send(req.payload.data(), req.payload.size(), top);
-      stack_->Kick();
-      if (!r.ok()) {
-        return fail(r.error());
-      }
-      reply.arg[1] = *r;
-      return reply;
-    }
-    case ServOp::kRecv:
-    case ServOp::kRecvChain: {
-      Result<Socket*> s = Lookup(id);
-      if (!s.ok()) {
-        return fail(s.error());
-      }
-      size_t max = req.arg[2];
-      std::vector<uint8_t> buf(max);
-      SockAddrIn from;
-      Result<size_t> r = (*s)->Recv(buf.data(), max, &from, req.arg[3] != 0);
-      if (!r.ok()) {
-        return fail(r.error());
-      }
-      buf.resize(*r);
-      reply.arg[1] = *r;
-      reply.arg[2] = static_cast<uint64_t>(from.addr.v) << 16 | from.port;
-      reply.payload = std::move(buf);
-      return reply;
-    }
-    case ServOp::kSetOpt: {
-      Result<Socket*> s = Lookup(id);
-      if (!s.ok()) {
-        return fail(s.error());
-      }
-      Result<void> r =
-          ApplySockOpt(*s, static_cast<SockOpt>(req.arg[2]), static_cast<size_t>(req.arg[3]));
-      return r.ok() ? reply : fail(r.error());
-    }
-    case ServOp::kShutdown: {
-      Result<Socket*> s = Lookup(id);
-      if (!s.ok()) {
-        return fail(s.error());
-      }
-      Result<void> r = (*s)->Shutdown(req.arg[2] != 0, req.arg[3] != 0);
-      return r.ok() ? reply : fail(r.error());
     }
     case ServOp::kClose: {
       Result<Socket*> s = Lookup(id);
@@ -302,7 +128,7 @@ IpcMessage UxServer::Handle(const IpcMessage& req) {
       }
       int64_t timeout = static_cast<int64_t>(req.arg[2]);
       std::vector<bool> rready, wready;
-      int n = SelectSockets(stack_.get(), rd, wr, timeout, &rready, &wready);
+      int n = SelectSockets(core_.stack(), rd, wr, timeout, &rready, &wready);
       Encoder e;
       e.U32(static_cast<uint32_t>(n));
       for (bool b : rready) {
@@ -314,19 +140,9 @@ IpcMessage UxServer::Handle(const IpcMessage& req) {
       reply.payload = e.Take();
       return reply;
     }
-    case ServOp::kLocalAddr: {
-      Result<Socket*> s = Lookup(id);
-      if (!s.ok()) {
-        return fail(s.error());
-      }
-      Encoder e;
-      PutAddr(&e, (*s)->local_addr());
-      reply.payload = e.Take();
-      return reply;
-    }
     case ServOp::kPollCreate: {
       uint64_t pid = next_id_++;
-      polls_[pid] = std::make_unique<PollSet>(stack_.get());
+      polls_[pid] = std::make_unique<PollSet>(core_.stack());
       reply.arg[1] = pid;
       return reply;
     }
@@ -417,7 +233,7 @@ Result<int> UxServerNode::CreateSocket(IpProto proto) {
 
 Result<void> UxServerNode::Bind(int fd, SockAddrIn local) {
   Encoder e;
-  PutAddr(&e, local);
+  EncodeAddr(&e, local);
   IpcMessage rep = Call(ServOp::kBind, fd, e.Take());
   if (rep.arg[0] != 0) {
     return static_cast<Err>(rep.arg[0]);
@@ -440,14 +256,14 @@ Result<int> UxServerNode::Accept(int fd, SockAddrIn* peer) {
   }
   if (peer != nullptr) {
     Decoder d(rep.payload);
-    *peer = GetAddr(&d);
+    *peer = DecodeAddr(&d);
   }
   return static_cast<int>(rep.arg[1]);
 }
 
 Result<void> UxServerNode::Connect(int fd, SockAddrIn remote) {
   Encoder e;
-  PutAddr(&e, remote);
+  EncodeAddr(&e, remote);
   IpcMessage rep = Call(ServOp::kConnect, fd, e.Take());
   if (rep.arg[0] != 0) {
     return static_cast<Err>(rep.arg[0]);
@@ -624,7 +440,7 @@ Result<void> UxServerNode::PollClose(int pfd) {
 SockAddrIn UxServerNode::LocalAddr(int fd) {
   IpcMessage rep = Call(ServOp::kLocalAddr, fd);
   Decoder d(rep.payload);
-  return GetAddr(&d);
+  return DecodeAddr(&d);
 }
 
 }  // namespace psd

@@ -4,7 +4,8 @@
 // the way (user buffer -> message -> kernel -> server message -> mbuf) and
 // the protocol code synchronizes with the rest of the server through the
 // emulated spl priority-level machinery the paper identifies as the main
-// server overhead (§4.3).
+// server overhead (§4.3). The task skeleton (stack, ports, fibers, RPC
+// accounting) is ServerCore; this class keeps the socket and poll tables.
 #ifndef PSD_SRC_SERV_UX_SERVER_H_
 #define PSD_SRC_SERV_UX_SERVER_H_
 
@@ -13,12 +14,9 @@
 #include <vector>
 
 #include "src/api/socket_api.h"
-#include "src/ipc/port.h"
-#include "src/kern/host.h"
-#include "src/obs/rpc_account.h"
+#include "src/serv/server_core.h"
 #include "src/sock/pollset.h"
 #include "src/sock/select.h"
-#include "src/sock/socket.h"
 
 namespace psd {
 
@@ -89,8 +87,8 @@ class UxServer {
   UxServer(const UxServer&) = delete;
   UxServer& operator=(const UxServer&) = delete;
 
-  Port* request_port() { return &request_port_; }
-  Stack* stack() { return stack_.get(); }
+  Port* request_port() { return core_.request_port(); }
+  Stack* stack() { return core_.stack(); }
   SimHost* host() { return host_; }
 
   // The server-side PollSet behind poll descriptor `id` (nullptr if
@@ -99,34 +97,28 @@ class UxServer {
 
   // Attaches the observability tracer to the server stack, host kernel,
   // ports, and the RPC dispatch loop. May be null.
-  void SetTracer(Tracer* tracer);
+  void SetTracer(Tracer* tracer) { core_.SetTracer(tracer); }
 
-  // Per-op RPC accounting: all worker recorders folded into one (counts,
-  // bytes, queue-wait and service histograms per ServOp).
-  RpcOpRecorder MergedRpcStats() const;
+  // Per-op RPC accounting over every worker (counts, bytes, queue-wait and
+  // service histograms per ServOp).
+  const RpcOpRecorder& MergedRpcStats() const { return core_.rpc(); }
   // Registers "<prefix>rpc.total" plus "<prefix>rpc.<op>.count" per op.
   void ExportStats(StatsRegistry* reg, const std::string& prefix) const;
 
  private:
-  void InputBody();
-  void WorkerBody(size_t idx);
   IpcMessage Handle(const IpcMessage& req);
   Result<Socket*> Lookup(uint64_t id);
+  // Looks up socket `id` and runs the core's handler for `op` on it.
+  IpcMessage SocketCall(SocketOp op, uint64_t id, const IpcMessage& req);
 
   SimHost* host_;
-  std::unique_ptr<Stack> stack_;
-  Tracer* tracer_ = nullptr;
-  Port request_port_;
-  Port packet_port_;
-  std::vector<SimThread*> threads_;
+  // Declared before the tables: its stack must outlive their sockets.
+  ServerCore core_;
   std::map<uint64_t, std::unique_ptr<Socket>> socks_;
   // Poll descriptors share the id space with sockets but live in their
   // own table; a PollWait request parks the worker that handles it.
   std::map<uint64_t, std::unique_ptr<PollSet>> polls_;
   uint64_t next_id_ = 1;
-  // One recorder per worker fiber: recording is single-writer, merged only
-  // at export time (the 16 workers all dispatch from one request port).
-  std::vector<RpcOpRecorder> worker_rpc_;
 };
 
 // Client-side stub: implements SocketApi by RPC to a UxServer on the same

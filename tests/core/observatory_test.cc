@@ -161,7 +161,7 @@ TEST(Observatory, LibraryClientAndServerRpcAccountsReconcile) {
   ASSERT_TRUE(done);
 
   const RpcClientCounter& client = w.library(0)->rpc_calls();
-  RpcOpRecorder server = w.net_server(0)->MergedRpcStats();
+  const RpcOpRecorder& server = w.net_server(0)->MergedRpcStats();
   EXPECT_GT(client.total(), 0u);
   EXPECT_EQ(server.unknown(), 0u) << "server saw a message kind it could not map";
   EXPECT_EQ(client.total(), server.total_count() + server.unknown())
@@ -218,17 +218,16 @@ TEST(Observatory, UxClientAndServerRpcAccountsReconcile) {
 
   uint64_t client_total =
       w.ux_node(0)->rpc_calls().total() + w.ux_node(1)->rpc_calls().total();
-  RpcOpRecorder server = w.ux_server(0)->MergedRpcStats();
-  RpcOpRecorder server1 = w.ux_server(1)->MergedRpcStats();
-  server.Merge(server1);
+  const RpcOpRecorder& server0 = w.ux_server(0)->MergedRpcStats();
+  const RpcOpRecorder& server1 = w.ux_server(1)->MergedRpcStats();
   EXPECT_GT(client_total, 0u);
-  EXPECT_EQ(server.unknown(), 0u);
-  EXPECT_EQ(client_total, server.total_count())
+  EXPECT_EQ(server0.unknown() + server1.unknown(), 0u);
+  EXPECT_EQ(client_total, server0.total_count() + server1.total_count())
       << "UX client and server RPC accounts diverged";
   // The sender's connect is exactly one RPC on the op's own row.
   size_t connect_slot = static_cast<size_t>(
       ServOpSlot(static_cast<uint32_t>(ServOp::kConnect)));
-  EXPECT_EQ(server.op(connect_slot).count, 1u);
+  EXPECT_EQ(server0.op(connect_slot).count + server1.op(connect_slot).count, 1u);
 }
 
 }  // namespace

@@ -35,25 +35,6 @@ TEST(RpcOpRecorder, OutOfRangeSlotLandsInUnknown) {
   EXPECT_EQ(r.total_count(), 0u) << "unknown ops must not pollute per-op totals";
 }
 
-TEST(RpcOpRecorder, MergeFoldsWorkersIntoOneView) {
-  // The UxServer contract: one recorder per worker fiber, merged at export.
-  RpcOpRecorder a(3);
-  RpcOpRecorder b(3);
-  a.Record(0, 10, 1, Micros(2), Micros(20));
-  a.Record(2, 30, 3, Micros(4), Micros(40));
-  b.Record(0, 50, 5, Micros(6), Micros(60));
-  b.Record(99, 0, 0, 0, 0);  // unknown merges too
-
-  a.Merge(b);
-  EXPECT_EQ(a.op(0).count, 2u);
-  EXPECT_EQ(a.op(0).bytes_in, 60u);
-  EXPECT_EQ(a.op(0).queue_wait.max(), Micros(6));
-  EXPECT_EQ(a.op(0).service.min(), Micros(20));
-  EXPECT_EQ(a.op(2).count, 1u);
-  EXPECT_EQ(a.total_count(), 3u);
-  EXPECT_EQ(a.unknown(), 1u);
-}
-
 TEST(RpcOpRecorder, ResetZeroesEverySlot) {
   RpcOpRecorder r(2);
   r.Record(0, 1, 1, Micros(1), Micros(1));

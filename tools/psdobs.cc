@@ -27,7 +27,6 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
-#include <limits>
 #include <map>
 #include <string>
 #include <utility>
@@ -35,6 +34,7 @@
 
 #include "bench/common/c10k.h"
 #include "bench/common/engine_workloads.h"
+#include "bench/common/flags.h"
 #include "bench/common/workloads.h"
 #include "src/base/json.h"
 #include "src/obs/chrome_trace.h"
@@ -141,21 +141,6 @@ Opts DefaultsFor(View v) {
       break;
   }
   return o;
-}
-
-// Whole-string integer in [lo, max of T].
-template <typename T>
-bool ParseInt(const char* s, long long lo, T* out) {
-  char* end = nullptr;
-  errno = 0;
-  long long v = std::strtoll(s, &end, 10);
-  if (end == s || *end != '\0' || errno != 0 || v < lo ||
-      static_cast<unsigned long long>(v) >
-          static_cast<unsigned long long>(std::numeric_limits<T>::max())) {
-    return false;
-  }
-  *out = static_cast<T>(v);
-  return true;
 }
 
 // Whole-string real; the callers' range checks are written so NaN fails.
