@@ -18,7 +18,8 @@
 //
 // Methodology (see EXPERIMENTS.md): one warmup run, then --trials measured
 // runs of each workload. Virtual quantities (frames carried, events
-// executed, virtual end time) must be bit-identical across trials — the
+// executed, elided wakeups, virtual end time) must be bit-identical across
+// trials — the
 // bench aborts if they are not, since that would mean wall-clock state
 // leaked into simulation behavior. Wall time is measured around the
 // simulation phase only (world construction included: spawning hosts is
@@ -74,7 +75,7 @@ WorkloadStats MeasureWorkload(const char* name, EngineWorkloadFn fn, const Machi
     if (t == 0) {
       st.ref = r;
     } else if (r.frames != st.ref.frames || r.events != st.ref.events ||
-               r.virtual_end != st.ref.virtual_end) {
+               r.elided != st.ref.elided || r.virtual_end != st.ref.virtual_end) {
       std::fprintf(stderr,
                    "bench_engine: %s trial %d diverged (frames %llu vs %llu, events %llu vs "
                    "%llu) — virtual behavior leaked wall-clock state\n",
@@ -111,7 +112,7 @@ WorkloadStats MeasureWorkload(const char* name, EngineWorkloadFn fn, const Machi
   HostProfReport rep = hp.Snapshot();
   if (HostProfiler::enabled() || rep.enabled) {
     if (pr.frames != st.ref.frames || pr.events != st.ref.events ||
-        pr.virtual_end != st.ref.virtual_end) {
+        pr.elided != st.ref.elided || pr.virtual_end != st.ref.virtual_end) {
       std::fprintf(stderr, "bench_engine: %s profiled run diverged — profiler touched virtual "
                            "state\n", name);
       std::exit(3);
@@ -170,6 +171,7 @@ int main(int argc, char** argv) {
       row.Set("packets", st.ref.frames);
       row.Set("events", st.ref.events);
       row.Set("thread_switches", st.ref.switches);
+      row.Set("elided_wakeups", st.ref.elided);
       row.Set("virtual_end_ms", static_cast<double>(st.ref.virtual_end) / 1e6);
       row.Set("wall_ns", st.wall_ns[t]);
       row.Set("wall_ns_per_pkt", st.wall_ns[t] / static_cast<double>(st.ref.frames));

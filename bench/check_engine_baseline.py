@@ -3,9 +3,9 @@
 
 usage: check_engine_baseline.py <engine_baseline.json> <BENCH_engine.json>
 
-Packets, events, thread switches and virtual end time are deterministic, so
-every result row must match the baseline's "virtual" block exactly, on any
-machine. Every row must also carry a host_profile with a non-empty domain
+Packets, events, thread switches, elided wakeups (events that skipped the
+event queue) and virtual end time are deterministic, so every result row
+must match the baseline's "virtual" block exactly, on any machine. Every row must also carry a host_profile with a non-empty domain
 table attributing at least 90% of its wall time, and the run's profile must
 name the host (cpu_model, cpu_cores, governor). Wall time itself is not
 checked. Exits 1 and names each failure.
@@ -30,8 +30,9 @@ def main():
             failures.append(f'{wl}: no result rows')
         for r in rows.get(wl, []):
             for key, v in want.items():
-                if r[key] != v:
-                    failures.append(f'{wl} trial {r["trial"]}: {key}={r[key]}, baseline {v}')
+                if r.get(key) != v:
+                    failures.append(f'{wl} trial {r["trial"]}: {key}={r.get(key)}, '
+                                    f'baseline {v}')
         print(f'{wl}: {want}')
     for key in ('cpu_model', 'cpu_cores', 'governor'):
         if key not in got['profile']:

@@ -107,6 +107,7 @@ EngineRunOutcome RunEngineTcpStream(const MachineProfile& prof, double scale) {
     out->frames = w.wire().frames_carried();
     out->events = w.sim().events_executed();
     out->switches = w.sim().thread_switches();
+    out->elided = w.sim().elided_wakeups();
     out->virtual_end = w.sim().Now();
   });
 }
@@ -168,6 +169,7 @@ EngineRunOutcome RunEngineUdpBlast(const MachineProfile& prof, double scale) {
     out->frames = w.wire().frames_carried();
     out->events = w.sim().events_executed();
     out->switches = w.sim().thread_switches();
+    out->elided = w.sim().elided_wakeups();
     out->virtual_end = w.sim().Now();
   });
 }
@@ -243,6 +245,7 @@ EngineRunOutcome RunEngineChurn256(const MachineProfile& prof, double scale) {
     out->frames = w.wire().frames_carried();
     out->events = w.sim().events_executed();
     out->switches = w.sim().thread_switches();
+    out->elided = w.sim().elided_wakeups();
     out->virtual_end = w.sim().Now();
   });
 }

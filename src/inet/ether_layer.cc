@@ -45,7 +45,7 @@ void EtherLayer::OutputRaw(MacAddr dst, uint16_t ethertype, Chain payload) {
   payload.CopyOut(0, f.data(), f.size());
   f.pkt_id = PacketJourney::Get().Mint();
   if (f.pkt_id != 0) {
-    PacketJourney::Get().Hop(f.pkt_id, TraceLayer::kInet, env_->node_name + "/tx", env_->Now(),
+    PacketJourney::Get().Hop(f.pkt_id, TraceLayer::kInet, env_->tx_node.id(), env_->Now(),
                              f.size());
   }
   env_->send_frame(std::move(f));

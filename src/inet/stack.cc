@@ -23,6 +23,8 @@ Stack::Stack(const StackParams& params)
       tcp_(&env_, &ip_, &ports_),
       timer_kick_(params.sim) {
   env_.node_name = name_;
+  env_.node = JourneyNode(name_);
+  env_.tx_node = JourneyNode(name_ + "/tx");
   if (params.with_arp) {
     arp_ = std::make_unique<ArpLayer>(&env_, &ether_, params.ip);
     ether_.SetResolver(arp_.get());
@@ -40,7 +42,7 @@ void Stack::InputFrame(const Frame& frame) {
   DomainLock lock(&sync_);
   frames_in_++;
   env_.cur_rx_pkt = frame.pkt_id;
-  PacketJourney::Get().Hop(frame.pkt_id, TraceLayer::kInet, name_, env_.Now());
+  PacketJourney::Get().Hop(frame.pkt_id, TraceLayer::kInet, env_.node.id(), env_.Now());
   {
     ProbeSpan span(env_.tracer, env_.sim, Stage::kNetisrFilter);
     env_.Charge(env_.prof->netisr_fixed);
@@ -75,7 +77,8 @@ void Stack::InputFrame(const Frame& frame) {
   // Whatever the protocols did not explicitly deliver or drop was absorbed
   // here: pure ACKs, ARP traffic, handshake segments, ICMP, fragments
   // parked in reassembly. One catch-all keeps the conservation law exact.
-  PacketJourney::Get().ConsumeIfOpen(env_.cur_rx_pkt, TraceLayer::kInet, name_, env_.Now());
+  PacketJourney::Get().ConsumeIfOpen(env_.cur_rx_pkt, TraceLayer::kInet, env_.node.id(),
+                                     env_.Now());
   env_.cur_rx_pkt = 0;
   // Activity may have armed timers.
   if (timer_idle_ || (timer_skips_fast_ && tcp_.stats().acks_delayed != timer_acks_delayed_)) {

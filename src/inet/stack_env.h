@@ -20,6 +20,7 @@
 #include "src/inet/addr.h"
 #include "src/mbuf/mbuf.h"
 #include "src/netsim/ether.h"
+#include "src/obs/journey.h"
 #include "src/obs/probe.h"
 #include "src/sim/simulator.h"
 
@@ -110,8 +111,11 @@ struct StackEnv {
   // attribute the drop to the right journey without threading an id through
   // every Input() signature.
   uint64_t cur_rx_pkt = 0;
-  // Human name for this stack instance in journey/ledger records.
+  // Human name for this stack instance in journey/ledger records, and its
+  // journey nodes: the stack itself and its "<name>/tx" origin.
   std::string node_name;
+  JourneyNode node;
+  JourneyNode tx_node;
 
   SimThread* self() const { return sim->current_thread(); }
   void Charge(SimDuration d) const {

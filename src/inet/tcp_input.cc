@@ -596,7 +596,7 @@ void TcpLayer::Input(Chain seg, Ipv4Addr src, Ipv4Addr dst) {
         env_->Charge(env_->prof->sbqueue_fixed);
         if (!pcb->cantrcvmore) {
           pcb->rcv.AppendStream(std::move(seg));
-          PacketJourney::Get().Deliver(env_->cur_rx_pkt, TraceLayer::kSock, env_->node_name,
+          PacketJourney::Get().Deliver(env_->cur_rx_pkt, TraceLayer::kSock, env_->node.id(),
                                        env_->Now());
           if (pcb->rcv_wakeup) {
             pcb->rcv_wakeup();
@@ -614,7 +614,7 @@ void TcpLayer::Input(Chain seg, Ipv4Addr src, Ipv4Addr dst) {
         // If this segment filled the gap, its data (and earlier parked
         // segments') reached the sockbuf now; credit the gap-filler.
         if (pcb->rcv.cc() > before) {
-          PacketJourney::Get().Deliver(env_->cur_rx_pkt, TraceLayer::kSock, env_->node_name,
+          PacketJourney::Get().Deliver(env_->cur_rx_pkt, TraceLayer::kSock, env_->node.id(),
                                        env_->Now());
         }
         pcb->ack_now = true;

@@ -209,7 +209,7 @@ void UdpLayer::Input(Chain dgram, Ipv4Addr src, Ipv4Addr dst) {
                              env_->Now(), env_->node_name);
     return;
   }
-  PacketJourney::Get().Deliver(env_->cur_rx_pkt, TraceLayer::kSock, env_->node_name,
+  PacketJourney::Get().Deliver(env_->cur_rx_pkt, TraceLayer::kSock, env_->node.id(),
                                env_->Now());
   if (pcb->rcv_wakeup) {
     pcb->rcv_wakeup();

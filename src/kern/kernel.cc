@@ -17,7 +17,14 @@ constexpr size_t kIpfPeekBytes = 38;
 
 Kernel::Kernel(Simulator* sim, HostCpu* cpu, Nic* nic, const MachineProfile* prof,
                std::string name)
-    : sim_(sim), cpu_(cpu), nic_(nic), prof_(prof), name_(std::move(name)), rx_wq_(sim) {
+    : sim_(sim),
+      cpu_(cpu),
+      nic_(nic),
+      prof_(prof),
+      name_(std::move(name)),
+      deliver_node_(name_ + "/deliver"),
+      ipf_deliver_node_(name_ + "/ipf-deliver"),
+      rx_wq_(sim) {
   nic_->SetRxNotify([this] { rx_wq_.NotifyOne(); });
   intr_thread_ = sim_->Spawn(name_ + "/intr", cpu_, [this] { IntrThreadBody(); });
 }
@@ -152,7 +159,7 @@ void Kernel::DeliverFrame() {
                                sim_->Now(), name_);
       return;
     }
-    PacketJourney::Get().Hop(f.pkt_id, TraceLayer::kKern, name_ + "/ipf-deliver", sim_->Now());
+    PacketJourney::Get().Hop(f.pkt_id, TraceLayer::kKern, ipf_deliver_node_.id(), sim_->Now());
     const DeliveryEndpoint& ep = epit->second;
     if (pcap_ != nullptr) {
       pcap_->CaptureFrame(sim_->Now(), f);
@@ -203,7 +210,7 @@ void Kernel::DeliverFrame() {
                              sim_->Now(), name_);
     return;
   }
-  PacketJourney::Get().Hop(f.pkt_id, TraceLayer::kKern, name_ + "/deliver", sim_->Now());
+  PacketJourney::Get().Hop(f.pkt_id, TraceLayer::kKern, deliver_node_.id(), sim_->Now());
   const DeliveryEndpoint& ep = epit->second;
   if (pcap_ != nullptr) {
     pcap_->CaptureFrame(sim_->Now(), f);

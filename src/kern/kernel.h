@@ -119,6 +119,8 @@ class Kernel {
   Nic* nic_;
   const MachineProfile* prof_;
   std::string name_;
+  JourneyNode deliver_node_;      // "<name>/deliver"
+  JourneyNode ipf_deliver_node_;  // "<name>/ipf-deliver"
   Tracer* tracer_ = nullptr;
   PcapCapture* pcap_ = nullptr;
 

@@ -180,11 +180,12 @@ void EthernetSegment::Transmit(Nic* src, Frame frame, std::function<void()> done
   if (frame.pkt_id == 0) {
     frame.pkt_id = PacketJourney::Get().Mint();
     if (frame.pkt_id != 0) {
-      PacketJourney::Get().Hop(frame.pkt_id, TraceLayer::kWire, "wire/inject", start,
-                               frame.size());
+      static const uint32_t kInjectNode = PacketJourney::Get().Intern("wire/inject");
+      PacketJourney::Get().Hop(frame.pkt_id, TraceLayer::kWire, kInjectNode, start, frame.size());
     }
   }
-  PacketJourney::Get().Hop(frame.pkt_id, TraceLayer::kWire, "wire/transmit", start);
+  static const uint32_t kTransmitNode = PacketJourney::Get().Intern("wire/transmit");
+  PacketJourney::Get().Hop(frame.pkt_id, TraceLayer::kWire, kTransmitNode, start);
   if (tracer_ != nullptr && tracer_->enabled()) {
     tracer_->Emit(sim_, "wire/transmit", TraceLayer::kWire, /*stage=*/-1, start, end - start);
   }
@@ -392,7 +393,7 @@ void Nic::DeliverFromWire(Frame frame) {
     return;
   }
   rx_frames_++;
-  PacketJourney::Get().Hop(frame.pkt_id, TraceLayer::kWire, name_, sim_->Now());
+  PacketJourney::Get().Hop(frame.pkt_id, TraceLayer::kWire, node_.id(), sim_->Now());
   bool was_empty = rx_ring_.empty();
   rx_ring_.Push(std::move(frame));
   if (was_empty && rx_notify_) {

@@ -24,6 +24,7 @@
 #include "src/netsim/ether.h"
 #include "src/netsim/frame_ring.h"
 #include "src/netsim/segment.h"
+#include "src/obs/journey.h"
 #include "src/sim/simulator.h"
 
 namespace psd {
@@ -48,6 +49,7 @@ class Nic {
       : sim_(sim),
         cpu_(cpu),
         name_(std::move(name)),
+        node_(name_),
         params_(params),
         rx_ring_(params.rx_ring_frames) {}
 
@@ -92,6 +94,7 @@ class Nic {
   Simulator* sim_;
   HostCpu* cpu_;
   std::string name_;
+  JourneyNode node_;  // name_
   NicParams params_;
   EthernetSegment* segment_ = nullptr;
   MacAddr mac_;

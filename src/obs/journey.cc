@@ -85,7 +85,7 @@ void DropLedger::Record(uint64_t pkt, TraceLayer layer, DropReason reason, SimTi
   while (recent_.size() > ring_capacity_) recent_.pop_front();
   // A real drop is the packet's terminal; dup/delay events leave it alive.
   if (pkt != 0 && IsDropReason(reason)) {
-    PacketJourney::Get().Dropped(pkt, layer, reason, std::move(node), at);
+    PacketJourney::Get().Dropped(pkt, layer, reason, node, at);
   }
 }
 
@@ -123,12 +123,19 @@ uint64_t PacketJourney::Mint() {
   return next_id_++;
 }
 
-void PacketJourney::PushHop(HopEvent ev) {
-  hops_.push_back(std::move(ev));
+uint32_t PacketJourney::Intern(std::string_view name) {
+  if (name.empty()) return 0;
+  auto ins = name_ids_.try_emplace(std::string(name), static_cast<uint32_t>(names_.size()));
+  if (ins.second) names_.emplace_back(name);
+  return ins.first->second;
+}
+
+void PacketJourney::PushHop(const HopEvent& ev) {
+  hops_.push_back(ev);
   while (hops_.size() > hop_capacity_) hops_.pop_front();
 }
 
-void PacketJourney::Hop(uint64_t pkt, TraceLayer layer, std::string node, SimTime at,
+void PacketJourney::Hop(uint64_t pkt, TraceLayer layer, uint32_t node, SimTime at,
                         uint64_t aux) {
   if (!enabled_ || pkt == 0) return;
   HopEvent ev;
@@ -136,20 +143,22 @@ void PacketJourney::Hop(uint64_t pkt, TraceLayer layer, std::string node, SimTim
   ev.layer = layer;
   ev.at = at;
   ev.aux = aux;
-  ev.node = std::move(node);
-  PushHop(std::move(ev));
+  ev.node = node;
+  PushHop(ev);
 }
 
 void PacketJourney::SetTerminal(uint64_t pkt, TraceLayer layer, PktDisposition disp,
-                                DropReason reason, std::string node, SimTime at) {
+                                DropReason reason, uint32_t node, SimTime at) {
   if (!enabled_ || pkt == 0) return;
-  auto ins = terminals_.emplace(pkt, Terminal{disp, reason});
-  if (!ins.second) {
+  if (pkt > terminals_.size()) terminals_.resize(pkt);
+  Terminal& term = terminals_[pkt - 1];
+  if (term.disp != PktDisposition::kNone) {
     // First terminal wins: a broadcast frame delivered twice, or a drop
     // raced with a delivery. Count it so tests can assert cleanliness.
     conflicts_++;
     return;
   }
+  term = Terminal{disp, reason};
   switch (disp) {
     case PktDisposition::kDelivered: delivered_++; break;
     case PktDisposition::kConsumed: consumed_++; break;
@@ -162,36 +171,8 @@ void PacketJourney::SetTerminal(uint64_t pkt, TraceLayer layer, PktDisposition d
   ev.at = at;
   ev.disp = disp;
   ev.reason = reason;
-  ev.node = std::move(node);
-  PushHop(std::move(ev));
-}
-
-void PacketJourney::Deliver(uint64_t pkt, TraceLayer layer, std::string node, SimTime at) {
-  SetTerminal(pkt, layer, PktDisposition::kDelivered, DropReason::kNone, std::move(node), at);
-}
-
-void PacketJourney::Consume(uint64_t pkt, TraceLayer layer, std::string node, SimTime at) {
-  SetTerminal(pkt, layer, PktDisposition::kConsumed, DropReason::kNone, std::move(node), at);
-}
-
-void PacketJourney::Dropped(uint64_t pkt, TraceLayer layer, DropReason reason, std::string node,
-                            SimTime at) {
-  SetTerminal(pkt, layer, PktDisposition::kDropped, reason, std::move(node), at);
-}
-
-void PacketJourney::ConsumeIfOpen(uint64_t pkt, TraceLayer layer, std::string node, SimTime at) {
-  if (!enabled_ || pkt == 0 || HasTerminal(pkt)) return;
-  Consume(pkt, layer, std::move(node), at);
-}
-
-PktDisposition PacketJourney::DispositionOf(uint64_t pkt) const {
-  auto it = terminals_.find(pkt);
-  return it == terminals_.end() ? PktDisposition::kNone : it->second.disp;
-}
-
-DropReason PacketJourney::ReasonOf(uint64_t pkt) const {
-  auto it = terminals_.find(pkt);
-  return it == terminals_.end() ? DropReason::kNone : it->second.reason;
+  ev.node = node;
+  PushHop(ev);
 }
 
 std::vector<HopEvent> PacketJourney::JourneyOf(uint64_t pkt) const {
@@ -283,7 +264,7 @@ std::string PktwalkText(const PktwalkFilter& f) {
       os << "pkt " << id << ": " << TerminalString(id) << "\n";
       for (const auto& ev : j.JourneyOf(id)) {
         os << "  @" << ev.at << " " << TraceLayerName(ev.layer);
-        if (!ev.node.empty()) os << " " << ev.node;
+        if (ev.node != 0) os << " " << j.NodeName(ev.node);
         if (ev.disp != PktDisposition::kNone) {
           os << " -> " << PktDispositionName(ev.disp);
           if (ev.disp == PktDisposition::kDropped) os << "(" << DropReasonName(ev.reason) << ")";
@@ -329,7 +310,7 @@ std::string PktwalkJson(const PktwalkFilter& f) {
         if (!first_hop) os << ", ";
         first_hop = false;
         os << "{\"at\": " << ev.at << ", \"layer\": \"" << TraceLayerName(ev.layer)
-           << "\", \"node\": \"" << JsonEscape(ev.node) << "\"";
+           << "\", \"node\": \"" << JsonEscape(j.NodeName(ev.node)) << "\"";
         if (ev.disp != PktDisposition::kNone) {
           os << ", \"disp\": \"" << PktDispositionName(ev.disp) << "\"";
           if (ev.disp == PktDisposition::kDropped) {

@@ -20,6 +20,14 @@
 //                    minted id ends in exactly one of delivered / consumed /
 //                    dropped(reason), or is still in flight at exit.
 //
+// Recording a hop copies no string. A component holds a JourneyNode per
+// node name it records under, which interns the name once (Intern), and
+// hops carry the 32-bit id; only the pktwalk renderers resolve it back
+// (NodeName). Interned ids survive Reset(): they name components, which
+// outlive runs. Terminals live in a dense vector indexed by packet id - 1
+// (ids are minted in order), so first-terminal-wins holds exactly for
+// every id ever minted.
+//
 // Recording charges no simulated cost — Table 2/3/4 outputs are
 // byte-identical with the recorder running (asserted in tests). Both
 // recorders have a runtime kill switch (set_enabled).
@@ -32,6 +40,7 @@
 #include <cstdint>
 #include <deque>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -156,11 +165,11 @@ class DropLedger {
 struct HopEvent {
   uint64_t pkt = 0;
   TraceLayer layer = TraceLayer::kWire;
+  uint32_t node = 0;  // interned name (PacketJourney::NodeName); 0 = none
   SimTime at = 0;
   PktDisposition disp = PktDisposition::kNone;  // set on the terminal hop
   DropReason reason = DropReason::kNone;
   uint64_t aux = 0;  // frame size at mint, parent id on a dup clone
-  std::string node;
 };
 
 class PacketJourney {
@@ -170,22 +179,55 @@ class PacketJourney {
   // Mints the next packet id (never 0).
   uint64_t Mint();
 
+  // The id of node name `name`: the same name always gives the same id, and
+  // ids stay valid across Reset(). "" is id 0.
+  uint32_t Intern(std::string_view name);
+  const std::string& NodeName(uint32_t id) const { return names_[id]; }
+
   // Records a hop: the packet passed through `node` at layer `layer`.
-  void Hop(uint64_t pkt, TraceLayer layer, std::string node, SimTime at, uint64_t aux = 0);
+  void Hop(uint64_t pkt, TraceLayer layer, uint32_t node, SimTime at, uint64_t aux = 0);
 
   // Terminal dispositions. First terminal wins; a second attempt only bumps
   // conflicts() so tests can assert the conservation law stayed clean.
-  void Deliver(uint64_t pkt, TraceLayer layer, std::string node, SimTime at);
-  void Consume(uint64_t pkt, TraceLayer layer, std::string node, SimTime at);
+  void Deliver(uint64_t pkt, TraceLayer layer, uint32_t node, SimTime at) {
+    SetTerminal(pkt, layer, PktDisposition::kDelivered, DropReason::kNone, node, at);
+  }
+  void Consume(uint64_t pkt, TraceLayer layer, uint32_t node, SimTime at) {
+    SetTerminal(pkt, layer, PktDisposition::kConsumed, DropReason::kNone, node, at);
+  }
   // Called by DropLedger::Record; also usable directly.
-  void Dropped(uint64_t pkt, TraceLayer layer, DropReason reason, std::string node, SimTime at);
+  void Dropped(uint64_t pkt, TraceLayer layer, DropReason reason, uint32_t node, SimTime at) {
+    SetTerminal(pkt, layer, PktDisposition::kDropped, reason, node, at);
+  }
   // Consume only if the packet has no terminal yet (the catch-all at the
   // end of Stack::InputFrame — pure ACKs, ARP, ICMP, window updates).
-  void ConsumeIfOpen(uint64_t pkt, TraceLayer layer, std::string node, SimTime at);
+  void ConsumeIfOpen(uint64_t pkt, TraceLayer layer, uint32_t node, SimTime at) {
+    if (!HasTerminal(pkt)) Consume(pkt, layer, node, at);
+  }
 
-  bool HasTerminal(uint64_t pkt) const { return terminals_.count(pkt) > 0; }
-  PktDisposition DispositionOf(uint64_t pkt) const;
-  DropReason ReasonOf(uint64_t pkt) const;
+  // By-name forms for cold paths (drop sites, tests): intern, then record.
+  void Hop(uint64_t pkt, TraceLayer layer, std::string_view node, SimTime at,
+           uint64_t aux = 0) {
+    Hop(pkt, layer, Intern(node), at, aux);
+  }
+  void Deliver(uint64_t pkt, TraceLayer layer, std::string_view node, SimTime at) {
+    Deliver(pkt, layer, Intern(node), at);
+  }
+  void Dropped(uint64_t pkt, TraceLayer layer, DropReason reason, std::string_view node,
+               SimTime at) {
+    Dropped(pkt, layer, reason, Intern(node), at);
+  }
+  void ConsumeIfOpen(uint64_t pkt, TraceLayer layer, std::string_view node, SimTime at) {
+    ConsumeIfOpen(pkt, layer, Intern(node), at);
+  }
+
+  bool HasTerminal(uint64_t pkt) const { return DispositionOf(pkt) != PktDisposition::kNone; }
+  PktDisposition DispositionOf(uint64_t pkt) const {
+    return pkt - 1 < terminals_.size() ? terminals_[pkt - 1].disp : PktDisposition::kNone;
+  }
+  DropReason ReasonOf(uint64_t pkt) const {
+    return pkt - 1 < terminals_.size() ? terminals_[pkt - 1].reason : DropReason::kNone;
+  }
 
   // Queries.
   uint64_t minted() const { return minted_; }
@@ -203,20 +245,21 @@ class PacketJourney {
   void set_hop_capacity(size_t n) { hop_capacity_ = n; }
 
   // Returns the recorder to its constructed state: ids restart at 1, no
-  // hops or terminals, enabled, default hop capacity.
+  // hops or terminals, enabled, default hop capacity. Interned node names
+  // are kept.
   void Reset();
 
   static constexpr size_t kDefaultHopCapacity = 1 << 16;
 
  private:
   struct Terminal {
-    PktDisposition disp;
-    DropReason reason;
+    PktDisposition disp = PktDisposition::kNone;  // kNone: no terminal yet
+    DropReason reason = DropReason::kNone;
   };
 
   void SetTerminal(uint64_t pkt, TraceLayer layer, PktDisposition disp, DropReason reason,
-                   std::string node, SimTime at);
-  void PushHop(HopEvent ev);
+                   uint32_t node, SimTime at);
+  void PushHop(const HopEvent& ev);
 
   bool enabled_ = true;
   size_t hop_capacity_ = kDefaultHopCapacity;
@@ -227,7 +270,28 @@ class PacketJourney {
   uint64_t dropped_ = 0;
   uint64_t conflicts_ = 0;
   std::deque<HopEvent> hops_;
-  std::unordered_map<uint64_t, Terminal> terminals_;
+  std::vector<Terminal> terminals_;  // [pkt - 1]
+  std::vector<std::string> names_{""};
+  std::unordered_map<std::string, uint32_t> name_ids_;
+};
+
+// A component's journey node name, interned on first use and cached. Hot
+// paths pass id(); building the component costs no table lookup (a C10K
+// world builds ~5,000 node names per run, and a lookup there is a few cache
+// misses).
+class JourneyNode {
+ public:
+  JourneyNode() = default;
+  explicit JourneyNode(std::string name) : name_(std::move(name)) {}
+
+  uint32_t id() {
+    if (id_ == 0) id_ = PacketJourney::Get().Intern(name_);
+    return id_;
+  }
+
+ private:
+  std::string name_;
+  uint32_t id_ = 0;
 };
 
 // ---------------------------------------------------------------------------

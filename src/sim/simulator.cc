@@ -1,5 +1,6 @@
 #include "src/sim/simulator.h"
 
+#include <malloc.h>
 #include <sys/mman.h>
 
 #include <algorithm>
@@ -136,6 +137,24 @@ struct StackPool {
 
 thread_local StackPool stack_pool;
 
+// Heap memory is likewise kept for the next run. glibc hands a freed block
+// back to the OS (or serves a large request with a fresh mapping) above a
+// threshold that it raises only after freeing a large mapping, so whether a
+// run's big buffers came back as recycled heap or as fresh zeroed pages, a
+// fault per page, depended on what earlier runs in the process happened to
+// free. Fixing both thresholds at glibc's own dynamic ceiling (32 MB, and
+// twice that for trimming) lets every warm run reuse the heap.
+void KeepHeapAcrossRuns() {
+#if defined(__GLIBC__)
+  static const bool pinned = [] {
+    mallopt(M_MMAP_THRESHOLD, 32 << 20);
+    mallopt(M_TRIM_THRESHOLD, 64 << 20);
+    return true;
+  }();
+  (void)pinned;
+#endif
+}
+
 // ASan must be told about every stack switch, or it mistakes the fiber
 // stacks for wild memory. No-ops in other builds.
 inline void AsanStartSwitch(void** fake_stack, const void* to_lo, size_t to_size) {
@@ -167,6 +186,8 @@ inline void SwitchStack(void** save_sp, void* load_sp, const void* to_lo, size_t
 }
 
 }  // namespace
+
+Simulator::Simulator() { KeepHeapAcrossRuns(); }
 
 Simulator::~Simulator() {
   shutting_down_ = true;
@@ -352,6 +373,36 @@ bool Simulator::TryFastResume(SimThread* t, EventNode* n) {
   return false;
 }
 
+bool Simulator::TrySkipWakeup(SimTime t) {
+  if (!in_run_ || stopped_ || shutting_down_) {
+    return false;
+  }
+  const bool clamped = t < now_;
+  if (clamped) {
+    t = now_;
+  }
+  if (t > run_until_) {
+    return false;
+  }
+  // Every queued node has a lower seq than the wakeup would get, so an
+  // equal time runs first: only a strictly later (or no) next event lets
+  // the caller's wakeup go straight to the front.
+  const EventNode* next = PeekNext();
+  if (next != nullptr && next->time <= t) {
+    return false;
+  }
+  // Exactly TryFastResume's `top == n` exit, minus the node: the same clock,
+  // seq and event count, with no arena node and no heap operation.
+  if (clamped) {
+    past_time_clamps_++;
+  }
+  now_ = t;
+  next_seq_++;
+  events_executed_++;
+  elided_wakeups_++;
+  return true;
+}
+
 void Simulator::KillThread(SimThread* t) {
   assert(current_ == nullptr && "KillThread must be called outside Run()");
   t->killed_ = true;
@@ -484,6 +535,9 @@ void SimThread::Charge(SimDuration cost) {
 void SimThread::SleepUntil(SimTime t) {
   assert(sim_->current_thread() == this);
   if (sim_->shutting_down_ || killed_) {
+    return;
+  }
+  if (sim_->TrySkipWakeup(t)) {
     return;
   }
   EventNode* n = sim_->ScheduleResume(this, t);

@@ -21,9 +21,13 @@
 // Scheduler internals (see DESIGN.md "Engine internals"): one event queue.
 // Events are arena-recycled EventNodes ordered by (time, seq) in a binary
 // heap, plus a FIFO for events scheduled at exactly Now() (no ordering
-// structure needed there — sequence numbers are monotonic). One wall-clock
-// fast path never changes virtual behavior: a thread whose own wakeup is the
-// next event continues without handing control back to the event loop.
+// structure needed there — sequence numbers are monotonic). Two wall-clock
+// fast paths never change virtual behavior. A thread that sleeps while
+// nothing is queued at or before its wakeup skips the queue altogether: the
+// clock, seq and event count advance as if its wakeup were pushed and popped
+// (counted in elided_wakeups()). Otherwise the wakeup is queued and the
+// thread drains the events ahead of it inline; if its own wakeup then comes
+// up it continues without handing control back to the event loop.
 #ifndef PSD_SRC_SIM_SIMULATOR_H_
 #define PSD_SRC_SIM_SIMULATOR_H_
 
@@ -74,7 +78,7 @@ struct SimShutdown {};
 
 class Simulator {
  public:
-  Simulator() = default;
+  Simulator();
   ~Simulator();
 
   Simulator(const Simulator&) = delete;
@@ -134,6 +138,10 @@ class Simulator {
   // Number of Schedule() calls whose target time was already in the past.
   uint64_t past_time_clamps() const { return past_time_clamps_; }
 
+  // Number of thread wakeups that skipped the event queue because they were
+  // the next event anyway (each is also counted in events_executed()).
+  uint64_t elided_wakeups() const { return elided_wakeups_; }
+
   // Number of control transfers into a SimThread (each implies a matching
   // switch back out when it parks: two fiber stack switches). The engine
   // fast paths exist to minimize this number; bench/bench_engine reports it
@@ -163,6 +171,14 @@ class Simulator {
   // Removes `n`, which the immediately preceding PeekNext() returned.
   void RemovePeeked(EventNode* n);
 
+  // Thread-context fast path, tried first by SleepUntil: when the calling
+  // thread's wakeup at `t` would be the next event (in Run, not stopped or
+  // shutting down, `t` clamped to Now() is within the deadline, and nothing
+  // is queued at or before it), advances the clock and the counters exactly
+  // as scheduling and popping that wakeup would, and returns true without
+  // touching the queue. Otherwise changes nothing and returns false.
+  bool TrySkipWakeup(SimTime t);
+
   // Thread-context fast path: drain events inline on the calling thread's
   // OS thread — closures run in event context exactly as the loop would run
   // them — until `n` (the caller's own wakeup) comes up, in which case the
@@ -178,6 +194,7 @@ class Simulator {
   uint64_t next_seq_ = 0;
   uint64_t events_executed_ = 0;
   uint64_t past_time_clamps_ = 0;
+  uint64_t elided_wakeups_ = 0;
   uint64_t thread_switches_ = 0;
   bool stopped_ = false;
   bool shutting_down_ = false;

@@ -1,7 +1,8 @@
 // Packet journeys and the unified drop-reason ledger (src/obs/journey.h):
 //  * taxonomy — stable unique kebab-case names, event pseudo-reasons are not
 //    drops;
-//  * recorder semantics — bounded rings, first-terminal-wins, Reset;
+//  * recorder semantics — bounded rings, first-terminal-wins, Reset,
+//    interned node names;
 //  * reconciliation — under 5% wire loss every legacy drop counter equals
 //    the sum of its ledger reasons, in every placement;
 //  * conservation — minted = delivered + consumed + dropped + in-flight,
@@ -217,12 +218,97 @@ TEST(PacketJourneyUnit, JourneyOfReturnsHopsInOrder) {
   j.Deliver(a, TraceLayer::kSock, "h1/ns", 40);
   std::vector<HopEvent> hops = j.JourneyOf(a);
   ASSERT_EQ(hops.size(), 4u);
-  EXPECT_EQ(hops[0].node, "h0/ns/tx");
+  EXPECT_EQ(j.NodeName(hops[0].node), "h0/ns/tx");
   EXPECT_EQ(hops[0].aux, 64u);
-  EXPECT_EQ(hops[1].node, "wire/transmit");
-  EXPECT_EQ(hops[2].node, "h1/deliver");
+  EXPECT_EQ(j.NodeName(hops[1].node), "wire/transmit");
+  EXPECT_EQ(j.NodeName(hops[2].node), "h1/deliver");
   EXPECT_EQ(hops[3].disp, PktDisposition::kDelivered);
   EXPECT_EQ(j.JourneyOf(b).size(), 1u);
+}
+
+TEST(PacketJourneyUnit, InternedNamesAreStableAndSurviveReset) {
+  ResetJourney();
+  PacketJourney& j = PacketJourney::Get();
+  const uint32_t tx = j.Intern("h0/ns/tx");
+  EXPECT_NE(tx, 0u);
+  EXPECT_EQ(j.Intern(std::string("h0/ns") + "/tx"), tx);
+  EXPECT_NE(j.Intern("h1/ns/tx"), tx);
+  EXPECT_EQ(j.Intern(""), 0u);
+  EXPECT_EQ(j.NodeName(0), "");
+  // Components intern at construction and outlive runs: Reset() must not
+  // invalidate the ids they hold.
+  j.Reset();
+  EXPECT_EQ(j.NodeName(tx), "h0/ns/tx");
+  EXPECT_EQ(j.Intern("h0/ns/tx"), tx);
+  uint64_t pkt = j.Mint();
+  j.Hop(pkt, TraceLayer::kInet, tx, 10, 64);
+  j.Hop(pkt, TraceLayer::kWire, "wire/transmit", 20);
+  std::vector<HopEvent> hops = j.JourneyOf(pkt);
+  ASSERT_EQ(hops.size(), 2u);
+  EXPECT_EQ(hops[0].node, tx);
+  EXPECT_EQ(hops[1].node, j.Intern("wire/transmit"));
+  // A component's JourneyNode resolves to the same id, first use or not.
+  JourneyNode node("h0/ns/tx");
+  EXPECT_EQ(node.id(), tx);
+  JourneyNode fresh("h7/ns");
+  const uint32_t id = fresh.id();
+  EXPECT_EQ(j.NodeName(id), "h7/ns");
+  j.Reset();
+  EXPECT_EQ(fresh.id(), id);
+}
+
+TEST(PacketJourneyUnit, UnmintedIdsHaveNoTerminal) {
+  ResetJourney();
+  PacketJourney& j = PacketJourney::Get();
+  for (uint64_t id : {uint64_t{0}, uint64_t{1}, uint64_t{1000}, ~uint64_t{0}}) {
+    EXPECT_FALSE(j.HasTerminal(id)) << id;
+    EXPECT_EQ(j.DispositionOf(id), PktDisposition::kNone) << id;
+    EXPECT_EQ(j.ReasonOf(id), DropReason::kNone) << id;
+  }
+  uint64_t a = j.Mint();
+  uint64_t b = j.Mint();
+  j.Dropped(b, TraceLayer::kWire, DropReason::kWireFault, "wire", 10);
+  // Terminating a later id leaves earlier and never-minted ids open.
+  EXPECT_FALSE(j.HasTerminal(a));
+  EXPECT_FALSE(j.HasTerminal(b + 1));
+  EXPECT_EQ(j.DispositionOf(b + 1000), PktDisposition::kNone);
+  // Packet 0 never gets a terminal.
+  j.Deliver(0, TraceLayer::kSock, "h1/ns", 20);
+  EXPECT_FALSE(j.HasTerminal(0));
+  EXPECT_EQ(j.delivered(), 0u);
+}
+
+TEST(PacketJourneyUnit, FirstTerminalWinsOutOfMintOrderAndResetClearsTerminals) {
+  ResetJourney();
+  PacketJourney& j = PacketJourney::Get();
+  std::vector<uint64_t> ids;
+  for (int i = 0; i < 8; i++) ids.push_back(j.Mint());
+  const uint32_t node = j.Intern("h1/ns");
+  // Terminals arrive in reverse mint order; each id keeps its first one.
+  for (size_t i = ids.size(); i-- > 0;) {
+    if (i % 2 == 0) {
+      j.Deliver(ids[i], TraceLayer::kSock, node, 10);
+    } else {
+      j.Dropped(ids[i], TraceLayer::kInet, DropReason::kTcpSeqTrim, node, 10);
+    }
+  }
+  for (uint64_t id : ids) {
+    j.Consume(id, TraceLayer::kInet, node, 20);
+  }
+  EXPECT_EQ(j.conflicts(), ids.size());
+  for (size_t i = 0; i < ids.size(); i++) {
+    EXPECT_EQ(j.DispositionOf(ids[i]),
+              i % 2 == 0 ? PktDisposition::kDelivered : PktDisposition::kDropped);
+  }
+  EXPECT_EQ(j.ReasonOf(ids[1]), DropReason::kTcpSeqTrim);
+  EXPECT_EQ(j.delivered(), 4u);
+  EXPECT_EQ(j.dropped(), 4u);
+  EXPECT_EQ(j.consumed(), 0u);
+  // The next run's ids restart at 1 with no terminals.
+  j.Reset();
+  EXPECT_FALSE(j.HasTerminal(ids[0]));
+  EXPECT_EQ(j.Mint(), ids[0]);
+  EXPECT_EQ(j.DispositionOf(ids[0]), PktDisposition::kNone);
 }
 
 // ---------------------------------------------------------------------------
@@ -449,15 +535,14 @@ TEST(JourneyFaults, DupAndDelayAreEventsNotDrops) {
     }
     std::vector<HopEvent> hops = j.JourneyOf(ev.pkt);
     ASSERT_FALSE(hops.empty());
-    EXPECT_TRUE(hops.front().node == "wire/dup" ||
-                hops.front().node.find("/tx") != std::string::npos)
-        << hops.front().node;
+    const std::string& first = j.NodeName(hops.front().node);
+    EXPECT_TRUE(first == "wire/dup" || first.find("/tx") != std::string::npos) << first;
     EXPECT_EQ(hops.back().disp, PktDisposition::kDropped);
   }
   // Every duplicate minted a fresh id whose first hop links the parent id.
   uint64_t dup_clones = 0;
   for (const auto& ev : j.hops()) {
-    if (ev.node == "wire/dup") {
+    if (j.NodeName(ev.node) == "wire/dup") {
       dup_clones++;
       EXPECT_NE(ev.aux, 0u) << "dup clone must link its parent packet";
       EXPECT_LT(ev.aux, ev.pkt) << "parent was minted before the clone";

@@ -1,8 +1,9 @@
-// Scheduler-focused regression tests: (time, seq) ordering across short,
-// medium and long horizons, inserts from event context, scheduling after an
-// idle Run(until), past-time clamping, and wait-queue intrusive-list
-// integrity. The replay harness (replay_ab_test.cc) covers whole-system
-// determinism; these pin down the scheduler primitives it rests on.
+// Scheduler-focused regression tests: (time, seq) ordering across
+// microsecond-to-second time scales, inserts from event context, scheduling
+// after an idle Run(until), past-time clamping, the self-wakeup queue skip,
+// and wait-queue intrusive-list integrity. The replay harness
+// (replay_ab_test.cc) covers whole-system determinism; these pin down the
+// scheduler primitives it rests on.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -13,14 +14,16 @@
 namespace psd {
 namespace {
 
-// Two horizons the cases straddle: 2^22 ns (~4.19 ms) and 2^32 ns (~4.29 s).
+// Two reference times that split the cases into short (protocol fast-path),
+// medium and long (protocol-timer) scales: 2^22 ns (~4.19 ms) and 2^32 ns
+// (~4.29 s).
 constexpr SimTime kShortHorizon = SimTime{1} << 22;
 constexpr SimTime kLongHorizon = SimTime{1} << 32;
 
-TEST(Scheduler, OrderingAcrossAllLevels) {
-  // Times below, between and past the two horizons, inserted in shuffled
-  // order; execution must come back globally sorted with ties in schedule
-  // order.
+TEST(Scheduler, OrderingAcrossTimeScales) {
+  // Times below, between and past the two reference times, inserted in
+  // shuffled order; execution must come back globally sorted with ties in
+  // schedule order.
   Simulator sim;
   std::vector<SimTime> times;
   for (int i = 0; i < 64; i++) {
@@ -41,18 +44,17 @@ TEST(Scheduler, OrderingAcrossAllLevels) {
   EXPECT_EQ(fired, times);
 }
 
-TEST(Scheduler, PageCrossingInsertWhileRunning) {
-  // Events scheduled from inside an event just before a horizon boundary,
-  // on both sides of it, must interleave exactly with events queued
-  // earlier.
+TEST(Scheduler, InsertFromEventContextInterleaves) {
+  // Events scheduled from inside an event, one just after it and one past a
+  // reference time, must interleave exactly with events queued earlier.
   Simulator sim;
   std::vector<int> order;
   const SimTime near_edge = kShortHorizon - Micros(2);
   sim.Schedule(near_edge, [&] {
     order.push_back(1);
-    // Past the boundary.
+    // Past the reference time.
     sim.Schedule(kShortHorizon + Micros(2), [&] { order.push_back(3); });
-    // Before the boundary, later than now.
+    // Before it, later than now.
     sim.Schedule(near_edge + Micros(1), [&] { order.push_back(2); });
   });
   sim.Schedule(kShortHorizon + Micros(5), [&] { order.push_back(4); });
@@ -60,9 +62,9 @@ TEST(Scheduler, PageCrossingInsertWhileRunning) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
 }
 
-TEST(Scheduler, OverflowPulledBackInPagePortions) {
-  // Long protocol-timer territory: events far past the long horizon must
-  // still interleave exactly with near-term events scheduled later.
+TEST(Scheduler, DistantEventsInterleaveWithLaterNearTermInserts) {
+  // Long protocol-timer territory: events seconds away must still
+  // interleave exactly with near-term events scheduled later.
   Simulator sim;
   std::vector<int> order;
   sim.Schedule(kLongHorizon + Seconds(3), [&] { order.push_back(4); });
@@ -107,6 +109,143 @@ TEST(Simulator, PastTimeScheduleClampsToNow) {
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
   EXPECT_EQ(sim.past_time_clamps(), 1u);
   EXPECT_EQ(sim.Now(), Millis(1));
+}
+
+// --- Self-wakeup queue skip (Simulator::TrySkipWakeup) ----------------------
+
+// Counter snapshot around one blocking call inside a thread.
+struct Counters {
+  uint64_t events;
+  uint64_t elided;
+  uint64_t clamps;
+  SimTime now;
+};
+
+Counters Snap(const Simulator& sim) {
+  return {sim.events_executed(), sim.elided_wakeups(), sim.past_time_clamps(), sim.Now()};
+}
+
+TEST(SelfWakeup, LoneChargeSkipsTheQueue) {
+  Simulator sim;
+  HostCpu cpu;
+  Counters before{}, after{};
+  sim.Spawn("t", &cpu, [&] {
+    before = Snap(sim);
+    sim.current_thread()->Charge(Micros(5));
+    after = Snap(sim);
+  });
+  sim.Run();
+  EXPECT_EQ(after.elided, before.elided + 1);
+  EXPECT_EQ(after.events, before.events + 1) << "a skipped wakeup is still an event";
+  EXPECT_EQ(after.now, before.now + Micros(5));
+  EXPECT_EQ(sim.elided_wakeups(), 1u);
+  EXPECT_EQ(sim.past_time_clamps(), 0u);
+}
+
+TEST(SelfWakeup, PendingEventAtTheSameTimeRunsFirst) {
+  // An event already queued at the wakeup time has a lower seq, so it must
+  // run before the thread continues: no skip. A strictly later event does
+  // not block the skip.
+  Simulator sim;
+  HostCpu cpu;
+  std::vector<int> order;
+  Counters mid{}, end{};
+  sim.Spawn("t", &cpu, [&] {
+    sim.Schedule(sim.Now() + Micros(5), [&] { order.push_back(1); });
+    sim.current_thread()->SleepFor(Micros(5));
+    order.push_back(2);
+    mid = Snap(sim);
+    sim.Schedule(sim.Now() + Micros(10), [&] { order.push_back(4); });
+    sim.current_thread()->SleepFor(Micros(5));
+    order.push_back(3);
+    end = Snap(sim);
+  });
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(mid.elided, 0u);
+  EXPECT_EQ(mid.now, Micros(5));
+  EXPECT_EQ(end.elided, 1u);
+  EXPECT_EQ(end.events, mid.events + 1);
+  EXPECT_EQ(end.now, Micros(10));
+}
+
+TEST(SelfWakeup, WakeupPastTheDeadlineParks) {
+  Simulator sim;
+  HostCpu cpu;
+  bool woke = false;
+  sim.Spawn("t", &cpu, [&] {
+    sim.current_thread()->SleepFor(Micros(20));
+    woke = true;
+  });
+  sim.Run(Micros(10));
+  EXPECT_FALSE(woke);
+  EXPECT_EQ(sim.Now(), Micros(10));
+  EXPECT_EQ(sim.elided_wakeups(), 0u);
+  sim.Run();
+  EXPECT_TRUE(woke);
+  EXPECT_EQ(sim.Now(), Micros(20));
+}
+
+TEST(SelfWakeup, NothingIsSkippedAfterStop) {
+  Simulator sim;
+  HostCpu cpu;
+  bool woke = false;
+  sim.Spawn("t", &cpu, [&] {
+    sim.Stop();
+    sim.current_thread()->Charge(Micros(5));
+    woke = true;
+  });
+  sim.Run();
+  EXPECT_FALSE(woke) << "a stopped Run must not let the thread continue";
+  EXPECT_EQ(sim.Now(), 0);
+  EXPECT_EQ(sim.elided_wakeups(), 0u);
+  sim.Run();
+  EXPECT_TRUE(woke);
+  EXPECT_EQ(sim.Now(), Micros(5));
+}
+
+TEST(SelfWakeup, YieldBehindTheReadyFifoIsNotSkipped) {
+  Simulator sim;
+  HostCpu cpu;
+  std::vector<int> order;
+  Counters alone{}, behind{};
+  sim.Spawn("t", &cpu, [&] {
+    sim.current_thread()->Yield();  // nothing else at Now(): skipped
+    alone = Snap(sim);
+    sim.Schedule(sim.Now(), [&] { order.push_back(1); });
+    sim.current_thread()->Yield();  // the ready event runs first
+    order.push_back(2);
+    behind = Snap(sim);
+  });
+  sim.Run();
+  EXPECT_EQ(alone.elided, 1u);
+  EXPECT_EQ(alone.now, 0);
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(behind.elided, 1u);
+  EXPECT_EQ(behind.events, alone.events + 2);
+}
+
+TEST(SelfWakeup, PastTimeTargetIsCountedOnce) {
+  // Whether the wakeup skips the queue or not, a target behind the clock
+  // is one clamp.
+  Simulator sim;
+  HostCpu cpu;
+  Counters skipped{}, queued{};
+  sim.Spawn("t", &cpu, [&] {
+    sim.current_thread()->SleepFor(Micros(10));
+    sim.current_thread()->SleepUntil(sim.Now() - Micros(3));
+    skipped = Snap(sim);
+    sim.Schedule(sim.Now(), [] {});
+    sim.current_thread()->SleepUntil(sim.Now() - Micros(3));
+    queued = Snap(sim);
+  });
+  sim.Run();
+  EXPECT_EQ(skipped.clamps, 1u);
+  EXPECT_EQ(skipped.elided, 2u);
+  EXPECT_EQ(skipped.now, Micros(10));
+  EXPECT_EQ(queued.clamps, 2u);
+  EXPECT_EQ(queued.elided, 2u);
+  EXPECT_EQ(queued.now, Micros(10));
 }
 
 TEST(WaitQueue, TimeoutRemovesFromMiddleOfQueue) {

@@ -215,8 +215,11 @@ def view_top():
 def view_prof():
     text = run('prof', '--workload=udp_blast', '--scale=0.1', '--min-attributed=90')
     assert re.search(r'^-- psdprof: udp_blast \(scale 0\.1\) --$', text, re.M)
-    assert re.search(r'^\d+ frames, \d+ events, \d+ switches, virtual end [\d.]+ s$',
-                     text, re.M), 'bad virtual-quantities line'
+    m = re.search(r'^\d+ frames, (\d+) events, (\d+) elided wakeups, \d+ switches, '
+                  r'virtual end [\d.]+ s$', text, re.M)
+    assert m, 'bad virtual-quantities line'
+    assert 0 < int(m.group(2)) <= int(m.group(1)), \
+        f'elided wakeups {m.group(2)} not in (0, events {m.group(1)}]'
     m = re.search(r'^-- host profile: [\d.]+ ms wall, ([\d.]+)% attributed', text, re.M)
     assert m, 'no host profile header'
     assert float(m.group(1)) >= 90, f'only {m.group(1)}% attributed'

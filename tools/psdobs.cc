@@ -677,9 +677,10 @@ int Prof(const Opts& o) {
     std::fputs(RenderHostProfJson(rep).c_str(), stdout);
   } else {
     printf("-- psdprof: %s (scale %g) --\n", o.workload.c_str(), o.scale);
-    printf("%llu frames, %llu events, %llu switches, virtual end %.3f s\n",
+    printf("%llu frames, %llu events, %llu elided wakeups, %llu switches, virtual end %.3f s\n",
            static_cast<unsigned long long>(run.frames),
            static_cast<unsigned long long>(run.events),
+           static_cast<unsigned long long>(run.elided),
            static_cast<unsigned long long>(run.switches),
            static_cast<double>(run.virtual_end) / 1e9);
     std::fputs(RenderHostProfTable(rep).c_str(), stdout);
