@@ -27,7 +27,6 @@
 
 #include "bench/common/bench_json.h"
 #include "bench/common/flags.h"
-#include "src/obs/journey.h"
 #include "src/testbed/traffic_mix.h"
 #include "src/testbed/world.h"
 
@@ -53,8 +52,6 @@ struct AppmixOutcome {
 
 AppmixOutcome RunAppmix(Config config, const MachineProfile& prof, const MixSpec& mix,
                         uint64_t seed) {
-  PacketJourney::Get().Reset();
-  DropLedger::Get().Reset();
   AppmixOutcome out;
   auto t0 = std::chrono::steady_clock::now();
   {

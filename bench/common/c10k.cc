@@ -86,8 +86,6 @@ std::string MigrationsJson(const C10kOutcome& r, int requested) {
 
 C10kOutcome RunC10k(Config config, const MachineProfile& prof, const C10kParams& p,
                     uint64_t seed) {
-  PacketJourney::Get().Reset();
-  DropLedger::Get().Reset();
   C10kOutcome out;
   auto t0 = std::chrono::steady_clock::now();
   {
@@ -95,16 +93,18 @@ C10kOutcome RunC10k(Config config, const MachineProfile& prof, const C10kParams&
     // runs the cheap in-kernel placement so the fleet scales.
     World w(config, prof, /*hosts=*/1 + p.clients, /*pio_nic=*/false, /*placement_hosts=*/1);
     w.SeedStaticArp();  // measure the churn, not O(clients^2) ARP bystanders
-    // The ledger is process-wide: reset after World setup so the totals
-    // cover the storm, not 2049 hosts' construction-time route installs.
-    MetastateLedger::Get().Reset();
+    // The ledger counts every host of the World, the client fleet included,
+    // from construction on: the totals start from this post-setup baseline
+    // so they cover the storm, not 2049 hosts' route installs.
+    MetastateLedger& meta = w.obs().meta;
+    const MetastateLedger::Totals setup = meta.totals();
     // Small observatory registry for the time-series sampler: metastate
     // event totals, the server's client-side RPC count, wire frames and
     // host wall-clock attribution (prof.* gauges are host ns per domain, so
     // their sampled deltas are host-time rates). Each snapshot copies every
     // gauge, so keep the set bounded — this is NOT the full per-host export.
     StatsRegistry reg;
-    MetastateLedger::Get().ExportStats(&reg, "meta.");
+    meta.ExportStats(&reg, "meta.", setup);
     if (w.library(0) != nullptr) {
       reg.RegisterGauge("rpc.total", [&w] { return w.library(0)->rpc_calls().total(); });
     } else if (w.ux_node(0) != nullptr) {
@@ -253,7 +253,7 @@ C10kOutcome RunC10k(Config config, const MachineProfile& prof, const C10kParams&
     out.frames = w.wire().frames_carried();
     out.events = w.sim().events_executed();
     out.virtual_end = w.sim().Now();
-    out.listen_overflows = DropLedger::Get().total(DropReason::kTcpListenOverflow);
+    out.listen_overflows = w.obs().drops.total(DropReason::kTcpListenOverflow);
     // Readiness counters live in the placement's PollSet (library configs
     // poll through cooperative select and have none).
     PollSet* set = nullptr;
@@ -290,10 +290,9 @@ C10kOutcome RunC10k(Config config, const MachineProfile& prof, const C10kParams&
     out.arp_miss_per_sec = sampler.RatePerSec("meta.arp-miss");
     out.route_lookup_per_sec = sampler.RatePerSec("meta.route-lookup");
     out.port_acquire_per_sec = sampler.RatePerSec("meta.port-acquire");
-    MetastateLedger& meta = MetastateLedger::Get();
     for (int e = 0; e < static_cast<int>(MetaEvent::kNumEvents); e++) {
       out.meta_totals.emplace_back(MetaEventName(static_cast<MetaEvent>(e)),
-                                   meta.total(static_cast<MetaEvent>(e)));
+                                   meta.total(static_cast<MetaEvent>(e)) - setup[e]);
     }
     for (int ph = 0; ph < static_cast<int>(MigrationPhase::kNumPhases); ph++) {
       const LatencyHistogram& h = meta.phase(static_cast<MigrationPhase>(ph));

@@ -15,13 +15,10 @@ namespace psd {
 namespace {
 
 // Runs `body` once, timing the simulation phase and collecting virtual
-// quantities. The journey/ledger singletons are reset per run so memory
-// stays bounded across trials (their recording cost is part of the engine
-// and stays on, as in every real scenario).
+// quantities. The World's recorders stay on (their cost is part of the
+// engine, as in every real scenario) and die with it.
 template <typename Body>
 EngineRunOutcome TimeOne(Body&& body) {
-  PacketJourney::Get().Reset();
-  DropLedger::Get().Reset();
   EngineRunOutcome out;
   auto t0 = std::chrono::steady_clock::now();
   body(&out);
@@ -33,8 +30,8 @@ EngineRunOutcome TimeOne(Body&& body) {
 
 // On an incomplete run, the drop ledger usually names the culprit; print
 // it before aborting so the failure is diagnosable from the bench log.
-void DumpDropsAndExit() {
-  const DropLedger& dl = DropLedger::Get();
+void DumpDropsAndExit(World& w) {
+  const DropLedger& dl = w.obs().drops;
   for (int r = 1; r < static_cast<int>(DropReason::kNumReasons); r++) {
     uint64_t n = dl.total(static_cast<DropReason>(r));
     if (n != 0) {
@@ -102,7 +99,7 @@ EngineRunOutcome RunEngineTcpStream(const MachineProfile& prof, double scale) {
     w.sim().Run(Seconds(300));
     if (!done) {
       std::fprintf(stderr, "engine workload: tcp_stream did not complete\n");
-      DumpDropsAndExit();
+      DumpDropsAndExit(w);
     }
     out->frames = w.wire().frames_carried();
     out->events = w.sim().events_executed();
@@ -164,7 +161,7 @@ EngineRunOutcome RunEngineUdpBlast(const MachineProfile& prof, double scale) {
     if (!sender_done || received < count * 9 / 10) {
       std::fprintf(stderr, "engine workload: udp_blast incomplete (sent=%d received=%d)\n",
                    sender_done ? count : -1, received);
-      DumpDropsAndExit();
+      DumpDropsAndExit(w);
     }
     out->frames = w.wire().frames_carried();
     out->events = w.sim().events_executed();
@@ -240,7 +237,7 @@ EngineRunOutcome RunEngineChurn256(const MachineProfile& prof, double scale) {
     if (completed != sessions || served != sessions) {
       std::fprintf(stderr, "engine workload: churn_256 incomplete (client=%d server=%d)\n",
                    completed, served);
-      DumpDropsAndExit();
+      DumpDropsAndExit(w);
     }
     out->frames = w.wire().frames_carried();
     out->events = w.sim().events_executed();

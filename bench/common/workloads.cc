@@ -250,6 +250,9 @@ double RunProtolat(Config config, const MachineProfile& profile, const ProtolatO
   });
 
   w.sim().Run(Seconds(600));
+  if (hooks.on_end) {
+    hooks.on_end(w);
+  }
   return done ? mean_ms : -1.0;
 }
 

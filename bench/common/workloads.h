@@ -71,6 +71,9 @@ struct ProtolatHooks {
   // Called on the client thread after the timed trials, while the world is
   // still alive (use to snapshot stats registries).
   std::function<void(World&)> on_done;
+  // Called once the simulation has stopped, before the world dies (use to
+  // read the run's recorders: journeys, drop ledger, metastate).
+  std::function<void(World&)> on_end;
 };
 
 // Mean round-trip time in milliseconds, or -1 if the run did not complete

@@ -8,6 +8,7 @@ KernelNode::KernelNode(SimHost* host) : host_(host) {
   Kernel* kernel = host->kernel();
   StackParams params;
   params.sim = host->sim();
+  params.obs = host->obs();
   params.cpu = host->cpu();
   params.prof = host->prof();
   params.placement = Placement::kKernel;

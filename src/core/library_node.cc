@@ -5,7 +5,7 @@
 
 #include "src/api/kernel_node.h"
 #include "src/base/log.h"
-#include "src/obs/metastate.h"
+#include "src/obs/observatory.h"
 #include "src/obs/stats.h"
 #include "src/obs/trace.h"
 
@@ -36,6 +36,7 @@ ProtocolLibrary::ProtocolLibrary(SimHost* host, NetServer* server, std::string n
                 PortCosts::PacketDelivery(*host->prof())) {
   StackParams params;
   params.sim = host->sim();
+  params.obs = host->obs();
   params.cpu = host->cpu();
   params.prof = host->prof();
   params.placement = Placement::kLibrary;
@@ -141,12 +142,12 @@ MacResolver::Status ProtocolLibrary::CacheResolver::Resolve(Ipv4Addr next_hop, M
   auto it = cache_.find(next_hop);
   if (it != cache_.end()) {
     lib_->arp_hits_++;
-    MetastateLedger::Get().Count(MetaEvent::kArpHit);
+    lib_->host()->obs()->meta.Count(MetaEvent::kArpHit);
     *out = it->second;
     return Status::kResolved;
   }
   lib_->arp_misses_++;
-  MetastateLedger::Get().Count(MetaEvent::kArpMiss);
+  lib_->host()->obs()->meta.Count(MetaEvent::kArpMiss);
   IpcMessage rep = lib_->Call(ProxyOp::kProxyArpLookup, 0, {}, next_hop.v);
   if (rep.arg[0] != 0 || rep.payload.size() != 6) {
     return Status::kFail;
@@ -161,7 +162,7 @@ MacResolver::Status ProtocolLibrary::CacheResolver::Resolve(Ipv4Addr next_hop, M
 void ProtocolLibrary::InvalidateArpEntry(Ipv4Addr ip) {
   DomainLock lock(stack_->sync());
   invalidations_++;
-  MetastateLedger::Get().Count(MetaEvent::kArpInvalidate);
+  host_->obs()->meta.Count(MetaEvent::kArpInvalidate);
   resolver_.cache_.erase(ip);
 }
 
@@ -169,7 +170,7 @@ void ProtocolLibrary::InvalidateRoutes() {
   DomainLock lock(stack_->sync());
   invalidations_++;
   // Drop every cached route; they refill on demand from the server.
-  stack_->routes() = RouteTable();
+  stack_->routes() = RouteTable(&host_->obs()->meta);
 }
 
 void ProtocolLibrary::SetTracer(Tracer* tracer) {
@@ -405,7 +406,7 @@ void LibraryNode::RecordAdoptPhases(uint64_t sid, SimTime rpc_begin, SimTime rpc
   // proxy-RPC round trip carrying the encoded state (it overlaps the
   // server's freeze/install/encode phases by design); `resume` is the local
   // adopt plus restart of the transmit machinery.
-  MetastateLedger& meta = MetastateLedger::Get();
+  MetastateLedger& meta = lib_->host()->obs()->meta;
   meta.RecordPhase(MigrationPhase::kTransfer, rpc_end - rpc_begin);
   meta.RecordPhase(MigrationPhase::kResume, resume_end - rpc_end);
   Tracer* tracer = lib_->tracer();

@@ -4,8 +4,7 @@
 
 #include "src/base/log.h"
 #include "src/filter/session_filter.h"
-#include "src/obs/journey.h"
-#include "src/obs/metastate.h"
+#include "src/obs/observatory.h"
 #include "src/obs/stats.h"
 #include "src/obs/trace.h"
 
@@ -130,7 +129,7 @@ std::vector<uint8_t> NetServer::MigrateTcpOut(Session* s) {
   SimTime t4 = sim->Now();
   // Phase accounting: freeze is detach+suppress plus the locked extraction
   // (the install sits between the two chunks and is ledgered on its own).
-  MetastateLedger& meta = MetastateLedger::Get();
+  MetastateLedger& meta = host_->obs()->meta;
   meta.RecordPhase(MigrationPhase::kFreeze, (t1 - t0) + (t3 - t2));
   meta.RecordPhase(MigrationPhase::kInstall, t2 - t1);
   meta.RecordPhase(MigrationPhase::kEncode, t4 - t3);
@@ -261,7 +260,7 @@ IpcMessage NetServer::HandleBind(const IpcMessage& req) {
   s->where = Where::kApp;
   InstallSessionFilter(s);
   migrations_out_++;
-  MetastateLedger::Get().Count(MetaEvent::kMigrationOut);
+  host_->obs()->meta.Count(MetaEvent::kMigrationOut);
   Encoder e;
   EncodeAddr(&e, local);
   reply.payload = e.Take();
@@ -293,7 +292,7 @@ IpcMessage NetServer::HandleConnect(const IpcMessage& req) {
       s->tuple.local = SockAddrIn{host_->ip(), *port};
       s->where = Where::kApp;
       migrations_out_++;
-      MetastateLedger::Get().Count(MetaEvent::kMigrationOut);
+      host_->obs()->meta.Count(MetaEvent::kMigrationOut);
     }
     s->tuple.remote = remote;
     InstallSessionFilter(s);
@@ -400,7 +399,7 @@ IpcMessage NetServer::HandleReturn(const IpcMessage& req) {
       s->sock = std::make_unique<Socket>(stack(), pcb);
       stack()->Kick();
       migrations_in_++;
-      MetastateLedger& meta = MetastateLedger::Get();
+      MetastateLedger& meta = host_->obs()->meta;
       meta.Count(MetaEvent::kMigrationIn);
       meta.RecordPhase(MigrationPhase::kResume, host_->sim()->Now() - resume_start);
       Tracer* tracer = core_.tracer();
@@ -420,7 +419,7 @@ IpcMessage NetServer::HandleReturn(const IpcMessage& req) {
       }
       s->sock = std::make_unique<Socket>(stack(), pcb);
       migrations_in_++;
-      MetastateLedger::Get().Count(MetaEvent::kMigrationIn);
+      host_->obs()->meta.Count(MetaEvent::kMigrationIn);
     }
     s->where = Where::kServer;
   }
@@ -647,19 +646,20 @@ void NetServer::OnProcessDeath(uint64_t lib_id) {
   if (lib != libraries_.end()) {
     const DeliveryEndpoint& ep = lib->second.endpoint;
     SimTime now = host_->sim()->Now();
+    Observatory* obs = host_->obs();
     if (ep.queue != nullptr) {
       Frame f;
       while (ep.queue->TryPop(&f)) {
-        DropLedger::Get().Record(f.pkt_id, TraceLayer::kCore, DropReason::kCrashCleanup, now,
-                                 ep.queue->name());
+        obs->drops.Record(f.pkt_id, TraceLayer::kCore, DropReason::kCrashCleanup, now,
+                          ep.queue->node_id());
       }
     }
     if (ep.port != nullptr) {
       IpcMessage pending;
       while (ep.port->DrainOne(&pending)) {
         if (pending.kind == kMsgPacketDelivery) {
-          DropLedger::Get().Record(pending.arg[5], TraceLayer::kCore, DropReason::kCrashCleanup,
-                                   now, ep.port->name());
+          obs->drops.Record(pending.arg[5], TraceLayer::kCore, DropReason::kCrashCleanup, now,
+                            obs->journey.Intern(ep.port->name()));
         }
       }
     }

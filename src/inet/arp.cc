@@ -26,10 +26,10 @@ MacResolver::Status ArpLayer::Resolve(Ipv4Addr next_hop, MacAddr* out, Chain* pe
   Entry& e = table_[next_hop];
   if (e.resolved && env_->Now() < e.expires) {
     *out = e.mac;
-    MetastateLedger::Get().Count(MetaEvent::kArpHit);
+    env_->obs->meta.Count(MetaEvent::kArpHit);
     return Status::kResolved;
   }
-  MetastateLedger::Get().Count(MetaEvent::kArpMiss);
+  env_->obs->meta.Count(MetaEvent::kArpMiss);
   if (static_cast<int>(e.hold.size()) >= kMaxHold) {
     // BSD arpresolve semantics: a saturated hold queue silently drops the
     // oldest held packet and keeps the newest — never an error to the
@@ -41,8 +41,7 @@ MacResolver::Status ArpLayer::Resolve(Ipv4Addr next_hop, MacAddr* out, Chain* pe
     // like the other pre-frame tx drops.
     e.hold.pop_front();
     hold_drops_++;
-    DropLedger::Get().Record(0, TraceLayer::kInet, DropReason::kEtherUnresolved, env_->Now(),
-                             env_->node_name);
+    env_->Drop(0, TraceLayer::kInet, DropReason::kEtherUnresolved);
   }
   e.resolved = false;
   e.hold.push_back(std::move(*pending));
@@ -68,7 +67,7 @@ void ArpLayer::SendRequest(Ipv4Addr target) {
   Store32(pkt + 24, target.v);
   c.Append(pkt, kArpLen);
   requests_sent_++;
-  MetastateLedger::Get().Count(MetaEvent::kArpRequest);
+  env_->obs->meta.Count(MetaEvent::kArpRequest);
   ether_->OutputRaw(MacAddr::Broadcast(), kEtherTypeArp, std::move(c));
 }
 
@@ -86,7 +85,7 @@ void ArpLayer::SendReply(Ipv4Addr target_ip, MacAddr target_mac) {
   Store32(pkt + 24, target_ip.v);
   c.Append(pkt, kArpLen);
   replies_sent_++;
-  MetastateLedger::Get().Count(MetaEvent::kArpReply);
+  env_->obs->meta.Count(MetaEvent::kArpReply);
   ether_->OutputRaw(target_mac, kEtherTypeArp, std::move(c));
 }
 
@@ -117,7 +116,7 @@ void ArpLayer::Input(Chain payload) {
   if (changed) {
     // An unsolicited update that rewrites a cached MAC is the gratuitous
     // case every cached copy must hear about (3.3).
-    MetastateLedger::Get().Count(MetaEvent::kArpGratuitous);
+    env_->obs->meta.Count(MetaEvent::kArpGratuitous);
     EntryChanged(sender_ip);
   }
   // Transmit anything held for this address.
@@ -163,13 +162,13 @@ Result<MacAddr> ArpLayer::ResolveBlocking(Ipv4Addr ip, SimDuration timeout) {
       if (first_pass) {
         // Only an immediate answer is a cache hit; resolving after a
         // request already counted as the miss.
-        MetastateLedger::Get().Count(MetaEvent::kArpHit);
+        env_->obs->meta.Count(MetaEvent::kArpHit);
       }
       return it->second.mac;
     }
     first_pass = false;
     if (it == table_.end() || (!it->second.resolved && !it->second.requesting)) {
-      MetastateLedger::Get().Count(MetaEvent::kArpMiss);
+      env_->obs->meta.Count(MetaEvent::kArpMiss);
       Entry& e = table_[ip];
       e.requesting = true;
       e.retries = 0;

@@ -22,8 +22,7 @@ Result<void> EtherLayer::OutputIp(Chain pkt, Ipv4Addr next_hop) {
     case MacResolver::Status::kFail:
       unresolved_drops_++;
       // Tx-side: the packet dies before a frame (and its id) exists.
-      DropLedger::Get().Record(0, TraceLayer::kInet, DropReason::kEtherUnresolved, env_->Now(),
-                               env_->node_name);
+      env_->Drop(0, TraceLayer::kInet, DropReason::kEtherUnresolved);
       return Err::kHostUnreach;
   }
   OutputRaw(dst, kEtherTypeIpv4, std::move(pkt));
@@ -43,10 +42,10 @@ void EtherLayer::OutputRaw(MacAddr dst, uint16_t ethertype, Chain payload) {
   // Flatten the chain straight into a pooled buffer.
   Frame f = Frame::OfSize(payload.len());
   payload.CopyOut(0, f.data(), f.size());
-  f.pkt_id = PacketJourney::Get().Mint();
+  f.pkt_id = env_->obs->journey.Mint();
   if (f.pkt_id != 0) {
-    PacketJourney::Get().Hop(f.pkt_id, TraceLayer::kInet, env_->tx_node.id(), env_->Now(),
-                             f.size());
+    env_->obs->journey.Hop(f.pkt_id, TraceLayer::kInet, env_->tx_node.id(), env_->Now(),
+                           f.size());
   }
   env_->send_frame(std::move(f));
 }

@@ -45,8 +45,7 @@ Result<void> IpLayer::Output(Chain payload, IpProto proto, Ipv4Addr src, Ipv4Add
   if (!next_hop) {
     stats_.no_route++;
     // Tx-side: dies before a frame exists, so no packet id yet.
-    DropLedger::Get().Record(0, TraceLayer::kInet, DropReason::kIpNoRoute, env_->Now(),
-                             env_->node_name);
+    env_->Drop(0, TraceLayer::kInet, DropReason::kIpNoRoute);
     return Err::kNetUnreach;
   }
 
@@ -98,22 +97,19 @@ void IpLayer::Input(Chain pkt) {
   const uint8_t* h = pkt.Pullup(kIpHeaderLen);
   if (h == nullptr || h[0] != 0x45) {
     stats_.bad_header++;
-    DropLedger::Get().Record(env_->cur_rx_pkt, TraceLayer::kInet, DropReason::kIpBadHeader,
-                             env_->Now(), env_->node_name);
+    env_->Drop(env_->cur_rx_pkt, TraceLayer::kInet, DropReason::kIpBadHeader);
     return;
   }
   env_->Charge(kIpHeaderLen * env_->prof->checksum_per_byte);
   if (InternetChecksum(h, kIpHeaderLen) != 0) {
     stats_.bad_checksum++;
-    DropLedger::Get().Record(env_->cur_rx_pkt, TraceLayer::kInet, DropReason::kIpBadChecksum,
-                             env_->Now(), env_->node_name);
+    env_->Drop(env_->cur_rx_pkt, TraceLayer::kInet, DropReason::kIpBadChecksum);
     return;
   }
   uint16_t total_len = Load16(h + 2);
   if (total_len < kIpHeaderLen || total_len > pkt.len()) {
     stats_.bad_header++;
-    DropLedger::Get().Record(env_->cur_rx_pkt, TraceLayer::kInet, DropReason::kIpBadHeader,
-                             env_->Now(), env_->node_name);
+    env_->Drop(env_->cur_rx_pkt, TraceLayer::kInet, DropReason::kIpBadHeader);
     return;
   }
   uint16_t id = Load16(h + 4);
@@ -124,8 +120,7 @@ void IpLayer::Input(Chain pkt) {
 
   if (!(dst == my_ip_) && !(dst == Ipv4Addr::Broadcast())) {
     stats_.not_ours++;
-    DropLedger::Get().Record(env_->cur_rx_pkt, TraceLayer::kInet, DropReason::kIpNotOurs,
-                             env_->Now(), env_->node_name);
+    env_->Drop(env_->cur_rx_pkt, TraceLayer::kInet, DropReason::kIpNotOurs);
     return;
   }
 
@@ -197,8 +192,7 @@ void IpLayer::DeliverLocal(Chain payload, IpProto proto, Ipv4Addr src, Ipv4Addr 
   auto it = handlers_.find(static_cast<uint8_t>(proto));
   if (it == handlers_.end()) {
     stats_.no_proto++;
-    DropLedger::Get().Record(env_->cur_rx_pkt, TraceLayer::kInet, DropReason::kIpNoProto,
-                             env_->Now(), env_->node_name);
+    env_->Drop(env_->cur_rx_pkt, TraceLayer::kInet, DropReason::kIpNoProto);
     return;
   }
   stats_.delivered++;
@@ -211,8 +205,7 @@ void IpLayer::SlowTick() {
       stats_.reassembly_timeouts++;
       // Timer context: the fragments' own ids were consumed at input; the
       // timeout is a whole-datagram loss with no single frame to blame.
-      DropLedger::Get().Record(0, TraceLayer::kInet, DropReason::kIpReassemblyTimeout,
-                               env_->Now(), env_->node_name);
+      env_->Drop(0, TraceLayer::kInet, DropReason::kIpReassemblyTimeout);
       it = reasm_.erase(it);
     } else {
       ++it;

@@ -19,6 +19,9 @@ class PortAlloc {
  public:
   static constexpr uint16_t kFirstEphemeral = 1024;
 
+  // Counts acquires and releases into `meta` (the owning Stack's).
+  explicit PortAlloc(MetastateLedger* meta) : meta_(meta) {}
+
   // want == 0 requests an ephemeral port. Returns kAddrInUse if taken.
   Result<uint16_t> Acquire(uint16_t want) {
     if (want != 0) {
@@ -26,7 +29,7 @@ class PortAlloc {
         return Err::kAddrInUse;
       }
       used_.insert(want);
-      MetastateLedger::Get().Count(MetaEvent::kPortAcquire);
+      meta_->Count(MetaEvent::kPortAcquire);
       return want;
     }
     for (int i = 0; i < 65536 - kFirstEphemeral; i++) {
@@ -34,7 +37,7 @@ class PortAlloc {
       next_ephemeral_ = next_ephemeral_ == 65535 ? kFirstEphemeral : next_ephemeral_ + 1;
       if (!used_.count(p)) {
         used_.insert(p);
-        MetastateLedger::Get().Count(MetaEvent::kPortAcquire);
+        meta_->Count(MetaEvent::kPortAcquire);
         return p;
       }
     }
@@ -43,13 +46,14 @@ class PortAlloc {
 
   void Release(uint16_t port) {
     if (used_.erase(port) > 0) {
-      MetastateLedger::Get().Count(MetaEvent::kPortRelease);
+      meta_->Count(MetaEvent::kPortRelease);
     }
   }
   bool InUse(uint16_t port) const { return used_.count(port) > 0; }
   size_t count() const { return used_.size(); }
 
  private:
+  MetastateLedger* meta_;
   std::set<uint16_t> used_;
   uint16_t next_ephemeral_ = kFirstEphemeral;
 };

@@ -35,8 +35,11 @@ struct RouteEntry {
 
 class RouteTable {
  public:
+  // Counts installs, lookups and misses into `meta` (the owning Stack's).
+  explicit RouteTable(MetastateLedger* meta) : meta_(meta) {}
+
   void Add(Ipv4Addr dest, Ipv4Addr mask, Ipv4Addr gateway) {
-    MetastateLedger::Get().Count(MetaEvent::kRouteInstall);
+    meta_->Count(MetaEvent::kRouteInstall);
     generation_++;
     entries_.push_back(RouteEntry{dest, mask, gateway, generation_});
     std::stable_sort(entries_.begin(), entries_.end(),
@@ -62,24 +65,24 @@ class RouteTable {
   // Next hop for `dst`: the gateway if routed, `dst` itself if directly
   // attached, nullopt if unreachable.
   std::optional<Ipv4Addr> NextHop(Ipv4Addr dst) const {
-    MetastateLedger::Get().Count(MetaEvent::kRouteLookup);
+    meta_->Count(MetaEvent::kRouteLookup);
     for (const RouteEntry& e : entries_) {
       if (e.Matches(dst)) {
         return e.gateway.IsAny() ? dst : e.gateway;
       }
     }
-    MetastateLedger::Get().Count(MetaEvent::kRouteMiss);
+    meta_->Count(MetaEvent::kRouteMiss);
     return std::nullopt;
   }
 
   std::optional<RouteEntry> Lookup(Ipv4Addr dst) const {
-    MetastateLedger::Get().Count(MetaEvent::kRouteLookup);
+    meta_->Count(MetaEvent::kRouteLookup);
     for (const RouteEntry& e : entries_) {
       if (e.Matches(dst)) {
         return e;
       }
     }
-    MetastateLedger::Get().Count(MetaEvent::kRouteMiss);
+    meta_->Count(MetaEvent::kRouteMiss);
     return std::nullopt;
   }
 
@@ -89,6 +92,7 @@ class RouteTable {
   size_t size() const { return entries_.size(); }
 
  private:
+  MetastateLedger* meta_;
   std::vector<RouteEntry> entries_;
   uint64_t generation_ = 0;
 };

@@ -1,7 +1,6 @@
 #include "src/inet/stack.h"
 
 #include "src/base/log.h"
-#include "src/obs/journey.h"
 #include "src/obs/stats.h"
 
 namespace psd {
@@ -14,17 +13,25 @@ constexpr SimDuration kSlowPeriod = Millis(500);
 Stack::Stack(const StackParams& params)
     : name_(params.name),
       sync_(params.sim, params.sync_pair_cost),
-      env_{params.sim, params.cpu,  params.prof, params.placement,
-           &sync_,     params.tracer, params.send_frame},
+      env_{params.sim,
+           params.cpu,
+           params.prof,
+           params.placement,
+           &sync_,
+           params.tracer,
+           params.obs,
+           params.send_frame,
+           /*cur_rx_pkt=*/0,
+           JourneyNode(&params.obs->journey, name_),
+           JourneyNode(&params.obs->journey, name_ + "/tx")},
       ether_(&env_, params.mac),
+      routes_(&params.obs->meta),
+      ports_(&params.obs->meta),
       ip_(&env_, &ether_, &routes_, params.ip),
       icmp_(&env_, &ip_),
       udp_(&env_, &ip_, &icmp_, &ports_),
       tcp_(&env_, &ip_, &ports_),
       timer_kick_(params.sim) {
-  env_.node_name = name_;
-  env_.node = JourneyNode(name_);
-  env_.tx_node = JourneyNode(name_ + "/tx");
   if (params.with_arp) {
     arp_ = std::make_unique<ArpLayer>(&env_, &ether_, params.ip);
     ether_.SetResolver(arp_.get());
@@ -42,7 +49,7 @@ void Stack::InputFrame(const Frame& frame) {
   DomainLock lock(&sync_);
   frames_in_++;
   env_.cur_rx_pkt = frame.pkt_id;
-  PacketJourney::Get().Hop(frame.pkt_id, TraceLayer::kInet, env_.node.id(), env_.Now());
+  env_.obs->journey.Hop(frame.pkt_id, TraceLayer::kInet, env_.node.id(), env_.Now());
   {
     ProbeSpan span(env_.tracer, env_.sim, Stage::kNetisrFilter);
     env_.Charge(env_.prof->netisr_fixed);
@@ -58,8 +65,7 @@ void Stack::InputFrame(const Frame& frame) {
     env_.sync->ChargeSyncPair();
     if (!EtherLayer::Parse(frame, &rx)) {
       ether_bad_frames_++;
-      DropLedger::Get().Record(env_.cur_rx_pkt, TraceLayer::kInet, DropReason::kEtherBadFrame,
-                               env_.Now(), name_);
+      env_.Drop(env_.cur_rx_pkt, TraceLayer::kInet, DropReason::kEtherBadFrame);
       env_.cur_rx_pkt = 0;
       return;
     }
@@ -71,14 +77,13 @@ void Stack::InputFrame(const Frame& frame) {
   } else if (rx.ethertype == kEtherTypeIpv4) {
     ip_.Input(std::move(rx.payload));
   } else {
-    DropLedger::Get().Record(env_.cur_rx_pkt, TraceLayer::kInet, DropReason::kEtherUnknownType,
-                             env_.Now(), name_);
+    env_.Drop(env_.cur_rx_pkt, TraceLayer::kInet, DropReason::kEtherUnknownType);
   }
   // Whatever the protocols did not explicitly deliver or drop was absorbed
   // here: pure ACKs, ARP traffic, handshake segments, ICMP, fragments
   // parked in reassembly. One catch-all keeps the conservation law exact.
-  PacketJourney::Get().ConsumeIfOpen(env_.cur_rx_pkt, TraceLayer::kInet, env_.node.id(),
-                                     env_.Now());
+  env_.obs->journey.ConsumeIfOpen(env_.cur_rx_pkt, TraceLayer::kInet, env_.node.id(),
+                                  env_.Now());
   env_.cur_rx_pkt = 0;
   // Activity may have armed timers.
   if (timer_idle_ || (timer_skips_fast_ && tcp_.stats().acks_delayed != timer_acks_delayed_)) {

@@ -54,6 +54,7 @@ struct StackParams {
   const MachineProfile* prof = nullptr;
   Placement placement = Placement::kKernel;
   Tracer* tracer = nullptr;
+  Observatory* obs = nullptr;  // required: the host's Observatory
   std::function<void(Frame)> send_frame;
   Ipv4Addr ip;
   MacAddr mac;

@@ -20,7 +20,7 @@
 #include "src/inet/addr.h"
 #include "src/mbuf/mbuf.h"
 #include "src/netsim/ether.h"
-#include "src/obs/journey.h"
+#include "src/obs/observatory.h"
 #include "src/obs/probe.h"
 #include "src/sim/simulator.h"
 
@@ -99,6 +99,7 @@ struct StackEnv {
   Placement placement = Placement::kKernel;
   SyncDomain* sync = nullptr;
   Tracer* tracer = nullptr;  // observability span tracer; may be null
+  Observatory* obs = nullptr;  // the run's journeys, drops and metastate
 
   // Hands a complete Ethernet frame to the placement's transmit path
   // (in-kernel: direct device transmit; library/server: net-send syscall
@@ -111,11 +112,16 @@ struct StackEnv {
   // attribute the drop to the right journey without threading an id through
   // every Input() signature.
   uint64_t cur_rx_pkt = 0;
-  // Human name for this stack instance in journey/ledger records, and its
-  // journey nodes: the stack itself and its "<name>/tx" origin.
-  std::string node_name;
+  // This stack instance's journey nodes: the stack itself (hops, drops,
+  // terminals) and its "<name>/tx" origin.
   JourneyNode node;
   JourneyNode tx_node;
+
+  // Ledgers a drop of packet `pkt` (0 on the transmit side, before a frame
+  // exists) at this stack.
+  void Drop(uint64_t pkt, TraceLayer layer, DropReason reason) {
+    obs->drops.Record(pkt, layer, reason, Now(), node.id());
+  }
 
   SimThread* self() const { return sim->current_thread(); }
   void Charge(SimDuration d) const {

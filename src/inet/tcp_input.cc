@@ -66,8 +66,7 @@ void TcpLayer::Input(Chain seg, Ipv4Addr src, Ipv4Addr dst) {
   // Shorthand: every discard in this function funnels through the ledger
   // with the id of the frame being processed (0 outside input context).
   auto drop = [this](DropReason reason) {
-    DropLedger::Get().Record(env_->cur_rx_pkt, TraceLayer::kInet, reason, env_->Now(),
-                             env_->node_name);
+    env_->Drop(env_->cur_rx_pkt, TraceLayer::kInet, reason);
   };
 
   if (seg.len() < kTcpHeaderLen) {
@@ -596,8 +595,8 @@ void TcpLayer::Input(Chain seg, Ipv4Addr src, Ipv4Addr dst) {
         env_->Charge(env_->prof->sbqueue_fixed);
         if (!pcb->cantrcvmore) {
           pcb->rcv.AppendStream(std::move(seg));
-          PacketJourney::Get().Deliver(env_->cur_rx_pkt, TraceLayer::kSock, env_->node.id(),
-                                       env_->Now());
+          env_->obs->journey.Deliver(env_->cur_rx_pkt, TraceLayer::kSock, env_->node.id(),
+                                     env_->Now());
           if (pcb->rcv_wakeup) {
             pcb->rcv_wakeup();
           }
@@ -614,8 +613,8 @@ void TcpLayer::Input(Chain seg, Ipv4Addr src, Ipv4Addr dst) {
         // If this segment filled the gap, its data (and earlier parked
         // segments') reached the sockbuf now; credit the gap-filler.
         if (pcb->rcv.cc() > before) {
-          PacketJourney::Get().Deliver(env_->cur_rx_pkt, TraceLayer::kSock, env_->node.id(),
-                                       env_->Now());
+          env_->obs->journey.Deliver(env_->cur_rx_pkt, TraceLayer::kSock, env_->node.id(),
+                                     env_->Now());
         }
         pcb->ack_now = true;
       }

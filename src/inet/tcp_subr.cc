@@ -82,7 +82,7 @@ void TcpLayer::Destroy(TcpPcb* pcb) {
     }
     if (heir != nullptr) {
       heir->port_owned = true;
-      MetastateLedger::Get().Count(MetaEvent::kPortTransfer);
+      env_->obs->meta.Count(MetaEvent::kPortTransfer);
     } else {
       ports_->Release(pcb->local.port);
     }

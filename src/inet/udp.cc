@@ -164,8 +164,7 @@ void UdpLayer::Input(Chain dgram, Ipv4Addr src, Ipv4Addr dst) {
   }
 
   if (dgram.len() < kUdpHeaderLen) {
-    DropLedger::Get().Record(env_->cur_rx_pkt, TraceLayer::kInet, DropReason::kUdpBadLength,
-                             env_->Now(), env_->node_name);
+    env_->Drop(env_->cur_rx_pkt, TraceLayer::kInet, DropReason::kUdpBadLength);
     return;
   }
   const uint8_t* h = dgram.Pullup(kUdpHeaderLen);
@@ -174,8 +173,7 @@ void UdpLayer::Input(Chain dgram, Ipv4Addr src, Ipv4Addr dst) {
   uint16_t ulen = Load16(h + 4);
   uint16_t sum = Load16(h + 6);
   if (ulen < kUdpHeaderLen || ulen > dgram.len()) {
-    DropLedger::Get().Record(env_->cur_rx_pkt, TraceLayer::kInet, DropReason::kUdpBadLength,
-                             env_->Now(), env_->node_name);
+    env_->Drop(env_->cur_rx_pkt, TraceLayer::kInet, DropReason::kUdpBadLength);
     return;
   }
   if (dgram.len() > ulen) {
@@ -184,8 +182,7 @@ void UdpLayer::Input(Chain dgram, Ipv4Addr src, Ipv4Addr dst) {
   env_->Charge(static_cast<SimDuration>(dgram.len()) * env_->prof->checksum_per_byte);
   if (sum != 0 && UdpChecksum(dgram, src, dst) != 0) {
     stats_.bad_checksum++;
-    DropLedger::Get().Record(env_->cur_rx_pkt, TraceLayer::kInet, DropReason::kUdpBadChecksum,
-                             env_->Now(), env_->node_name);
+    env_->Drop(env_->cur_rx_pkt, TraceLayer::kInet, DropReason::kUdpBadChecksum);
     return;
   }
   stats_.received++;
@@ -193,8 +190,7 @@ void UdpLayer::Input(Chain dgram, Ipv4Addr src, Ipv4Addr dst) {
   UdpPcb* pcb = Demux(SockAddrIn{dst, dport}, SockAddrIn{src, sport});
   if (pcb == nullptr) {
     stats_.no_port++;
-    DropLedger::Get().Record(env_->cur_rx_pkt, TraceLayer::kInet, DropReason::kUdpNoPort,
-                             env_->Now(), env_->node_name);
+    env_->Drop(env_->cur_rx_pkt, TraceLayer::kInet, DropReason::kUdpNoPort);
     if (!(dst == Ipv4Addr::Broadcast())) {
       icmp_->SendUnreachable(IcmpUnreachCode::kPort, dgram, IpProto::kUdp, src, dst);
     }
@@ -205,12 +201,11 @@ void UdpLayer::Input(Chain dgram, Ipv4Addr src, Ipv4Addr dst) {
   if (!pcb->rcv.AppendDgram(SockAddrIn{src, sport}, std::move(dgram))) {
     pcb->drops_full++;
     stats_.full_drops++;
-    DropLedger::Get().Record(env_->cur_rx_pkt, TraceLayer::kSock, DropReason::kUdpBufferFull,
-                             env_->Now(), env_->node_name);
+    env_->Drop(env_->cur_rx_pkt, TraceLayer::kSock, DropReason::kUdpBufferFull);
     return;
   }
-  PacketJourney::Get().Deliver(env_->cur_rx_pkt, TraceLayer::kSock, env_->node.id(),
-                               env_->Now());
+  env_->obs->journey.Deliver(env_->cur_rx_pkt, TraceLayer::kSock, env_->node.id(),
+                             env_->Now());
   if (pcb->rcv_wakeup) {
     pcb->rcv_wakeup();
   }

@@ -17,20 +17,24 @@ namespace psd {
 
 class SimHost {
  public:
+  // The host records into its segment's Observatory.
   SimHost(Simulator* sim, std::string name, const MachineProfile* prof, EthernetSegment* segment,
           Ipv4Addr ip, uint16_t host_id, bool pio_nic = false)
       : sim_(sim),
+        obs_(segment->obs()),
         name_(std::move(name)),
         prof_(prof),
         ip_(ip),
         mac_(MacAddr::FromHostId(host_id)),
-        nic_(sim, &cpu_, name_ + "/nic",
+        nic_(sim, obs_, &cpu_, name_ + "/nic",
              pio_nic ? NicParams::Pio8Bit(*prof) : NicParams::Lance(*prof)),
-        kernel_(sim, &cpu_, &nic_, prof, name_) {
+        kernel_(sim, obs_, &cpu_, &nic_, prof, name_) {
     nic_.Attach(segment, mac_);
   }
 
   Simulator* sim() { return sim_; }
+  // The run's recorders (journeys, drops, metastate).
+  Observatory* obs() { return obs_; }
   HostCpu* cpu() { return &cpu_; }
   Nic* nic() { return &nic_; }
   Kernel* kernel() { return &kernel_; }
@@ -41,6 +45,7 @@ class SimHost {
 
  private:
   Simulator* sim_;
+  Observatory* obs_;
   std::string name_;
   const MachineProfile* prof_;
   Ipv4Addr ip_;

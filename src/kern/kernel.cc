@@ -3,8 +3,6 @@
 #include <cassert>
 
 #include "src/base/log.h"
-#include "src/obs/journey.h"
-#include "src/obs/metastate.h"
 #include "src/obs/pcap.h"
 #include "src/obs/stats.h"
 #include "src/obs/trace.h"
@@ -15,15 +13,17 @@ namespace psd {
 // before deciding a packet's destination: Ethernet (14) + IP (20) + ports.
 constexpr size_t kIpfPeekBytes = 38;
 
-Kernel::Kernel(Simulator* sim, HostCpu* cpu, Nic* nic, const MachineProfile* prof,
-               std::string name)
+Kernel::Kernel(Simulator* sim, Observatory* obs, HostCpu* cpu, Nic* nic,
+               const MachineProfile* prof, std::string name)
     : sim_(sim),
+      obs_(obs),
       cpu_(cpu),
       nic_(nic),
       prof_(prof),
       name_(std::move(name)),
-      deliver_node_(name_ + "/deliver"),
-      ipf_deliver_node_(name_ + "/ipf-deliver"),
+      node_(&obs->journey, name_),
+      deliver_node_(&obs->journey, name_ + "/deliver"),
+      ipf_deliver_node_(&obs->journey, name_ + "/ipf-deliver"),
       rx_wq_(sim) {
   nic_->SetRxNotify([this] { rx_wq_.NotifyOne(); });
   intr_thread_ = sim_->Spawn(name_ + "/intr", cpu_, [this] { IntrThreadBody(); });
@@ -41,7 +41,7 @@ uint64_t Kernel::InstallFilter(FilterProgram prog, int priority, DeliveryEndpoin
                                 : engine_.Install(std::move(prog), priority);
   if (id != 0) {
     endpoints_[id] = ep;
-    MetastateLedger::Get().Count(MetaEvent::kFilterInstall);
+    obs_->meta.Count(MetaEvent::kFilterInstall);
   }
   return id;
 }
@@ -49,13 +49,14 @@ uint64_t Kernel::InstallFilter(FilterProgram prog, int priority, DeliveryEndpoin
 void Kernel::RemoveFilter(uint64_t id) {
   engine_.Remove(id);
   if (endpoints_.erase(id) > 0) {
-    MetastateLedger::Get().Count(MetaEvent::kFilterRemove);
+    obs_->meta.Count(MetaEvent::kFilterRemove);
   }
 }
 
 PacketQueue* Kernel::MakeQueueEndpoint(std::string name, SimDuration signal_cost,
                                        size_t capacity) {
-  queues_.push_back(std::make_unique<PacketQueue>(sim_, std::move(name), capacity, signal_cost));
+  queues_.push_back(
+      std::make_unique<PacketQueue>(sim_, obs_, std::move(name), capacity, signal_cost));
   return queues_.back().get();
 }
 
@@ -146,8 +147,8 @@ void Kernel::DeliverFrame() {
     Frame f = nic_->RxPop();
     if (m.id == 0) {
       rx_unmatched_++;
-      DropLedger::Get().Record(f.pkt_id, TraceLayer::kFilter, DropReason::kNoFilterMatch,
-                               sim_->Now(), name_);
+      obs_->drops.Record(f.pkt_id, TraceLayer::kFilter, DropReason::kNoFilterMatch,
+                         sim_->Now(), node_.id());
       return;
     }
     auto epit = endpoints_.find(m.id);
@@ -155,11 +156,11 @@ void Kernel::DeliverFrame() {
       // The filter was removed while this frame was in flight (session
       // migration handover); drop, retransmission recovers.
       rx_unmatched_++;
-      DropLedger::Get().Record(f.pkt_id, TraceLayer::kFilter, DropReason::kFilterRemoved,
-                               sim_->Now(), name_);
+      obs_->drops.Record(f.pkt_id, TraceLayer::kFilter, DropReason::kFilterRemoved,
+                         sim_->Now(), node_.id());
       return;
     }
-    PacketJourney::Get().Hop(f.pkt_id, TraceLayer::kKern, ipf_deliver_node_.id(), sim_->Now());
+    obs_->journey.Hop(f.pkt_id, TraceLayer::kKern, ipf_deliver_node_.id(), sim_->Now());
     const DeliveryEndpoint& ep = epit->second;
     if (pcap_ != nullptr) {
       pcap_->CaptureFrame(sim_->Now(), f);
@@ -199,18 +200,18 @@ void Kernel::DeliverFrame() {
   FilterEngine::MatchResult m = run_filter(f);
   if (m.id == 0) {
     rx_unmatched_++;
-    DropLedger::Get().Record(f.pkt_id, TraceLayer::kFilter, DropReason::kNoFilterMatch,
-                             sim_->Now(), name_);
+    obs_->drops.Record(f.pkt_id, TraceLayer::kFilter, DropReason::kNoFilterMatch, sim_->Now(),
+                       node_.id());
     return;
   }
   auto epit = endpoints_.find(m.id);
   if (epit == endpoints_.end()) {
     rx_unmatched_++;
-    DropLedger::Get().Record(f.pkt_id, TraceLayer::kFilter, DropReason::kFilterRemoved,
-                             sim_->Now(), name_);
+    obs_->drops.Record(f.pkt_id, TraceLayer::kFilter, DropReason::kFilterRemoved, sim_->Now(),
+                       node_.id());
     return;
   }
-  PacketJourney::Get().Hop(f.pkt_id, TraceLayer::kKern, deliver_node_.id(), sim_->Now());
+  obs_->journey.Hop(f.pkt_id, TraceLayer::kKern, deliver_node_.id(), sim_->Now());
   const DeliveryEndpoint& ep = epit->second;
   if (pcap_ != nullptr) {
     pcap_->CaptureFrame(sim_->Now(), f);

@@ -47,7 +47,8 @@ constexpr uint32_t kMsgPacketDelivery = 0x504b5431;  // 'PKT1'
 
 class Kernel {
  public:
-  Kernel(Simulator* sim, HostCpu* cpu, Nic* nic, const MachineProfile* prof, std::string name);
+  Kernel(Simulator* sim, Observatory* obs, HostCpu* cpu, Nic* nic, const MachineProfile* prof,
+         std::string name);
   ~Kernel();
 
   Kernel(const Kernel&) = delete;
@@ -115,10 +116,12 @@ class Kernel {
   void DeliverFrame();
 
   Simulator* sim_;
+  Observatory* obs_;
   HostCpu* cpu_;
   Nic* nic_;
   const MachineProfile* prof_;
   std::string name_;
+  JourneyNode node_;              // "<name>", for drops
   JourneyNode deliver_node_;      // "<name>/deliver"
   JourneyNode ipf_deliver_node_;  // "<name>/ipf-deliver"
   Tracer* tracer_ = nullptr;

@@ -19,17 +19,20 @@
 #include "src/base/time.h"
 #include "src/netsim/ether.h"
 #include "src/netsim/frame_ring.h"
-#include "src/obs/journey.h"
+#include "src/obs/observatory.h"
 #include "src/sim/simulator.h"
 
 namespace psd {
 
 class PacketQueue {
  public:
-  PacketQueue(Simulator* sim, std::string name, size_t capacity_frames = 64,
+  // Overflow drops are recorded into `obs` under the queue's name.
+  PacketQueue(Simulator* sim, Observatory* obs, std::string name, size_t capacity_frames = 64,
               SimDuration signal_cost = 0)
       : sim_(sim),
+        obs_(obs),
         name_(std::move(name)),
+        node_(&obs->journey, name_),
         signal_cost_(signal_cost),
         nonempty_(sim),
         queue_(capacity_frames) {}
@@ -39,8 +42,8 @@ class PacketQueue {
   bool Push(Frame f) {
     if (queue_.full()) {
       dropped_++;
-      DropLedger::Get().Record(f.pkt_id, TraceLayer::kKern, DropReason::kQueueOverflow,
-                               sim_->Now(), name_);
+      obs_->drops.Record(f.pkt_id, TraceLayer::kKern, DropReason::kQueueOverflow, sim_->Now(),
+                         node_.id());
       return false;
     }
     queue_.Push(std::move(f));
@@ -103,10 +106,14 @@ class PacketQueue {
   // Wakeups actually delivered; popped/signals is the batching factor.
   uint64_t signals() const { return signals_; }
   const std::string& name() const { return name_; }
+  // The queue's journey node id (crash cleanup ledgers drained frames here).
+  uint32_t node_id() { return node_.id(); }
 
  private:
   Simulator* sim_;
+  Observatory* obs_;
   std::string name_;
+  JourneyNode node_;
   SimDuration signal_cost_;
   WaitQueue nonempty_;
   FrameRing queue_;  // preallocated ring: steady state allocates nothing

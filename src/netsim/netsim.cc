@@ -5,7 +5,6 @@
 #include "src/base/log.h"
 #include "src/netsim/nic.h"
 #include "src/netsim/segment.h"
-#include "src/obs/journey.h"
 #include "src/obs/pcap.h"
 #include "src/obs/prof.h"
 #include "src/obs/trace.h"
@@ -133,6 +132,16 @@ bool EthernetSegment::CorruptFrame(Frame* frame) {
   return true;
 }
 
+void EthernetSegment::MintInjected(Frame* frame, SimTime at) {
+  if (frame->pkt_id != 0) {
+    return;
+  }
+  frame->pkt_id = obs_->journey.Mint();
+  if (frame->pkt_id != 0) {
+    obs_->journey.Hop(frame->pkt_id, TraceLayer::kWire, inject_node_.id(), at, frame->size());
+  }
+}
+
 void EthernetSegment::Transmit(Nic* src, Frame frame, std::function<void()> done) {
   PSD_PROF_SCOPE(kWireDeliver);
   SimDuration wire_time = WireTime(frame.size());
@@ -143,16 +152,10 @@ void EthernetSegment::Transmit(Nic* src, Frame frame, std::function<void()> done
   // Shaper queue admission: a bounded backlog (queued frames plus the one
   // in service) tail-drops before the frame ever occupies the medium.
   if (faults_.queue_frames > 0 && queued_frames_ >= faults_.queue_frames) {
-    if (frame.pkt_id == 0) {
-      frame.pkt_id = PacketJourney::Get().Mint();
-      if (frame.pkt_id != 0) {
-        PacketJourney::Get().Hop(frame.pkt_id, TraceLayer::kWire, "wire/inject", sim_->Now(),
-                                 frame.size());
-      }
-    }
+    MintInjected(&frame, sim_->Now());
     frames_shaper_dropped_++;
-    DropLedger::Get().Record(frame.pkt_id, TraceLayer::kWire, DropReason::kWireShaperDrop,
-                             sim_->Now(), "wire");
+    obs_->drops.Record(frame.pkt_id, TraceLayer::kWire, DropReason::kWireShaperDrop, sim_->Now(),
+                       wire_node_.id());
     if (tracer_ != nullptr && tracer_->enabled()) {
       tracer_->Instant(sim_, "wire/shaper-drop", TraceLayer::kWire);
     }
@@ -175,17 +178,8 @@ void EthernetSegment::Transmit(Nic* src, Frame frame, std::function<void()> done
     sim_->Schedule(end, [this] { queued_frames_--; });
   }
   frames_carried_++;
-  // Frames injected straight onto the wire (tests, raw tools) have no id
-  // yet; mint here so every frame the segment carries is traceable.
-  if (frame.pkt_id == 0) {
-    frame.pkt_id = PacketJourney::Get().Mint();
-    if (frame.pkt_id != 0) {
-      static const uint32_t kInjectNode = PacketJourney::Get().Intern("wire/inject");
-      PacketJourney::Get().Hop(frame.pkt_id, TraceLayer::kWire, kInjectNode, start, frame.size());
-    }
-  }
-  static const uint32_t kTransmitNode = PacketJourney::Get().Intern("wire/transmit");
-  PacketJourney::Get().Hop(frame.pkt_id, TraceLayer::kWire, kTransmitNode, start);
+  MintInjected(&frame, start);
+  obs_->journey.Hop(frame.pkt_id, TraceLayer::kWire, transmit_node_.id(), start);
   if (tracer_ != nullptr && tracer_->enabled()) {
     tracer_->Emit(sim_, "wire/transmit", TraceLayer::kWire, /*stage=*/-1, start, end - start);
   }
@@ -197,8 +191,8 @@ void EthernetSegment::Transmit(Nic* src, Frame frame, std::function<void()> done
     corrupted = CorruptFrame(&frame);
     if (corrupted) {
       frames_corrupted_++;
-      DropLedger::Get().Record(frame.pkt_id, TraceLayer::kWire, DropReason::kWireCorrupt, start,
-                               "wire");
+      obs_->drops.Record(frame.pkt_id, TraceLayer::kWire, DropReason::kWireCorrupt, start,
+                         wire_node_.id());
       if (tracer_ != nullptr && tracer_->enabled()) {
         tracer_->Instant(sim_, "wire/corrupt", TraceLayer::kWire);
       }
@@ -210,8 +204,8 @@ void EthernetSegment::Transmit(Nic* src, Frame frame, std::function<void()> done
 
   if (LossDecision()) {
     frames_dropped_++;
-    DropLedger::Get().Record(frame.pkt_id, TraceLayer::kWire, DropReason::kWireFault, end,
-                             "wire");
+    obs_->drops.Record(frame.pkt_id, TraceLayer::kWire, DropReason::kWireFault, end,
+                       wire_node_.id());
     if (tracer_ != nullptr && tracer_->enabled()) {
       tracer_->Instant(sim_, "wire/drop", TraceLayer::kWire);
     }
@@ -225,8 +219,8 @@ void EthernetSegment::Transmit(Nic* src, Frame frame, std::function<void()> done
   if (faults_.delay_rate > 0 && delay_rng_.Chance(faults_.delay_rate)) {
     deliver_at += faults_.extra_delay;
     // Not a drop: the frame still arrives, just late (reordered).
-    DropLedger::Get().Record(frame.pkt_id, TraceLayer::kWire, DropReason::kWireDelay, deliver_at,
-                             "wire");
+    obs_->drops.Record(frame.pkt_id, TraceLayer::kWire, DropReason::kWireDelay, deliver_at,
+                       wire_node_.id());
     if (tracer_ != nullptr && tracer_->enabled()) {
       tracer_->Instant(sim_, "wire/delay", TraceLayer::kWire);
     }
@@ -238,8 +232,8 @@ void EthernetSegment::Transmit(Nic* src, Frame frame, std::function<void()> done
     int slots = static_cast<int>(reorder_rng_.Range(1, window));
     deliver_at += static_cast<SimDuration>(slots) * wire_time;
     frames_reordered_++;
-    DropLedger::Get().Record(frame.pkt_id, TraceLayer::kWire, DropReason::kWireReorder,
-                             deliver_at, "wire");
+    obs_->drops.Record(frame.pkt_id, TraceLayer::kWire, DropReason::kWireReorder, deliver_at,
+                       wire_node_.id());
     if (tracer_ != nullptr && tracer_->enabled()) {
       tracer_->Instant(sim_, "wire/reorder", TraceLayer::kWire);
     }
@@ -257,17 +251,17 @@ void EthernetSegment::Transmit(Nic* src, Frame frame, std::function<void()> done
   if (dup_this) {
     // The duplicate is its own packet: new id, aux links back to the
     // original so `psdobs walk` can show the clone relationship.
-    dup.pkt_id = PacketJourney::Get().Mint();
+    dup.pkt_id = obs_->journey.Mint();
     if (dup.pkt_id != 0) {
-      PacketJourney::Get().Hop(dup.pkt_id, TraceLayer::kWire, "wire/dup", deliver_at, parent);
+      obs_->journey.Hop(dup.pkt_id, TraceLayer::kWire, dup_node_.id(), deliver_at, parent);
     }
-    DropLedger::Get().Record(dup.pkt_id, TraceLayer::kWire, DropReason::kWireDup, deliver_at,
-                             "wire");
+    obs_->drops.Record(dup.pkt_id, TraceLayer::kWire, DropReason::kWireDup, deliver_at,
+                       wire_node_.id());
     if (corrupted) {
       // The clone carries the parent's flipped bits; ledger it too so the
       // corrupted-id set stays complete for reconciliation.
-      DropLedger::Get().Record(dup.pkt_id, TraceLayer::kWire, DropReason::kWireCorrupt,
-                               deliver_at, "wire");
+      obs_->drops.Record(dup.pkt_id, TraceLayer::kWire, DropReason::kWireCorrupt, deliver_at,
+                         wire_node_.id());
     }
     if (tracer_ != nullptr && tracer_->enabled()) {
       tracer_->Instant(sim_, "wire/dup", TraceLayer::kWire);
@@ -335,8 +329,8 @@ void EthernetSegment::Deliver(Nic* src, Frame frame, SimTime at) {
         // bystander NIC that would have MAC-filtered it anyway) is not this
         // packet's fate.
         if (dst == nic->mac()) {
-          DropLedger::Get().Record(frame.pkt_id, TraceLayer::kWire, DropReason::kWirePartition,
-                                   at, "wire");
+          obs_->drops.Record(frame.pkt_id, TraceLayer::kWire, DropReason::kWirePartition, at,
+                             wire_node_.id());
           if (tracer_ != nullptr && tracer_->enabled()) {
             tracer_->Instant(sim_, "wire/partition", TraceLayer::kWire);
           }
@@ -387,13 +381,13 @@ void Nic::DeliverFromWire(Frame frame) {
   }
   if (rx_ring_.full()) {
     rx_dropped_++;
-    DropLedger::Get().Record(frame.pkt_id, TraceLayer::kWire, DropReason::kNicRingOverflow,
-                             sim_->Now(), name_);
+    obs_->drops.Record(frame.pkt_id, TraceLayer::kWire, DropReason::kNicRingOverflow,
+                       sim_->Now(), node_.id());
     PSD_LOG(kDebug) << name_ << ": rx ring overflow, frame dropped";
     return;
   }
   rx_frames_++;
-  PacketJourney::Get().Hop(frame.pkt_id, TraceLayer::kWire, node_.id(), sim_->Now());
+  obs_->journey.Hop(frame.pkt_id, TraceLayer::kWire, node_.id(), sim_->Now());
   bool was_empty = rx_ring_.empty();
   rx_ring_.Push(std::move(frame));
   if (was_empty && rx_notify_) {

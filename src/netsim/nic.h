@@ -24,7 +24,7 @@
 #include "src/netsim/ether.h"
 #include "src/netsim/frame_ring.h"
 #include "src/netsim/segment.h"
-#include "src/obs/journey.h"
+#include "src/obs/observatory.h"
 #include "src/sim/simulator.h"
 
 namespace psd {
@@ -45,11 +45,12 @@ struct NicParams {
 
 class Nic {
  public:
-  Nic(Simulator* sim, HostCpu* cpu, std::string name, NicParams params)
+  Nic(Simulator* sim, Observatory* obs, HostCpu* cpu, std::string name, NicParams params)
       : sim_(sim),
+        obs_(obs),
         cpu_(cpu),
         name_(std::move(name)),
-        node_(name_),
+        node_(&obs->journey, name_),
         params_(params),
         rx_ring_(params.rx_ring_frames) {}
 
@@ -92,6 +93,7 @@ class Nic {
 
  private:
   Simulator* sim_;
+  Observatory* obs_;
   HostCpu* cpu_;
   std::string name_;
   JourneyNode node_;  // name_

@@ -15,6 +15,7 @@
 #include "src/base/rng.h"
 #include "src/base/time.h"
 #include "src/netsim/ether.h"
+#include "src/obs/observatory.h"
 #include "src/sim/simulator.h"
 
 namespace psd {
@@ -78,9 +79,19 @@ struct FaultPlan {
 
 class EthernetSegment {
  public:
-  EthernetSegment(Simulator* sim, WireParams params = {}) : sim_(sim), params_(params) {
+  // Records journeys and drops into `obs`, which the attached NICs share.
+  EthernetSegment(Simulator* sim, Observatory* obs, WireParams params = {})
+      : sim_(sim),
+        obs_(obs),
+        params_(params),
+        wire_node_(&obs->journey, "wire"),
+        inject_node_(&obs->journey, "wire/inject"),
+        transmit_node_(&obs->journey, "wire/transmit"),
+        dup_node_(&obs->journey, "wire/dup") {
     SetFaults(FaultPlan{});
   }
+
+  Observatory* obs() const { return obs_; }
 
   // Adds `nic` with the MAC it carries now (it must not change afterwards).
   // Several NICs may share a MAC; each gets its own copy of a frame.
@@ -157,9 +168,18 @@ class EthernetSegment {
   bool CorruptFrame(Frame* frame);
   bool LossDecision();
   bool PartitionBlocks(int src_idx, int dst_idx, SimTime at) const;
+  // Mints an id for a frame injected straight onto the wire (tests, raw
+  // tools) so every frame the segment carries is traceable.
+  void MintInjected(Frame* frame, SimTime at);
 
   Simulator* sim_;
+  Observatory* obs_;
   WireParams params_;
+  // Journey nodes: drop events, raw injection, transmission, dup clones.
+  JourneyNode wire_node_;
+  JourneyNode inject_node_;
+  JourneyNode transmit_node_;
+  JourneyNode dup_node_;
   FaultPlan faults_;
   Tracer* tracer_ = nullptr;
   PcapCapture* pcap_ = nullptr;

@@ -1,9 +1,10 @@
 #include "src/obs/journey.h"
 #include "src/base/json.h"
 
-#include <algorithm>
+#include <map>
 #include <sstream>
 
+#include "src/obs/observatory.h"
 #include "src/obs/stats.h"
 
 namespace psd {
@@ -66,13 +67,8 @@ const char* PktDispositionName(PktDisposition d) {
   return "?";
 }
 
-DropLedger& DropLedger::Get() {
-  static DropLedger* ledger = new DropLedger();
-  return *ledger;
-}
-
 void DropLedger::Record(uint64_t pkt, TraceLayer layer, DropReason reason, SimTime at,
-                        std::string node) {
+                        uint32_t node) {
   if (!enabled_ || reason == DropReason::kNone || reason == DropReason::kNumReasons) return;
   totals_[static_cast<size_t>(reason)]++;
   DropEvent ev;
@@ -81,11 +77,11 @@ void DropLedger::Record(uint64_t pkt, TraceLayer layer, DropReason reason, SimTi
   ev.reason = reason;
   ev.at = at;
   ev.node = node;
-  recent_.push_back(std::move(ev));
+  recent_.push_back(ev);
   while (recent_.size() > ring_capacity_) recent_.pop_front();
   // A real drop is the packet's terminal; dup/delay events leave it alive.
   if (pkt != 0 && IsDropReason(reason)) {
-    PacketJourney::Get().Dropped(pkt, layer, reason, node, at);
+    journey_->Dropped(pkt, layer, reason, node, at);
   }
 }
 
@@ -110,11 +106,6 @@ void DropLedger::Reset() {
   recent_.clear();
   enabled_ = true;
   ring_capacity_ = kDefaultRingCapacity;
-}
-
-PacketJourney& PacketJourney::Get() {
-  static PacketJourney* journey = new PacketJourney();
-  return *journey;
 }
 
 uint64_t PacketJourney::Mint() {
@@ -195,8 +186,8 @@ void PacketJourney::Reset() {
 // ---------------------------------------------------------------------------
 // pktwalk rendering.
 
-std::string TerminalString(uint64_t pkt) {
-  const PacketJourney& j = PacketJourney::Get();
+std::string TerminalString(const Observatory& obs, uint64_t pkt) {
+  const PacketJourney& j = obs.journey;
   switch (j.DispositionOf(pkt)) {
     case PktDisposition::kDelivered: return "delivered";
     case PktDisposition::kConsumed: return "consumed";
@@ -209,27 +200,25 @@ std::string TerminalString(uint64_t pkt) {
 
 namespace {
 
-// Packet ids present in the hop ring, ascending, filtered.
-std::vector<uint64_t> SelectPackets(const PktwalkFilter& f) {
-  const PacketJourney& j = PacketJourney::Get();
-  std::vector<uint64_t> ids;
-  for (const auto& ev : j.hops()) ids.push_back(ev.pkt);
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  std::vector<uint64_t> out;
-  for (uint64_t id : ids) {
-    if (f.pkt != 0 && id != f.pkt) continue;
-    if (f.lost_only && j.DispositionOf(id) != PktDisposition::kDropped &&
-        j.HasTerminal(id)) {
+// The hops of every selected packet in the ring, grouped by packet id
+// (ascending), each group in ring order. One pass, so rendering stays
+// linear in the ring however many packets it holds.
+std::map<uint64_t, std::vector<const HopEvent*>> SelectJourneys(const PacketJourney& j,
+                                                                const PktwalkFilter& f) {
+  std::map<uint64_t, std::vector<const HopEvent*>> out;
+  for (const auto& ev : j.hops()) {
+    if (f.pkt != 0 && ev.pkt != f.pkt) continue;
+    if (f.lost_only && j.DispositionOf(ev.pkt) != PktDisposition::kDropped &&
+        j.HasTerminal(ev.pkt)) {
       continue;  // delivered / consumed packets are not "lost"
     }
-    out.push_back(id);
+    out[ev.pkt].push_back(&ev);
   }
   return out;
 }
 
-void AppendDropSections(std::ostringstream* os) {
-  const DropLedger& led = DropLedger::Get();
+void AppendDropSections(const Observatory& obs, std::ostringstream* os) {
+  const DropLedger& led = obs.drops;
   *os << "drop reasons:\n";
   bool any = false;
   for (size_t i = 1; i < static_cast<size_t>(DropReason::kNumReasons); ++i) {
@@ -244,15 +233,15 @@ void AppendDropSections(std::ostringstream* os) {
   for (const auto& ev : led.recent()) {
     *os << "  pkt " << ev.pkt << " @" << ev.at << " " << TraceLayerName(ev.layer) << " "
         << DropReasonName(ev.reason);
-    if (!ev.node.empty()) *os << " node=" << ev.node;
+    if (ev.node != 0) *os << " node=" << obs.journey.NodeName(ev.node);
     *os << "\n";
   }
 }
 
 }  // namespace
 
-std::string PktwalkText(const PktwalkFilter& f) {
-  const PacketJourney& j = PacketJourney::Get();
+std::string PktwalkText(const Observatory& obs, const PktwalkFilter& f) {
+  const PacketJourney& j = obs.journey;
   std::ostringstream os;
   if (!f.drops_only) {
     os << "packets: " << j.minted() << " minted, " << j.delivered() << " delivered, "
@@ -260,28 +249,28 @@ std::string PktwalkText(const PktwalkFilter& f) {
        << " in flight";
     if (j.conflicts() > 0) os << ", " << j.conflicts() << " terminal conflicts";
     os << "\n";
-    for (uint64_t id : SelectPackets(f)) {
-      os << "pkt " << id << ": " << TerminalString(id) << "\n";
-      for (const auto& ev : j.JourneyOf(id)) {
-        os << "  @" << ev.at << " " << TraceLayerName(ev.layer);
-        if (ev.node != 0) os << " " << j.NodeName(ev.node);
-        if (ev.disp != PktDisposition::kNone) {
-          os << " -> " << PktDispositionName(ev.disp);
-          if (ev.disp == PktDisposition::kDropped) os << "(" << DropReasonName(ev.reason) << ")";
-        } else if (ev.aux != 0) {
-          os << " aux=" << ev.aux;
+    for (const auto& [id, hops] : SelectJourneys(j, f)) {
+      os << "pkt " << id << ": " << TerminalString(obs, id) << "\n";
+      for (const HopEvent* ev : hops) {
+        os << "  @" << ev->at << " " << TraceLayerName(ev->layer);
+        if (ev->node != 0) os << " " << j.NodeName(ev->node);
+        if (ev->disp != PktDisposition::kNone) {
+          os << " -> " << PktDispositionName(ev->disp);
+          if (ev->disp == PktDisposition::kDropped) os << "(" << DropReasonName(ev->reason) << ")";
+        } else if (ev->aux != 0) {
+          os << " aux=" << ev->aux;
         }
         os << "\n";
       }
     }
   }
-  AppendDropSections(&os);
+  AppendDropSections(obs, &os);
   return os.str();
 }
 
-std::string PktwalkJson(const PktwalkFilter& f) {
-  const PacketJourney& j = PacketJourney::Get();
-  const DropLedger& led = DropLedger::Get();
+std::string PktwalkJson(const Observatory& obs, const PktwalkFilter& f) {
+  const PacketJourney& j = obs.journey;
+  const DropLedger& led = obs.drops;
   std::ostringstream os;
   os << "{\n";
   os << "  \"summary\": {\"minted\": " << j.minted() << ", \"delivered\": " << j.delivered()
@@ -300,24 +289,24 @@ std::string PktwalkJson(const PktwalkFilter& f) {
   os << "  \"packets\": [";
   bool first_pkt = true;
   if (!f.drops_only) {
-    for (uint64_t id : SelectPackets(f)) {
+    for (const auto& [id, hops] : SelectJourneys(j, f)) {
       if (!first_pkt) os << ",";
       first_pkt = false;
-      os << "\n    {\"pkt\": " << id << ", \"terminal\": \"" << TerminalString(id)
+      os << "\n    {\"pkt\": " << id << ", \"terminal\": \"" << TerminalString(obs, id)
          << "\", \"hops\": [";
       bool first_hop = true;
-      for (const auto& ev : j.JourneyOf(id)) {
+      for (const HopEvent* ev : hops) {
         if (!first_hop) os << ", ";
         first_hop = false;
-        os << "{\"at\": " << ev.at << ", \"layer\": \"" << TraceLayerName(ev.layer)
-           << "\", \"node\": \"" << JsonEscape(j.NodeName(ev.node)) << "\"";
-        if (ev.disp != PktDisposition::kNone) {
-          os << ", \"disp\": \"" << PktDispositionName(ev.disp) << "\"";
-          if (ev.disp == PktDisposition::kDropped) {
-            os << ", \"reason\": \"" << DropReasonName(ev.reason) << "\"";
+        os << "{\"at\": " << ev->at << ", \"layer\": \"" << TraceLayerName(ev->layer)
+           << "\", \"node\": \"" << JsonEscape(j.NodeName(ev->node)) << "\"";
+        if (ev->disp != PktDisposition::kNone) {
+          os << ", \"disp\": \"" << PktDispositionName(ev->disp) << "\"";
+          if (ev->disp == PktDisposition::kDropped) {
+            os << ", \"reason\": \"" << DropReasonName(ev->reason) << "\"";
           }
         }
-        if (ev.aux != 0) os << ", \"aux\": " << ev.aux;
+        if (ev->aux != 0) os << ", \"aux\": " << ev->aux;
         os << "}";
       }
       os << "]}";

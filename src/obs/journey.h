@@ -5,35 +5,33 @@
 // -> IPC/SHM delivery -> ether/ip/tcp/udp -> sockbuf, so tracer spans, pcap
 // records and counters all correlate on one key.
 //
-// Two recorders, both process-wide singletons (the layers that drop packets
-// do not share an obs handle, exactly like StatsRegistry's gauges):
+// Two recorders, both owned by the run's Observatory (src/obs/observatory.h),
+// which the World owns; components reach it through the host, segment or
+// StackEnv handle they already hold:
 //
 //  * DropLedger    — one DropReason taxonomy for every drop site in
 //                    netsim/kern/filter/ipc/inet/sock/core. Exact per-reason
-//                    totals (registerable as StatsRegistry gauges) plus a
-//                    bounded ring of recent drop events. Tests assert each
-//                    legacy drop counter equals the sum of its ledger
-//                    reasons, so the taxonomy cannot drift.
+//                    totals (registerable as StatsRegistry gauges, which
+//                    point into the World) plus a bounded ring of recent
+//                    drop events. Tests assert each legacy drop counter
+//                    equals the sum of its ledger reasons, so the taxonomy
+//                    cannot drift.
 //  * PacketJourney — per-packet hop records (layer, node, virtual timestamp,
 //                    disposition) in a bounded ring, plus one terminal
 //                    disposition per packet id. The conservation law: every
 //                    minted id ends in exactly one of delivered / consumed /
 //                    dropped(reason), or is still in flight at exit.
 //
-// Recording a hop copies no string. A component holds a JourneyNode per
-// node name it records under, which interns the name once (Intern), and
-// hops carry the 32-bit id; only the pktwalk renderers resolve it back
-// (NodeName). Interned ids survive Reset(): they name components, which
-// outlive runs. Terminals live in a dense vector indexed by packet id - 1
-// (ids are minted in order), so first-terminal-wins holds exactly for
-// every id ever minted.
+// Recording a hop or a drop copies no string. A component holds a
+// JourneyNode per node name it records under, which interns the name into
+// its run's journey on first use, and hops and drop events carry the
+// 32-bit id; only the pktwalk renderers resolve it back (NodeName).
+// Terminals live in a dense vector indexed by packet id - 1 (ids are minted
+// in order), so first-terminal-wins holds exactly for every id ever minted.
 //
 // Recording charges no simulated cost — Table 2/3/4 outputs are
 // byte-identical with the recorder running (asserted in tests). Both
 // recorders have a runtime kill switch (set_enabled).
-//
-// Reset contract: both singletons accumulate across Worlds in one process.
-// Tests and tools that reason about one run must Reset() before it starts.
 #ifndef PSD_SRC_OBS_JOURNEY_H_
 #define PSD_SRC_OBS_JOURNEY_H_
 
@@ -123,19 +121,26 @@ struct DropEvent {
   TraceLayer layer = TraceLayer::kWire;
   DropReason reason = DropReason::kNone;
   SimTime at = 0;
-  std::string node;
+  uint32_t node = 0;  // interned in the run's PacketJourney; 0 = none
 };
+
+class PacketJourney;
 
 class DropLedger {
  public:
+  // Drops become terminals in `journey`, which also names event nodes.
+  explicit DropLedger(PacketJourney* journey) : journey_(journey) {}
+
+  // The perfbench shim (src/obs/observatory.h): the calling thread's
+  // innermost live World's ledger.
   static DropLedger& Get();
 
-  // Records a whole-frame drop: bumps the per-reason total, appends to the
-  // recent-events ring, and (for pkt != 0) sets the packet's terminal
-  // disposition in PacketJourney. For the kWireDup/kWireDelay event reasons
-  // no terminal is recorded — the frame lives on.
+  // Records a whole-frame drop at node id `node`: bumps the per-reason
+  // total, appends to the recent-events ring, and (for pkt != 0) sets the
+  // packet's terminal disposition in the journey. For the kWire* event
+  // reasons no terminal is recorded — the frame lives on.
   void Record(uint64_t pkt, TraceLayer layer, DropReason reason, SimTime at = 0,
-              std::string node = {});
+              uint32_t node = 0);
 
   uint64_t total(DropReason r) const { return totals_[static_cast<size_t>(r)]; }
   // Sum over real drop reasons (excludes dup/delay events).
@@ -150,12 +155,13 @@ class DropLedger {
   void set_ring_capacity(size_t n) { ring_capacity_ = n; }
 
   // Returns the ledger to its constructed state: zero totals, empty ring,
-  // enabled, default ring capacity.
+  // enabled, default ring capacity. Only the perfbench shim needs it.
   void Reset();
 
   static constexpr size_t kDefaultRingCapacity = 1024;
 
  private:
+  PacketJourney* journey_;
   bool enabled_ = true;
   size_t ring_capacity_ = kDefaultRingCapacity;
   uint64_t totals_[static_cast<size_t>(DropReason::kNumReasons)] = {};
@@ -174,13 +180,15 @@ struct HopEvent {
 
 class PacketJourney {
  public:
+  // The perfbench shim (src/obs/observatory.h).
   static PacketJourney& Get();
 
   // Mints the next packet id (never 0).
   uint64_t Mint();
 
   // The id of node name `name`: the same name always gives the same id, and
-  // ids stay valid across Reset(). "" is id 0.
+  // ids stay valid across Reset(). "" is id 0. Cold: components intern
+  // through a JourneyNode.
   uint32_t Intern(std::string_view name);
   const std::string& NodeName(uint32_t id) const { return names_[id]; }
 
@@ -203,22 +211,6 @@ class PacketJourney {
   // end of Stack::InputFrame — pure ACKs, ARP, ICMP, window updates).
   void ConsumeIfOpen(uint64_t pkt, TraceLayer layer, uint32_t node, SimTime at) {
     if (!HasTerminal(pkt)) Consume(pkt, layer, node, at);
-  }
-
-  // By-name forms for cold paths (drop sites, tests): intern, then record.
-  void Hop(uint64_t pkt, TraceLayer layer, std::string_view node, SimTime at,
-           uint64_t aux = 0) {
-    Hop(pkt, layer, Intern(node), at, aux);
-  }
-  void Deliver(uint64_t pkt, TraceLayer layer, std::string_view node, SimTime at) {
-    Deliver(pkt, layer, Intern(node), at);
-  }
-  void Dropped(uint64_t pkt, TraceLayer layer, DropReason reason, std::string_view node,
-               SimTime at) {
-    Dropped(pkt, layer, reason, Intern(node), at);
-  }
-  void ConsumeIfOpen(uint64_t pkt, TraceLayer layer, std::string_view node, SimTime at) {
-    ConsumeIfOpen(pkt, layer, Intern(node), at);
   }
 
   bool HasTerminal(uint64_t pkt) const { return DispositionOf(pkt) != PktDisposition::kNone; }
@@ -246,7 +238,7 @@ class PacketJourney {
 
   // Returns the recorder to its constructed state: ids restart at 1, no
   // hops or terminals, enabled, default hop capacity. Interned node names
-  // are kept.
+  // are kept. Only the perfbench shim needs it.
   void Reset();
 
   static constexpr size_t kDefaultHopCapacity = 1 << 16;
@@ -275,28 +267,31 @@ class PacketJourney {
   std::unordered_map<std::string, uint32_t> name_ids_;
 };
 
-// A component's journey node name, interned on first use and cached. Hot
-// paths pass id(); building the component costs no table lookup (a C10K
-// world builds ~5,000 node names per run, and a lookup there is a few cache
-// misses).
+// A component's journey node name, interned into its run's journey on
+// first use and cached. Hot paths pass id(); building the component costs
+// no table lookup (a C10K world builds ~5,000 node names per run, and a
+// lookup there is a few cache misses).
 class JourneyNode {
  public:
-  JourneyNode() = default;
-  explicit JourneyNode(std::string name) : name_(std::move(name)) {}
+  JourneyNode(PacketJourney* journey, std::string name)
+      : journey_(journey), name_(std::move(name)) {}
 
   uint32_t id() {
-    if (id_ == 0) id_ = PacketJourney::Get().Intern(name_);
+    if (id_ == 0) id_ = journey_->Intern(name_);
     return id_;
   }
 
  private:
+  PacketJourney* journey_;
   std::string name_;
   uint32_t id_ = 0;
 };
 
 // ---------------------------------------------------------------------------
-// pktwalk rendering (shared by `psdobs walk`, torture and the golden tests). Reads
-// the singletons; deterministic for a deterministic run.
+// pktwalk rendering (shared by `psdobs walk`, torture and the golden tests).
+// Reads one run's recorders; deterministic for a deterministic run.
+
+struct Observatory;
 
 struct PktwalkFilter {
   uint64_t pkt = 0;        // nonzero: only this packet
@@ -306,10 +301,10 @@ struct PktwalkFilter {
 
 // Terminal disposition string: "delivered", "consumed", "dropped(<reason>)",
 // or "in-flight-at-exit".
-std::string TerminalString(uint64_t pkt);
+std::string TerminalString(const Observatory& obs, uint64_t pkt);
 
-std::string PktwalkText(const PktwalkFilter& f);
-std::string PktwalkJson(const PktwalkFilter& f);
+std::string PktwalkText(const Observatory& obs, const PktwalkFilter& f);
+std::string PktwalkJson(const Observatory& obs, const PktwalkFilter& f);
 
 }  // namespace psd
 

@@ -39,15 +39,11 @@ const char* MigrationPhaseName(MigrationPhase p) {
   return "?";
 }
 
-MetastateLedger& MetastateLedger::Get() {
-  static MetastateLedger ledger;
-  return ledger;
-}
-
-void MetastateLedger::ExportStats(StatsRegistry* reg, const std::string& prefix) const {
+void MetastateLedger::ExportStats(StatsRegistry* reg, const std::string& prefix,
+                                  const Totals& since) const {
   for (size_t i = 0; i < static_cast<size_t>(MetaEvent::kNumEvents); i++) {
     reg->RegisterGauge(prefix + MetaEventName(static_cast<MetaEvent>(i)),
-                       [this, i] { return totals_[i]; });
+                       [this, i, base = since[i]] { return totals_[i] - base; });
   }
   for (size_t i = 0; i < static_cast<size_t>(MigrationPhase::kNumPhases); i++) {
     reg->RegisterGauge(
@@ -57,9 +53,7 @@ void MetastateLedger::ExportStats(StatsRegistry* reg, const std::string& prefix)
 }
 
 void MetastateLedger::Reset() {
-  for (auto& t : totals_) {
-    t = 0;
-  }
+  totals_ = {};
   for (auto& h : phases_) {
     h.Reset();
   }

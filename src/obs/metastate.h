@@ -6,8 +6,8 @@
 // session-migration handover protocol that moves a connection between the
 // server and an application-linked library. Every touch of that shared
 // metastate is a coordination cost the in-kernel placement never pays — so
-// the ledger gives each touch a named event with an exact process-wide
-// total, and breaks migration into tracer-spanned phases with a per-phase
+// the ledger gives each touch a named event with an exact per-run total,
+// and breaks migration into tracer-spanned phases with a per-phase
 // virtual-time histogram:
 //
 //   freeze    — detach the pcb from its socket, suppress the tuple
@@ -19,16 +19,17 @@
 //               suppressed rather than RST'd during the handover window
 //   resume    — adopt the pcb into the destination stack and kick it
 //
-// Process-wide singleton like DropLedger (port allocators, ARP caches and
-// route tables do not share an obs handle). Recording charges no simulated
-// cost — Table 2/3 outputs are byte-identical with the ledger running.
-// Runtime kill switch via set_enabled.
-//
-// Reset contract: accumulates across Worlds in one process. Tests and tools
-// that reason about one run must Reset() before it starts.
+// One ledger per run, in the World's Observatory (src/obs/observatory.h),
+// like DropLedger: port allocators and route tables reach it through their
+// Stack, the ARP layer through its StackEnv, the kernel and servers through
+// their host. Its totals cover every host of the World, construction
+// included, and its gauges point into the World. Recording charges no
+// simulated cost — Table 2/3 outputs are byte-identical with the ledger
+// running. Runtime kill switch via set_enabled.
 #ifndef PSD_SRC_OBS_METASTATE_H_
 #define PSD_SRC_OBS_METASTATE_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 
@@ -82,6 +83,9 @@ const char* MigrationPhaseName(MigrationPhase p);
 
 class MetastateLedger {
  public:
+  using Totals = std::array<uint64_t, static_cast<size_t>(MetaEvent::kNumEvents)>;
+
+  // The perfbench shim (src/obs/observatory.h).
   static MetastateLedger& Get();
 
   void Count(MetaEvent e, uint64_t n = 1) {
@@ -90,6 +94,7 @@ class MetastateLedger {
     }
   }
   uint64_t total(MetaEvent e) const { return totals_[static_cast<size_t>(e)]; }
+  const Totals& totals() const { return totals_; }
 
   void RecordPhase(MigrationPhase p, SimDuration d) {
     if (enabled_) {
@@ -100,18 +105,21 @@ class MetastateLedger {
     return phases_[static_cast<size_t>(p)];
   }
 
-  // Registers "<prefix><event-name>" per event plus
+  // Registers "<prefix><event-name>" per event, counting from `since` (a
+  // totals() taken earlier in the run), plus
   // "<prefix>migration.<phase>.count" per phase.
-  void ExportStats(StatsRegistry* reg, const std::string& prefix) const;
+  void ExportStats(StatsRegistry* reg, const std::string& prefix,
+                   const Totals& since = {}) const;
 
   void set_enabled(bool on) { enabled_ = on; }
   bool enabled() const { return enabled_; }
 
+  // Only the perfbench shim needs it.
   void Reset();
 
  private:
   bool enabled_ = true;
-  uint64_t totals_[static_cast<size_t>(MetaEvent::kNumEvents)] = {};
+  Totals totals_ = {};
   LatencyHistogram phases_[static_cast<size_t>(MigrationPhase::kNumPhases)];
 };
 

@@ -58,11 +58,13 @@ class StatsRegistry {
 
   // Drops every registered gauge. Semantics for back-to-back runs in one
   // process: gauges capture pointers into components that die with their
-  // World, so a registry that outlives a World MUST be Reset before that
-  // World is destroyed (or before the next Snapshot) — a stale gauge would
-  // read freed memory. After Reset the registry is empty; the next run
-  // re-registers via World::ExportStats and Snapshot sees only live
-  // counters, never carry-over from a previous run.
+  // World (the drop and metastate ledgers' gauges too, since those
+  // recorders live in the World's Observatory), so a registry that
+  // outlives a World MUST be Reset before that World is destroyed (or
+  // before the next Snapshot) — a stale gauge would read freed memory.
+  // After Reset the registry is empty; the next run re-registers via
+  // World::ExportStats and Snapshot sees only live counters, never
+  // carry-over from a previous run.
   void Reset() {
     gauges_.clear();
     names_.clear();

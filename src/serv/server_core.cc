@@ -32,6 +32,7 @@ ServerCore::ServerCore(SimHost* host, const std::string& tag, const std::string&
       rpc_(slots) {
   StackParams params;
   params.sim = host->sim();
+  params.obs = host->obs();
   params.cpu = host->cpu();
   params.prof = host->prof();
   params.placement = Placement::kServer;

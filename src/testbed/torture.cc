@@ -272,10 +272,8 @@ TortureResult RunTorture(Config config, const TortureSpec& spec, uint64_t seed,
     w.AttachWirePcap(wire_pcap);
   }
 
-  PacketJourney& pj = PacketJourney::Get();
-  DropLedger& dl = DropLedger::Get();
-  pj.Reset();
-  dl.Reset();
+  PacketJourney& pj = w.obs().journey;
+  DropLedger& dl = w.obs().drops;
   pj.set_hop_capacity(1 << 20);
   dl.set_ring_capacity(1 << 20);
 
@@ -739,10 +737,11 @@ TortureResult RunTorture(Config config, const TortureSpec& spec, uint64_t seed,
     // The packets that never finished their journey are the stall story.
     PktwalkFilter pf;
     pf.lost_only = true;
-    rep << "--- pktwalk (lost packets) ---\n" << PktwalkText(pf);
+    rep << "--- pktwalk (lost packets) ---\n" << PktwalkText(w.obs(), pf);
   }
   rep << "result: " << (result.passed ? "PASS" : "FAIL") << "\n";
   result.report = rep.str();
+  result.pktwalk = PktwalkText(w.obs(), PktwalkFilter{});
   return result;
 }
 

@@ -82,6 +82,7 @@ struct TortureResult {
   bool stalled = false;
   std::vector<std::string> failures;  // empty iff passed
   std::string report;                 // deterministic human-readable text
+  std::string pktwalk;                // every packet's journey (PktwalkText)
 };
 
 // The built-in scenario registry (clean, loss, burst-loss, corrupt, ...).
@@ -89,11 +90,11 @@ const std::vector<TortureSpec>& TortureScenarios();
 // nullptr when no scenario has that name.
 const TortureSpec* FindTortureScenario(const std::string& name);
 
-// Runs one scenario on one placement under one seed. Resets the process-wide
-// PacketJourney/DropLedger singletons (and leaves the run's records in them,
-// so a caller can render pktwalk afterwards). `wire_pcap`, when non-null, is
-// attached to the wire for the whole run (for failure artifacts); taps charge
-// no simulated cost, so attaching one cannot change the outcome.
+// Runs one scenario on one placement under one seed in a World of its own,
+// and renders the run's pktwalk before that World dies.
+// `wire_pcap`, when non-null, is attached to the wire for the whole run (for
+// failure artifacts); taps charge no simulated cost, so attaching one cannot
+// change the outcome.
 TortureResult RunTorture(Config config, const TortureSpec& spec, uint64_t seed,
                          PcapCapture* wire_pcap = nullptr);
 

@@ -43,8 +43,9 @@ World::World(Config config, const MachineProfile& profile, int hosts, bool pio_n
              int placement_hosts)
     : config_(config),
       profile_(profile),
-      wire_(&sim_, WireParams{profile.wire_per_byte, profile.wire_latency,
-                              profile.wire_min_frame, 4}) {
+      wire_(&sim_, &obs_,
+            WireParams{profile.wire_per_byte, profile.wire_latency, profile.wire_min_frame, 4}) {
+  EnterObservatory(&obs_);
   for (int i = 0; i < hosts; i++) {
     auto node = std::make_unique<Node>();
     std::string name = "h" + std::to_string(i);
@@ -82,6 +83,7 @@ World::World(Config config, const MachineProfile& profile, int hosts, bool pio_n
 }
 
 World::~World() {
+  LeaveObservatory(&obs_);
   for (SimThread* t : app_threads_) {
     if (!t->finished()) {
       sim_.KillThread(t);

@@ -12,6 +12,7 @@
 
 #include "src/api/kernel_node.h"
 #include "src/core/library_node.h"
+#include "src/obs/observatory.h"
 #include "src/serv/ux_server.h"
 
 namespace psd {
@@ -50,6 +51,9 @@ class World {
 
   Simulator& sim() { return sim_; }
   EthernetSegment& wire() { return wire_; }
+  // This run's recorders: packet journeys, drop ledger, metastate ledger.
+  // They start empty and die with the World; read them before it does.
+  Observatory& obs() { return obs_; }
   const MachineProfile& profile() const { return profile_; }
   Config config() const { return config_; }
 
@@ -139,6 +143,8 @@ class World {
 
   Config config_;
   MachineProfile profile_;
+  // Before sim_: ~Simulator unwinds fibers that still record into it.
+  Observatory obs_;
   Simulator sim_;
   EthernetSegment wire_;
   std::vector<std::unique_ptr<Node>> nodes_;

@@ -17,7 +17,6 @@ namespace {
 // live-reacquired keeps its byte stream intact; the ledger sees the second
 // server->app migration's phases and the client counts the reacquire RPC.
 TEST(Observatory, LiveMigrationRoundTripPreservesByteStream) {
-  MetastateLedger::Get().Reset();
   World w(Config::kLibraryShm, MachineProfile::DecStation5000());
   constexpr size_t kTotal = 48 * 1024;
   bool rx_ok = false;
@@ -86,10 +85,10 @@ TEST(Observatory, LiveMigrationRoundTripPreservesByteStream) {
   EXPECT_EQ(w.net_server(0)->migrations_out(), 2u);
   EXPECT_EQ(w.net_server(0)->migrations_in(), 2u);
 
-  // Process-wide: host 0's connect adopt + reacquire adopt and host 1's
+  // World-wide: host 0's connect adopt + reacquire adopt and host 1's
   // accept adopt leave a server (3 outs); host 0's mid-stream return and
   // close-time return re-adopt (2 ins).
-  MetastateLedger& meta = MetastateLedger::Get();
+  MetastateLedger& meta = w.obs().meta;
   EXPECT_EQ(meta.total(MetaEvent::kMigrationOut), 3u);
   EXPECT_EQ(meta.total(MetaEvent::kMigrationIn), 2u);
   // Both server->app migrations (connect adopt, reacquire adopt) ran the
@@ -113,7 +112,6 @@ TEST(Observatory, LiveMigrationRoundTripPreservesByteStream) {
   EXPECT_EQ(calls.count(static_cast<size_t>(
                 ProxyOpSlot(static_cast<uint32_t>(ProxyOp::kProxyReacquire)))),
             1u);
-  MetastateLedger::Get().Reset();
 }
 
 // The library's client-side counter and the OS server's per-worker

@@ -39,8 +39,6 @@ struct TcpOutcome {
 // One seeded TCP transfer under a lossy, delaying wire. Returns what the
 // receiving application observed.
 TcpOutcome RunLossyTcp(Config config, uint64_t seed) {
-  PacketJourney::Get().Reset();
-  DropLedger::Get().Reset();
   TcpOutcome out;
   {
     World w(config, MachineProfile::DecStation5000());
@@ -94,9 +92,9 @@ TcpOutcome RunLossyTcp(Config config, uint64_t seed) {
       api->Close(fd);
     });
     w.sim().Run(Seconds(300));
+    out.journey_conflicts = w.obs().journey.conflicts();
+    out.wire_in_flight = w.obs().journey.in_flight();
   }
-  out.journey_conflicts = PacketJourney::Get().conflicts();
-  out.wire_in_flight = PacketJourney::Get().in_flight();
   return out;
 }
 
@@ -132,8 +130,6 @@ TEST(PlacementEquivalence, CleanUdpSequenceIsIdenticalEverywhere) {
   std::vector<std::vector<uint8_t>> sequences;  // first byte of each datagram
 
   for (Config c : kAllConfigs) {
-    PacketJourney::Get().Reset();
-    DropLedger::Get().Reset();
     std::vector<uint8_t> seq_tags;
     int intact = 0;
     {

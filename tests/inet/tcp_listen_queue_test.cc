@@ -58,9 +58,7 @@ std::vector<uint8_t> BuildSegment(Ipv4Addr src, Ipv4Addr dst, uint16_t sport, ui
 
 class ListenQueueTest : public ::testing::Test {
  protected:
-  ListenQueueTest() : w(Config::kInKernel, MachineProfile::DecStation5000()) {
-    DropLedger::Get().Reset();
-  }
+  ListenQueueTest() : w(Config::kInKernel, MachineProfile::DecStation5000()) {}
 
   TcpLayer* tcp(int i) { return &w.kernel_node(i)->stack()->tcp(); }
 
@@ -135,7 +133,7 @@ TEST_F(ListenQueueTest, EstablishTimerReleasesEmbryonicSlots) {
   // (taking it needs a fiber).
   EXPECT_EQ(listener->syn_backlog, 3);
   EXPECT_EQ(listener->embryonic, 3);
-  EXPECT_EQ(DropLedger::Get().total(DropReason::kTcpListenOverflow), 1u);
+  EXPECT_EQ(w.obs().drops.total(DropReason::kTcpListenOverflow), 1u);
 
   // The establishment timer (75 s) reaps all three half-open children and
   // must hand their SYN-half slots back.
@@ -181,7 +179,7 @@ TEST_F(ListenQueueTest, SynHalfBoundIsIndependentOfAcceptHalf) {
   EXPECT_EQ(listener->syn_backlog, 6);
   EXPECT_EQ(listener->embryonic, 6);  // 8 SYNs, 6 admitted
   EXPECT_TRUE(listener->accept_ready.empty());
-  EXPECT_EQ(DropLedger::Get().total(DropReason::kTcpListenOverflow), 2u);
+  EXPECT_EQ(w.obs().drops.total(DropReason::kTcpListenOverflow), 2u);
 }
 
 // Listen-path MSS: a peer that advertises an MSS gets it (clamped by the

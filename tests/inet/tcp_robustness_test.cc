@@ -163,7 +163,6 @@ TEST(TcpRobustness, ConnectTimesOutWhenPeerUnreachable) {
 }
 
 TEST(TcpRobustness, ListenBacklogLimitsPendingConnections) {
-  DropLedger::Get().Reset();
   World w(Config::kInKernel, MachineProfile::DecStation5000());
   int established = 0;
   w.SpawnApp(1, "listener", [&] {
@@ -193,7 +192,7 @@ TEST(TcpRobustness, ListenBacklogLimitsPendingConnections) {
   // that client's connect times out.
   EXPECT_EQ(established, 3);
   // Every refused SYN (including retransmits) is ledgered.
-  EXPECT_GE(DropLedger::Get().total(DropReason::kTcpListenOverflow), 1u);
+  EXPECT_GE(w.obs().drops.total(DropReason::kTcpListenOverflow), 1u);
   // The admitted children all completed their handshakes, so the listener
   // holds exactly syn_backlog accept-ready children and no embryonic ones.
   // The simulation is stopped, so no domain lock (that needs a fiber).

@@ -26,11 +26,12 @@ std::vector<uint8_t> MakeUdpFrame(Ipv4Addr src, Ipv4Addr dst, uint16_t sport, ui
 class KernelTest : public ::testing::Test {
  protected:
   KernelTest()
-      : wire(&sim),
+      : wire(&sim, &obs),
         a(&sim, "a", &prof, &wire, Ipv4Addr::FromOctets(10, 0, 0, 1), 1),
         b(&sim, "b", &prof, &wire, Ipv4Addr::FromOctets(10, 0, 0, 2), 2) {}
 
   MachineProfile prof = MachineProfile::DecStation5000();
+  Observatory obs;
   Simulator sim;
   EthernetSegment wire;
   SimHost a, b;

@@ -9,7 +9,7 @@
 
 #include "src/base/bytes.h"
 #include "src/netsim/nic.h"
-#include "src/obs/journey.h"
+#include "src/obs/observatory.h"
 
 namespace psd {
 namespace {
@@ -31,9 +31,9 @@ Frame MakeFrame(size_t payload = 64) {
 
 class FaultModelTest : public ::testing::Test {
  protected:
-  FaultModelTest() : wire(&sim) {
-    nic_a = std::make_unique<Nic>(&sim, &cpu_a, "a", NicParams::Lance(prof));
-    nic_b = std::make_unique<Nic>(&sim, &cpu_b, "b", NicParams::Lance(prof));
+  FaultModelTest() : wire(&sim, &obs) {
+    nic_a = std::make_unique<Nic>(&sim, &obs, &cpu_a, "a", NicParams::Lance(prof));
+    nic_b = std::make_unique<Nic>(&sim, &obs, &cpu_b, "b", NicParams::Lance(prof));
     nic_a->Attach(&wire, MacAddr::FromHostId(1));
     nic_b->Attach(&wire, MacAddr::FromHostId(2));
     // Drain rings on arrival so the 32-frame device buffer never overflows
@@ -48,8 +48,6 @@ class FaultModelTest : public ::testing::Test {
         nic_b->RxPop();
       }
     });
-    PacketJourney::Get().Reset();
-    DropLedger::Get().Reset();
   }
 
   // Transmits `n` frames from a, spaced far enough apart that the medium is
@@ -58,8 +56,8 @@ class FaultModelTest : public ::testing::Test {
     std::vector<uint64_t> ids;
     for (int i = 0; i < n; i++) {
       Frame f = MakeFrame();
-      f.pkt_id = PacketJourney::Get().Mint();
-      PacketJourney::Get().Hop(f.pkt_id, TraceLayer::kWire, "test/tx", sim.Now(), f.size());
+      f.pkt_id = obs.journey.Mint();
+      obs.journey.Hop(f.pkt_id, TraceLayer::kWire, tx_node.id(), sim.Now(), f.size());
       ids.push_back(f.pkt_id);
       sim.Schedule(static_cast<SimTime>(i) * spacing,
                    [this, f] { wire.Transmit(nic_a.get(), f); });
@@ -71,8 +69,8 @@ class FaultModelTest : public ::testing::Test {
   std::set<uint64_t> DroppedOf(const std::vector<uint64_t>& ids, DropReason why) {
     std::set<uint64_t> out;
     for (uint64_t id : ids) {
-      if (PacketJourney::Get().DispositionOf(id) == PktDisposition::kDropped &&
-          PacketJourney::Get().ReasonOf(id) == why) {
+      if (obs.journey.DispositionOf(id) == PktDisposition::kDropped &&
+          obs.journey.ReasonOf(id) == why) {
         out.insert(id);
       }
     }
@@ -80,6 +78,8 @@ class FaultModelTest : public ::testing::Test {
   }
 
   MachineProfile prof = MachineProfile::DecStation5000();
+  Observatory obs;
+  JourneyNode tx_node{&obs.journey, "test/tx"};
   Simulator sim;
   HostCpu cpu_a, cpu_b;
   EthernetSegment wire;
@@ -105,8 +105,6 @@ TEST_F(FaultModelTest, DupDoesNotPerturbLossDecisions) {
 
   // Same seed, same traffic, but now every carried frame also rolls a dup
   // die (and some frames dup, minting extra ids in between).
-  PacketJourney::Get().Reset();
-  DropLedger::Get().Reset();
   FaultPlan loss_and_dup = loss_only;
   loss_and_dup.dup_rate = 0.3;
   wire.SetFaults(loss_and_dup);
@@ -143,8 +141,6 @@ TEST_F(FaultModelTest, CorruptAndDelayDoNotPerturbLossDecisions) {
     }
   }
 
-  PacketJourney::Get().Reset();
-  DropLedger::Get().Reset();
   FaultPlan noisy = base;
   noisy.corrupt_rate = 0.2;
   noisy.delay_rate = 0.15;
@@ -177,7 +173,7 @@ TEST_F(FaultModelTest, GilbertElliottDropsInBursts) {
 
   int drops = 0, bursts = 0, longest = 0, run = 0;
   for (uint64_t id : ids) {
-    bool dropped = PacketJourney::Get().DispositionOf(id) == PktDisposition::kDropped;
+    bool dropped = obs.journey.DispositionOf(id) == PktDisposition::kDropped;
     if (dropped) {
       drops++;
       run++;
@@ -211,20 +207,20 @@ TEST_F(FaultModelTest, PartitionIsAsymmetricAndHeals) {
   wire.SetFaults(plan);
 
   Frame fwd1 = MakeFrame();
-  fwd1.pkt_id = PacketJourney::Get().Mint();
+  fwd1.pkt_id = obs.journey.Mint();
   Frame rev = MakeFrame();
   std::swap_ranges(rev.begin(), rev.begin() + 6, rev.begin() + 6);  // b -> a
-  rev.pkt_id = PacketJourney::Get().Mint();
+  rev.pkt_id = obs.journey.Mint();
   Frame fwd2 = MakeFrame();
-  fwd2.pkt_id = PacketJourney::Get().Mint();
+  fwd2.pkt_id = obs.journey.Mint();
 
   sim.Schedule(Millis(10), [&] { wire.Transmit(nic_a.get(), fwd1); });
   sim.Schedule(Millis(20), [&] { wire.Transmit(nic_b.get(), rev); });
   sim.Schedule(Millis(150), [&] { wire.Transmit(nic_a.get(), fwd2); });
   sim.Run(Seconds(1));
 
-  EXPECT_EQ(PacketJourney::Get().DispositionOf(fwd1.pkt_id), PktDisposition::kDropped);
-  EXPECT_EQ(PacketJourney::Get().ReasonOf(fwd1.pkt_id), DropReason::kWirePartition);
+  EXPECT_EQ(obs.journey.DispositionOf(fwd1.pkt_id), PktDisposition::kDropped);
+  EXPECT_EQ(obs.journey.ReasonOf(fwd1.pkt_id), DropReason::kWirePartition);
   EXPECT_EQ(nic_a->rx_frames(), 1u);  // the reverse frame got through
   EXPECT_EQ(nic_b->rx_frames(), 1u);  // only the post-heal forward frame
   EXPECT_EQ(wire.frames_partitioned(), 1u);
@@ -241,7 +237,7 @@ TEST_F(FaultModelTest, ShaperQueueTailDrops) {
   constexpr int kOffered = 12;
   for (int i = 0; i < kOffered; i++) {
     Frame f = MakeFrame(1000);
-    f.pkt_id = PacketJourney::Get().Mint();
+    f.pkt_id = obs.journey.Mint();
     // All at t=0: way past what a 2-frame backlog admits.
     sim.Schedule(0, [this, f] { wire.Transmit(nic_a.get(), f); });
   }
@@ -260,11 +256,11 @@ TEST_F(FaultModelTest, BandwidthScaleStretchesWireTime) {
   SimTime arrival_1x = 0, arrival_4x = 0;
 
   Frame f1 = MakeFrame(500);
-  f1.pkt_id = PacketJourney::Get().Mint();
+  f1.pkt_id = obs.journey.Mint();
   sim.Schedule(0, [&] { wire.Transmit(nic_a.get(), f1); });
   sim.Run(Seconds(1));
   ASSERT_EQ(nic_b->rx_frames(), 1u);
-  std::vector<HopEvent> rec = PacketJourney::Get().JourneyOf(f1.pkt_id);
+  std::vector<HopEvent> rec = obs.journey.JourneyOf(f1.pkt_id);
   ASSERT_FALSE(rec.empty());
   arrival_1x = rec.back().at;
 
@@ -272,11 +268,11 @@ TEST_F(FaultModelTest, BandwidthScaleStretchesWireTime) {
   plan.bandwidth_scale = 4.0;
   wire.SetFaults(plan);
   Frame f2 = MakeFrame(500);
-  f2.pkt_id = PacketJourney::Get().Mint();
+  f2.pkt_id = obs.journey.Mint();
   SimTime start = sim.Now();
   sim.Schedule(start, [&] { wire.Transmit(nic_a.get(), f2); });
   sim.Run(start + Seconds(1));
-  std::vector<HopEvent> rec2 = PacketJourney::Get().JourneyOf(f2.pkt_id);
+  std::vector<HopEvent> rec2 = obs.journey.JourneyOf(f2.pkt_id);
   ASSERT_FALSE(rec2.empty());
   arrival_4x = rec2.back().at;
 
@@ -303,14 +299,14 @@ TEST_F(FaultModelTest, CorruptionFlipsBitsInOneAlignedWord) {
   });
   for (int i = 0; i < kFrames; i++) {
     Frame f = pristine;
-    f.pkt_id = PacketJourney::Get().Mint();
+    f.pkt_id = obs.journey.Mint();
     sim.Schedule(static_cast<SimTime>(i) * Millis(2), [this, f] { wire.Transmit(nic_a.get(), f); });
   }
   sim.Run(Seconds(2));
 
   ASSERT_EQ(received.size(), static_cast<size_t>(kFrames));
   EXPECT_EQ(wire.frames_corrupted(), static_cast<uint64_t>(kFrames));
-  EXPECT_EQ(DropLedger::Get().total(DropReason::kWireCorrupt), static_cast<uint64_t>(kFrames));
+  EXPECT_EQ(obs.drops.total(DropReason::kWireCorrupt), static_cast<uint64_t>(kFrames));
   for (const Frame& f : received) {
     ASSERT_EQ(f.size(), pristine.size());
     // Ethernet header untouched.
@@ -355,7 +351,7 @@ TEST_F(FaultModelTest, CorruptionNeverTouchesTheUdpChecksumWord) {
   constexpr int kFrames = 200;
   for (int i = 0; i < kFrames; i++) {
     Frame f = pristine;
-    f.pkt_id = PacketJourney::Get().Mint();
+    f.pkt_id = obs.journey.Mint();
     sim.Schedule(static_cast<SimTime>(i) * Millis(2), [this, f] { wire.Transmit(nic_a.get(), f); });
   }
   sim.Run(Seconds(2));

@@ -10,7 +10,7 @@
 
 #include "src/base/bytes.h"
 #include "src/netsim/nic.h"
-#include "src/obs/journey.h"
+#include "src/obs/observatory.h"
 
 namespace psd {
 namespace {
@@ -26,13 +26,11 @@ struct Send {
 
 class MacIndexTest : public ::testing::Test {
  protected:
-  MacIndexTest() : wire(&sim) {
-    PacketJourney::Get().Reset();
-    DropLedger::Get().Reset();
+  MacIndexTest() : wire(&sim, &obs) {
     for (int i = 0; i < kNics; i++) {
       cpus.push_back(std::make_unique<HostCpu>());
-      nics.push_back(std::make_unique<Nic>(&sim, cpus.back().get(), "nic" + std::to_string(i),
-                                           NicParams::Lance(prof)));
+      nics.push_back(std::make_unique<Nic>(&sim, &obs, cpus.back().get(),
+                                           "nic" + std::to_string(i), NicParams::Lance(prof)));
       nics[i]->Attach(&wire, MacAddr::FromHostId(kMacIds[i]));
       nics[i]->SetRxNotify([this, i] {
         while (nics[i]->RxPending()) {
@@ -99,6 +97,7 @@ class MacIndexTest : public ::testing::Test {
     return out;
   }
 
+  Observatory obs;
   Simulator sim;
   MachineProfile prof = MachineProfile::DecStation5000();
   EthernetSegment wire;

@@ -1,8 +1,8 @@
 // Packet journeys and the unified drop-reason ledger (src/obs/journey.h):
 //  * taxonomy — stable unique kebab-case names, event pseudo-reasons are not
 //    drops;
-//  * recorder semantics — bounded rings, first-terminal-wins, Reset,
-//    interned node names;
+//  * recorder semantics — bounded rings, first-terminal-wins, interned
+//    node names, a fresh Observatory per World;
 //  * reconciliation — under 5% wire loss every legacy drop counter equals
 //    the sum of its ledger reasons, in every placement;
 //  * conservation — minted = delivered + consumed + dropped + in-flight,
@@ -19,18 +19,17 @@
 #include <vector>
 
 #include "bench/common/workloads.h"
-#include "src/obs/journey.h"
+#include "src/obs/observatory.h"
 #include "src/obs/stats.h"
 #include "src/testbed/world.h"
 
 namespace psd {
 namespace {
 
-void ResetJourney() {
-  DropLedger::Get().Reset();
-  PacketJourney::Get().Reset();
-  DropLedger::Get().set_ring_capacity(1 << 14);
-  PacketJourney::Get().set_hop_capacity(1 << 20);
+// Sizes a World's rings to hold every drop event and hop of a short run.
+void WidenRings(World& w) {
+  w.obs().drops.set_ring_capacity(1 << 14);
+  w.obs().journey.set_hop_capacity(1 << 20);
 }
 
 // Sums every counter whose dotted name ends with `suffix`.
@@ -71,94 +70,57 @@ TEST(DropTaxonomy, EventPseudoReasonsAreNotDrops) {
 }
 
 TEST(DropLedgerUnit, RecordBumpsTotalsAndSetsTerminal) {
-  ResetJourney();
-  PacketJourney& j = PacketJourney::Get();
-  DropLedger& led = DropLedger::Get();
+  Observatory obs;
+  PacketJourney& j = obs.journey;
+  DropLedger& led = obs.drops;
+  const uint32_t wire = j.Intern("wire");
 
   uint64_t pkt = j.Mint();
   ASSERT_NE(pkt, 0u);
-  led.Record(pkt, TraceLayer::kWire, DropReason::kWireFault, 100, "wire");
+  led.Record(pkt, TraceLayer::kWire, DropReason::kWireFault, 100, wire);
   EXPECT_EQ(led.total(DropReason::kWireFault), 1u);
   EXPECT_EQ(led.total_drops(), 1u);
   ASSERT_EQ(led.recent().size(), 1u);
   EXPECT_EQ(led.recent().front().pkt, pkt);
-  EXPECT_EQ(led.recent().front().node, "wire");
-  // The drop is the packet's terminal.
+  EXPECT_EQ(j.NodeName(led.recent().front().node), "wire");
+  // The drop is the packet's terminal, at the event's node.
   EXPECT_EQ(j.DispositionOf(pkt), PktDisposition::kDropped);
   EXPECT_EQ(j.ReasonOf(pkt), DropReason::kWireFault);
+  EXPECT_EQ(j.JourneyOf(pkt).back().node, wire);
   EXPECT_EQ(j.dropped(), 1u);
   EXPECT_EQ(j.in_flight(), 0u);
 
   // A dup/delay event is ledgered but leaves the packet alive.
   uint64_t live = j.Mint();
-  led.Record(live, TraceLayer::kWire, DropReason::kWireDup, 200, "wire");
+  led.Record(live, TraceLayer::kWire, DropReason::kWireDup, 200, wire);
   EXPECT_EQ(led.total(DropReason::kWireDup), 1u);
   EXPECT_EQ(led.total_drops(), 1u) << "dup is an event, not a drop";
-  EXPECT_FALSE(PacketJourney::Get().HasTerminal(live));
+  EXPECT_FALSE(j.HasTerminal(live));
   EXPECT_EQ(j.in_flight(), 1u);
 
   // Tx-side drops before mint carry pkt 0 and set no terminal.
-  led.Record(0, TraceLayer::kInet, DropReason::kIpNoRoute, 300, "h0/ns");
+  led.Record(0, TraceLayer::kInet, DropReason::kIpNoRoute, 300, j.Intern("h0/ns"));
   EXPECT_EQ(led.total(DropReason::kIpNoRoute), 1u);
   EXPECT_EQ(j.dropped(), 1u);
 }
 
 TEST(DropLedgerUnit, RecentRingIsBoundedButTotalsAreExact) {
-  ResetJourney();
-  DropLedger& led = DropLedger::Get();
+  Observatory obs;
+  DropLedger& led = obs.drops;
   led.set_ring_capacity(4);
   for (int i = 0; i < 10; i++) {
-    led.Record(0, TraceLayer::kKern, DropReason::kQueueOverflow, i, "q");
+    led.Record(0, TraceLayer::kKern, DropReason::kQueueOverflow, i);
   }
   EXPECT_EQ(led.recent().size(), 4u);
   EXPECT_EQ(led.recent().front().at, 6) << "ring keeps the most recent events";
   EXPECT_EQ(led.total(DropReason::kQueueOverflow), 10u);
-  led.Reset();
-  EXPECT_EQ(led.total_drops(), 0u);
-  EXPECT_TRUE(led.recent().empty());
-}
-
-// Reset returns both recorders to their constructed state, so a kill
-// switch or a resized ring from one run cannot leak into the next run in
-// the same process (torture sizes the hop ring to 1 << 20 for its run).
-TEST(JourneyReset, RestoresConstructedState) {
-  DropLedger& led = DropLedger::Get();
-  PacketJourney& j = PacketJourney::Get();
-  led.set_ring_capacity(2);
-  j.set_hop_capacity(1 << 20);
-  led.Reset();
-  j.Reset();
-  const uint64_t pkt = j.Mint();
-  EXPECT_EQ(pkt, 1u);
-  for (size_t i = 0; i < DropLedger::kDefaultRingCapacity + 5; i++) {
-    led.Record(0, TraceLayer::kKern, DropReason::kQueueOverflow, static_cast<SimTime>(i), "q");
-  }
-  EXPECT_EQ(led.recent().size(), DropLedger::kDefaultRingCapacity)
-      << "ring capacity must be back at its default";
-  for (size_t i = 0; i < PacketJourney::kDefaultHopCapacity + 5; i++) {
-    j.Hop(pkt, TraceLayer::kWire, "w", static_cast<SimTime>(i));
-  }
-  EXPECT_EQ(j.hops().size(), PacketJourney::kDefaultHopCapacity)
-      << "hop capacity must be back at its default";
-
-  led.set_enabled(false);
-  j.set_enabled(false);
-  led.Reset();
-  j.Reset();
-  EXPECT_TRUE(led.enabled()) << "Reset must re-arm the ledger";
-  EXPECT_TRUE(j.enabled()) << "Reset must re-arm the journey recorder";
-  EXPECT_EQ(j.Mint(), 1u);
-  led.Record(0, TraceLayer::kKern, DropReason::kQueueOverflow, 0, "q");
-  EXPECT_EQ(led.total(DropReason::kQueueOverflow), 1u);
-  led.Reset();
-  j.Reset();
 }
 
 TEST(DropLedgerUnit, ExportStatsRegistersOneGaugePerReason) {
-  ResetJourney();
-  DropLedger& led = DropLedger::Get();
-  led.Record(0, TraceLayer::kWire, DropReason::kWireFault, 1, "wire");
-  led.Record(0, TraceLayer::kWire, DropReason::kWireFault, 2, "wire");
+  Observatory obs;
+  DropLedger& led = obs.drops;
+  led.Record(0, TraceLayer::kWire, DropReason::kWireFault, 1);
+  led.Record(0, TraceLayer::kWire, DropReason::kWireFault, 2);
   StatsRegistry reg;
   led.ExportStats(&reg, "drops.");
   std::vector<StatsRegistry::Entry> snap = reg.Snapshot();
@@ -166,12 +128,10 @@ TEST(DropLedgerUnit, ExportStatsRegistersOneGaugePerReason) {
   EXPECT_EQ(snap.size(), static_cast<size_t>(DropReason::kNumReasons) - 1);
   EXPECT_EQ(SumSuffix(snap, "drops.wire-fault"), 2u);
   EXPECT_EQ(SumSuffix(snap, "drops.migration-window"), 0u);
-  reg.Reset();
 }
 
 TEST(PacketJourneyUnit, MintIsMonotonicAndNeverZero) {
-  ResetJourney();
-  PacketJourney& j = PacketJourney::Get();
+  PacketJourney j;
   uint64_t prev = 0;
   for (int i = 0; i < 100; i++) {
     uint64_t id = j.Mint();
@@ -184,38 +144,38 @@ TEST(PacketJourneyUnit, MintIsMonotonicAndNeverZero) {
 }
 
 TEST(PacketJourneyUnit, FirstTerminalWinsAndConflictsAreCounted) {
-  ResetJourney();
-  PacketJourney& j = PacketJourney::Get();
+  PacketJourney j;
+  const uint32_t h1 = j.Intern("h1/ns");
   uint64_t pkt = j.Mint();
-  j.Deliver(pkt, TraceLayer::kSock, "h1/ns", 10);
+  j.Deliver(pkt, TraceLayer::kSock, h1, 10);
   EXPECT_EQ(j.DispositionOf(pkt), PktDisposition::kDelivered);
   EXPECT_EQ(j.conflicts(), 0u);
   // A later drop attempt must not overwrite the delivery.
-  j.Dropped(pkt, TraceLayer::kInet, DropReason::kTcpSeqTrim, "h1/ns", 20);
+  j.Dropped(pkt, TraceLayer::kInet, DropReason::kTcpSeqTrim, h1, 20);
   EXPECT_EQ(j.DispositionOf(pkt), PktDisposition::kDelivered);
   EXPECT_EQ(j.dropped(), 0u);
   EXPECT_EQ(j.conflicts(), 1u);
   // ConsumeIfOpen is a no-op on a terminated packet and counts no conflict.
-  j.ConsumeIfOpen(pkt, TraceLayer::kInet, "h1/ns", 30);
+  j.ConsumeIfOpen(pkt, TraceLayer::kInet, h1, 30);
   EXPECT_EQ(j.consumed(), 0u);
   EXPECT_EQ(j.conflicts(), 1u);
   // ... but consumes an open one.
   uint64_t ack = j.Mint();
-  j.ConsumeIfOpen(ack, TraceLayer::kInet, "h0/ns", 40);
+  j.ConsumeIfOpen(ack, TraceLayer::kInet, j.Intern("h0/ns"), 40);
   EXPECT_EQ(j.DispositionOf(ack), PktDisposition::kConsumed);
   EXPECT_EQ(j.in_flight(), 0u);
 }
 
 TEST(PacketJourneyUnit, JourneyOfReturnsHopsInOrder) {
-  ResetJourney();
-  PacketJourney& j = PacketJourney::Get();
+  PacketJourney j;
+  const uint32_t tx = j.Intern("h0/ns/tx");
   uint64_t a = j.Mint();
   uint64_t b = j.Mint();
-  j.Hop(a, TraceLayer::kInet, "h0/ns/tx", 10, 64);
-  j.Hop(b, TraceLayer::kInet, "h0/ns/tx", 11, 64);
-  j.Hop(a, TraceLayer::kWire, "wire/transmit", 20);
-  j.Hop(a, TraceLayer::kKern, "h1/deliver", 30);
-  j.Deliver(a, TraceLayer::kSock, "h1/ns", 40);
+  j.Hop(a, TraceLayer::kInet, tx, 10, 64);
+  j.Hop(b, TraceLayer::kInet, tx, 11, 64);
+  j.Hop(a, TraceLayer::kWire, j.Intern("wire/transmit"), 20);
+  j.Hop(a, TraceLayer::kKern, j.Intern("h1/deliver"), 30);
+  j.Deliver(a, TraceLayer::kSock, j.Intern("h1/ns"), 40);
   std::vector<HopEvent> hops = j.JourneyOf(a);
   ASSERT_EQ(hops.size(), 4u);
   EXPECT_EQ(j.NodeName(hops[0].node), "h0/ns/tx");
@@ -226,40 +186,36 @@ TEST(PacketJourneyUnit, JourneyOfReturnsHopsInOrder) {
   EXPECT_EQ(j.JourneyOf(b).size(), 1u);
 }
 
-TEST(PacketJourneyUnit, InternedNamesAreStableAndSurviveReset) {
-  ResetJourney();
-  PacketJourney& j = PacketJourney::Get();
+TEST(PacketJourneyUnit, InternedNamesAreStablePerJourney) {
+  PacketJourney j;
   const uint32_t tx = j.Intern("h0/ns/tx");
   EXPECT_NE(tx, 0u);
   EXPECT_EQ(j.Intern(std::string("h0/ns") + "/tx"), tx);
   EXPECT_NE(j.Intern("h1/ns/tx"), tx);
   EXPECT_EQ(j.Intern(""), 0u);
   EXPECT_EQ(j.NodeName(0), "");
-  // Components intern at construction and outlive runs: Reset() must not
-  // invalidate the ids they hold.
-  j.Reset();
-  EXPECT_EQ(j.NodeName(tx), "h0/ns/tx");
-  EXPECT_EQ(j.Intern("h0/ns/tx"), tx);
   uint64_t pkt = j.Mint();
   j.Hop(pkt, TraceLayer::kInet, tx, 10, 64);
-  j.Hop(pkt, TraceLayer::kWire, "wire/transmit", 20);
+  j.Hop(pkt, TraceLayer::kWire, j.Intern("wire/transmit"), 20);
   std::vector<HopEvent> hops = j.JourneyOf(pkt);
   ASSERT_EQ(hops.size(), 2u);
   EXPECT_EQ(hops[0].node, tx);
   EXPECT_EQ(hops[1].node, j.Intern("wire/transmit"));
-  // A component's JourneyNode resolves to the same id, first use or not.
-  JourneyNode node("h0/ns/tx");
+  // A component's JourneyNode resolves to the same id, first use or not,
+  // and interns nothing until its first use.
+  JourneyNode node(&j, "h0/ns/tx");
   EXPECT_EQ(node.id(), tx);
-  JourneyNode fresh("h7/ns");
+  PacketJourney other;
+  JourneyNode fresh(&other, "h7/ns");
+  EXPECT_EQ(other.Intern("h8/ns"), 1u) << "construction must not intern";
   const uint32_t id = fresh.id();
-  EXPECT_EQ(j.NodeName(id), "h7/ns");
-  j.Reset();
+  EXPECT_EQ(other.NodeName(id), "h7/ns");
   EXPECT_EQ(fresh.id(), id);
+  EXPECT_EQ(j.Intern("h7/ns"), 4u) << "another journey's names are not this one's";
 }
 
 TEST(PacketJourneyUnit, UnmintedIdsHaveNoTerminal) {
-  ResetJourney();
-  PacketJourney& j = PacketJourney::Get();
+  PacketJourney j;
   for (uint64_t id : {uint64_t{0}, uint64_t{1}, uint64_t{1000}, ~uint64_t{0}}) {
     EXPECT_FALSE(j.HasTerminal(id)) << id;
     EXPECT_EQ(j.DispositionOf(id), PktDisposition::kNone) << id;
@@ -267,20 +223,19 @@ TEST(PacketJourneyUnit, UnmintedIdsHaveNoTerminal) {
   }
   uint64_t a = j.Mint();
   uint64_t b = j.Mint();
-  j.Dropped(b, TraceLayer::kWire, DropReason::kWireFault, "wire", 10);
+  j.Dropped(b, TraceLayer::kWire, DropReason::kWireFault, j.Intern("wire"), 10);
   // Terminating a later id leaves earlier and never-minted ids open.
   EXPECT_FALSE(j.HasTerminal(a));
   EXPECT_FALSE(j.HasTerminal(b + 1));
   EXPECT_EQ(j.DispositionOf(b + 1000), PktDisposition::kNone);
   // Packet 0 never gets a terminal.
-  j.Deliver(0, TraceLayer::kSock, "h1/ns", 20);
+  j.Deliver(0, TraceLayer::kSock, j.Intern("h1/ns"), 20);
   EXPECT_FALSE(j.HasTerminal(0));
   EXPECT_EQ(j.delivered(), 0u);
 }
 
-TEST(PacketJourneyUnit, FirstTerminalWinsOutOfMintOrderAndResetClearsTerminals) {
-  ResetJourney();
-  PacketJourney& j = PacketJourney::Get();
+TEST(PacketJourneyUnit, FirstTerminalWinsOutOfMintOrder) {
+  PacketJourney j;
   std::vector<uint64_t> ids;
   for (int i = 0; i < 8; i++) ids.push_back(j.Mint());
   const uint32_t node = j.Intern("h1/ns");
@@ -304,11 +259,6 @@ TEST(PacketJourneyUnit, FirstTerminalWinsOutOfMintOrderAndResetClearsTerminals) 
   EXPECT_EQ(j.delivered(), 4u);
   EXPECT_EQ(j.dropped(), 4u);
   EXPECT_EQ(j.consumed(), 0u);
-  // The next run's ids restart at 1 with no terminals.
-  j.Reset();
-  EXPECT_FALSE(j.HasTerminal(ids[0]));
-  EXPECT_EQ(j.Mint(), ids[0]);
-  EXPECT_EQ(j.DispositionOf(ids[0]), PktDisposition::kNone);
 }
 
 // ---------------------------------------------------------------------------
@@ -317,25 +267,26 @@ TEST(PacketJourneyUnit, FirstTerminalWinsOutOfMintOrderAndResetClearsTerminals) 
 class PktwalkGolden : public ::testing::Test {
  protected:
   void SetUp() override {
-    ResetJourney();
-    PacketJourney& j = PacketJourney::Get();
+    PacketJourney& j = obs_.journey;
+    const uint32_t tx = j.Intern("h0/ns/tx");
     p1_ = j.Mint();
-    j.Hop(p1_, TraceLayer::kInet, "h0/ns/tx", 10, 42);
-    j.Hop(p1_, TraceLayer::kWire, "wire/transmit", 20);
-    j.Deliver(p1_, TraceLayer::kSock, "h1/ns", 30);
+    j.Hop(p1_, TraceLayer::kInet, tx, 10, 42);
+    j.Hop(p1_, TraceLayer::kWire, j.Intern("wire/transmit"), 20);
+    j.Deliver(p1_, TraceLayer::kSock, j.Intern("h1/ns"), 30);
     p2_ = j.Mint();
-    j.Hop(p2_, TraceLayer::kInet, "h0/ns/tx", 40, 42);
-    DropLedger::Get().Record(p2_, TraceLayer::kWire, DropReason::kWireFault, 50, "wire");
+    j.Hop(p2_, TraceLayer::kInet, tx, 40, 42);
+    obs_.drops.Record(p2_, TraceLayer::kWire, DropReason::kWireFault, 50, j.Intern("wire"));
     p3_ = j.Mint();
-    j.Hop(p3_, TraceLayer::kInet, "h0/ns/tx", 60, 42);  // never terminates
+    j.Hop(p3_, TraceLayer::kInet, tx, 60, 42);  // never terminates
   }
+  Observatory obs_;
   uint64_t p1_ = 0, p2_ = 0, p3_ = 0;
 };
 
 TEST_F(PktwalkGolden, LostOnlyTextShowsDroppedAndInFlightPacketsOnly) {
   PktwalkFilter f;
   f.lost_only = true;
-  EXPECT_EQ(PktwalkText(f),
+  EXPECT_EQ(PktwalkText(obs_, f),
             "packets: 3 minted, 1 delivered, 0 consumed, 1 dropped, 1 in flight\n"
             "pkt 2: dropped(wire-fault)\n"
             "  @40 inet h0/ns/tx aux=42\n"
@@ -351,7 +302,7 @@ TEST_F(PktwalkGolden, LostOnlyTextShowsDroppedAndInFlightPacketsOnly) {
 TEST_F(PktwalkGolden, SinglePacketFilterShowsOneJourney) {
   PktwalkFilter f;
   f.pkt = p1_;
-  EXPECT_EQ(PktwalkText(f),
+  EXPECT_EQ(PktwalkText(obs_, f),
             "packets: 3 minted, 1 delivered, 0 consumed, 1 dropped, 1 in flight\n"
             "pkt 1: delivered\n"
             "  @10 inet h0/ns/tx aux=42\n"
@@ -366,7 +317,7 @@ TEST_F(PktwalkGolden, SinglePacketFilterShowsOneJourney) {
 TEST_F(PktwalkGolden, DropsOnlySkipsJourneys) {
   PktwalkFilter f;
   f.drops_only = true;
-  std::string text = PktwalkText(f);
+  std::string text = PktwalkText(obs_, f);
   EXPECT_EQ(text.find("packets:"), std::string::npos);
   EXPECT_EQ(text.find("pkt 1:"), std::string::npos);
   EXPECT_NE(text.find("drop reasons:\n  1 wire-fault\n"), std::string::npos);
@@ -374,7 +325,7 @@ TEST_F(PktwalkGolden, DropsOnlySkipsJourneys) {
 
 TEST_F(PktwalkGolden, JsonCarriesSummaryReasonsAndHops) {
   PktwalkFilter f;
-  std::string json = PktwalkJson(f);
+  std::string json = PktwalkJson(obs_, f);
   EXPECT_NE(json.find("\"summary\": {\"minted\": 3, \"delivered\": 1, \"consumed\": 0, "
                       "\"dropped\": 1, \"in_flight\": 1, \"conflicts\": 0}"),
             std::string::npos)
@@ -394,12 +345,12 @@ struct LedgerSnapshot {
   uint64_t totals[static_cast<size_t>(DropReason::kNumReasons)] = {};
   uint64_t minted = 0, delivered = 0, consumed = 0, dropped = 0, in_flight = 0, conflicts = 0;
 
-  static LedgerSnapshot Take() {
+  static LedgerSnapshot Of(const Observatory& obs) {
     LedgerSnapshot s;
     for (size_t i = 0; i < static_cast<size_t>(DropReason::kNumReasons); ++i) {
-      s.totals[i] = DropLedger::Get().total(static_cast<DropReason>(i));
+      s.totals[i] = obs.drops.total(static_cast<DropReason>(i));
     }
-    const PacketJourney& j = PacketJourney::Get();
+    const PacketJourney& j = obs.journey;
     s.minted = j.minted();
     s.delivered = j.delivered();
     s.consumed = j.consumed();
@@ -422,7 +373,6 @@ TEST(JourneyReconciliation, LegacyCountersEqualLedgerUnderLossEverywhere) {
   const MachineProfile prof = MachineProfile::DecStation5000();
   for (Config config : {Config::kInKernel, Config::kServer, Config::kLibraryIpc,
                         Config::kLibraryShm, Config::kLibraryShmIpf}) {
-    ResetJourney();
     std::vector<StatsRegistry::Entry> snap;
     LedgerSnapshot led;
     uint64_t wire_dropped = 0, nic_dropped = 0;
@@ -438,8 +388,7 @@ TEST(JourneyReconciliation, LegacyCountersEqualLedgerUnderLossEverywhere) {
       w.ExportStats(0, &reg);
       w.ExportStats(1, &reg);
       snap = reg.Snapshot();
-      reg.Reset();
-      led = LedgerSnapshot::Take();
+      led = LedgerSnapshot::Of(w.obs());
       wire_dropped = w.wire().frames_dropped();
       nic_dropped = w.host(0)->nic()->rx_dropped() + w.host(1)->nic()->rx_dropped();
     };
@@ -483,72 +432,83 @@ TEST(JourneyReconciliation, LegacyCountersEqualLedgerUnderLossEverywhere) {
 // A clean UDP echo run terminates every packet: nothing in flight once the
 // workload's last response has been received, and nothing dropped.
 TEST(JourneyConservation, CleanUdpRunLeavesNothingInFlight) {
-  ResetJourney();
   ProtolatOptions opt;
   opt.proto = IpProto::kUdp;
   opt.msg_size = 64;
   opt.trials = 20;
-  ASSERT_GT(RunProtolat(Config::kLibraryShmIpf, MachineProfile::DecStation5000(), opt), 0.0);
-  const PacketJourney& j = PacketJourney::Get();
-  EXPECT_GT(j.minted(), 0u);
+  LedgerSnapshot led;
+  ProtolatHooks hooks;
+  hooks.on_end = [&led](World& w) { led = LedgerSnapshot::Of(w.obs()); };
+  ASSERT_GT(
+      RunProtolat(Config::kLibraryShmIpf, MachineProfile::DecStation5000(), opt, hooks), 0.0);
+  EXPECT_GT(led.minted, 0u);
   // Request + response per trial (plus warmup), all delivered to sockbufs.
-  EXPECT_GE(j.delivered(), 2u * static_cast<uint64_t>(opt.trials));
-  EXPECT_GT(j.consumed(), 0u) << "ARP traffic must be consumed, not leaked";
-  EXPECT_EQ(j.dropped(), 0u);
-  EXPECT_EQ(j.in_flight(), 0u);
-  EXPECT_EQ(j.conflicts(), 0u);
-  EXPECT_EQ(DropLedger::Get().total_drops(), 0u);
+  EXPECT_GE(led.delivered, 2u * static_cast<uint64_t>(opt.trials));
+  EXPECT_GT(led.consumed, 0u) << "ARP traffic must be consumed, not leaked";
+  EXPECT_EQ(led.dropped, 0u);
+  EXPECT_EQ(led.in_flight, 0u);
+  EXPECT_EQ(led.conflicts, 0u);
+  uint64_t drops = 0;
+  for (size_t i = 0; i < static_cast<size_t>(DropReason::kNumReasons); ++i) {
+    drops += IsDropReason(static_cast<DropReason>(i)) ? led.totals[i] : 0;
+  }
+  EXPECT_EQ(drops, 0u);
 }
 
 // Wire dup/delay fault events are ledgered as events: the duplicate is its
 // own packet id linked to its parent, and neither event terminates a packet.
 TEST(JourneyFaults, DupAndDelayAreEventsNotDrops) {
-  ResetJourney();
   ProtolatOptions opt;
   opt.proto = IpProto::kUdp;
   opt.msg_size = 64;
   opt.trials = 20;
   ProtolatHooks hooks;
   hooks.on_world = [](World& w) {
+    WidenRings(w);
     FaultPlan plan;
     plan.dup_rate = 0.2;
     plan.delay_rate = 0.2;
     plan.seed = 11;
     w.wire().SetFaults(plan);
   };
+  bool checked = false;
+  hooks.on_end = [&checked](World& w) {
+    checked = true;
+    const DropLedger& led = w.obs().drops;
+    const PacketJourney& j = w.obs().journey;
+    ASSERT_GT(led.total(DropReason::kWireDup), 0u);
+    ASSERT_GT(led.total(DropReason::kWireDelay), 0u);
+    // The dup/delay events themselves are not drops. Some duplicates DO die
+    // downstream — a cloned response echoing into a since-closed UDP port —
+    // and each of those deaths is attributed to its real reason.
+    EXPECT_EQ(led.total_drops(), led.total(DropReason::kUdpNoPort));
+    EXPECT_EQ(j.dropped(), led.total_drops()) << "every drop carried a packet id";
+    EXPECT_EQ(j.conflicts(), 0u);
+    // Every no-port death has a complete journey: born at a stack tx point
+    // or as a wire clone, and terminated exactly once.
+    for (const auto& ev : led.recent()) {
+      if (ev.reason != DropReason::kUdpNoPort) {
+        continue;
+      }
+      std::vector<HopEvent> hops = j.JourneyOf(ev.pkt);
+      ASSERT_FALSE(hops.empty());
+      const std::string& first = j.NodeName(hops.front().node);
+      EXPECT_TRUE(first == "wire/dup" || first.find("/tx") != std::string::npos) << first;
+      EXPECT_EQ(hops.back().disp, PktDisposition::kDropped);
+    }
+    // Every duplicate minted a fresh id whose first hop links the parent id.
+    uint64_t dup_clones = 0;
+    for (const auto& ev : j.hops()) {
+      if (j.NodeName(ev.node) == "wire/dup") {
+        dup_clones++;
+        EXPECT_NE(ev.aux, 0u) << "dup clone must link its parent packet";
+        EXPECT_LT(ev.aux, ev.pkt) << "parent was minted before the clone";
+      }
+    }
+    EXPECT_EQ(dup_clones, led.total(DropReason::kWireDup));
+  };
   ASSERT_GT(RunProtolat(Config::kInKernel, MachineProfile::DecStation5000(), opt, hooks), 0.0);
-  const DropLedger& led = DropLedger::Get();
-  const PacketJourney& j = PacketJourney::Get();
-  ASSERT_GT(led.total(DropReason::kWireDup), 0u);
-  ASSERT_GT(led.total(DropReason::kWireDelay), 0u);
-  // The dup/delay events themselves are not drops. Some duplicates DO die
-  // downstream — a cloned response echoing into a since-closed UDP port —
-  // and each of those deaths is attributed to its real reason.
-  EXPECT_EQ(led.total_drops(), led.total(DropReason::kUdpNoPort));
-  EXPECT_EQ(j.dropped(), led.total_drops()) << "every drop carried a packet id";
-  EXPECT_EQ(j.conflicts(), 0u);
-  // Every no-port death has a complete journey: born at a stack tx point or
-  // as a wire clone, and terminated exactly once.
-  for (const auto& ev : led.recent()) {
-    if (ev.reason != DropReason::kUdpNoPort) {
-      continue;
-    }
-    std::vector<HopEvent> hops = j.JourneyOf(ev.pkt);
-    ASSERT_FALSE(hops.empty());
-    const std::string& first = j.NodeName(hops.front().node);
-    EXPECT_TRUE(first == "wire/dup" || first.find("/tx") != std::string::npos) << first;
-    EXPECT_EQ(hops.back().disp, PktDisposition::kDropped);
-  }
-  // Every duplicate minted a fresh id whose first hop links the parent id.
-  uint64_t dup_clones = 0;
-  for (const auto& ev : j.hops()) {
-    if (j.NodeName(ev.node) == "wire/dup") {
-      dup_clones++;
-      EXPECT_NE(ev.aux, 0u) << "dup clone must link its parent packet";
-      EXPECT_LT(ev.aux, ev.pkt) << "parent was minted before the clone";
-    }
-  }
-  EXPECT_EQ(dup_clones, led.total(DropReason::kWireDup));
+  EXPECT_TRUE(checked);
 }
 
 // ---------------------------------------------------------------------------
@@ -567,8 +527,8 @@ TEST(JourneyMigration, HandoverStraysAttributedToMigrationWindow) {
   std::vector<StatsRegistry::Entry> snap;
   bool caught = false;
   for (uint64_t seed = 1; seed <= 8 && !caught; seed++) {
-    ResetJourney();
     World w(Config::kLibraryShmIpf, MachineProfile::DecStation5000());
+    WidenRings(w);
     FaultPlan plan;
     plan.delay_rate = 0.3;
     plan.extra_delay = Millis(3);
@@ -631,40 +591,39 @@ TEST(JourneyMigration, HandoverStraysAttributedToMigrationWindow) {
     w.sim().Run(Seconds(120));
     ASSERT_TRUE(done) << "byte stream must survive the handover (seed " << seed << ")";
     ASSERT_EQ(w.net_server(0)->migrations_in(), 1u);
-    if (DropLedger::Get().total(DropReason::kMigrationWindow) > 0) {
-      caught = true;
-      StatsRegistry reg;
-      w.ExportStats(0, &reg);
-      w.ExportStats(1, &reg);
-      snap = reg.Snapshot();
-      reg.Reset();
-    }
-  }
-
-  const DropLedger& led = DropLedger::Get();
-  ASSERT_TRUE(caught) << "no handover caught a stray in 8 seeds";
-  // Reconciliation: every no-pcb drop in either stack is ledgered as either
-  // a real no-pcb (RST answered) or a suppressed migration-window stray.
-  EXPECT_EQ(SumSuffix(snap, ".tcp.dropped_no_pcb"),
-            led.total(DropReason::kTcpNoPcb) + led.total(DropReason::kMigrationWindow));
-  // Each migration-window stray carries a packet id whose journey ends in
-  // dropped(migration-window).
-  for (const auto& ev : led.recent()) {
-    if (ev.reason != DropReason::kMigrationWindow) {
+    const DropLedger& led = w.obs().drops;
+    const PacketJourney& j = w.obs().journey;
+    if (led.total(DropReason::kMigrationWindow) == 0) {
       continue;
     }
-    ASSERT_NE(ev.pkt, 0u);
-    EXPECT_EQ(PacketJourney::Get().DispositionOf(ev.pkt), PktDisposition::kDropped);
-    EXPECT_EQ(PacketJourney::Get().ReasonOf(ev.pkt), DropReason::kMigrationWindow);
+    caught = true;
+    StatsRegistry reg;
+    w.ExportStats(0, &reg);
+    w.ExportStats(1, &reg);
+    // Reconciliation: every no-pcb drop in either stack is ledgered as
+    // either a real no-pcb (RST answered) or a suppressed migration-window
+    // stray.
+    EXPECT_EQ(SumSuffix(reg.Snapshot(), ".tcp.dropped_no_pcb"),
+              led.total(DropReason::kTcpNoPcb) + led.total(DropReason::kMigrationWindow));
+    // Each migration-window stray carries a packet id whose journey ends in
+    // dropped(migration-window).
+    for (const auto& ev : led.recent()) {
+      if (ev.reason != DropReason::kMigrationWindow) {
+        continue;
+      }
+      ASSERT_NE(ev.pkt, 0u);
+      EXPECT_EQ(j.DispositionOf(ev.pkt), PktDisposition::kDropped);
+      EXPECT_EQ(j.ReasonOf(ev.pkt), DropReason::kMigrationWindow);
+    }
+    EXPECT_EQ(j.conflicts(), 0u);
   }
-  EXPECT_EQ(PacketJourney::Get().conflicts(), 0u);
+  EXPECT_TRUE(caught) << "no handover caught a stray in 8 seeds";
 }
 
 // ---------------------------------------------------------------------------
 // Per-queue gauges (Kernel::ExportStats): dropped / depth / high_watermark.
 
 TEST(QueueGauges, EveryPacketQueueExportsDepthDroppedAndHighWatermark) {
-  ResetJourney();
   std::vector<StatsRegistry::Entry> snap;
   ProtolatHooks hooks;
   hooks.on_done = [&](World& w) {
@@ -672,7 +631,6 @@ TEST(QueueGauges, EveryPacketQueueExportsDepthDroppedAndHighWatermark) {
     w.ExportStats(0, &reg);
     w.ExportStats(1, &reg);
     snap = reg.Snapshot();
-    reg.Reset();
   };
   ProtolatOptions opt;
   opt.proto = IpProto::kUdp;
@@ -711,7 +669,7 @@ TEST(QueueGauges, EveryPacketQueueExportsDepthDroppedAndHighWatermark) {
 
 // ---------------------------------------------------------------------------
 // Zero cost: the recorders observe everything and charge nothing. With both
-// singletons disabled (no ids minted, no hops, no ledger) virtual time is
+// recorders disabled (no ids minted, no hops, no ledger) virtual time is
 // byte-identical to the fully-recorded run — the Table 2/3/4 guarantee.
 
 TEST(JourneyZeroCost, DisabledAndEnabledRunsAreVirtualTimeIdentical) {
@@ -721,17 +679,25 @@ TEST(JourneyZeroCost, DisabledAndEnabledRunsAreVirtualTimeIdentical) {
   opt.trials = 10;
   const MachineProfile prof = MachineProfile::DecStation5000();
   for (Config config : {Config::kInKernel, Config::kServer, Config::kLibraryShmIpf}) {
-    ResetJourney();
-    double recorded = RunProtolat(config, prof, opt);
-    ASSERT_GT(PacketJourney::Get().minted(), 0u) << ConfigName(config);
-    ASSERT_GT(PacketJourney::Get().hops().size(), 0u) << ConfigName(config);
+    uint64_t minted = 0;
+    size_t hops = 0;
+    ProtolatHooks hooks;
+    hooks.on_world = [](World& w) { WidenRings(w); };
+    hooks.on_end = [&](World& w) {
+      minted = w.obs().journey.minted();
+      hops = w.obs().journey.hops().size();
+    };
+    double recorded = RunProtolat(config, prof, opt, hooks);
+    ASSERT_GT(minted, 0u) << ConfigName(config);
+    ASSERT_GT(hops, 0u) << ConfigName(config);
 
-    ResetJourney();
-    DropLedger::Get().set_enabled(false);
-    PacketJourney::Get().set_enabled(false);
-    double plain = RunProtolat(config, prof, opt);
-    EXPECT_EQ(PacketJourney::Get().minted(), 0u) << ConfigName(config);
-    EXPECT_TRUE(PacketJourney::Get().hops().empty()) << ConfigName(config);
+    hooks.on_world = [](World& w) {
+      w.obs().drops.set_enabled(false);
+      w.obs().journey.set_enabled(false);
+    };
+    double plain = RunProtolat(config, prof, opt, hooks);
+    EXPECT_EQ(minted, 0u) << ConfigName(config);
+    EXPECT_EQ(hops, 0u) << ConfigName(config);
 
     EXPECT_EQ(plain, recorded) << ConfigName(config);
   }

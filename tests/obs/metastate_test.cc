@@ -1,7 +1,6 @@
 // MetastateLedger unit tests: event counting, the runtime kill switch,
-// per-phase histograms, the stats-registry export surface, and the Reset
-// contract. The ledger is a process-wide singleton, so every test starts
-// and ends from a Reset() state.
+// per-phase histograms and the stats-registry export surface, counted from
+// construction or from a mid-run baseline. Each test owns its ledger.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -15,8 +14,7 @@ namespace {
 
 class MetastateTest : public ::testing::Test {
  protected:
-  void SetUp() override { MetastateLedger::Get().Reset(); }
-  void TearDown() override { MetastateLedger::Get().Reset(); }
+  MetastateLedger m;
 };
 
 TEST_F(MetastateTest, EveryEventHasAUniqueStableName) {
@@ -50,7 +48,6 @@ TEST_F(MetastateTest, EveryPhaseHasAUniqueStableName) {
 }
 
 TEST_F(MetastateTest, CountAccumulatesPerEvent) {
-  MetastateLedger& m = MetastateLedger::Get();
   m.Count(MetaEvent::kArpMiss);
   m.Count(MetaEvent::kArpMiss);
   m.Count(MetaEvent::kRouteLookup, 10);
@@ -60,7 +57,6 @@ TEST_F(MetastateTest, CountAccumulatesPerEvent) {
 }
 
 TEST_F(MetastateTest, KillSwitchStopsCountingAndPhases) {
-  MetastateLedger& m = MetastateLedger::Get();
   m.set_enabled(false);
   m.Count(MetaEvent::kPortAcquire);
   m.RecordPhase(MigrationPhase::kFreeze, Micros(5));
@@ -72,7 +68,6 @@ TEST_F(MetastateTest, KillSwitchStopsCountingAndPhases) {
 }
 
 TEST_F(MetastateTest, PhasesRecordIntoIndependentHistograms) {
-  MetastateLedger& m = MetastateLedger::Get();
   m.RecordPhase(MigrationPhase::kFreeze, Micros(100));
   m.RecordPhase(MigrationPhase::kFreeze, Micros(300));
   m.RecordPhase(MigrationPhase::kTransfer, Millis(2));
@@ -83,7 +78,6 @@ TEST_F(MetastateTest, PhasesRecordIntoIndependentHistograms) {
 }
 
 TEST_F(MetastateTest, ExportRegistersEveryEventAndPhaseGauge) {
-  MetastateLedger& m = MetastateLedger::Get();
   m.Count(MetaEvent::kFilterInstall, 3);
   m.RecordPhase(MigrationPhase::kInstall, Micros(7));
 
@@ -105,21 +99,39 @@ TEST_F(MetastateTest, ExportRegistersEveryEventAndPhaseGauge) {
   }
   EXPECT_EQ(filter_install, 3u);
   EXPECT_EQ(install_count, 1u);
-  reg.Reset();
 }
 
-TEST_F(MetastateTest, ResetZeroesTotalsAndPhases) {
-  MetastateLedger& m = MetastateLedger::Get();
-  m.Count(MetaEvent::kPortRelease, 5);
+// A run that must not count its set-up (bench_c10k's 2,049-host World)
+// exports from a post-setup baseline: the gauges and the totals() deltas
+// cover only what happened after it, and the phases are untouched.
+TEST_F(MetastateTest, ExportCountsFromBaseline) {
+  m.Count(MetaEvent::kRouteInstall, 5);
+  m.Count(MetaEvent::kPortAcquire, 2);
+  const MetastateLedger::Totals setup = m.totals();
+  StatsRegistry reg;
+  m.ExportStats(&reg, "meta.", setup);
+  m.Count(MetaEvent::kPortAcquire, 3);
   m.RecordPhase(MigrationPhase::kResume, Micros(9));
-  m.Reset();
-  for (size_t i = 0; i < static_cast<size_t>(MetaEvent::kNumEvents); i++) {
-    EXPECT_EQ(m.total(static_cast<MetaEvent>(i)), 0u);
+  uint64_t route_install = ~uint64_t{0};
+  uint64_t port_acquire = 0;
+  uint64_t resume_count = 0;
+  for (const StatsRegistry::Entry& e : reg.Snapshot()) {
+    if (e.name == "meta.route-install") {
+      route_install = e.value;
+    }
+    if (e.name == "meta.port-acquire") {
+      port_acquire = e.value;
+    }
+    if (e.name == "meta.migration.resume.count") {
+      resume_count = e.value;
+    }
   }
-  for (size_t i = 0; i < static_cast<size_t>(MigrationPhase::kNumPhases); i++) {
-    EXPECT_EQ(m.phase(static_cast<MigrationPhase>(i)).count(), 0u);
-  }
-  EXPECT_TRUE(m.enabled()) << "Reset must re-arm the ledger";
+  EXPECT_EQ(route_install, 0u);
+  EXPECT_EQ(port_acquire, 3u);
+  EXPECT_EQ(resume_count, 1u);
+  EXPECT_EQ(m.total(MetaEvent::kPortAcquire) - setup[static_cast<size_t>(MetaEvent::kPortAcquire)],
+            3u);
+  EXPECT_EQ(m.total(MetaEvent::kRouteInstall), 5u);
 }
 
 }  // namespace

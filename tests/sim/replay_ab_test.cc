@@ -8,34 +8,25 @@
 // (the zero-perturbation claim in src/obs/prof.h): only one side of each
 // pair is profiled. And no observability state leaks from one run into the
 // next inside one process: the second run of each pair, and every run
-// after the first cell, starts where earlier runs left the singletons.
+// after the first cell, follows earlier Worlds in the same process.
 // The two-process replay is the torture_replay_is_byte_identical ctest.
 #include <gtest/gtest.h>
 
 #include <string>
 
-#include "src/obs/journey.h"
 #include "src/obs/prof.h"
 #include "src/testbed/torture.h"
 
 namespace psd {
 namespace {
 
-struct ReplayRun {
-  TortureResult result;
-  std::string pktwalk;
-};
-
-ReplayRun RunOnce(bool profiled, Config config, const TortureSpec& spec, uint64_t seed) {
+// The result's pktwalk is the finest-grained observable — per-packet hop
+// sequences with virtual timestamps.
+TortureResult RunOnce(bool profiled, Config config, const TortureSpec& spec, uint64_t seed) {
   if (profiled) {
     HostProfiler::Get().Start();
   }
-  ReplayRun out;
-  out.result = RunTorture(config, spec, seed);
-  // RunTorture leaves the run's journey records in the singletons; the
-  // pktwalk is the finest-grained observable — per-packet hop sequences
-  // with virtual timestamps.
-  out.pktwalk = PktwalkText(PktwalkFilter{});
+  TortureResult out = RunTorture(config, spec, seed);
   if (profiled) {
     HostProfiler::Get().Stop();
   }
@@ -45,13 +36,11 @@ ReplayRun RunOnce(bool profiled, Config config, const TortureSpec& spec, uint64_
 void CheckConfig(Config config) {
   for (uint64_t seed : {1ull, 7ull, 1993ull}) {
     for (const TortureSpec& spec : TortureScenarios()) {
-      ReplayRun profiled = RunOnce(true, config, spec, seed);
-      ReplayRun plain = RunOnce(false, config, spec, seed);
-      EXPECT_TRUE(profiled.result.passed)
-          << spec.name << " seed " << seed << ":\n" << profiled.result.report;
-      EXPECT_TRUE(plain.result.passed)
-          << spec.name << " seed " << seed << ":\n" << plain.result.report;
-      EXPECT_EQ(profiled.result.report, plain.result.report)
+      TortureResult profiled = RunOnce(true, config, spec, seed);
+      TortureResult plain = RunOnce(false, config, spec, seed);
+      EXPECT_TRUE(profiled.passed) << spec.name << " seed " << seed << ":\n" << profiled.report;
+      EXPECT_TRUE(plain.passed) << spec.name << " seed " << seed << ":\n" << plain.report;
+      EXPECT_EQ(profiled.report, plain.report)
           << "report diverged: " << spec.name << " seed " << seed;
       EXPECT_EQ(profiled.pktwalk, plain.pktwalk)
           << "pktwalk diverged: " << spec.name << " seed " << seed;

@@ -234,15 +234,22 @@ int Direction(const std::string& key) {
 
 int Main(int argc, char** argv) {
   double threshold = 10.0;
+  bool bad_threshold = false;
   std::vector<const char*> files;
   for (int i = 1; i < argc; i++) {
     if (std::strncmp(argv[i], "--threshold=", 12) == 0) {
-      threshold = std::atof(argv[i] + 12);
+      // The whole value must be a finite, non-negative number: atof would
+      // read "abc" as 0 (gate everything) and "nan" fails every comparison
+      // (gate nothing).
+      const char* s = argv[i] + 12;
+      char* end = nullptr;
+      threshold = std::strtod(s, &end);
+      bad_threshold |= end == s || *end != '\0' || !std::isfinite(threshold) || threshold < 0;
     } else {
       files.push_back(argv[i]);
     }
   }
-  if (files.size() != 2) {
+  if (files.size() != 2 || bad_threshold) {
     std::fprintf(stderr, "usage: bench_diff OLD.json NEW.json [--threshold=PCT]\n");
     return 64;
   }

@@ -268,17 +268,14 @@ struct LatRun {
 
 // Runs the selected protolat workload — TCP then UDP when both are
 // selected, one World each — with the selector's wire faults installed
-// ahead of the view's own on_world hook. Journey and ledger accounting
-// start from zero, with rings sized to hold every hop of the run so
-// journeys are complete, not ring-truncated. False (after saying why) if a
-// run did not complete.
+// ahead of the view's own on_world hook. Each World's journey and drop
+// rings are sized to hold every hop of the run so journeys are complete,
+// not ring-truncated. False (after saying why) if a run did not complete.
 bool RunLat(const Opts& o, ProtolatHooks hooks, std::vector<LatRun>* runs) {
-  DropLedger::Get().Reset();
-  PacketJourney::Get().Reset();
-  PacketJourney::Get().set_hop_capacity(1 << 20);
-  DropLedger::Get().set_ring_capacity(1 << 16);
   std::function<void(World&)> view_hook = std::move(hooks.on_world);
   hooks.on_world = [&o, &view_hook](World& w) {
+    w.obs().journey.set_hop_capacity(1 << 20);
+    w.obs().drops.set_ring_capacity(1 << 16);
     if (o.loss > 0) {
       FaultPlan plan;
       plan.loss_rate = o.loss;
@@ -346,10 +343,30 @@ void AppendSessionCounters(World& w, int i, std::vector<StatsRegistry::Entry>* o
   }
 }
 
-// With --proto both the workload runs once per protocol; counters are
-// summed across the runs and histograms accumulate. The pcap taps are
-// re-armed at the start of each run, so a capture file holds the final
-// run's traffic with monotone virtual timestamps.
+// The drop ledger and journey totals `stat` prints, added up over its
+// protolat Worlds.
+struct RecorderTotals {
+  uint64_t drops[static_cast<size_t>(DropReason::kNumReasons)] = {};
+  uint64_t minted = 0, delivered = 0, consumed = 0, dropped = 0, in_flight = 0, conflicts = 0;
+
+  void Add(const Observatory& obs) {
+    for (size_t i = 0; i < static_cast<size_t>(DropReason::kNumReasons); i++) {
+      drops[i] += obs.drops.total(static_cast<DropReason>(i));
+    }
+    const PacketJourney& j = obs.journey;
+    minted += j.minted();
+    delivered += j.delivered();
+    consumed += j.consumed();
+    dropped += j.dropped();
+    in_flight += j.in_flight();
+    conflicts += j.conflicts();
+  }
+};
+
+// With --proto both the workload runs once per protocol; counters and
+// recorder totals are summed across the runs and histograms accumulate.
+// The pcap taps are re-armed at the start of each run, so a capture file
+// holds the final run's traffic with monotone virtual timestamps.
 int Stat(const Opts& o) {
   Tracer tracer;
   HistogramSink hist;
@@ -383,6 +400,8 @@ int Stat(const Opts& o) {
       counters[e.name] += e.value;
     }
   };
+  RecorderTotals rec;
+  hooks.on_end = [&rec](World& w) { rec.Add(w.obs()); };
   std::vector<LatRun> runs;
   if (!RunLat(o, hooks, &runs)) {
     return 1;
@@ -401,8 +420,6 @@ int Stat(const Opts& o) {
   for (const auto& kv : counters) {
     merged.push_back({kv.first, kv.second});
   }
-  const DropLedger& led = DropLedger::Get();
-  const PacketJourney& jn = PacketJourney::Get();
 
   if (o.json) {
     printf("{\n  \"psdstat\": 1,\n");
@@ -441,19 +458,19 @@ int Stat(const Opts& o) {
     first = true;
     for (size_t i = 1; i < static_cast<size_t>(DropReason::kNumReasons); i++) {
       DropReason r = static_cast<DropReason>(i);
-      if (led.total(r) == 0) {
+      if (rec.drops[i] == 0) {
         continue;
       }
       printf("%s\"%s\": %lu", first ? "" : ", ", DropReasonName(r),
-             static_cast<unsigned long>(led.total(r)));
+             static_cast<unsigned long>(rec.drops[i]));
       first = false;
     }
     printf("},\n");
     printf("  \"journey\": {\"minted\": %lu, \"delivered\": %lu, \"consumed\": %lu, "
            "\"dropped\": %lu, \"in_flight\": %lu, \"conflicts\": %lu}\n}\n",
-           static_cast<unsigned long>(jn.minted()), static_cast<unsigned long>(jn.delivered()),
-           static_cast<unsigned long>(jn.consumed()), static_cast<unsigned long>(jn.dropped()),
-           static_cast<unsigned long>(jn.in_flight()), static_cast<unsigned long>(jn.conflicts()));
+           static_cast<unsigned long>(rec.minted), static_cast<unsigned long>(rec.delivered),
+           static_cast<unsigned long>(rec.consumed), static_cast<unsigned long>(rec.dropped),
+           static_cast<unsigned long>(rec.in_flight), static_cast<unsigned long>(rec.conflicts));
     return 0;
   }
 
@@ -484,11 +501,11 @@ int Stat(const Opts& o) {
   bool any_drop = false;
   for (size_t i = 1; i < static_cast<size_t>(DropReason::kNumReasons); i++) {
     DropReason r = static_cast<DropReason>(i);
-    if (led.total(r) == 0) {
+    if (rec.drops[i] == 0) {
       continue;
     }
     any_drop = true;
-    printf("  %-24s %lu%s\n", DropReasonName(r), static_cast<unsigned long>(led.total(r)),
+    printf("  %-24s %lu%s\n", DropReasonName(r), static_cast<unsigned long>(rec.drops[i]),
            IsDropReason(r) ? "" : "  (event, not a drop)");
   }
   if (!any_drop) {
@@ -496,18 +513,23 @@ int Stat(const Opts& o) {
   }
   printf("\npacket journeys: %lu minted, %lu delivered, %lu consumed, %lu dropped, "
          "%lu in flight\n",
-         static_cast<unsigned long>(jn.minted()), static_cast<unsigned long>(jn.delivered()),
-         static_cast<unsigned long>(jn.consumed()), static_cast<unsigned long>(jn.dropped()),
-         static_cast<unsigned long>(jn.in_flight()));
+         static_cast<unsigned long>(rec.minted), static_cast<unsigned long>(rec.delivered),
+         static_cast<unsigned long>(rec.consumed), static_cast<unsigned long>(rec.dropped),
+         static_cast<unsigned long>(rec.in_flight));
   return 0;
 }
 
 int Walk(const Opts& o) {
+  std::string walk;
+  ProtolatHooks hooks;
+  hooks.on_end = [&o, &walk](World& w) {
+    walk = o.json ? PktwalkJson(w.obs(), o.walk) : PktwalkText(w.obs(), o.walk);
+  };
   std::vector<LatRun> runs;
-  if (!RunLat(o, ProtolatHooks{}, &runs)) {
+  if (!RunLat(o, hooks, &runs)) {
     return 1;
   }
-  std::fputs((o.json ? PktwalkJson(o.walk) : PktwalkText(o.walk)).c_str(), stdout);
+  std::fputs(walk.c_str(), stdout);
   return 0;
 }
 

@@ -26,8 +26,8 @@
 #include <string>
 #include <vector>
 
+#include "bench/common/flags.h"
 #include "src/base/log.h"
-#include "src/obs/journey.h"
 #include "src/obs/pcap.h"
 #include "src/testbed/torture.h"
 #include "src/testbed/traffic_mix.h"
@@ -68,7 +68,11 @@ int main(int argc, char** argv) {
     } else if (strcmp(argv[i], "--config") == 0) {
       config = need("--config");
     } else if (strcmp(argv[i], "--seed") == 0) {
-      seed = static_cast<uint64_t>(atoll(need("--seed")));
+      const char* v = need("--seed");
+      if (!ParseInt(v, 0, &seed)) {
+        fprintf(stderr, "bad --seed '%s'\n", v);
+        return Usage(argv[0]);
+      }
     } else if (strcmp(argv[i], "--mix") == 0) {
       mix = need("--mix");
     } else if (strcmp(argv[i], "--artifacts") == 0) {
@@ -140,11 +144,9 @@ int main(int argc, char** argv) {
         if (!artifacts.empty()) {
           std::string stem =
               artifacts + "/torture-" + s.name + "-" + ConfigName(c) + "-" + std::to_string(seed);
-          PktwalkFilter pf;
           FILE* f = fopen((stem + ".pktwalk.txt").c_str(), "w");
           if (f != nullptr) {
-            std::string walk = PktwalkText(pf);
-            fwrite(walk.data(), 1, walk.size(), f);
+            fwrite(r.pktwalk.data(), 1, r.pktwalk.size(), f);
             fclose(f);
           }
           pcap.WriteFile(stem + ".pcap");
