@@ -14,7 +14,9 @@
 //                          placements, whose poll rides cooperative select)
 //   wakeup_cost_edges    — edges per wakeup: >1 means edges coalesced into
 //                          one wakeup, the cost the subsystem exists to cut
-//   wall_ns_per_pkt      — host ns per simulated wire frame
+//   wall_ns_per_pkt      — host ns per simulated wire frame (also in the
+//                          summary as <placement>_wall_ns_per_pkt, so
+//                          bench_diff compares two runs per placement)
 //
 // Observatory sections: each placement row also reports per-op RPC
 // accounting from the server's worker recorders (count, bytes, queue-wait
@@ -145,6 +147,7 @@ int main(int argc, char** argv) {
     double p50 = Percentile(ref.connect_ns, 50) / 1e6;
     double p99 = Percentile(ref.connect_ns, 99) / 1e6;
     double wall_ns_per_pkt = min_wall / static_cast<double>(ref.frames);
+    out.summary().Set(std::string(ConfigName(config)) + "_wall_ns_per_pkt", wall_ns_per_pkt);
     double edges_per_wakeup = ref.poll_wakeups > 0
                                   ? static_cast<double>(ref.poll_edges) /
                                         static_cast<double>(ref.poll_wakeups)

@@ -80,6 +80,7 @@ class SocketApi {
   // A poll descriptor names a persistent interest set; sockets push
   // readiness edges into it, so PollWait wakes in O(ready) instead of
   // re-scanning the whole set the way Select does. Level-triggered.
+  // Close(fd) removes fd from every interest set, on every placement.
   virtual Result<int> PollCreate() = 0;
   virtual Result<void> PollAdd(int pfd, int fd, uint32_t events) = 0;
   virtual Result<void> PollRemove(int pfd, int fd) = 0;

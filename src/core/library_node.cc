@@ -652,6 +652,10 @@ Result<void> LibraryNode::Close(int fd) {
     }
   }
   fds_.erase(fd);
+  // Epoll's implicit deregistration on close: no poll set keeps a dead fd.
+  for (auto& [pfd, members] : polls_) {
+    members.erase(fd);
+  }
   return r;
 }
 
@@ -828,15 +832,11 @@ Result<int> LibraryNode::PollWait(int pfd, std::vector<PollEvent>* out, SimDurat
     return Err::kBadF;
   }
   out->clear();
-  // Materialize the persistent interest map into one cooperative select:
-  // descriptors that vanished since PollAdd are skipped (epoll's implicit
-  // deregistration on close).
+  // Materialize the persistent interest map into one cooperative select.
   SelectFds fds;
   std::vector<std::pair<int, uint32_t>> members;
   for (const auto& [fd, mask] : it->second) {
-    if (!Lookup(fd).ok()) {
-      continue;
-    }
+    assert(fds_.count(fd) != 0);  // Close deregisters
     members.emplace_back(fd, mask);
     if ((mask & kPollEventIn) != 0) {
       fds.read.push_back(fd);

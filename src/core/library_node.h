@@ -185,7 +185,8 @@ class LibraryNode : public SocketApi {
   ProtocolLibrary* lib_;
   std::map<int, Desc> fds_;
   // Poll descriptors share the fd number space; each maps member fd ->
-  // requested event mask.
+  // requested event mask. Members are live descriptors only: Close erases
+  // the fd from every poll set, so PollWait never meets a dead one.
   std::map<int, std::map<int, uint32_t>> polls_;
   int next_fd_ = 3;
   uint64_t select_seq_ = 1;

@@ -201,6 +201,22 @@ std::string DomainsJson(const HostProfReport& r) {
   return out;
 }
 
+// {"name": ns, ...} over (name, exclusive ns) rows, in row order.
+std::string NsMapJson(const std::vector<std::pair<std::string, double>>& rows) {
+  std::string out = "{";
+  char buf[64];
+  for (const auto& [name, ns] : rows) {
+    if (out.size() > 1) {
+      out += ", ";
+    }
+    std::snprintf(buf, sizeof buf, ": %.0f", ns);
+    out += JsonQuote(name);
+    out += buf;
+  }
+  out += "}";
+  return out;
+}
+
 }  // namespace
 
 std::string RenderHostProfJson(const HostProfReport& r) {
@@ -217,29 +233,9 @@ std::string RenderHostProfJson(const HostProfReport& r) {
   out += buf;
   out += "\"governor\": " + JsonQuote(r.host.governor);
   out += ", \"domains\": " + DomainsJson(r);
-  out += ", \"fibers\": {";
-  bool first = true;
-  for (const auto& [name, ns] : r.fibers) {
-    if (!first) {
-      out += ", ";
-    }
-    first = false;
-    std::snprintf(buf, sizeof buf, ": %.0f", ns);
-    out += JsonQuote(name);
-    out += buf;
-  }
-  out += "}, \"stacks\": {";
-  first = true;
-  for (const auto& [path, ns] : r.stacks) {
-    if (!first) {
-      out += ", ";
-    }
-    first = false;
-    std::snprintf(buf, sizeof buf, ": %.0f", ns);
-    out += JsonQuote(path);
-    out += buf;
-  }
-  out += "}}";
+  out += ", \"fibers\": " + NsMapJson(r.fibers);
+  out += ", \"stacks\": " + NsMapJson(r.stacks);
+  out += "}";
   return out;
 }
 
@@ -255,6 +251,7 @@ std::string HostProfileJsonFragment(const HostProfReport& r) {
                 r.wall_ns, r.attributed_pct(), r.unattributed_ns);
   out += buf;
   out += DomainsJson(r);
+  out += ", \"fibers\": " + NsMapJson(r.fibers);
   out += "}";
   return out;
 }

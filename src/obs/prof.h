@@ -147,8 +147,9 @@ struct HostProfReport {
 std::string RenderHostProfTable(const HostProfReport& r);
 std::string RenderHostProfFlame(const HostProfReport& r);
 std::string RenderHostProfJson(const HostProfReport& r);
-// Compact {"cpu_model":...,"attributed_pct":...,"domains":{...}} fragment
-// for embedding as the host_profile section of shared-schema bench rows.
+// Compact {"cpu_model":...,"attributed_pct":...,"domains":{...},
+// "fibers":{...}} fragment for embedding as the host_profile section of
+// shared-schema bench rows; "fibers" is the table's per-fiber split.
 std::string HostProfileJsonFragment(const HostProfReport& r);
 
 class HostProfiler {

@@ -197,6 +197,79 @@ TEST_P(PlacementTest, PollWaitDrivenAcceptAndEcho) {
   EXPECT_EQ(echoed, kClients);
 }
 
+// Close drops the descriptor from every poll set it was added to (epoll's
+// implicit deregistration), in every placement: a closed fd is no longer a
+// member, and a wait reports only the live connection.
+TEST_P(PlacementTest, CloseDropsPollRegistration) {
+  World w(GetParam(), MachineProfile::DecStation5000());
+  constexpr int kClosed = 32;
+  bool server_done = false;
+  int clients_done = 0;
+
+  w.SpawnApp(1, "poll-server", [&] {
+    SocketApi* api = w.api(1);
+    int lfd = *api->CreateSocket(IpProto::kTcp);
+    ASSERT_TRUE(api->Bind(lfd, SockAddrIn{Ipv4Addr::Any(), 5001}).ok());
+    ASSERT_TRUE(api->Listen(lfd, 2 * kClosed).ok());
+    Result<int> pfd = api->PollCreate();
+    ASSERT_TRUE(pfd.ok()) << ErrName(pfd.error());
+
+    std::vector<int> fds;
+    for (int i = 0; i < kClosed; i++) {
+      Result<int> cfd = api->Accept(lfd, nullptr);
+      ASSERT_TRUE(cfd.ok()) << ErrName(cfd.error());
+      ASSERT_TRUE(api->PollAdd(*pfd, *cfd, kPollEventIn).ok());
+      fds.push_back(*cfd);
+    }
+    for (int fd : fds) {
+      ASSERT_TRUE(api->Close(fd).ok());
+      Result<void> r = api->PollRemove(*pfd, fd);
+      ASSERT_FALSE(r.ok()) << "fd " << fd << " still registered after Close";
+      EXPECT_EQ(r.error(), Err::kBadF) << ErrName(r.error());
+    }
+
+    Result<int> live = api->Accept(lfd, nullptr);
+    ASSERT_TRUE(live.ok()) << ErrName(live.error());
+    ASSERT_TRUE(api->PollAdd(*pfd, *live, kPollEventIn).ok());
+    std::vector<PollEvent> events;
+    Result<int> n = api->PollWait(*pfd, &events, Seconds(20));
+    ASSERT_TRUE(n.ok()) << ErrName(n.error());
+    ASSERT_EQ(*n, 1);
+    n = api->PollWait(*pfd, &events, 0);
+    ASSERT_TRUE(n.ok()) << ErrName(n.error());
+    ASSERT_EQ(*n, 1);
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events[0].fd, *live);
+    EXPECT_EQ(events[0].events, kPollEventIn);
+
+    api->Close(*live);
+    api->PollClose(*pfd);
+    api->Close(lfd);
+    server_done = true;
+  });
+
+  for (int k = 0; k <= kClosed; k++) {
+    w.SpawnApp(0, "cli" + std::to_string(k), [&, k] {
+      SocketApi* api = w.api(0);
+      int fd = *api->CreateSocket(IpProto::kTcp);
+      w.sim().current_thread()->SleepFor(Millis(10 + k));
+      ASSERT_TRUE(api->Connect(fd, SockAddrIn{w.addr(1), 5001}).ok());
+      uint8_t byte = 'x';
+      ASSERT_TRUE(api->Send(fd, &byte, 1, nullptr).ok());
+      uint8_t buf[16];
+      Result<size_t> got = api->Recv(fd, buf, sizeof(buf), nullptr, false);
+      ASSERT_TRUE(got.ok()) << ErrName(got.error());
+      EXPECT_EQ(*got, 0u);  // the server only ever closes
+      api->Close(fd);
+      clients_done++;
+    });
+  }
+
+  w.sim().Run(Seconds(120));
+  EXPECT_TRUE(server_done);
+  EXPECT_EQ(clients_done, kClosed + 1);
+}
+
 TEST_P(PlacementTest, TcpConnectRefused) {
   World w(GetParam(), MachineProfile::DecStation5000());
   bool done = false;

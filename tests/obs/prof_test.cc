@@ -235,6 +235,9 @@ TEST(HostProf, RendererGrammar) {
   std::string frag = HostProfileJsonFragment(r);
   EXPECT_EQ(frag.front(), '{');
   EXPECT_NE(frag.find("\"domains\""), std::string::npos);
+  size_t fibers = frag.find("\"fibers\": {");
+  ASSERT_NE(fibers, std::string::npos) << frag;
+  EXPECT_NE(frag.find("\"(main)\": ", fibers), std::string::npos) << frag;
 }
 
 TEST(HostProf, ZeroPerturbationOnEngineWorkload) {
