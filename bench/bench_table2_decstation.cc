@@ -9,10 +9,10 @@
 //
 // Set PSD_BENCH_MB to shrink the 16 MB transfer for quick runs.
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 
 #include "bench/common/bench_json.h"
+#include "bench/common/flags.h"
 #include "bench/common/table_printer.h"
 #include "bench/common/workloads.h"
 
@@ -46,14 +46,11 @@ const size_t kUdpSizes[5] = {1, 100, 512, 1024, 1472};
 }  // namespace
 }  // namespace psd
 
-int main() {
+int main(int, char** argv) {
   using namespace psd;
   MachineProfile prof = MachineProfile::DecStation5000();
 
-  size_t total_mb = 16;
-  if (const char* env = std::getenv("PSD_BENCH_MB")) {
-    total_mb = static_cast<size_t>(std::atoi(env));
-  }
+  const size_t total_bytes = BenchTransferBytes(argv[0]);
   int trials = 60;
 
   std::printf("Table 2 (DECstation 5000/200): TCP throughput and TCP/UDP round-trip latency\n");
@@ -69,7 +66,7 @@ int main() {
   PrintRule(48);
   for (Config c : configs) {
     TtcpOptions opt;
-    opt.total_bytes = total_mb * 1024 * 1024;
+    opt.total_bytes = total_bytes;
     SweepResult sweep = TtcpBestBuffer(c, prof, opt);
     const PaperRow& paper = kPaper.at(c);
     throughput[c] = sweep.best.kb_per_sec;

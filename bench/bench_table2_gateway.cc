@@ -9,10 +9,10 @@
 // The paper's 386BSD and BNR2SS rows collapse into the in-kernel and
 // server architectures respectively (see EXPERIMENTS.md).
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 
 #include "bench/common/bench_json.h"
+#include "bench/common/flags.h"
 #include "bench/common/table_printer.h"
 #include "bench/common/workloads.h"
 
@@ -42,13 +42,10 @@ const size_t kUdpSizes[5] = {1, 100, 512, 1024, 1472};
 }  // namespace
 }  // namespace psd
 
-int main() {
+int main(int, char** argv) {
   using namespace psd;
   MachineProfile prof = MachineProfile::Gateway486();
-  size_t total_mb = 16;
-  if (const char* env = std::getenv("PSD_BENCH_MB")) {
-    total_mb = static_cast<size_t>(std::atoi(env));
-  }
+  const size_t total_bytes = BenchTransferBytes(argv[0]);
   int trials = 60;
   const Config configs[] = {Config::kInKernel, Config::kServer, Config::kLibraryIpc,
                             Config::kLibraryShm};
@@ -62,7 +59,7 @@ int main() {
   PrintRule(36);
   for (Config c : configs) {
     TtcpOptions opt;
-    opt.total_bytes = total_mb * 1024 * 1024;
+    opt.total_bytes = total_bytes;
     opt.pio_nic = true;
     SweepResult sweep = TtcpBestBuffer(c, prof, opt);
     tput[c] = sweep.best.kb_per_sec;

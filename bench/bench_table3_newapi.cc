@@ -7,10 +7,10 @@
 // 5% from 910 KB/sec to 959 KB/sec with the IPC-based packet filter
 // interface. ... from 1088 KB/sec to 1099 KB/sec [SHM-IPF]."
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 
 #include "bench/common/bench_json.h"
+#include "bench/common/flags.h"
 #include "bench/common/table_printer.h"
 #include "bench/common/workloads.h"
 
@@ -44,13 +44,10 @@ const size_t kUdpSizes[5] = {1, 100, 512, 1024, 1472};
 }  // namespace
 }  // namespace psd
 
-int main() {
+int main(int, char** argv) {
   using namespace psd;
   MachineProfile prof = MachineProfile::DecStation5000();
-  size_t total_mb = 16;
-  if (const char* env = std::getenv("PSD_BENCH_MB")) {
-    total_mb = static_cast<size_t>(std::atoi(env));
-  }
+  const size_t total_bytes = BenchTransferBytes(argv[0]);
   int trials = 60;
   const Config configs[] = {Config::kLibraryIpc, Config::kLibraryShm, Config::kLibraryShmIpf};
 
@@ -63,7 +60,7 @@ int main() {
   BenchJson out("table3_newapi", prof.name);
   for (Config c : configs) {
     TtcpOptions opt;
-    opt.total_bytes = total_mb * 1024 * 1024;
+    opt.total_bytes = total_bytes;
     opt.newapi = true;
     SweepResult sweep = TtcpBestBuffer(c, prof, opt);
     tput_new[c] = sweep.best.kb_per_sec;

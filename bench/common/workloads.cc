@@ -126,9 +126,8 @@ SweepResult TtcpBestBuffer(Config config, const MachineProfile& profile, TtcpOpt
 double RunProtolat(Config config, const MachineProfile& profile, const ProtolatOptions& opt,
                    const ProtolatHooks& hooks) {
   World w(config, profile, 2, opt.pio_nic);
-  if (hooks.tracer != nullptr) {
-    w.AttachTracer(0, hooks.tracer);
-    w.AttachTracer(1, hooks.tracer);
+  for (TraceSink* sink : hooks.sinks) {
+    w.obs().tracer.AddSink(sink);
   }
   if (hooks.on_world) {
     hooks.on_world(w);
@@ -236,9 +235,9 @@ double RunProtolat(Config config, const MachineProfile& profile, const ProtolatO
       }
       // Application-level RTT span for each measured trial; latency
       // histograms aggregate these by name.
-      if (i >= warmup && hooks.tracer != nullptr && hooks.tracer->enabled()) {
-        hooks.tracer->Emit(&w.sim(), "protolat/rtt", TraceLayer::kApp, /*stage=*/-1, trial_start,
-                           w.sim().Now() - trial_start);
+      if (i >= warmup) {
+        w.obs().tracer.Emit(&w.sim(), "protolat/rtt", TraceLayer::kApp, /*stage=*/-1, trial_start,
+                            w.sim().Now() - trial_start);
       }
     }
     mean_ms = ToMillis(w.sim().Now() - t0) / opt.trials;
@@ -258,10 +257,8 @@ double RunProtolat(Config config, const MachineProfile& profile, const ProtolatO
 
 double RunProtolatProbed(Config config, const MachineProfile& profile, const ProtolatOptions& opt,
                          StageRecorder* recorder) {
-  Tracer tracer;
-  tracer.AddSink(recorder);
   ProtolatHooks hooks;
-  hooks.tracer = &tracer;
+  hooks.sinks = {recorder};
   hooks.on_measure_begin = [recorder] { recorder->Reset(); };
   return RunProtolat(config, profile, opt, hooks);
 }

@@ -56,11 +56,11 @@ struct ProtolatOptions {
   bool pio_nic = false;
 };
 
-// Observability hooks for an instrumented protolat run. The tracer (if any)
-// is attached to both hosts before the run, so its sinks see the client's
-// send path and the echo host's receive path.
+// Observability hooks for an instrumented protolat run. The sinks are added
+// to the World's tracer before the run, so they see the client's send path,
+// the echo host's receive path and the wire; they must outlive the run.
 struct ProtolatHooks {
-  Tracer* tracer = nullptr;
+  std::vector<TraceSink*> sinks;
   // Called right after the world is built, before any application thread
   // runs (use to attach pcap taps, export stats registries, or inject
   // wire faults).
@@ -83,9 +83,9 @@ struct ProtolatHooks {
 double RunProtolat(Config config, const MachineProfile& profile, const ProtolatOptions& opt,
                    const ProtolatHooks& hooks = {});
 
-// Table 4 convenience wrapper: runs protolat with a private Tracer feeding
-// `recorder`, reset at the warmup boundary so cells cover only measured
-// round trips.
+// Table 4 convenience wrapper: runs protolat with `recorder` as the only
+// sink, reset at the warmup boundary so cells cover only measured round
+// trips.
 double RunProtolatProbed(Config config, const MachineProfile& profile, const ProtolatOptions& opt,
                          StageRecorder* recorder);
 

@@ -40,11 +40,6 @@ KernelNode::~KernelNode() {
   }
 }
 
-void KernelNode::SetTracer(Tracer* tracer) {
-  stack_->env()->tracer = tracer;
-  host_->kernel()->SetTracer(tracer);
-}
-
 BoundaryModel KernelNode::TrapBoundary() {
   SimHost* host = host_;
   // Only the enter leg counts toward traps_: one socket call == one trap.

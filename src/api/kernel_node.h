@@ -49,10 +49,6 @@ class KernelNode : public SocketApi {
   Stack* stack() { return stack_.get(); }
   SimHost* host() { return host_; }
 
-  // Attaches the observability tracer to the in-kernel stack and the host
-  // kernel. May be null.
-  void SetTracer(Tracer* tracer);
-
   // User/kernel boundary crossings (one per socket-call trap). The in-kernel
   // placement's analogue of an RPC count: it issues zero RPCs, so this is
   // the denominator-side baseline for amplification comparisons.

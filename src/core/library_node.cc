@@ -32,7 +32,7 @@ ProtocolLibrary::ProtocolLibrary(SimHost* host, NetServer* server, std::string n
       name_(std::move(name)),
       path_(path),
       resolver_(this),
-      pkt_port_(host->sim(), host->prof(), name_ + "/pkt",
+      pkt_port_(host->sim(), host->obs(), name_ + "/pkt",
                 PortCosts::PacketDelivery(*host->prof())) {
   StackParams params;
   params.sim = host->sim();
@@ -111,11 +111,10 @@ IpcMessage ProtocolLibrary::Call(ProxyOp op, uint64_t sid, std::vector<uint8_t> 
   assert(self != nullptr);
   // Control-path proxy RPC into the OS server (the span covers the trap,
   // the send leg, and the blocked wait for the reply).
-  TraceSpan span(tracer_, host_->sim(), ProxyOpName(op), TraceLayer::kCore, sid);
+  TraceSpan span(host_->obs()->tracer, host_->sim(), ProxyOpName(op), TraceLayer::kCore, sid);
   rpc_calls_.Count(ProxyOpSlot(static_cast<uint32_t>(op)));
   self->Charge(host_->prof()->trap);
-  Port reply(host_->sim(), host_->prof(), name_ + "/reply");
-  reply.SetTracer(tracer_);
+  Port reply(host_->sim(), host_->obs(), host_->prof(), name_ + "/reply");
   IpcMessage req;
   req.kind = static_cast<uint32_t>(op);
   req.arg[1] = sid;
@@ -171,13 +170,6 @@ void ProtocolLibrary::InvalidateRoutes() {
   invalidations_++;
   // Drop every cached route; they refill on demand from the server.
   stack_->routes() = RouteTable(&host_->obs()->meta);
-}
-
-void ProtocolLibrary::SetTracer(Tracer* tracer) {
-  tracer_ = tracer;
-  stack_->env()->tracer = tracer;
-  host_->kernel()->SetTracer(tracer);
-  pkt_port_.SetTracer(tracer);
 }
 
 void ProtocolLibrary::ExportStats(StatsRegistry* reg, const std::string& prefix) const {
@@ -406,16 +398,14 @@ void LibraryNode::RecordAdoptPhases(uint64_t sid, SimTime rpc_begin, SimTime rpc
   // proxy-RPC round trip carrying the encoded state (it overlaps the
   // server's freeze/install/encode phases by design); `resume` is the local
   // adopt plus restart of the transmit machinery.
-  MetastateLedger& meta = lib_->host()->obs()->meta;
-  meta.RecordPhase(MigrationPhase::kTransfer, rpc_end - rpc_begin);
-  meta.RecordPhase(MigrationPhase::kResume, resume_end - rpc_end);
-  Tracer* tracer = lib_->tracer();
-  if (tracer != nullptr) {
-    Simulator* sim = lib_->host()->sim();
-    tracer->Emit(sim, "migrate/transfer", TraceLayer::kCore, -1, rpc_begin, rpc_end - rpc_begin,
-                 sid);
-    tracer->Emit(sim, "migrate/resume", TraceLayer::kCore, -1, rpc_end, resume_end - rpc_end, sid);
-  }
+  Observatory* obs = lib_->host()->obs();
+  obs->meta.RecordPhase(MigrationPhase::kTransfer, rpc_end - rpc_begin);
+  obs->meta.RecordPhase(MigrationPhase::kResume, resume_end - rpc_end);
+  Simulator* sim = lib_->host()->sim();
+  obs->tracer.Emit(sim, "migrate/transfer", TraceLayer::kCore, -1, rpc_begin, rpc_end - rpc_begin,
+                   sid);
+  obs->tracer.Emit(sim, "migrate/resume", TraceLayer::kCore, -1, rpc_end, resume_end - rpc_end,
+                   sid);
 }
 
 Result<size_t> LibraryNode::FwdSend(Desc* d, const uint8_t* data, size_t len,

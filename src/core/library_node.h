@@ -55,10 +55,6 @@ class ProtocolLibrary : public MetastateSubscriber {
   void InvalidateArpEntry(Ipv4Addr ip) override;
   void InvalidateRoutes() override;
 
-  // Attaches the observability tracer to the library stack, the host
-  // kernel, and the proxy call path. May be null.
-  void SetTracer(Tracer* tracer);
-
   // Registers library counters (ARP cache, invalidations) plus the library
   // stack's protocol counters under "<prefix>...".
   void ExportStats(StatsRegistry* reg, const std::string& prefix) const;
@@ -73,7 +69,6 @@ class ProtocolLibrary : public MetastateSubscriber {
   uint64_t arp_cache_misses() const { return arp_misses_; }
   uint64_t invalidations() const { return invalidations_; }
   PacketQueue* ring() { return ring_; }
-  Tracer* tracer() const { return tracer_; }
   // Client-side proxy-RPC accounting: every Call/Notify this library issued,
   // by op slot. The ratio of this total to connections handled is the
   // placement's RPC amplification.
@@ -104,7 +99,6 @@ class ProtocolLibrary : public MetastateSubscriber {
   uint64_t lib_id_ = 0;
   SimThread* input_thread_ = nullptr;
   bool crashed_ = false;
-  Tracer* tracer_ = nullptr;
   uint64_t arp_hits_ = 0;
   uint64_t arp_misses_ = 0;
   uint64_t invalidations_ = 0;

@@ -135,23 +135,21 @@ std::vector<uint8_t> NetServer::MigrateTcpOut(Session* s) {
   meta.RecordPhase(MigrationPhase::kEncode, t4 - t3);
   meta.Count(MetaEvent::kMigrationOut);
   migrations_out_++;
-  Tracer* tracer = core_.tracer();
-  if (tracer != nullptr && tracer->enabled()) {
-    // The freeze span encloses the nested install span (contiguous
-    // interval); the freeze histogram above excludes it.
-    tracer->Emit(sim, "migrate/freeze", TraceLayer::kCore, -1, t0, t3 - t0, s->filter_id);
-    tracer->Emit(sim, "migrate/install", TraceLayer::kCore, -1, t1, t2 - t1, s->filter_id);
-    tracer->Emit(sim, "migrate/encode", TraceLayer::kCore, -1, t3, t4 - t3, s->filter_id);
-    tracer->Instant(sim, "migrate/out", TraceLayer::kCore, s->filter_id);
-  }
+  // The freeze span encloses the nested install span (contiguous interval);
+  // the freeze histogram above excludes it.
+  Tracer& tracer = host_->obs()->tracer;
+  tracer.Emit(sim, "migrate/freeze", TraceLayer::kCore, -1, t0, t3 - t0, s->filter_id);
+  tracer.Emit(sim, "migrate/install", TraceLayer::kCore, -1, t1, t2 - t1, s->filter_id);
+  tracer.Emit(sim, "migrate/encode", TraceLayer::kCore, -1, t3, t4 - t3, s->filter_id);
+  tracer.Instant(sim, "migrate/out", TraceLayer::kCore, s->filter_id);
   return enc;
 }
 
 IpcMessage NetServer::Handle(const IpcMessage& req) {
   // One span per proxy request handled, named by operation, tagged with the
   // session id argument where the protocol carries one.
-  TraceSpan span(core_.tracer(), host_->sim(), ProxyOpName(static_cast<ProxyOp>(req.kind)),
-                 TraceLayer::kCore, req.arg[1]);
+  TraceSpan span(host_->obs()->tracer, host_->sim(),
+                 ProxyOpName(static_cast<ProxyOp>(req.kind)), TraceLayer::kCore, req.arg[1]);
   switch (static_cast<ProxyOp>(req.kind)) {
     case ProxyOp::kProxySocket:
       return HandleSocket(req);
@@ -402,12 +400,10 @@ IpcMessage NetServer::HandleReturn(const IpcMessage& req) {
       MetastateLedger& meta = host_->obs()->meta;
       meta.Count(MetaEvent::kMigrationIn);
       meta.RecordPhase(MigrationPhase::kResume, host_->sim()->Now() - resume_start);
-      Tracer* tracer = core_.tracer();
-      if (tracer != nullptr && tracer->enabled()) {
-        tracer->Emit(host_->sim(), "migrate/resume", TraceLayer::kCore, -1, resume_start,
-                      host_->sim()->Now() - resume_start, req.arg[1]);
-        tracer->Instant(host_->sim(), "migrate/in", TraceLayer::kCore, req.arg[1]);
-      }
+      Tracer& tracer = host_->obs()->tracer;
+      tracer.Emit(host_->sim(), "migrate/resume", TraceLayer::kCore, -1, resume_start,
+                  host_->sim()->Now() - resume_start, req.arg[1]);
+      tracer.Instant(host_->sim(), "migrate/in", TraceLayer::kCore, req.arg[1]);
     } else {
       // UDP: recreate the binding server-side.
       UdpPcb* pcb = nullptr;
@@ -665,10 +661,7 @@ void NetServer::OnProcessDeath(uint64_t lib_id) {
     }
   }
   libraries_.erase(lib_id);
-  Tracer* tracer = core_.tracer();
-  if (tracer != nullptr && tracer->enabled()) {
-    tracer->Instant(host_->sim(), "crash/cleanup", TraceLayer::kCore, lib_id);
-  }
+  host_->obs()->tracer.Instant(host_->sim(), "crash/cleanup", TraceLayer::kCore, lib_id);
 }
 
 }  // namespace psd

@@ -51,10 +51,6 @@ class NetServer {
   Stack* stack() { return core_.stack(); }
   SimHost* host() { return host_; }
 
-  // Attaches the observability tracer to the server stack, the host kernel,
-  // the server's ports, and the proxy dispatch loop. May be null.
-  void SetTracer(Tracer* tracer) { core_.SetTracer(tracer); }
-
   // Registers server counters (migrations, callbacks, sessions) plus the
   // server stack's protocol counters under "<prefix>...".
   void ExportStats(StatsRegistry* reg, const std::string& prefix) const;

@@ -6,7 +6,6 @@
 #include "src/base/bytes.h"
 #include "src/netsim/ether.h"
 #include "src/obs/prof.h"
-#include "src/obs/trace.h"
 
 namespace psd {
 
@@ -333,18 +332,6 @@ ParsedFrame ParseFrame(const uint8_t* pkt, size_t len) {
 
 FilterEngine::MatchResult FilterEngine::Match(const uint8_t* pkt, size_t len) const {
   PSD_PROF_SCOPE(kFilterClassify);
-  MatchResult r = MatchImpl(pkt, len);
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    // Zero-width span: Match charges nothing itself (the kernel call site
-    // charges and owns the enclosing stage span); this records which demux
-    // path resolved the frame and for which filter.
-    tracer_->Emit(sim_, r.via_flow_table ? "filter/classify" : "filter/vm_scan",
-                  TraceLayer::kFilter, /*stage=*/-1, sim_->Now(), /*dur=*/0, r.id);
-  }
-  return r;
-}
-
-FilterEngine::MatchResult FilterEngine::MatchImpl(const uint8_t* pkt, size_t len) const {
   MatchResult r;
 
   auto run = [&](const InstalledFilter& f) {

@@ -28,9 +28,6 @@
 
 namespace psd {
 
-class Tracer;
-class Simulator;
-
 enum class FilterOp : uint8_t {
   kLdB,        // A = pkt[k]           (out of range => reject)
   kLdH,        // A = be16(pkt[k..])
@@ -163,14 +160,6 @@ class FilterEngine {
   };
   MatchResult Match(const uint8_t* pkt, size_t len) const;
 
-  // Observability: Match emits a "filter/classify" or "filter/vm_scan" span
-  // per demultiplex (zero virtual width — Match itself never charges; the
-  // caller charges and wraps the stage span). May be null.
-  void SetTracer(Tracer* tracer, Simulator* sim) {
-    tracer_ = tracer;
-    sim_ = sim;
-  }
-
   size_t installed_count() const { return filters_.size(); }
   size_t indexed_count() const { return flow_count_; }
 
@@ -212,7 +201,6 @@ class FilterEngine {
     int priority = 0;
   };
 
-  MatchResult MatchImpl(const uint8_t* pkt, size_t len) const;
   static FlowKey EntryKey(const FlowSpec& f);
   void IndexInsert(const FlowKey& key, FlowEnt ent);
   void IndexErase(const FlowKey& key, uint64_t id);
@@ -223,9 +211,6 @@ class FilterEngine {
   static bool Precedes(const FlowEnt& c, const InstalledFilter& f) {
     return c.priority > f.priority || (c.priority == f.priority && c.id < f.id);
   }
-
-  Tracer* tracer_ = nullptr;
-  Simulator* sim_ = nullptr;
 
   std::vector<InstalledFilter> filters_;  // sorted: priority desc, id asc
   std::vector<size_t> vm_only_;           // indices of non-indexable filters, same order

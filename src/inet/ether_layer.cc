@@ -8,7 +8,7 @@
 namespace psd {
 
 Result<void> EtherLayer::OutputIp(Chain pkt, Ipv4Addr next_hop) {
-  ProbeSpan span(env_->tracer, env_->sim, Stage::kEtherOutput);
+  ProbeSpan span(env_->obs->tracer, env_->sim, Stage::kEtherOutput);
   env_->Charge(env_->prof->arp_fixed);  // resolver/cache lookup
   MacAddr dst;
   if (resolver_ == nullptr) {

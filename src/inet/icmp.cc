@@ -39,8 +39,6 @@ void IcmpLayer::Input(Chain payload, Ipv4Addr src, Ipv4Addr dst) {
   IcmpType type = static_cast<IcmpType>(h[0]);
   switch (type) {
     case IcmpType::kEchoRequest: {
-      uint16_t ident = Load16(h + 4);
-      uint16_t seq = Load16(h + 6);
       Chain reply;
       std::vector<uint8_t> bytes = payload.ToVector();
       bytes[0] = static_cast<uint8_t>(IcmpType::kEchoReply);
@@ -48,17 +46,11 @@ void IcmpLayer::Input(Chain payload, Ipv4Addr src, Ipv4Addr dst) {
       reply.Append(bytes.data(), bytes.size());
       FinishChecksum(&reply);
       echoes_answered_++;
-      (void)ident;
-      (void)seq;
       ip_->Output(std::move(reply), IpProto::kIcmp, ip_->addr(), src);
       break;
     }
-    case IcmpType::kEchoReply: {
-      if (on_echo_reply_) {
-        on_echo_reply_(src, Load16(h + 4), Load16(h + 6));
-      }
-      break;
-    }
+    case IcmpType::kEchoReply:
+      break;  // this stack never sends an echo request
     case IcmpType::kUnreachable: {
       // Payload: unused(4) + original IP header(20) + first 8 bytes of the
       // original transport header.
@@ -75,22 +67,6 @@ void IcmpLayer::Input(Chain payload, Ipv4Addr src, Ipv4Addr dst) {
       break;
     }
   }
-}
-
-void IcmpLayer::SendEchoRequest(Ipv4Addr dst, uint16_t ident, uint16_t seq, const uint8_t* data,
-                                size_t len) {
-  Chain c;
-  uint8_t hdr[kIcmpHeaderLen] = {};
-  hdr[0] = static_cast<uint8_t>(IcmpType::kEchoRequest);
-  Store16(hdr + 4, ident);
-  Store16(hdr + 6, seq);
-  c.Append(hdr, sizeof(hdr));
-  if (len > 0) {
-    c.Append(data, len);
-  }
-  FinishChecksum(&c);
-  env_->Charge(static_cast<SimDuration>(c.len()) * env_->prof->checksum_per_byte);
-  ip_->Output(std::move(c), IpProto::kIcmp, ip_->addr(), dst);
 }
 
 void IcmpLayer::SendUnreachable(IcmpUnreachCode code, const Chain& orig_transport, IpProto proto,

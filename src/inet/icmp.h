@@ -1,4 +1,4 @@
-// ICMP: echo request/reply and destination-unreachable generation and
+// ICMP: echo replies, and destination-unreachable generation and
 // notification (UDP maps port-unreachable onto ECONNREFUSED for connected
 // sockets, as BSD does).
 #ifndef PSD_SRC_INET_ICMP_H_
@@ -32,18 +32,11 @@ class IcmpLayer {
 
   void Input(Chain payload, Ipv4Addr src, Ipv4Addr dst);
 
-  void SendEchoRequest(Ipv4Addr dst, uint16_t ident, uint16_t seq, const uint8_t* data,
-                       size_t len);
-
   // Sends type-3 carrying the original IP header + 8 payload bytes, as the
   // protocol requires. `orig_packet` is the transport payload of the
   // offending packet; `orig_src`/`orig_dst`/`proto` come from its header.
   void SendUnreachable(IcmpUnreachCode code, const Chain& orig_transport, IpProto proto,
                        Ipv4Addr orig_src, Ipv4Addr orig_dst);
-
-  // (src of echo reply, ident, seq) — for the ping example and tests.
-  using EchoReplyHandler = std::function<void(Ipv4Addr, uint16_t, uint16_t)>;
-  void SetEchoReplyHandler(EchoReplyHandler h) { on_echo_reply_ = std::move(h); }
 
   // Fired on received unreachable: (code, original dst endpoint, original
   // src port). Transports register to map this onto socket errors.
@@ -57,7 +50,6 @@ class IcmpLayer {
  private:
   StackEnv* env_;
   IpLayer* ip_;
-  EchoReplyHandler on_echo_reply_;
   UnreachHandler on_unreach_;
   uint64_t echoes_answered_ = 0;
   uint64_t unreachables_sent_ = 0;

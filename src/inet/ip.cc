@@ -35,7 +35,7 @@ void IpLayer::BuildHeader(uint8_t* hdr, size_t total_len, uint16_t id, uint16_t 
 
 Result<void> IpLayer::Output(Chain payload, IpProto proto, Ipv4Addr src, Ipv4Addr dst,
                              uint8_t ttl) {
-  ProbeSpan span(env_->tracer, env_->sim, Stage::kIpOutput);
+  ProbeSpan span(env_->obs->tracer, env_->sim, Stage::kIpOutput);
   env_->Charge(env_->prof->ip_out_fixed);
 
   auto next_hop = routes_->NextHop(dst);
@@ -89,7 +89,7 @@ Result<void> IpLayer::SendOne(Chain payload, IpProto proto, Ipv4Addr src, Ipv4Ad
 }
 
 void IpLayer::Input(Chain pkt) {
-  ProbeSpan span(env_->tracer, env_->sim, Stage::kIpIntr);
+  ProbeSpan span(env_->obs->tracer, env_->sim, Stage::kIpIntr);
   env_->Charge(env_->prof->ipintr_fixed);
   env_->sync->ChargeSyncPair();
   stats_.received++;

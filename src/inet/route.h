@@ -48,8 +48,6 @@ class RouteTable {
                      });
   }
 
-  void AddDefault(Ipv4Addr gateway) { Add(Ipv4Addr::Any(), Ipv4Addr::Any(), gateway); }
-
   bool Remove(Ipv4Addr dest, Ipv4Addr mask) {
     auto it = std::find_if(entries_.begin(), entries_.end(), [&](const RouteEntry& e) {
       return e.dest == dest && e.mask == mask;

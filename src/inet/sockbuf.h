@@ -1,13 +1,13 @@
 // Socket buffers (BSD so_snd / so_rcv). A SockBuf holds either a byte
-// stream (TCP) or a list of datagrams with source addresses (UDP), tracks
-// character count against a high-water mark, and notifies the socket layer
-// of changes so blocked readers/writers and select() can make progress.
+// stream (TCP) or a list of datagrams with source addresses (UDP) and
+// tracks character count against a high-water mark. It notifies nobody: the
+// protocol wakes blocked readers/writers and select() through its pcb's
+// wakeup hooks after it changes a buffer.
 #ifndef PSD_SRC_INET_SOCKBUF_H_
 #define PSD_SRC_INET_SOCKBUF_H_
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <utility>
 
 #include "src/inet/addr.h"
@@ -33,7 +33,6 @@ class SockBuf {
   void AppendStream(Chain c) {
     cc_ += c.len();
     stream_.AppendChain(std::move(c));
-    Changed();
   }
 
   // Copies [off, off+n) without consuming (TCP transmits from the send
@@ -44,7 +43,6 @@ class SockBuf {
   void Drop(size_t n) {
     stream_.TrimFront(n);
     cc_ -= n;
-    Changed();
   }
 
   // Consumes up to max bytes from the front into a new chain.
@@ -52,7 +50,6 @@ class SockBuf {
     size_t n = max < cc_ ? max : cc_;
     Chain out = stream_.SplitFront(n);
     cc_ -= n;
-    Changed();
     return out;
   }
 
@@ -73,7 +70,6 @@ class SockBuf {
     }
     cc_ += c.len() + sizeof(SockAddrIn);
     dgrams_.push_back(Dgram{from, std::move(c)});
-    Changed();
     return true;
   }
 
@@ -84,36 +80,23 @@ class SockBuf {
     *out = std::move(dgrams_.front());
     dgrams_.pop_front();
     cc_ -= out->data.len() + sizeof(SockAddrIn);
-    Changed();
     return true;
   }
 
   const Dgram* PeekDgram() const { return dgrams_.empty() ? nullptr : &dgrams_.front(); }
   size_t dgram_count() const { return dgrams_.size(); }
 
-  // Socket layer hook, fired on every content change (wakes blocked
-  // readers/writers, feeds select/proxy_status).
-  void SetOnChange(std::function<void()> fn) { on_change_ = std::move(fn); }
-
   void Clear() {
     stream_.Clear();
     dgrams_.clear();
     cc_ = 0;
-    Changed();
   }
 
  private:
-  void Changed() {
-    if (on_change_) {
-      on_change_();
-    }
-  }
-
   size_t hiwat_;
   size_t cc_ = 0;
   Chain stream_;
   std::deque<Dgram> dgrams_;
-  std::function<void()> on_change_;
 };
 
 }  // namespace psd

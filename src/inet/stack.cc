@@ -18,7 +18,6 @@ Stack::Stack(const StackParams& params)
            params.prof,
            params.placement,
            &sync_,
-           params.tracer,
            params.obs,
            params.send_frame,
            /*cur_rx_pkt=*/0,
@@ -51,7 +50,7 @@ void Stack::InputFrame(const Frame& frame) {
   env_.cur_rx_pkt = frame.pkt_id;
   env_.obs->journey.Hop(frame.pkt_id, TraceLayer::kInet, env_.node.id(), env_.Now());
   {
-    ProbeSpan span(env_.tracer, env_.sim, Stage::kNetisrFilter);
+    ProbeSpan span(env_.obs->tracer, env_.sim, Stage::kNetisrFilter);
     env_.Charge(env_.prof->netisr_fixed);
   }
   EtherLayer::RxFrame rx;
@@ -60,7 +59,7 @@ void Stack::InputFrame(const Frame& frame) {
     // "mbuf/queue" row; on the in-kernel stack this happens inside netisr
     // processing and the table reports it there).
     Stage stage = env_.placement == Placement::kKernel ? Stage::kNetisrFilter : Stage::kMbufQueue;
-    ProbeSpan span(env_.tracer, env_.sim, stage);
+    ProbeSpan span(env_.obs->tracer, env_.sim, stage);
     env_.Charge(env_.prof->sbqueue_fixed);
     env_.sync->ChargeSyncPair();
     if (!EtherLayer::Parse(frame, &rx)) {

@@ -53,7 +53,6 @@ struct StackParams {
   HostCpu* cpu = nullptr;
   const MachineProfile* prof = nullptr;
   Placement placement = Placement::kKernel;
-  Tracer* tracer = nullptr;
   Observatory* obs = nullptr;  // required: the host's Observatory
   std::function<void(Frame)> send_frame;
   Ipv4Addr ip;

@@ -98,8 +98,7 @@ struct StackEnv {
   const MachineProfile* prof = nullptr;
   Placement placement = Placement::kKernel;
   SyncDomain* sync = nullptr;
-  Tracer* tracer = nullptr;  // observability span tracer; may be null
-  Observatory* obs = nullptr;  // the run's journeys, drops and metastate
+  Observatory* obs = nullptr;  // the run's tracer, journeys, drops and metastate
 
   // Hands a complete Ethernet frame to the placement's transmit path
   // (in-kernel: direct device transmit; library/server: net-send syscall

@@ -55,7 +55,7 @@ TcpPcb* TcpLayer::Demux(const SockAddrIn& local, const SockAddrIn& remote) {
 }
 
 void TcpLayer::Input(Chain seg, Ipv4Addr src, Ipv4Addr dst) {
-  ProbeSpan span(env_->tracer, env_->sim, Stage::kProtoInput);
+  ProbeSpan span(env_->obs->tracer, env_->sim, Stage::kProtoInput);
   env_->Charge(env_->prof->tcp_in_fixed);
   env_->sync->ChargeSyncPair();
   if (env_->placement == Placement::kLibrary) {
@@ -434,9 +434,7 @@ void TcpLayer::Input(Chain seg, Ipv4Addr src, Ipv4Addr dst) {
     if (SeqLeq(ack, pcb->snd_una)) {
       if (tlen == 0 && win == pcb->snd_wnd) {
         stats_.dup_acks++;
-        if (env_->tracer != nullptr && env_->tracer->enabled()) {
-          env_->tracer->Instant(env_->sim, "tcp/dupack", TraceLayer::kInet, pcb->id);
-        }
+        env_->obs->tracer.Instant(env_->sim, "tcp/dupack", TraceLayer::kInet, pcb->id);
         if (pcb->t_timer[TcpPcb::kTimerRexmt] == 0 || ack != pcb->snd_una) {
           pcb->t_dupacks = 0;
         } else {

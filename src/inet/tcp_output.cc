@@ -39,7 +39,7 @@ uint8_t OutFlags(TcpState s) {
 }  // namespace
 
 Result<void> TcpLayer::Output(TcpPcb* pcb) {
-  ProbeSpan span(env_->tracer, env_->sim, Stage::kProtoOutput);
+  ProbeSpan span(env_->obs->tracer, env_->sim, Stage::kProtoOutput);
   span.MarkConditional();  // committed below iff a segment is transmitted
   env_->Charge(env_->prof->tcp_out_fixed);
   env_->sync->ChargeSyncPair();
@@ -263,9 +263,7 @@ Result<void> TcpLayer::Output(TcpPcb* pcb) {
       if (is_retransmit) {
         stats_.retransmits++;
         pcb->rexmt_segs++;
-        if (env_->tracer != nullptr && env_->tracer->enabled()) {
-          env_->tracer->Instant(env_->sim, "tcp/rexmit", TraceLayer::kInet, pcb->id);
-        }
+        env_->obs->tracer.Instant(env_->sim, "tcp/rexmit", TraceLayer::kInet, pcb->id);
       }
     }
 

@@ -81,7 +81,7 @@ Result<void> UdpLayer::Connect(UdpPcb* pcb, SockAddrIn remote) {
 }
 
 Result<void> UdpLayer::Output(UdpPcb* pcb, Chain data, const SockAddrIn* dst) {
-  ProbeSpan span(env_->tracer, env_->sim, Stage::kProtoOutput);
+  ProbeSpan span(env_->obs->tracer, env_->sim, Stage::kProtoOutput);
   env_->Charge(env_->prof->udp_out_fixed);
   if (env_->placement != Placement::kLibrary) {
     // The in-kernel/server udp_output carries the full in_pcb machinery
@@ -156,7 +156,7 @@ UdpPcb* UdpLayer::Demux(const SockAddrIn& local, const SockAddrIn& remote) {
 }
 
 void UdpLayer::Input(Chain dgram, Ipv4Addr src, Ipv4Addr dst) {
-  ProbeSpan span(env_->tracer, env_->sim, Stage::kProtoInput);
+  ProbeSpan span(env_->obs->tracer, env_->sim, Stage::kProtoInput);
   env_->Charge(env_->prof->udp_in_fixed);
   env_->sync->ChargeSyncPair();
   if (env_->placement == Placement::kLibrary) {

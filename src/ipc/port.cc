@@ -9,7 +9,7 @@ namespace psd {
 void Port::Send(IpcMessage msg) {
   SimThread* self = sim_->current_thread();
   assert(self != nullptr && "Port::Send requires thread context");
-  TraceSpan span(tracer_, sim_, "ipc/send", TraceLayer::kIpc);
+  TraceSpan span(obs_->tracer, sim_, "ipc/send", TraceLayer::kIpc);
   // Copy the payload across the user/kernel boundary into the queued
   // message (one of the four RPC data copies).
   self->Charge(costs_.send_fixed +
@@ -42,7 +42,7 @@ bool Port::Receive(IpcMessage* out, SimTime deadline) {
   queue_.pop_front();
   // The span starts after the dequeue so a long blocked wait does not read
   // as IPC work.
-  TraceSpan span(tracer_, sim_, "ipc/recv", TraceLayer::kIpc);
+  TraceSpan span(obs_->tracer, sim_, "ipc/recv", TraceLayer::kIpc);
   // Copy out of the kernel queue into the receiver's address space.
   SimDuration cost = costs_.recv_fixed +
                      static_cast<SimDuration>(head.payload.size()) * costs_.per_byte;

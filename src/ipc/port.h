@@ -20,7 +20,7 @@
 
 #include "src/base/time.h"
 #include "src/cost/machine_profile.h"
-#include "src/obs/trace.h"
+#include "src/obs/observatory.h"
 #include "src/sim/simulator.h"
 
 namespace psd {
@@ -64,14 +64,16 @@ struct PortCosts {
   }
 };
 
+// Send and the post-dequeue part of Receive emit "ipc/send" / "ipc/recv"
+// spans into `obs->tracer` (the blocked wait is not a span — it is
+// scheduling, not work).
 class Port {
  public:
-  Port(Simulator* sim, const MachineProfile* prof, std::string name)
-      : sim_(sim), prof_(prof), name_(std::move(name)), costs_(PortCosts::Rpc(*prof)),
-        nonempty_(sim) {}
+  Port(Simulator* sim, Observatory* obs, const MachineProfile* prof, std::string name)
+      : Port(sim, obs, std::move(name), PortCosts::Rpc(*prof)) {}
 
-  Port(Simulator* sim, const MachineProfile* prof, std::string name, PortCosts costs)
-      : sim_(sim), prof_(prof), name_(std::move(name)), costs_(costs), nonempty_(sim) {}
+  Port(Simulator* sim, Observatory* obs, std::string name, PortCosts costs)
+      : sim_(sim), obs_(obs), name_(std::move(name)), costs_(costs), nonempty_(sim) {}
 
   Port(const Port&) = delete;
   Port& operator=(const Port&) = delete;
@@ -104,17 +106,11 @@ class Port {
 
   uint64_t messages_sent() const { return messages_sent_; }
 
-  // Observability: Send and the post-dequeue part of Receive emit
-  // "ipc/send" / "ipc/recv" spans (the blocked wait is not a span — it is
-  // scheduling, not work). May be null.
-  void SetTracer(Tracer* tracer) { tracer_ = tracer; }
-
  private:
   Simulator* sim_;
-  const MachineProfile* prof_;
+  Observatory* obs_;
   std::string name_;
   PortCosts costs_;
-  Tracer* tracer_ = nullptr;
   WaitQueue nonempty_;
   std::deque<IpcMessage> queue_;
   uint64_t messages_sent_ = 0;

@@ -82,7 +82,7 @@ void Kernel::NetSendFromUser(Frame frame) {
   SimThread* self = sim_->current_thread();
   assert(self != nullptr);
   // Trap boundary: user -> kernel crossing for the raw packet send.
-  TraceSpan span(tracer_, sim_, "trap/net_send", TraceLayer::kKern);
+  TraceSpan span(obs_->tracer, sim_, "trap/net_send", TraceLayer::kKern);
   self->Charge(prof_->trap);
   // Copy from user space into a wired kernel buffer (pooled).
   Frame wired(frame);
@@ -117,8 +117,12 @@ void Kernel::DeliverFrame() {
   }
 
   auto run_filter = [&](const Frame& f) -> FilterEngine::MatchResult {
-    ProbeSpan span(tracer_, sim_, Stage::kNetisrFilter);
+    ProbeSpan span(obs_->tracer, sim_, Stage::kNetisrFilter);
     FilterEngine::MatchResult m = engine_.Match(f.data(), f.size());
+    // Zero-width span (Match charges nothing): which demux path resolved
+    // the frame, and to which filter.
+    obs_->tracer.Emit(sim_, m.via_flow_table ? "filter/classify" : "filter/vm_scan",
+                      TraceLayer::kFilter, /*stage=*/-1, sim_->Now(), /*dur=*/0, m.id);
     filter_insns_ += static_cast<uint64_t>(m.insns_executed);
     demux_classifies_ += static_cast<uint64_t>(m.classify_ops);
     if (m.via_flow_table) {
@@ -134,7 +138,7 @@ void Kernel::DeliverFrame() {
   if (integrated) {
     FilterEngine::MatchResult m;
     {
-      ProbeSpan span(tracer_, sim_, Stage::kDevIntrRead);
+      ProbeSpan span(obs_->tracer, sim_, Stage::kDevIntrRead);
       self->Charge(prof_->intr_fixed);
     }
     {
@@ -165,7 +169,7 @@ void Kernel::DeliverFrame() {
     if (pcap_ != nullptr) {
       pcap_->CaptureFrame(sim_->Now(), f);
     }
-    ProbeSpan span(tracer_, sim_, Stage::kKernelCopyout);
+    ProbeSpan span(obs_->tracer, sim_, Stage::kKernelCopyout);
     // Single copy: device memory straight into the destination domain.
     self->Charge(static_cast<SimDuration>(f.size()) * nic_->params().rx_read_per_byte);
     switch (ep.kind) {
@@ -190,7 +194,7 @@ void Kernel::DeliverFrame() {
   // Copy-then-filter path.
   Frame f;
   {
-    ProbeSpan span(tracer_, sim_, Stage::kDevIntrRead);
+    ProbeSpan span(obs_->tracer, sim_, Stage::kDevIntrRead);
     self->Charge(prof_->intr_fixed);
     // Copy the whole frame out of device memory into a wired kernel buffer.
     const Frame& head = nic_->RxHead();
@@ -227,7 +231,7 @@ void Kernel::DeliverFrame() {
       // after this frame entered the copy path (session-filter handover
       // mid-delivery); the frame is already in a kernel buffer, so it
       // takes the same copy into the shared ring as kShm.
-      ProbeSpan span(tracer_, sim_, Stage::kKernelCopyout);
+      ProbeSpan span(obs_->tracer, sim_, Stage::kKernelCopyout);
       // Kernel buffer -> shared-memory ring.
       self->Charge(static_cast<SimDuration>(f.size()) * prof_->copy_per_byte);
       Frame shared(f);  // pooled copy
@@ -235,7 +239,7 @@ void Kernel::DeliverFrame() {
       break;
     }
     case DeliverKind::kIpc: {
-      ProbeSpan span(tracer_, sim_, Stage::kKernelCopyout);
+      ProbeSpan span(obs_->tracer, sim_, Stage::kKernelCopyout);
       IpcMessage msg;
       msg.kind = kMsgPacketDelivery;
       msg.arg[5] = f.pkt_id;

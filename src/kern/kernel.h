@@ -47,6 +47,9 @@ constexpr uint32_t kMsgPacketDelivery = 0x504b5431;  // 'PKT1'
 
 class Kernel {
  public:
+  // Records drops, journey hops and spans (the trap boundary, Table 4's
+  // receive-path stages, one zero-width filter span per demultiplex) into
+  // `obs`.
   Kernel(Simulator* sim, Observatory* obs, HostCpu* cpu, Nic* nic, const MachineProfile* prof,
          std::string name);
   ~Kernel();
@@ -80,13 +83,6 @@ class Kernel {
   // The in-kernel stack's input queue endpoint (placement glue installs a
   // catch-all filter pointing at it).
   PacketQueue* MakeQueueEndpoint(std::string name, SimDuration signal_cost, size_t capacity = 256);
-
-  // Per-host observability tracer (Table 4 receive-path rows, trap-boundary
-  // and filter spans). May be null. Also forwarded to the filter engine.
-  void SetTracer(Tracer* tracer) {
-    tracer_ = tracer;
-    engine_.SetTracer(tracer, sim_);
-  }
 
   // Captures every frame handed to a matched delivery endpoint (after
   // filtering) into a libpcap buffer, stamped at delivery time. Charges no
@@ -124,7 +120,6 @@ class Kernel {
   JourneyNode node_;              // "<name>", for drops
   JourneyNode deliver_node_;      // "<name>/deliver"
   JourneyNode ipf_deliver_node_;  // "<name>/ipf-deliver"
-  Tracer* tracer_ = nullptr;
   PcapCapture* pcap_ = nullptr;
 
   FilterEngine engine_;

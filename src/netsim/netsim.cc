@@ -156,9 +156,7 @@ void EthernetSegment::Transmit(Nic* src, Frame frame, std::function<void()> done
     frames_shaper_dropped_++;
     obs_->drops.Record(frame.pkt_id, TraceLayer::kWire, DropReason::kWireShaperDrop, sim_->Now(),
                        wire_node_.id());
-    if (tracer_ != nullptr && tracer_->enabled()) {
-      tracer_->Instant(sim_, "wire/shaper-drop", TraceLayer::kWire);
-    }
+    obs_->tracer.Instant(sim_, "wire/shaper-drop", TraceLayer::kWire);
     if (done) {
       // The sender still sees wire-paced backpressure: completion fires
       // when the frame would have finished serializing had it been
@@ -180,9 +178,7 @@ void EthernetSegment::Transmit(Nic* src, Frame frame, std::function<void()> done
   frames_carried_++;
   MintInjected(&frame, start);
   obs_->journey.Hop(frame.pkt_id, TraceLayer::kWire, transmit_node_.id(), start);
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    tracer_->Emit(sim_, "wire/transmit", TraceLayer::kWire, /*stage=*/-1, start, end - start);
-  }
+  obs_->tracer.Emit(sim_, "wire/transmit", TraceLayer::kWire, /*stage=*/-1, start, end - start);
 
   // Corruption happens before the pcap tap: the flips are on the cable, so
   // a sniffer sees them.
@@ -193,9 +189,7 @@ void EthernetSegment::Transmit(Nic* src, Frame frame, std::function<void()> done
       frames_corrupted_++;
       obs_->drops.Record(frame.pkt_id, TraceLayer::kWire, DropReason::kWireCorrupt, start,
                          wire_node_.id());
-      if (tracer_ != nullptr && tracer_->enabled()) {
-        tracer_->Instant(sim_, "wire/corrupt", TraceLayer::kWire);
-      }
+      obs_->tracer.Instant(sim_, "wire/corrupt", TraceLayer::kWire);
     }
   }
   if (pcap_ != nullptr) {
@@ -206,9 +200,7 @@ void EthernetSegment::Transmit(Nic* src, Frame frame, std::function<void()> done
     frames_dropped_++;
     obs_->drops.Record(frame.pkt_id, TraceLayer::kWire, DropReason::kWireFault, end,
                        wire_node_.id());
-    if (tracer_ != nullptr && tracer_->enabled()) {
-      tracer_->Instant(sim_, "wire/drop", TraceLayer::kWire);
-    }
+    obs_->tracer.Instant(sim_, "wire/drop", TraceLayer::kWire);
     if (done) {
       sim_->Schedule(end, std::move(done));
     }
@@ -221,9 +213,7 @@ void EthernetSegment::Transmit(Nic* src, Frame frame, std::function<void()> done
     // Not a drop: the frame still arrives, just late (reordered).
     obs_->drops.Record(frame.pkt_id, TraceLayer::kWire, DropReason::kWireDelay, deliver_at,
                        wire_node_.id());
-    if (tracer_ != nullptr && tracer_->enabled()) {
-      tracer_->Instant(sim_, "wire/delay", TraceLayer::kWire);
-    }
+    obs_->tracer.Instant(sim_, "wire/delay", TraceLayer::kWire);
   }
   if (faults_.reorder_rate > 0 && reorder_rng_.Chance(faults_.reorder_rate)) {
     // Hold the frame back a bounded number of frame slots: it falls behind
@@ -234,9 +224,7 @@ void EthernetSegment::Transmit(Nic* src, Frame frame, std::function<void()> done
     frames_reordered_++;
     obs_->drops.Record(frame.pkt_id, TraceLayer::kWire, DropReason::kWireReorder, deliver_at,
                        wire_node_.id());
-    if (tracer_ != nullptr && tracer_->enabled()) {
-      tracer_->Instant(sim_, "wire/reorder", TraceLayer::kWire);
-    }
+    obs_->tracer.Instant(sim_, "wire/reorder", TraceLayer::kWire);
   }
   // The duplicate's copy is taken before the primary frame moves into its
   // delivery event. The dup-stream draw happens here rather than after
@@ -263,9 +251,7 @@ void EthernetSegment::Transmit(Nic* src, Frame frame, std::function<void()> done
       obs_->drops.Record(dup.pkt_id, TraceLayer::kWire, DropReason::kWireCorrupt, deliver_at,
                          wire_node_.id());
     }
-    if (tracer_ != nullptr && tracer_->enabled()) {
-      tracer_->Instant(sim_, "wire/dup", TraceLayer::kWire);
-    }
+    obs_->tracer.Instant(sim_, "wire/dup", TraceLayer::kWire);
     SimDuration dup_wire = WireTime(dup.size());
     Deliver(src, std::move(dup), deliver_at + dup_wire);
   }
@@ -331,9 +317,7 @@ void EthernetSegment::Deliver(Nic* src, Frame frame, SimTime at) {
         if (dst == nic->mac()) {
           obs_->drops.Record(frame.pkt_id, TraceLayer::kWire, DropReason::kWirePartition, at,
                              wire_node_.id());
-          if (tracer_ != nullptr && tracer_->enabled()) {
-            tracer_->Instant(sim_, "wire/partition", TraceLayer::kWire);
-          }
+          obs_->tracer.Instant(sim_, "wire/partition", TraceLayer::kWire);
         }
         continue;
       }

@@ -22,7 +22,6 @@ namespace psd {
 
 class Nic;
 class PcapCapture;
-class Tracer;
 
 struct WireParams {
   SimDuration per_byte = Nanos(800);  // 10 Mb/s
@@ -79,7 +78,8 @@ struct FaultPlan {
 
 class EthernetSegment {
  public:
-  // Records journeys and drops into `obs`, which the attached NICs share.
+  // Records journeys, drops and wire spans (one per transmitted frame, an
+  // instant per injected fault) into `obs`, which the attached NICs share.
   EthernetSegment(Simulator* sim, Observatory* obs, WireParams params = {})
       : sim_(sim),
         obs_(obs),
@@ -125,10 +125,6 @@ class EthernetSegment {
     burst_bad_ = false;
   }
   const FaultPlan& faults() const { return faults_; }
-
-  // Emits a wire-layer span per transmitted frame (and an instant per
-  // injected drop) so traces show network transit alongside host work.
-  void SetTracer(Tracer* tracer) { tracer_ = tracer; }
 
   // Captures every frame whose transmission starts on the segment into a
   // libpcap buffer, stamped at transmission start (a sniffer on the cable —
@@ -181,7 +177,6 @@ class EthernetSegment {
   JourneyNode transmit_node_;
   JourneyNode dup_node_;
   FaultPlan faults_;
-  Tracer* tracer_ = nullptr;
   PcapCapture* pcap_ = nullptr;
   // Per-fault-class deterministic streams (see SetFaults).
   Rng loss_rng_;

@@ -83,21 +83,21 @@ class StageRecorder : public TraceSink {
   std::array<Cell, static_cast<int>(Stage::kNumStages)> cells_{};
 };
 
-// RAII span over one stage. `tracer` may be null (probes disabled: a single
-// pointer test on the hot path).
+// RAII span over one stage; opens nothing while `tracer` has no sink (a
+// single inline test on the hot path).
 class ProbeSpan {
  public:
-  ProbeSpan(Tracer* tracer, Simulator* sim, Stage s)
+  ProbeSpan(Tracer& tracer, Simulator* sim, Stage s)
       : tracer_(tracer), sim_(sim), prof_(StageProfDomain(s)) {
-    if (tracer_ != nullptr && tracer_->enabled()) {
-      tracer_->Begin(sim_, StageName(s), StageLayer(s), static_cast<int>(s), /*sid=*/0,
-                     /*exclusive=*/true);
+    if (tracer_.enabled()) {
+      tracer_.Begin(sim_, StageName(s), StageLayer(s), static_cast<int>(s), /*sid=*/0,
+                    /*exclusive=*/true);
       open_ = true;
     }
   }
   ~ProbeSpan() {
     if (open_) {
-      tracer_->End(sim_, committed_);
+      tracer_.End(sim_, committed_);
     }
   }
 
@@ -112,7 +112,7 @@ class ProbeSpan {
   void Commit() { committed_ = true; }
 
  private:
-  Tracer* tracer_;
+  Tracer& tracer_;
   Simulator* sim_;
   ProfScope prof_;
   bool open_ = false;

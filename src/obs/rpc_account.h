@@ -47,24 +47,12 @@ class RpcOpRecorder {
 
   // `slot` out of range (an op the caller could not map) lands in unknown().
   void Record(int slot, uint64_t bytes_in, uint64_t bytes_out, SimDuration queue_wait,
-              SimDuration service) {
-    if (slot < 0 || static_cast<size_t>(slot) >= ops_.size()) {
-      unknown_++;
-      return;
-    }
-    RpcOpStats& s = ops_[static_cast<size_t>(slot)];
-    s.count++;
-    s.bytes_in += bytes_in;
-    s.bytes_out += bytes_out;
-    s.queue_wait.Record(queue_wait);
-    s.service.Record(service);
-  }
+              SimDuration service);
 
   const RpcOpStats& op(size_t slot) const { return ops_[slot]; }
   size_t slots() const { return ops_.size(); }
   uint64_t total_count() const;
   uint64_t unknown() const { return unknown_; }
-  void Reset();
 
  private:
   std::vector<RpcOpStats> ops_;
@@ -85,7 +73,6 @@ class RpcClientCounter {
   uint64_t count(size_t slot) const { return counts_[slot]; }
   size_t slots() const { return counts_.size(); }
   uint64_t total() const { return total_; }
-  void Reset();
 
  private:
   std::vector<uint64_t> counts_;

@@ -125,7 +125,8 @@ std::string TimeSeriesSampler::Csv(const std::string& prefix) const {
   for (const TimeSample& s : samples_) {
     os << s.at;
     // Entries are sorted and the gauge set is fixed per registry, but walk
-    // by name anyway so a mid-run Reset/re-export cannot misalign columns.
+    // by name anyway so a mid-run registry Reset/re-export cannot misalign
+    // columns.
     size_t cursor = 0;
     for (const std::string& col : cols) {
       uint64_t v = 0;
@@ -140,11 +141,6 @@ std::string TimeSeriesSampler::Csv(const std::string& prefix) const {
     os << "\n";
   }
   return os.str();
-}
-
-void TimeSeriesSampler::Reset() {
-  samples_.clear();
-  taken_ = 0;
 }
 
 }  // namespace psd

@@ -72,9 +72,6 @@ class TimeSeriesSampler {
   // sample (missing names render 0).
   std::string Csv(const std::string& prefix = "") const;
 
-  // Drops collected samples (keeps running state).
-  void Reset();
-
  private:
   void Tick();
 

@@ -93,8 +93,8 @@ void Tracer::End(Simulator* sim, bool commit) {
   }
 }
 
-void Tracer::Emit(Simulator* sim, const char* name, TraceLayer layer, int stage, SimTime begin,
-                  SimDuration dur, uint64_t sid) {
+void Tracer::EmitToSinks(Simulator* sim, const char* name, TraceLayer layer, int stage,
+                         SimTime begin, SimDuration dur, uint64_t sid) {
   TraceSpanData span;
   span.name = name;
   span.layer = layer;
@@ -109,7 +109,7 @@ void Tracer::Emit(Simulator* sim, const char* name, TraceLayer layer, int stage,
   }
 }
 
-void Tracer::Instant(Simulator* sim, const char* name, TraceLayer layer, uint64_t sid) {
+void Tracer::InstantToSinks(Simulator* sim, const char* name, TraceLayer layer, uint64_t sid) {
   for (TraceSink* s : sinks_) {
     s->OnInstant(name, layer, sim->Now(), sim->current_thread(), sid);
   }

@@ -2,9 +2,11 @@
 //
 // Every layer of the system (trap boundary, IPC, packet filter, protocol
 // stack, socket layer, proxy/migration machinery) emits spans through one
-// Tracer. A span records where virtual time went: which layer, on which
-// simulated thread, between which virtual instants, and — where known —
-// for which session. Consumers attach as TraceSinks:
+// Tracer: the run's, `Observatory::tracer` (src/obs/observatory.h), which
+// each component reaches through the Observatory handle it already holds.
+// A span records where virtual time went: which layer, on which simulated
+// thread, between which virtual instants, and — where known — for which
+// session. Consumers attach as TraceSinks:
 //   * StageRecorder (src/obs/probe.h) aggregates per-stage means and feeds
 //     the Table 4 breakdown bench;
 //   * ChromeTraceSink (src/obs/chrome_trace.h) keeps the full span stream
@@ -14,9 +16,10 @@
 // any instant, so the tracer needs no locks — plain containers are
 // "lock-free in simulation" by construction.
 //
-// Cost: with no tracer attached (the null pointer everywhere by default) the
-// instrumentation is a pointer test; simulated costs are never charged by
-// the tracer itself, so attaching one cannot perturb virtual time.
+// Cost: with no sink added (the default) every span site is an inline test
+// of the sink list and makes no out-of-line call; simulated costs are never
+// charged by the tracer itself, so adding a sink cannot perturb virtual
+// time.
 #ifndef PSD_SRC_OBS_TRACE_H_
 #define PSD_SRC_OBS_TRACE_H_
 
@@ -81,7 +84,8 @@ class Tracer {
   bool enabled() const { return !sinks_.empty(); }
 
   // Opens a span on the calling simulated thread (or the event context).
-  // Spans nest per thread; End closes the innermost one.
+  // Spans nest per thread; End closes the innermost one. Callers (TraceSpan,
+  // ProbeSpan) test enabled() first.
   //
   // `exclusive` controls the parent/child time accounting that Table 4's
   // per-layer decomposition depends on: an exclusive span's elapsed time is
@@ -100,12 +104,24 @@ class Tracer {
   // Emits a complete span measured elsewhere (cross-thread wakeups, RPC
   // legs priced analytically). Never participates in nesting.
   void Emit(Simulator* sim, const char* name, TraceLayer layer, int stage, SimTime begin,
-            SimDuration dur, uint64_t sid = 0);
+            SimDuration dur, uint64_t sid = 0) {
+    if (enabled()) {
+      EmitToSinks(sim, name, layer, stage, begin, dur, sid);
+    }
+  }
 
   // Emits a point event.
-  void Instant(Simulator* sim, const char* name, TraceLayer layer, uint64_t sid = 0);
+  void Instant(Simulator* sim, const char* name, TraceLayer layer, uint64_t sid = 0) {
+    if (enabled()) {
+      InstantToSinks(sim, name, layer, sid);
+    }
+  }
 
  private:
+  void EmitToSinks(Simulator* sim, const char* name, TraceLayer layer, int stage, SimTime begin,
+                   SimDuration dur, uint64_t sid);
+  void InstantToSinks(Simulator* sim, const char* name, TraceLayer layer, uint64_t sid);
+
   struct Open {
     const char* name;
     TraceLayer layer;
@@ -122,19 +138,19 @@ class Tracer {
   std::map<const void*, std::vector<Open>> open_;
 };
 
-// RAII span. `tracer` may be null (tracing off: a single pointer test).
+// RAII span; opens nothing while `tracer` has no sink.
 class TraceSpan {
  public:
-  TraceSpan(Tracer* tracer, Simulator* sim, const char* name, TraceLayer layer, uint64_t sid = 0)
+  TraceSpan(Tracer& tracer, Simulator* sim, const char* name, TraceLayer layer, uint64_t sid = 0)
       : tracer_(tracer), sim_(sim), prof_(LayerProfDomain(layer)) {
-    if (tracer_ != nullptr && tracer_->enabled()) {
-      tracer_->Begin(sim_, name, layer, /*stage=*/-1, sid, /*exclusive=*/false);
+    if (tracer_.enabled()) {
+      tracer_.Begin(sim_, name, layer, /*stage=*/-1, sid, /*exclusive=*/false);
       open_ = true;
     }
   }
   ~TraceSpan() {
     if (open_) {
-      tracer_->End(sim_);
+      tracer_.End(sim_);
     }
   }
 
@@ -142,7 +158,7 @@ class TraceSpan {
   TraceSpan& operator=(const TraceSpan&) = delete;
 
  private:
-  Tracer* tracer_;
+  Tracer& tracer_;
   Simulator* sim_;
   ProfScope prof_;
   bool open_ = false;

@@ -24,8 +24,8 @@ ServerCore::ServerCore(SimHost* host, const std::string& tag, const std::string&
                        int workers, int (*op_slot)(uint32_t), size_t slots, Handler handler,
                        std::vector<Fiber> own)
     : host_(host),
-      request_port_(host->sim(), host->prof(), host->name() + "/" + request_port),
-      packet_port_(host->sim(), host->prof(), host->name() + "/" + tag + "-pkt",
+      request_port_(host->sim(), host->obs(), host->prof(), host->name() + "/" + request_port),
+      packet_port_(host->sim(), host->obs(), host->name() + "/" + tag + "-pkt",
                    PortCosts::PacketDelivery(*host->prof())),
       handler_(std::move(handler)),
       op_slot_(op_slot),
@@ -71,14 +71,6 @@ void ServerCore::Stop() {
     }
   }
   threads_.clear();
-}
-
-void ServerCore::SetTracer(Tracer* tracer) {
-  tracer_ = tracer;
-  stack_->env()->tracer = tracer;
-  host_->kernel()->SetTracer(tracer);
-  request_port_.SetTracer(tracer);
-  packet_port_.SetTracer(tracer);
 }
 
 void ServerCore::WorkerBody() {

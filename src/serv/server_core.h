@@ -79,11 +79,6 @@ class ServerCore {
 
   Stack* stack() { return stack_.get(); }
   Port* request_port() { return &request_port_; }
-  Tracer* tracer() const { return tracer_; }
-
-  // Attaches the tracer to the stack, the host kernel and both ports; the
-  // owner's handler reads it back through tracer(). May be null.
-  void SetTracer(Tracer* tracer);
 
   // Per-op RPC accounting: counts, bytes, queue-wait and service
   // histograms per slot, over every request any worker handled.
@@ -109,7 +104,6 @@ class ServerCore {
   Handler handler_;
   int (*op_slot_)(uint32_t);
   RpcOpRecorder rpc_;
-  Tracer* tracer_ = nullptr;
   std::vector<SimThread*> threads_;
 };
 

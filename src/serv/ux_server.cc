@@ -50,7 +50,7 @@ IpcMessage UxServer::Handle(const IpcMessage& req) {
   ServOp op = static_cast<ServOp>(req.kind);
   uint64_t id = req.arg[1];
   // One span per socket RPC handled by the server task.
-  TraceSpan span(core_.tracer(), host_->sim(), ServOpName(op), TraceLayer::kServ, id);
+  TraceSpan span(host_->obs()->tracer, host_->sim(), ServOpName(op), TraceLayer::kServ, id);
 
   switch (op) {
     case ServOp::kSocket: {
@@ -213,7 +213,7 @@ IpcMessage UxServerNode::Call(ServOp op, uint64_t fd, std::vector<uint8_t> paylo
   assert(self != nullptr);
   rpc_calls_.Count(ServOpSlot(static_cast<uint32_t>(op)));
   self->Charge(host_->prof()->trap);
-  Port reply_port(host_->sim(), host_->prof(), "ux-reply");
+  Port reply_port(host_->sim(), host_->obs(), host_->prof(), "ux-reply");
   IpcMessage req;
   req.kind = static_cast<uint32_t>(op);
   req.arg[1] = fd;
@@ -281,14 +281,13 @@ Result<size_t> UxServerNode::Send(int fd, const uint8_t* data, size_t len, const
   IpcMessage rep = Call(ServOp::kSend, fd, std::move(payload), a2, a3);
   // Attribute the RPC request leg to Table 4's entry/copyin row (the
   // server-side socket layer records its own share via its span).
-  Tracer* tracer = server_->stack()->env()->tracer;
-  if (tracer != nullptr && tracer->enabled()) {
-    const MachineProfile* p = host_->prof();
-    SimDuration cost = p->trap + p->ipc_fixed + p->wakeup_cross +
-                       3 * static_cast<SimDuration>(len) * p->ipc_per_byte;
-    tracer->Emit(host_->sim(), StageName(Stage::kEntryCopyin), StageLayer(Stage::kEntryCopyin),
-                 static_cast<int>(Stage::kEntryCopyin), host_->sim()->Now() - cost, cost);
-  }
+  const MachineProfile* p = host_->prof();
+  SimDuration cost = p->trap + p->ipc_fixed + p->wakeup_cross +
+                     3 * static_cast<SimDuration>(len) * p->ipc_per_byte;
+  host_->obs()->tracer.Emit(host_->sim(), StageName(Stage::kEntryCopyin),
+                            StageLayer(Stage::kEntryCopyin),
+                            static_cast<int>(Stage::kEntryCopyin), host_->sim()->Now() - cost,
+                            cost);
   if (rep.arg[0] != 0) {
     return static_cast<Err>(rep.arg[0]);
   }
@@ -305,14 +304,13 @@ Result<size_t> UxServerNode::Recv(int fd, uint8_t* out, size_t len, SockAddrIn* 
   host_->sim()->current_thread()->Charge(static_cast<SimDuration>(n) *
                                          host_->prof()->ipc_per_byte);
   // Attribute the RPC reply leg to Table 4's copyout/exit row.
-  Tracer* tracer = server_->stack()->env()->tracer;
-  if (tracer != nullptr && tracer->enabled()) {
-    const MachineProfile* p = host_->prof();
-    SimDuration cost = p->ipc_fixed + p->wakeup_cross +
-                       3 * static_cast<SimDuration>(n) * p->ipc_per_byte;
-    tracer->Emit(host_->sim(), StageName(Stage::kCopyoutExit), StageLayer(Stage::kCopyoutExit),
-                 static_cast<int>(Stage::kCopyoutExit), host_->sim()->Now() - cost, cost);
-  }
+  const MachineProfile* p = host_->prof();
+  SimDuration cost =
+      p->ipc_fixed + p->wakeup_cross + 3 * static_cast<SimDuration>(n) * p->ipc_per_byte;
+  host_->obs()->tracer.Emit(host_->sim(), StageName(Stage::kCopyoutExit),
+                            StageLayer(Stage::kCopyoutExit),
+                            static_cast<int>(Stage::kCopyoutExit), host_->sim()->Now() - cost,
+                            cost);
   if (n > 0) {
     std::memcpy(out, rep.payload.data(), n);
   }

@@ -95,10 +95,6 @@ class UxServer {
   // unknown); tests and benches read its edge/wakeup counters.
   PollSet* poll_set(uint64_t id);
 
-  // Attaches the observability tracer to the server stack, host kernel,
-  // ports, and the RPC dispatch loop. May be null.
-  void SetTracer(Tracer* tracer) { core_.SetTracer(tracer); }
-
   // Per-op RPC accounting over every worker (counts, bytes, queue-wait and
   // service histograms per ServOp).
   const RpcOpRecorder& MergedRpcStats() const { return core_.rpc(); }

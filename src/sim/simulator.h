@@ -102,15 +102,6 @@ class Simulator {
     Schedule(now_ + d, std::forward<F>(fn));
   }
 
-  // Schedules `fn` after charging `cost` of CPU on `cpu` (interrupt-handler
-  // style execution: the charge serializes against thread charges).
-  template <typename F>
-  void ScheduleCharged(HostCpu* cpu, SimDuration cost, F&& fn) {
-    SimTime end = cpu->Acquire(now_, cost);
-    cpu->AccountBusy(cost);
-    Schedule(end, std::forward<F>(fn));
-  }
-
   // Spawns a simulated thread executing `body`. The thread starts at the
   // current virtual time (after currently queued events at this time).
   // Returned pointer is owned by the simulator and valid until destruction.

@@ -85,7 +85,6 @@ void PollSet::PushEdge(PollEntry* e) {
   if (e->queued) {
     return;
   }
-  bool was_empty = ready_.empty();
   e->queued = true;
   ready_.push_back(e);
   if (wake_cv_->has_waiters()) {
@@ -95,9 +94,6 @@ void PollSet::PushEdge(PollEntry* e) {
     stack_->sock_stats().wakeups++;
     stack_->env()->Charge(e->sock->WakeupCost());
     wake_cv_->NotifyAll();
-  }
-  if (was_empty && edge_hook_) {
-    edge_hook_();
   }
 }
 

@@ -77,11 +77,6 @@ class PollSet {
   // internals); returns the number of events appended.
   int HarvestLocked(std::vector<PollReady>* out);
 
-  // Fired (domain lock held, protocol-thread context) whenever an edge
-  // lands on an empty ready list — the library placement uses it to ping
-  // the operating-system server's cooperative select.
-  void SetEdgeHook(std::function<void()> hook) { edge_hook_ = std::move(hook); }
-
   Stack* stack() const { return stack_; }
   size_t size() const { return entries_.size(); }
   size_t ready_count() const { return ready_.size(); }
@@ -112,7 +107,6 @@ class PollSet {
   // Where PushEdge sends its notify: &cv_ normally, the caller's extra cv
   // while a cooperative Wait is in progress.
   SimCondition* wake_cv_;
-  std::function<void()> edge_hook_;
   uint64_t edges_ = 0;
   uint64_t wakeups_ = 0;
   uint64_t wait_blocks_ = 0;

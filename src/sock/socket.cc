@@ -105,7 +105,7 @@ SimDuration Socket::WakeupCost() const {
 
 void Socket::WakeReaders() {
   if (rcv_cv_.has_waiters()) {
-    ProbeSpan span(stack_->env()->tracer, stack_->env()->sim, Stage::kWakeupUser);
+    ProbeSpan span(stack_->env()->obs->tracer, stack_->env()->sim, Stage::kWakeupUser);
     stack_->sock_stats().wakeups++;
     stack_->env()->Charge(WakeupCost());
     rcv_cv_.NotifyAll();
@@ -248,7 +248,7 @@ Result<std::unique_ptr<Socket>> Socket::Accept(SockAddrIn* peer) {
 
 Result<size_t> Socket::Send(const uint8_t* data, size_t len, const SockAddrIn* to, bool urgent) {
   DomainLock lock(stack_->sync());
-  ProbeSpan span(stack_->env()->tracer, stack_->env()->sim, Stage::kEntryCopyin);
+  ProbeSpan span(stack_->env()->obs->tracer, stack_->env()->sim, Stage::kEntryCopyin);
   if (boundary_.charge_entry) {
     boundary_.charge_entry(len);
   }
@@ -316,7 +316,7 @@ Result<size_t> Socket::SendShared(std::shared_ptr<const std::vector<uint8_t>> bu
                                   size_t len, const SockAddrIn* to) {
   assert(off + len <= buf->size());
   DomainLock lock(stack_->sync());
-  ProbeSpan span(stack_->env()->tracer, stack_->env()->sim, Stage::kEntryCopyin);
+  ProbeSpan span(stack_->env()->obs->tracer, stack_->env()->sim, Stage::kEntryCopyin);
   if (boundary_.charge_entry) {
     boundary_.charge_entry(len);
   }
@@ -382,7 +382,7 @@ Result<size_t> Socket::Recv(uint8_t* out, size_t len, SockAddrIn* from, bool pee
       stack_->sock_stats().recv_blocks++;
       rcv_cv_.Wait(stack_->sync()->mutex());
     }
-    ProbeSpan span(stack_->env()->tracer, stack_->env()->sim, Stage::kCopyoutExit);
+    ProbeSpan span(stack_->env()->obs->tracer, stack_->env()->sim, Stage::kCopyoutExit);
     stack_->env()->Charge(stack_->env()->prof->sock_recv_fixed);
     size_t n;
     if (peek) {
@@ -427,7 +427,7 @@ Result<size_t> Socket::Recv(uint8_t* out, size_t len, SockAddrIn* from, bool pee
     stack_->sock_stats().recv_blocks++;
     rcv_cv_.Wait(stack_->sync()->mutex());
   }
-  ProbeSpan span(stack_->env()->tracer, stack_->env()->sim, Stage::kCopyoutExit);
+  ProbeSpan span(stack_->env()->obs->tracer, stack_->env()->sim, Stage::kCopyoutExit);
   stack_->env()->Charge(stack_->env()->prof->sock_recv_fixed);
   size_t n = std::min(len, tcp_->rcv.cc());
   stack_->env()->Charge(static_cast<SimDuration>(n) * stack_->env()->prof->copy_per_byte);
@@ -464,7 +464,7 @@ Result<Chain> Socket::RecvChain(size_t max, SockAddrIn* from) {
       stack_->sock_stats().recv_blocks++;
       rcv_cv_.Wait(stack_->sync()->mutex());
     }
-    ProbeSpan span(stack_->env()->tracer, stack_->env()->sim, Stage::kCopyoutExit);
+    ProbeSpan span(stack_->env()->obs->tracer, stack_->env()->sim, Stage::kCopyoutExit);
     SockBuf::Dgram d;
     udp_->rcv.TakeDgram(&d);
     if (from != nullptr) {
@@ -496,7 +496,7 @@ Result<Chain> Socket::RecvChain(size_t max, SockAddrIn* from) {
     stack_->sock_stats().recv_blocks++;
     rcv_cv_.Wait(stack_->sync()->mutex());
   }
-  ProbeSpan span(stack_->env()->tracer, stack_->env()->sim, Stage::kCopyoutExit);
+  ProbeSpan span(stack_->env()->obs->tracer, stack_->env()->sim, Stage::kCopyoutExit);
   Chain out = tcp_->rcv.TakeStream(max);
   stack_->tcp().UsrRcvd(tcp_);
   if (boundary_.charge_exit) {

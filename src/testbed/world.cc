@@ -123,23 +123,6 @@ std::vector<Stack*> World::AllStacks(int i) {
   return out;
 }
 
-void World::AttachTracer(int i, Tracer* tracer) {
-  wire_.SetTracer(tracer);
-  Node* n = nodes_[i].get();
-  if (n->kernel_node != nullptr) {
-    n->kernel_node->SetTracer(tracer);
-  }
-  if (n->ux != nullptr) {
-    n->ux->SetTracer(tracer);
-  }
-  if (n->ns != nullptr) {
-    n->ns->SetTracer(tracer);
-  }
-  if (n->lib != nullptr) {
-    n->lib->SetTracer(tracer);
-  }
-}
-
 void World::ExportStats(int i, StatsRegistry* reg) {
   Node* n = nodes_[i].get();
   std::string prefix = n->host->name() + ".";

@@ -3,6 +3,10 @@
 // host. This is the "testbed" the evaluation runs on: N machines on a
 // private 10 Mb/s Ethernet (the paper used two DECstation 5000/200s or two
 // Gateway 486s in single-user mode).
+//
+// The World owns the run's Observatory (src/obs/observatory.h): its span
+// tracer and recorders reach every component of every host and the wire,
+// so any run is inspected by adding a sink to obs().tracer.
 #ifndef PSD_SRC_TESTBED_WORLD_H_
 #define PSD_SRC_TESTBED_WORLD_H_
 
@@ -51,8 +55,11 @@ class World {
 
   Simulator& sim() { return sim_; }
   EthernetSegment& wire() { return wire_; }
-  // This run's recorders: packet journeys, drop ledger, metastate ledger.
-  // They start empty and die with the World; read them before it does.
+  // This run's recorders: span tracer, packet journeys, drop ledger,
+  // metastate ledger. They start empty and die with the World; read them
+  // before it does. A sink added to `obs().tracer` (a StageRecorder for
+  // Table 4, a ChromeTraceSink for trace export) sees spans from every
+  // component on every host and the wire, and must outlive the World.
   Observatory& obs() { return obs_; }
   const MachineProfile& profile() const { return profile_; }
   Config config() const { return config_; }
@@ -88,12 +95,6 @@ class World {
     app_threads_.push_back(t);
     return t;
   }
-
-  // Attaches the observability tracer to every component on host `i`
-  // (stack, kernel, ports, servers). Spans from all layers flow to the
-  // tracer's sinks; attach a StageRecorder sink for Table 4, a
-  // ChromeTraceSink for trace export.
-  void AttachTracer(int i, Tracer* tracer);
 
   // Registers every component's counters on host `i` under "<host>." names
   // (kernel delivery/demux, per-stack protocol stats, server/library

@@ -8,13 +8,14 @@ namespace {
 
 class PortTest : public ::testing::Test {
  protected:
+  Observatory obs;
   Simulator sim;
   HostCpu cpu;
   MachineProfile prof = MachineProfile::DecStation5000();
 };
 
 TEST_F(PortTest, SendReceiveRoundTrip) {
-  Port port(&sim, &prof, "p");
+  Port port(&sim, &obs, &prof, "p");
   IpcMessage got;
   bool received = false;
   sim.Spawn("rx", &cpu, [&] {
@@ -35,7 +36,7 @@ TEST_F(PortTest, SendReceiveRoundTrip) {
 }
 
 TEST_F(PortTest, MessagesQueueInOrder) {
-  Port port(&sim, &prof, "p");
+  Port port(&sim, &obs, &prof, "p");
   std::vector<uint32_t> kinds;
   sim.Spawn("tx", &cpu, [&] {
     for (uint32_t i = 0; i < 5; i++) {
@@ -57,7 +58,7 @@ TEST_F(PortTest, MessagesQueueInOrder) {
 }
 
 TEST_F(PortTest, ReceiveTimesOut) {
-  Port port(&sim, &prof, "p");
+  Port port(&sim, &obs, &prof, "p");
   bool got = true;
   sim.Spawn("rx", &cpu, [&] {
     IpcMessage m;
@@ -68,7 +69,7 @@ TEST_F(PortTest, ReceiveTimesOut) {
 }
 
 TEST_F(PortTest, TransferChargesVirtualTime) {
-  Port port(&sim, &prof, "p");
+  Port port(&sim, &obs, &prof, "p");
   SimTime rx_done = 0;
   sim.Spawn("rx", &cpu, [&] {
     IpcMessage m;
@@ -89,7 +90,7 @@ TEST_F(PortTest, TransferChargesVirtualTime) {
 TEST_F(PortTest, CompetingReceiversEachGetOneMessage) {
   // Regression: a receiver must dequeue before charging, or a second
   // receiver can claim the same message (server worker pools).
-  Port port(&sim, &prof, "p");
+  Port port(&sim, &obs, &prof, "p");
   int delivered = 0;
   for (int i = 0; i < 2; i++) {
     sim.Spawn("rx" + std::to_string(i), &cpu, [&] {
@@ -112,7 +113,7 @@ TEST_F(PortTest, CompetingReceiversEachGetOneMessage) {
 }
 
 TEST_F(PortTest, RpcCallRoundTrip) {
-  Port server(&sim, &prof, "server");
+  Port server(&sim, &obs, &prof, "server");
   sim.Spawn("server", &cpu, [&] {
     IpcMessage req;
     while (server.Receive(&req, sim.Now() + Seconds(1))) {
@@ -123,7 +124,7 @@ TEST_F(PortTest, RpcCallRoundTrip) {
   });
   uint64_t answer = 0;
   sim.Spawn("client", &cpu, [&] {
-    Port reply(&sim, &prof, "reply");
+    Port reply(&sim, &obs, &prof, "reply");
     IpcMessage req;
     req.arg[1] = 21;
     IpcMessage rep = RpcCall(&server, &reply, std::move(req));

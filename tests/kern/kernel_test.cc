@@ -101,7 +101,7 @@ TEST_F(KernelTest, UnmatchedFramesAreDropped) {
 }
 
 TEST_F(KernelTest, IpcDeliveryPath) {
-  Port port(&sim, &prof, "pkt", PortCosts::PacketDelivery(prof));
+  Port port(&sim, &obs, "pkt", PortCosts::PacketDelivery(prof));
   b.kernel()->InstallFilter(CompileCatchAllFilter(), 0,
                             DeliveryEndpoint{DeliverKind::kIpc, nullptr, &port});
   sim.Spawn("tx", a.cpu(), [&] {

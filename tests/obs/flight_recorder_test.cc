@@ -33,11 +33,9 @@ uint64_t SumSuffix(const std::vector<StatsRegistry::Entry>& entries, const std::
 }
 
 TEST(FlightRecorder, CountersMatchTracerUnderLoss) {
-  Tracer tracer;
   HistogramSink hist;
-  tracer.AddSink(&hist);
   ProtolatHooks hooks;
-  hooks.tracer = &tracer;
+  hooks.sinks = {&hist};
   hooks.on_world = [](World& w) {
     FaultPlan plan;
     plan.loss_rate = 0.05;
@@ -92,13 +90,11 @@ TEST(FlightRecorder, FullRecorderChargesZeroVirtualCost) {
   for (Config config : {Config::kInKernel, Config::kServer, Config::kLibraryShmIpf}) {
     double plain = RunProtolat(config, prof, opt);
 
-    Tracer tracer;
     HistogramSink hist;
-    tracer.AddSink(&hist);
     PcapCapture wire_cap;
     PcapCapture kern_cap;
     ProtolatHooks hooks;
-    hooks.tracer = &tracer;
+    hooks.sinks = {&hist};
     hooks.on_world = [&](World& w) {
       w.AttachWirePcap(&wire_cap);
       w.AttachKernelPcap(0, &kern_cap);
@@ -125,11 +121,9 @@ TEST(FlightRecorder, FullRecorderChargesZeroVirtualCost) {
 }
 
 TEST(FlightRecorder, RttHistogramCoversMeasuredTrials) {
-  Tracer tracer;
   HistogramSink hist;
-  tracer.AddSink(&hist);
   ProtolatHooks hooks;
-  hooks.tracer = &tracer;
+  hooks.sinks = {&hist};
   ProtolatOptions opt;
   opt.proto = IpProto::kUdp;
   opt.msg_size = 1;

@@ -35,17 +35,6 @@ TEST(RpcOpRecorder, OutOfRangeSlotLandsInUnknown) {
   EXPECT_EQ(r.total_count(), 0u) << "unknown ops must not pollute per-op totals";
 }
 
-TEST(RpcOpRecorder, ResetZeroesEverySlot) {
-  RpcOpRecorder r(2);
-  r.Record(0, 1, 1, Micros(1), Micros(1));
-  r.Record(9, 0, 0, 0, 0);
-  r.Reset();
-  EXPECT_EQ(r.total_count(), 0u);
-  EXPECT_EQ(r.unknown(), 0u);
-  EXPECT_EQ(r.op(0).count, 0u);
-  EXPECT_EQ(r.op(0).queue_wait.count(), 0u);
-}
-
 TEST(RpcClientCounter, TotalsIncludeUnmappedOpsPerSlotCountsDoNot) {
   RpcClientCounter c(3);
   c.Count(0);
@@ -56,10 +45,6 @@ TEST(RpcClientCounter, TotalsIncludeUnmappedOpsPerSlotCountsDoNot) {
   EXPECT_EQ(c.count(0), 2u);
   EXPECT_EQ(c.count(1), 0u);
   EXPECT_EQ(c.count(2), 1u);
-
-  c.Reset();
-  EXPECT_EQ(c.total(), 0u);
-  EXPECT_EQ(c.count(0), 0u);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // End-to-end tracer coverage: a short protolat run must produce spans from
 // every decomposed layer, valid chrome://tracing JSON, and identical virtual
-// time with and without the tracer attached (observation cannot perturb the
+// time with and without a trace sink (observation cannot perturb the
 // simulation).
 #include <gtest/gtest.h>
 
@@ -54,11 +54,9 @@ void ExpectBalancedJson(const std::string& json) {
 }
 
 TEST(TraceExport, ProtolatCoversAllDecomposedLayers) {
-  Tracer tracer;
   ChromeTraceSink sink;
-  tracer.AddSink(&sink);
   ProtolatHooks hooks;
-  hooks.tracer = &tracer;
+  hooks.sinks = {&sink};
   ProtolatOptions opt;
   opt.proto = IpProto::kUdp;
   opt.msg_size = 100;
@@ -87,11 +85,9 @@ TEST(TraceExport, ProtolatCoversAllDecomposedLayers) {
 }
 
 TEST(TraceExport, ServerConfigEmitsServLayer) {
-  Tracer tracer;
   ChromeTraceSink sink;
-  tracer.AddSink(&sink);
   ProtolatHooks hooks;
-  hooks.tracer = &tracer;
+  hooks.sinks = {&sink};
   ProtolatOptions opt;
   opt.proto = IpProto::kUdp;
   opt.msg_size = 1;
@@ -102,6 +98,65 @@ TEST(TraceExport, ServerConfigEmitsServLayer) {
   EXPECT_TRUE(sink.HasLayer(TraceLayer::kIpc));
 }
 
+// Counts the two legs of every RPC reply: "ipc/send" on a server worker
+// fiber ("<host>/ux-w<i>", "<host>/ns-w<i>") and "ipc/recv" on an
+// application thread.
+struct ReplyLegSink : TraceSink {
+  uint64_t worker_sends = 0;
+  uint64_t app_recvs = 0;
+
+  void OnSpan(const TraceSpanData& span) override {
+    if (span.thread == nullptr) {
+      return;
+    }
+    const std::string& t = span.thread->name();
+    std::string name = span.name;
+    bool worker = t.find("/ux-w") != std::string::npos || t.find("/ns-w") != std::string::npos;
+    bool app = t == "lat-cli" || t == "lat-echo";
+    if (name == "ipc/send" && worker) {
+      worker_sends++;
+    } else if (name == "ipc/recv" && app) {
+      app_recvs++;
+    }
+  }
+};
+
+// Every placement's tracer reaches the ports its RPCs reply on: each client
+// RPC shows its reply leaving a server worker and arriving at the caller.
+TEST(TraceExport, EveryRpcReplyLegIsTraced) {
+  ProtolatOptions opt;
+  opt.proto = IpProto::kUdp;
+  opt.msg_size = 1;
+  opt.trials = 10;
+  for (Config config : {Config::kInKernel, Config::kServer, Config::kLibraryIpc,
+                        Config::kLibraryShm, Config::kLibraryShmIpf}) {
+    ReplyLegSink sink;
+    ProtolatHooks hooks;
+    hooks.sinks = {&sink};
+    uint64_t rpcs = 0;
+    hooks.on_end = [&rpcs](World& w) {
+      for (int i = 0; i < 2; i++) {
+        if (w.ux_node(i) != nullptr) {
+          rpcs += w.ux_node(i)->rpc_calls().total();
+        }
+        if (w.library(i) != nullptr) {
+          rpcs += w.library(i)->rpc_calls().total();
+        }
+      }
+    };
+    ASSERT_GT(RunProtolat(config, MachineProfile::DecStation5000(), opt, hooks), 0.0)
+        << ConfigName(config);
+    if (config == Config::kInKernel) {
+      EXPECT_EQ(rpcs, 0u);
+      EXPECT_EQ(sink.worker_sends, 0u);
+      continue;
+    }
+    EXPECT_GT(rpcs, 0u) << ConfigName(config);
+    EXPECT_EQ(sink.worker_sends, rpcs) << ConfigName(config);
+    EXPECT_EQ(sink.app_recvs, rpcs) << ConfigName(config);
+  }
+}
+
 TEST(TraceExport, TracerDoesNotPerturbVirtualTime) {
   ProtolatOptions opt;
   opt.proto = IpProto::kTcp;
@@ -110,11 +165,9 @@ TEST(TraceExport, TracerDoesNotPerturbVirtualTime) {
   const MachineProfile prof = MachineProfile::DecStation5000();
   for (Config config : {Config::kInKernel, Config::kLibraryShmIpf}) {
     double plain = RunProtolat(config, prof, opt);
-    Tracer tracer;
     ChromeTraceSink sink;
-    tracer.AddSink(&sink);
     ProtolatHooks hooks;
-    hooks.tracer = &tracer;
+    hooks.sinks = {&sink};
     double traced = RunProtolat(config, prof, opt, hooks);
     EXPECT_EQ(plain, traced) << ConfigName(config);
     EXPECT_GT(sink.span_count(), 0u);
@@ -122,11 +175,9 @@ TEST(TraceExport, TracerDoesNotPerturbVirtualTime) {
 }
 
 TEST(TraceExport, StatsRegistryExportsEndToEndCounters) {
-  Tracer tracer;
   ChromeTraceSink sink;
-  tracer.AddSink(&sink);
   ProtolatHooks hooks;
-  hooks.tracer = &tracer;
+  hooks.sinks = {&sink};
   std::vector<StatsRegistry::Entry> snap;
   hooks.on_done = [&snap](World& w) {
     StatsRegistry reg;

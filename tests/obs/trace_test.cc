@@ -38,12 +38,13 @@ TEST(Tracer, DisabledWithoutSinks) {
   EXPECT_TRUE(tracer.enabled());
 }
 
-TEST(Tracer, NullTracerSpansAreNoops) {
+TEST(Tracer, SinklessSpansAreNoops) {
   Simulator sim;
   HostCpu cpu;
+  Tracer tracer;
   sim.Spawn("t", &cpu, [&] {
-    TraceSpan a(nullptr, &sim, "x", TraceLayer::kKern);
-    ProbeSpan b(nullptr, &sim, Stage::kIpOutput);
+    TraceSpan a(tracer, &sim, "x", TraceLayer::kKern);
+    ProbeSpan b(tracer, &sim, Stage::kIpOutput);
     sim.current_thread()->Charge(Micros(5));
   });
   sim.Run();
@@ -58,7 +59,7 @@ TEST(Tracer, SpanRecordsTimingAndThread) {
   tracer.AddSink(&sink);
   SimThread* spawned = sim.Spawn("h0/t", &cpu, [&] {
     sim.current_thread()->Charge(Micros(3));
-    TraceSpan s(&tracer, &sim, "work", TraceLayer::kIpc, /*sid=*/7);
+    TraceSpan s(tracer, &sim, "work", TraceLayer::kIpc, /*sid=*/7);
     sim.current_thread()->Charge(Micros(10));
   });
   sim.Run();
@@ -81,10 +82,10 @@ TEST(Tracer, ExclusiveChildSubtractsFromParent) {
   RecordingSink sink;
   tracer.AddSink(&sink);
   sim.Spawn("t", &cpu, [&] {
-    ProbeSpan outer(&tracer, &sim, Stage::kEntryCopyin);
+    ProbeSpan outer(tracer, &sim, Stage::kEntryCopyin);
     sim.current_thread()->Charge(Micros(10));
     {
-      ProbeSpan inner(&tracer, &sim, Stage::kProtoOutput);
+      ProbeSpan inner(tracer, &sim, Stage::kProtoOutput);
       sim.current_thread()->Charge(Micros(25));
     }
     sim.current_thread()->Charge(Micros(5));
@@ -106,10 +107,10 @@ TEST(Tracer, NonExclusiveChildKeepsParentTime) {
   StageRecorder rec;
   tracer.AddSink(&rec);
   sim.Spawn("t", &cpu, [&] {
-    ProbeSpan outer(&tracer, &sim, Stage::kKernelCopyout);
+    ProbeSpan outer(tracer, &sim, Stage::kKernelCopyout);
     sim.current_thread()->Charge(Micros(10));
     {
-      TraceSpan inner(&tracer, &sim, "ipc/send", TraceLayer::kIpc);
+      TraceSpan inner(tracer, &sim, "ipc/send", TraceLayer::kIpc);
       sim.current_thread()->Charge(Micros(30));
     }
   });
@@ -124,10 +125,10 @@ TEST(Tracer, UncommittedSpanNotEmittedButStillExcluded) {
   RecordingSink sink;
   tracer.AddSink(&sink);
   sim.Spawn("t", &cpu, [&] {
-    ProbeSpan outer(&tracer, &sim, Stage::kProtoInput);
+    ProbeSpan outer(tracer, &sim, Stage::kProtoInput);
     sim.current_thread()->Charge(Micros(10));
     {
-      ProbeSpan cond(&tracer, &sim, Stage::kProtoOutput);
+      ProbeSpan cond(tracer, &sim, Stage::kProtoOutput);
       cond.MarkConditional();
       sim.current_thread()->Charge(Micros(7));
       // Never committed: tcp_output that sent nothing.
@@ -147,11 +148,11 @@ TEST(Tracer, SeparateThreadsNestIndependently) {
   RecordingSink sink;
   tracer.AddSink(&sink);
   sim.Spawn("a", &cpu_a, [&] {
-    TraceSpan s(&tracer, &sim, "a-span", TraceLayer::kKern);
+    TraceSpan s(tracer, &sim, "a-span", TraceLayer::kKern);
     sim.current_thread()->Charge(Micros(100));
   });
   sim.Spawn("b", &cpu_b, [&] {
-    TraceSpan s(&tracer, &sim, "b-span", TraceLayer::kInet);
+    TraceSpan s(tracer, &sim, "b-span", TraceLayer::kInet);
     sim.current_thread()->Charge(Micros(40));
   });
   sim.Run();
@@ -243,7 +244,7 @@ TEST(ChromeTraceSink, TracksLayersAndHosts) {
   ChromeTraceSink sink;
   tracer.AddSink(&sink);
   sim.Spawn("h0/app", &cpu, [&] {
-    TraceSpan s(&tracer, &sim, "send", TraceLayer::kSock);
+    TraceSpan s(tracer, &sim, "send", TraceLayer::kSock);
     sim.current_thread()->Charge(Micros(2));
   });
   sim.Run();
@@ -261,7 +262,7 @@ TEST(ChromeTraceSink, WritesWellFormedJson) {
   ChromeTraceSink sink;
   tracer.AddSink(&sink);
   sim.Spawn("h1/intr", &cpu, [&] {
-    ProbeSpan s(&tracer, &sim, Stage::kDevIntrRead);
+    ProbeSpan s(tracer, &sim, Stage::kDevIntrRead);
     sim.current_thread()->Charge(Micros(4));
     tracer.Instant(&sim, "mark \"x\"", TraceLayer::kCore, 2);
   });

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/obs/observatory.h"
 #include "src/obs/probe.h"
 #include "src/sim/simulator.h"
 
@@ -315,14 +316,14 @@ TEST(Simulator, DeterministicAcrossRuns) {
 TEST(Probe, NestedSpansExcludeChildren) {
   Simulator sim;
   HostCpu cpu;
-  Tracer tracer;
+  Observatory obs;
   StageRecorder rec;
-  tracer.AddSink(&rec);
+  obs.tracer.AddSink(&rec);
   sim.Spawn("t", &cpu, [&] {
-    ProbeSpan outer(&tracer, &sim, Stage::kEntryCopyin);
+    ProbeSpan outer(obs.tracer, &sim, Stage::kEntryCopyin);
     sim.current_thread()->Charge(Micros(10));
     {
-      ProbeSpan inner(&tracer, &sim, Stage::kProtoOutput);
+      ProbeSpan inner(obs.tracer, &sim, Stage::kProtoOutput);
       sim.current_thread()->Charge(Micros(25));
     }
     sim.current_thread()->Charge(Micros(5));
@@ -335,17 +336,17 @@ TEST(Probe, NestedSpansExcludeChildren) {
 TEST(Probe, ConditionalSpanNotRecordedUnlessCommitted) {
   Simulator sim;
   HostCpu cpu;
-  Tracer tracer;
+  Observatory obs;
   StageRecorder rec;
-  tracer.AddSink(&rec);
+  obs.tracer.AddSink(&rec);
   sim.Spawn("t", &cpu, [&] {
     {
-      ProbeSpan s(&tracer, &sim, Stage::kProtoOutput);
+      ProbeSpan s(obs.tracer, &sim, Stage::kProtoOutput);
       s.MarkConditional();
       sim.current_thread()->Charge(Micros(10));
     }
     {
-      ProbeSpan s(&tracer, &sim, Stage::kProtoOutput);
+      ProbeSpan s(obs.tracer, &sim, Stage::kProtoOutput);
       s.MarkConditional();
       sim.current_thread()->Charge(Micros(20));
       s.Commit();

@@ -368,15 +368,13 @@ struct RecorderTotals {
 // The pcap taps are re-armed at the start of each run, so a capture file
 // holds the final run's traffic with monotone virtual timestamps.
 int Stat(const Opts& o) {
-  Tracer tracer;
   HistogramSink hist;
-  tracer.AddSink(&hist);
   PcapCapture wire_pcap;
   PcapCapture kern_pcap;
   std::map<std::string, uint64_t> counters;
 
   ProtolatHooks hooks;
-  hooks.tracer = &tracer;
+  hooks.sinks = {&hist};
   hooks.on_world = [&](World& w) {
     if (!o.pcap.empty()) {
       wire_pcap.Reset();
@@ -537,11 +535,9 @@ int Walk(const Opts& o) {
 // buffer into the trace as an extra "host wall clock" process group:
 // virtual swimlanes and real engine time side by side.
 int Trace(const Opts& o) {
-  Tracer tracer;
   ChromeTraceSink sink;
-  tracer.AddSink(&sink);
   ProtolatHooks hooks;
-  hooks.tracer = &tracer;
+  hooks.sinks = {&sink};
   std::vector<StatsRegistry::Entry> stats;
   if (o.stats) {
     hooks.on_done = [&stats](World& w) { stats = ExportRun(w); };
