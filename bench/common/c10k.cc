@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <set>
 
 #include "src/base/rng.h"
@@ -299,17 +298,13 @@ C10kOutcome RunC10k(Config config, const MachineProfile& prof, const C10kParams&
       out.phases.push_back(PhaseStat{MigrationPhaseName(static_cast<MigrationPhase>(ph)),
                                      h.count(), h.QuantileMicros(0.5), h.QuantileMicros(0.99)});
     }
-    auto leaf_of = [](const char* name) {
-      const char* slash = std::strchr(name, '/');
-      return slash != nullptr ? slash + 1 : name;
-    };
     if (w.net_server(0) != nullptr) {
       const RpcOpRecorder& rec = w.net_server(0)->MergedRpcStats();
       for (size_t i = 0; i < rec.slots(); i++) {
         if (rec.op(i).count == 0) {
           continue;
         }
-        out.rpc_ops.emplace_back(leaf_of(ProxyOpName(ProxyOpFromSlot(static_cast<int>(i)))),
+        out.rpc_ops.emplace_back(OpLeafName(ProxyOpName(ProxyOpFromSlot(static_cast<int>(i)))),
                                  rec.op(i));
       }
     } else if (w.ux_server(0) != nullptr) {
@@ -319,7 +314,7 @@ C10kOutcome RunC10k(Config config, const MachineProfile& prof, const C10kParams&
           continue;
         }
         out.rpc_ops.emplace_back(
-            leaf_of(ServOpName(static_cast<ServOp>(kServOpFirst + static_cast<uint32_t>(i)))),
+            OpLeafName(ServOpName(static_cast<ServOp>(kServOpFirst + static_cast<uint32_t>(i)))),
             rec.op(i));
       }
     }

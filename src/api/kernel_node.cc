@@ -127,30 +127,6 @@ Result<size_t> KernelNode::Recv(int fd, uint8_t* out, size_t len, SockAddrIn* fr
   return (*s)->Recv(out, len, from, peek);
 }
 
-Result<size_t> KernelNode::SendShared(int fd, std::shared_ptr<const std::vector<uint8_t>> buf,
-                                      size_t off, size_t len, const SockAddrIn* to) {
-  // No shared-buffer fast path across the kernel boundary: classic copy
-  // semantics (the point of Table 3's comparison).
-  Result<Socket*> s = Lookup(fd);
-  if (!s.ok()) {
-    return s.error();
-  }
-  return (*s)->Send(buf->data() + off, len, to);
-}
-
-Result<Chain> KernelNode::RecvChain(int fd, size_t max, SockAddrIn* from) {
-  Result<Socket*> s = Lookup(fd);
-  if (!s.ok()) {
-    return s.error();
-  }
-  std::vector<uint8_t> tmp(max);
-  Result<size_t> n = (*s)->Recv(tmp.data(), max, from, false);
-  if (!n.ok()) {
-    return n.error();
-  }
-  return Chain::FromBytes(tmp.data(), *n);
-}
-
 Result<void> ApplySockOpt(Socket* sock, SockOpt opt, size_t value) {
   switch (opt) {
     case SockOpt::kRcvBuf:

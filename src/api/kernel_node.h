@@ -28,9 +28,6 @@ class KernelNode : public SocketApi {
   Result<void> Connect(int fd, SockAddrIn remote) override;
   Result<size_t> Send(int fd, const uint8_t* data, size_t len, const SockAddrIn* to) override;
   Result<size_t> Recv(int fd, uint8_t* out, size_t len, SockAddrIn* from, bool peek) override;
-  Result<size_t> SendShared(int fd, std::shared_ptr<const std::vector<uint8_t>> buf, size_t off,
-                            size_t len, const SockAddrIn* to) override;
-  Result<Chain> RecvChain(int fd, size_t max, SockAddrIn* from) override;
   Result<void> SetOpt(int fd, SockOpt opt, size_t value) override;
   Result<void> Shutdown(int fd, bool rd, bool wr) override;
   Result<void> Close(int fd) override;
@@ -55,7 +52,6 @@ class KernelNode : public SocketApi {
   uint64_t traps() const { return traps_; }
 
  private:
-  friend class LibraryNode;  // shares the fd-table helpers
   Result<Socket*> Lookup(int fd);
   int Install(std::unique_ptr<Socket> sock);
   BoundaryModel TrapBoundary();

@@ -63,10 +63,19 @@ class SocketApi {
 
   // NEWAPI (paper §4.2): shared-buffer send/receive eliminating the copy
   // between application and protocol stack. Placements without a fast path
-  // fall back to the classic copying semantics.
+  // keep these bodies: the classic copying semantics through Send/Recv.
   virtual Result<size_t> SendShared(int fd, std::shared_ptr<const std::vector<uint8_t>> buf,
-                                    size_t off, size_t len, const SockAddrIn* to = nullptr) = 0;
-  virtual Result<Chain> RecvChain(int fd, size_t max, SockAddrIn* from = nullptr) = 0;
+                                    size_t off, size_t len, const SockAddrIn* to = nullptr) {
+    return Send(fd, buf->data() + off, len, to);
+  }
+  virtual Result<Chain> RecvChain(int fd, size_t max, SockAddrIn* from = nullptr) {
+    std::vector<uint8_t> tmp(max);
+    Result<size_t> n = Recv(fd, tmp.data(), max, from, false);
+    if (!n.ok()) {
+      return n.error();
+    }
+    return Chain::FromBytes(tmp.data(), *n);
+  }
 
   virtual Result<void> SetOpt(int fd, SockOpt opt, size_t value) = 0;
   virtual Result<void> Shutdown(int fd, bool rd, bool wr) = 0;

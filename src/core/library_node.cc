@@ -1,7 +1,6 @@
 #include "src/core/library_node.h"
 
 #include <cassert>
-#include <cstring>
 
 #include "src/api/kernel_node.h"
 #include "src/base/log.h"
@@ -52,7 +51,7 @@ ProtocolLibrary::ProtocolLibrary(SimHost* host, NetServer* server, std::string n
   // Local routes are a cache of the server's table, filled on demand.
   stack_->ip().SetRouteMissHook([this](Ipv4Addr dst) {
     IpcMessage rep = Call(ProxyOp::kProxyRouteLookup, 0, {}, dst.v);
-    if (rep.arg[0] != 0) {
+    if (!ReplyStatus(rep).ok()) {
       return false;
     }
     Decoder d(rep.payload);
@@ -148,7 +147,7 @@ MacResolver::Status ProtocolLibrary::CacheResolver::Resolve(Ipv4Addr next_hop, M
   lib_->arp_misses_++;
   lib_->host()->obs()->meta.Count(MetaEvent::kArpMiss);
   IpcMessage rep = lib_->Call(ProxyOp::kProxyArpLookup, 0, {}, next_hop.v);
-  if (rep.arg[0] != 0 || rep.payload.size() != 6) {
+  if (!ReplyStatus(rep).ok() || rep.payload.size() != 6) {
     return Status::kFail;
   }
   MacAddr mac;
@@ -178,10 +177,7 @@ void ProtocolLibrary::ExportStats(StatsRegistry* reg, const std::string& prefix)
   reg->RegisterGauge(prefix + "invalidations", [this] { return invalidations_; });
   reg->RegisterGauge(prefix + "rpc.total", [this] { return rpc_calls_.total(); });
   for (int i = 0; i < kNumProxyOpSlots; i++) {
-    const char* name = ProxyOpName(ProxyOpFromSlot(i));
-    const char* leaf = std::strchr(name, '/');
-    leaf = leaf != nullptr ? leaf + 1 : name;
-    reg->RegisterGauge(prefix + "rpc." + leaf + ".count",
+    reg->RegisterGauge(prefix + "rpc." + OpLeafName(ProxyOpName(ProxyOpFromSlot(i))) + ".count",
                        [this, i] { return rpc_calls_.count(static_cast<size_t>(i)); });
   }
   stack_->ExportStats(reg, prefix + "stack.");
@@ -202,6 +198,24 @@ void ProtocolLibrary::SimulateCrash() {
 // ---------------------------------------------------------------------------
 // LibraryNode (the proxy)
 
+namespace {
+
+// The forwarded proxy op that carries each shared socket op, indexed by
+// SocketOp.
+constexpr ProxyOp kFwdSocketOps[] = {
+    ProxyOp::kProxyFwdListen, ProxyOp::kProxyFwdConnect,  ProxyOp::kProxyFwdSend,
+    ProxyOp::kProxyFwdRecv,   ProxyOp::kProxyFwdSetOpt,   ProxyOp::kProxyFwdShutdown,
+    ProxyOp::kProxyFwdLocalAddr};
+
+}  // namespace
+
+LibraryNode::LibraryNode(ProtocolLibrary* lib)
+    : lib_(lib),
+      ops_(lib->host(), [lib](SocketOp op, uint64_t sid, std::vector<uint8_t> payload,
+                              uint64_t a2, uint64_t a3) {
+        return lib->Call(kFwdSocketOps[static_cast<int>(op)], sid, std::move(payload), a2, a3);
+      }) {}
+
 LibraryNode::~LibraryNode() = default;
 
 Result<LibraryNode::Desc*> LibraryNode::Lookup(int fd) {
@@ -212,6 +226,17 @@ Result<LibraryNode::Desc*> LibraryNode::Lookup(int fd) {
   return &it->second;
 }
 
+Result<LibraryNode::Desc*> LibraryNode::LookupForSend(int fd, const SockAddrIn* to) {
+  Result<Desc*> dr = Lookup(fd);
+  if (dr.ok() && (*dr)->sock == nullptr && (*dr)->proto == IpProto::kUdp &&
+      !(*dr)->via_server && to != nullptr) {
+    if (Result<void> b = Bind(fd, SockAddrIn{Ipv4Addr::Any(), 0}); !b.ok()) {
+      return b.error();
+    }
+  }
+  return dr;
+}
+
 bool LibraryNode::IsAppManaged(int fd) const {
   auto it = fds_.find(fd);
   return it != fds_.end() && it->second.sock != nullptr;
@@ -220,8 +245,8 @@ bool LibraryNode::IsAppManaged(int fd) const {
 Result<int> LibraryNode::CreateSocket(IpProto proto) {
   IpcMessage rep = lib_->Call(ProxyOp::kProxySocket, 0, {}, static_cast<uint64_t>(proto),
                               lib_->lib_id());
-  if (rep.arg[0] != 0) {
-    return static_cast<Err>(rep.arg[0]);
+  if (Result<void> st = ReplyStatus(rep); !st.ok()) {
+    return st.error();
   }
   int fd = next_fd_++;
   Desc& d = fds_[fd];
@@ -240,21 +265,13 @@ Result<void> LibraryNode::Bind(int fd, SockAddrIn local) {
   EncodeAddr(&e, local);
   IpcMessage rep = lib_->Call(d->via_server ? ProxyOp::kProxyFwdBind : ProxyOp::kProxyBind,
                               d->sid, e.Take());
-  if (rep.arg[0] != 0) {
-    return static_cast<Err>(rep.arg[0]);
+  if (Result<void> st = ReplyStatus(rep); !st.ok()) {
+    return st;
   }
   if (d->proto == IpProto::kUdp && !d->via_server) {
     // The session migrated to us: instantiate it in the library stack.
     Decoder dec(rep.payload);
-    SockAddrIn bound = DecodeAddr(&dec);
-    Stack* stack = lib_->stack();
-    UdpPcb* pcb = nullptr;
-    {
-      DomainLock lock(stack->sync());
-      pcb = stack->udp().Create();
-      stack->udp().AdoptBinding(pcb, bound);
-    }
-    d->sock = std::make_unique<Socket>(stack, pcb);
+    d->sock = AdoptUdp(DecodeAddr(&dec), SockAddrIn{});
   }
   return OkResult();
 }
@@ -265,12 +282,10 @@ Result<void> LibraryNode::Listen(int fd, int backlog) {
     return dr.error();
   }
   Desc* d = *dr;
-  IpcMessage rep = lib_->Call(d->via_server ? ProxyOp::kProxyFwdListen : ProxyOp::kProxyListen,
-                              d->sid, {}, backlog);
-  if (rep.arg[0] != 0) {
-    return static_cast<Err>(rep.arg[0]);
+  if (d->via_server) {
+    return ops_.Listen(d->sid, backlog);
   }
-  return OkResult();
+  return ReplyStatus(lib_->Call(ProxyOp::kProxyListen, d->sid, {}, backlog));
 }
 
 Result<int> LibraryNode::Accept(int fd, SockAddrIn* peer) {
@@ -279,57 +294,36 @@ Result<int> LibraryNode::Accept(int fd, SockAddrIn* peer) {
     return dr.error();
   }
   Desc* d = *dr;
+  // proxy_accept: the server completes the handshake and the established
+  // session migrates to us (Table 1). A forwarded accept leaves it on the
+  // server.
+  Simulator* sim = lib_->host()->sim();
+  SimTime rpc_begin = sim->Now();
+  IpcMessage rep =
+      lib_->Call(d->via_server ? ProxyOp::kProxyFwdAccept : ProxyOp::kProxyAccept, d->sid);
+  SimTime rpc_end = sim->Now();
+  if (Result<void> st = ReplyStatus(rep); !st.ok()) {
+    return st.error();
+  }
+  std::unique_ptr<Socket> sock;
   if (d->via_server) {
-    IpcMessage rep = lib_->Call(ProxyOp::kProxyFwdAccept, d->sid);
-    if (rep.arg[0] != 0) {
-      return static_cast<Err>(rep.arg[0]);
-    }
     if (peer != nullptr) {
       Decoder dec(rep.payload);
       *peer = DecodeAddr(&dec);
     }
-    int nfd = next_fd_++;
-    Desc& child = fds_[nfd];
-    child.sid = rep.arg[1];
-    child.proto = IpProto::kTcp;
-    child.via_server = true;
-    return nfd;
+  } else {
+    Result<std::unique_ptr<Socket>> adopted = AdoptTcp(rep, rep.arg[1], rpc_begin, rpc_end, peer);
+    if (!adopted.ok()) {
+      return adopted.error();
+    }
+    sock = std::move(*adopted);
   }
-  // proxy_accept: the server completes the handshake and the established
-  // session migrates to us (Table 1).
-  Simulator* sim = lib_->host()->sim();
-  SimTime rpc_begin = sim->Now();
-  IpcMessage rep = lib_->Call(ProxyOp::kProxyAccept, d->sid);
-  SimTime rpc_end = sim->Now();
-  if (rep.arg[0] != 0) {
-    return static_cast<Err>(rep.arg[0]);
-  }
-  Decoder dec(rep.payload);
-  SockAddrIn local = DecodeAddr(&dec);
-  SockAddrIn remote = DecodeAddr(&dec);
-  (void)local;
-  if (peer != nullptr) {
-    *peer = remote;
-  }
-  std::vector<uint8_t> state_bytes = dec.Bytes();
-  Result<TcpMigrationState> st = TcpMigrationState::Decode(state_bytes);
-  if (!st.ok()) {
-    return st.error();
-  }
-  Stack* stack = lib_->stack();
-  TcpPcb* pcb = nullptr;
-  {
-    DomainLock lock(stack->sync());
-    pcb = stack->tcp().AdoptMigrated(*st);
-  }
-  std::unique_ptr<Socket> sock = std::make_unique<Socket>(stack, pcb);
-  stack->Kick();
-  RecordAdoptPhases(rep.arg[1], rpc_begin, rpc_end, sim->Now());
   int nfd = next_fd_++;
   Desc& child = fds_[nfd];
   child.sid = rep.arg[1];
   child.proto = IpProto::kTcp;
   child.sock = std::move(sock);
+  child.via_server = d->via_server;
   return nfd;
 }
 
@@ -339,133 +333,103 @@ Result<void> LibraryNode::Connect(int fd, SockAddrIn remote) {
     return dr.error();
   }
   Desc* d = *dr;
+  if (d->via_server) {
+    return ops_.Connect(d->sid, remote);
+  }
   Encoder e;
   EncodeAddr(&e, remote);
-  if (d->via_server) {
-    IpcMessage rep = lib_->Call(ProxyOp::kProxyFwdConnect, d->sid, e.Take());
-    if (rep.arg[0] != 0) {
-      return static_cast<Err>(rep.arg[0]);
-    }
-    return OkResult();
-  }
   Simulator* sim = lib_->host()->sim();
   SimTime rpc_begin = sim->Now();
   IpcMessage rep = lib_->Call(ProxyOp::kProxyConnect, d->sid, e.Take());
   SimTime rpc_end = sim->Now();
-  if (rep.arg[0] != 0) {
-    return static_cast<Err>(rep.arg[0]);
+  if (Result<void> st = ReplyStatus(rep); !st.ok()) {
+    return st;
   }
-  Decoder dec(rep.payload);
-  SockAddrIn local = DecodeAddr(&dec);
-  SockAddrIn rem = DecodeAddr(&dec);
-  Stack* stack = lib_->stack();
   if (d->proto == IpProto::kUdp) {
+    Decoder dec(rep.payload);
+    SockAddrIn local = DecodeAddr(&dec);
+    SockAddrIn rem = DecodeAddr(&dec);
     if (d->sock == nullptr) {
-      UdpPcb* pcb = nullptr;
-      {
-        DomainLock lock(stack->sync());
-        pcb = stack->udp().Create();
-        stack->udp().AdoptBinding(pcb, local);
-        pcb->remote = rem;
-      }
-      d->sock = std::make_unique<Socket>(stack, pcb);
+      d->sock = AdoptUdp(local, rem);
     } else {
-      DomainLock lock(stack->sync());
+      DomainLock lock(lib_->stack()->sync());
       d->sock->udp_pcb()->remote = rem;
     }
     return OkResult();
   }
   // TCP: adopt the established, migrated session.
-  std::vector<uint8_t> state_bytes = dec.Bytes();
-  Result<TcpMigrationState> st = TcpMigrationState::Decode(state_bytes);
+  Result<std::unique_ptr<Socket>> adopted = AdoptTcp(rep, d->sid, rpc_begin, rpc_end);
+  if (!adopted.ok()) {
+    return adopted.error();
+  }
+  d->sock = std::move(*adopted);
+  return OkResult();
+}
+
+Result<std::unique_ptr<Socket>> LibraryNode::AdoptTcp(const IpcMessage& rep, uint64_t sid,
+                                                      SimTime rpc_begin, SimTime rpc_end,
+                                                      SockAddrIn* remote) {
+  Decoder dec(rep.payload);
+  DecodeAddr(&dec);  // local
+  SockAddrIn peer = DecodeAddr(&dec);
+  if (remote != nullptr) {
+    *remote = peer;
+  }
+  Result<TcpMigrationState> st = TcpMigrationState::Decode(dec.Bytes());
   if (!st.ok()) {
     return st.error();
   }
+  Stack* stack = lib_->stack();
   TcpPcb* pcb = nullptr;
   {
     DomainLock lock(stack->sync());
     pcb = stack->tcp().AdoptMigrated(*st);
   }
-  d->sock = std::make_unique<Socket>(stack, pcb);
+  auto sock = std::make_unique<Socket>(stack, pcb);
   stack->Kick();
-  RecordAdoptPhases(d->sid, rpc_begin, rpc_end, sim->Now());
-  return OkResult();
-}
-
-void LibraryNode::RecordAdoptPhases(uint64_t sid, SimTime rpc_begin, SimTime rpc_end,
-                                    SimTime resume_end) {
   // Client half of the migration taxonomy: `transfer` is the observed
   // proxy-RPC round trip carrying the encoded state (it overlaps the
   // server's freeze/install/encode phases by design); `resume` is the local
   // adopt plus restart of the transmit machinery.
+  Simulator* sim = lib_->host()->sim();
+  SimTime resume_end = sim->Now();
   Observatory* obs = lib_->host()->obs();
   obs->meta.RecordPhase(MigrationPhase::kTransfer, rpc_end - rpc_begin);
   obs->meta.RecordPhase(MigrationPhase::kResume, resume_end - rpc_end);
-  Simulator* sim = lib_->host()->sim();
   obs->tracer.Emit(sim, "migrate/transfer", TraceLayer::kCore, -1, rpc_begin, rpc_end - rpc_begin,
                    sid);
   obs->tracer.Emit(sim, "migrate/resume", TraceLayer::kCore, -1, rpc_end, resume_end - rpc_end,
                    sid);
+  return sock;
 }
 
-Result<size_t> LibraryNode::FwdSend(Desc* d, const uint8_t* data, size_t len,
-                                    const SockAddrIn* to) {
-  SimThread* self = lib_->host()->sim()->current_thread();
-  self->Charge(static_cast<SimDuration>(len) * lib_->host()->prof()->ipc_per_byte);
-  std::vector<uint8_t> payload(data, data + len);
-  uint64_t a2 = to != nullptr ? 1 : 0;
-  uint64_t a3 = to != nullptr ? (static_cast<uint64_t>(to->addr.v) << 16 | to->port) : 0;
-  IpcMessage rep = lib_->Call(ProxyOp::kProxyFwdSend, d->sid, std::move(payload), a2, a3);
-  if (rep.arg[0] != 0) {
-    return static_cast<Err>(rep.arg[0]);
+std::unique_ptr<Socket> LibraryNode::AdoptUdp(SockAddrIn local, SockAddrIn remote) {
+  Stack* stack = lib_->stack();
+  UdpPcb* pcb = nullptr;
+  {
+    DomainLock lock(stack->sync());
+    pcb = stack->udp().Create();
+    stack->udp().AdoptBinding(pcb, local);
+    pcb->remote = remote;
   }
-  return static_cast<size_t>(rep.arg[1]);
-}
-
-Result<size_t> LibraryNode::FwdRecv(Desc* d, uint8_t* out, size_t len, SockAddrIn* from,
-                                    bool peek) {
-  IpcMessage rep = lib_->Call(ProxyOp::kProxyFwdRecv, d->sid, {}, len, peek ? 1 : 0);
-  if (rep.arg[0] != 0) {
-    return static_cast<Err>(rep.arg[0]);
-  }
-  size_t n = std::min(len, rep.payload.size());
-  lib_->host()->sim()->current_thread()->Charge(static_cast<SimDuration>(n) *
-                                                lib_->host()->prof()->ipc_per_byte);
-  if (n > 0) {
-    std::memcpy(out, rep.payload.data(), n);
-  }
-  if (from != nullptr) {
-    from->addr = Ipv4Addr(static_cast<uint32_t>(rep.arg[2] >> 16));
-    from->port = static_cast<uint16_t>(rep.arg[2] & 0xffff);
-  }
-  return n;
+  return std::make_unique<Socket>(stack, pcb);
 }
 
 Result<size_t> LibraryNode::Send(int fd, const uint8_t* data, size_t len, const SockAddrIn* to) {
-  Result<Desc*> dr = Lookup(fd);
+  Result<Desc*> dr = LookupForSend(fd, to);
   if (!dr.ok()) {
     return dr.error();
   }
   Desc* d = *dr;
-  if (d->sock != nullptr) {
-    // Fast path: no operating-system involvement (§3.2, "Sending and
-    // receiving data ... implemented entirely within the application's
-    // protocol library").
-    Result<size_t> r = d->sock->Send(data, len, to);
-    lib_->stack()->Kick();
-    return r;
+  if (d->sock == nullptr) {
+    return ops_.Send(d->sid, data, len, to);
   }
-  if (d->proto == IpProto::kUdp && !d->via_server && to != nullptr) {
-    // sendto on an unbound socket: bind (and migrate) implicitly first.
-    Result<void> b = Bind(fd, SockAddrIn{Ipv4Addr::Any(), 0});
-    if (!b.ok()) {
-      return b.error();
-    }
-    Result<size_t> r = fds_[fd].sock->Send(data, len, to);
-    lib_->stack()->Kick();
-    return r;
-  }
-  return FwdSend(d, data, len, to);
+  // Fast path: no operating-system involvement (§3.2, "Sending and
+  // receiving data ... implemented entirely within the application's
+  // protocol library").
+  Result<size_t> r = d->sock->Send(data, len, to);
+  lib_->stack()->Kick();
+  return r;
 }
 
 Result<size_t> LibraryNode::Recv(int fd, uint8_t* out, size_t len, SockAddrIn* from, bool peek) {
@@ -474,25 +438,25 @@ Result<size_t> LibraryNode::Recv(int fd, uint8_t* out, size_t len, SockAddrIn* f
     return dr.error();
   }
   Desc* d = *dr;
-  if (d->sock != nullptr) {
-    return d->sock->Recv(out, len, from, peek);
+  if (d->sock == nullptr) {
+    return ops_.Recv(d->sid, out, len, from, peek);
   }
-  return FwdRecv(d, out, len, from, peek);
+  return d->sock->Recv(out, len, from, peek);
 }
 
 Result<size_t> LibraryNode::SendShared(int fd, std::shared_ptr<const std::vector<uint8_t>> buf,
                                        size_t off, size_t len, const SockAddrIn* to) {
-  Result<Desc*> dr = Lookup(fd);
+  Result<Desc*> dr = LookupForSend(fd, to);
   if (!dr.ok()) {
     return dr.error();
   }
   Desc* d = *dr;
-  if (d->sock != nullptr) {
-    Result<size_t> r = d->sock->SendShared(std::move(buf), off, len, to);
-    lib_->stack()->Kick();
-    return r;
+  if (d->sock == nullptr) {
+    return SocketApi::SendShared(fd, std::move(buf), off, len, to);
   }
-  return FwdSend(d, buf->data() + off, len, to);
+  Result<size_t> r = d->sock->SendShared(std::move(buf), off, len, to);
+  lib_->stack()->Kick();
+  return r;
 }
 
 Result<Chain> LibraryNode::RecvChain(int fd, size_t max, SockAddrIn* from) {
@@ -501,15 +465,10 @@ Result<Chain> LibraryNode::RecvChain(int fd, size_t max, SockAddrIn* from) {
     return dr.error();
   }
   Desc* d = *dr;
-  if (d->sock != nullptr) {
-    return d->sock->RecvChain(max, from);
+  if (d->sock == nullptr) {
+    return SocketApi::RecvChain(fd, max, from);
   }
-  std::vector<uint8_t> tmp(max);
-  Result<size_t> n = FwdRecv(d, tmp.data(), max, from, false);
-  if (!n.ok()) {
-    return n.error();
-  }
-  return Chain::FromBytes(tmp.data(), *n);
+  return d->sock->RecvChain(max, from);
 }
 
 Result<void> LibraryNode::SetOpt(int fd, SockOpt opt, size_t value) {
@@ -518,15 +477,10 @@ Result<void> LibraryNode::SetOpt(int fd, SockOpt opt, size_t value) {
     return dr.error();
   }
   Desc* d = *dr;
-  if (d->sock != nullptr) {
-    return ApplySockOpt(d->sock.get(), opt, value);
+  if (d->sock == nullptr) {
+    return ops_.SetOpt(d->sid, opt, value);
   }
-  IpcMessage rep = lib_->Call(ProxyOp::kProxyFwdSetOpt, d->sid, {}, static_cast<uint64_t>(opt),
-                              value);
-  if (rep.arg[0] != 0) {
-    return static_cast<Err>(rep.arg[0]);
-  }
-  return OkResult();
+  return ApplySockOpt(d->sock.get(), opt, value);
 }
 
 Result<void> LibraryNode::Shutdown(int fd, bool rd, bool wr) {
@@ -535,14 +489,10 @@ Result<void> LibraryNode::Shutdown(int fd, bool rd, bool wr) {
     return dr.error();
   }
   Desc* d = *dr;
-  if (d->sock != nullptr) {
-    return d->sock->Shutdown(rd, wr);
+  if (d->sock == nullptr) {
+    return ops_.Shutdown(d->sid, rd, wr);
   }
-  IpcMessage rep = lib_->Call(ProxyOp::kProxyFwdShutdown, d->sid, {}, rd ? 1 : 0, wr ? 1 : 0);
-  if (rep.arg[0] != 0) {
-    return static_cast<Err>(rep.arg[0]);
-  }
-  return OkResult();
+  return d->sock->Shutdown(rd, wr);
 }
 
 Result<void> LibraryNode::ReturnSession(Desc* d, bool close_after) {
@@ -567,10 +517,7 @@ Result<void> LibraryNode::ReturnSession(Desc* d, bool close_after) {
   IpcMessage rep =
       lib_->Call(ProxyOp::kProxyReturn, d->sid, std::move(payload), close_after ? 1 : 0);
   d->via_server = true;
-  if (rep.arg[0] != 0) {
-    return static_cast<Err>(rep.arg[0]);
-  }
-  return OkResult();
+  return ReplyStatus(rep);
 }
 
 Result<void> LibraryNode::ReturnToServer(int fd) {
@@ -598,29 +545,15 @@ Result<void> LibraryNode::Reacquire(int fd) {
   SimTime rpc_begin = sim->Now();
   IpcMessage rep = lib_->Call(ProxyOp::kProxyReacquire, d->sid);
   SimTime rpc_end = sim->Now();
-  if (rep.arg[0] != 0) {
-    return static_cast<Err>(rep.arg[0]);
+  if (Result<void> st = ReplyStatus(rep); !st.ok()) {
+    return st;
   }
-  Decoder dec(rep.payload);
-  SockAddrIn local = DecodeAddr(&dec);
-  SockAddrIn remote = DecodeAddr(&dec);
-  (void)local;
-  (void)remote;
-  std::vector<uint8_t> state_bytes = dec.Bytes();
-  Result<TcpMigrationState> st = TcpMigrationState::Decode(state_bytes);
-  if (!st.ok()) {
-    return st.error();
+  Result<std::unique_ptr<Socket>> adopted = AdoptTcp(rep, d->sid, rpc_begin, rpc_end);
+  if (!adopted.ok()) {
+    return adopted.error();
   }
-  Stack* stack = lib_->stack();
-  TcpPcb* pcb = nullptr;
-  {
-    DomainLock lock(stack->sync());
-    pcb = stack->tcp().AdoptMigrated(*st);
-  }
-  d->sock = std::make_unique<Socket>(stack, pcb);
+  d->sock = std::move(*adopted);
   d->via_server = false;
-  stack->Kick();
-  RecordAdoptPhases(d->sid, rpc_begin, rpc_end, sim->Now());
   return OkResult();
 }
 
@@ -636,10 +569,7 @@ Result<void> LibraryNode::Close(int fd) {
     // close handshake and TIME_WAIT (§3.2).
     r = ReturnSession(d, /*close_after=*/true);
   } else {
-    IpcMessage rep = lib_->Call(ProxyOp::kProxyFwdClose, d->sid);
-    if (rep.arg[0] != 0) {
-      r = static_cast<Err>(rep.arg[0]);
-    }
+    r = ReplyStatus(lib_->Call(ProxyOp::kProxyFwdClose, d->sid));
   }
   fds_.erase(fd);
   // Epoll's implicit deregistration on close: no poll set keeps a dead fd.
@@ -669,9 +599,8 @@ Result<std::unique_ptr<LibraryNode>> LibraryNode::Fork(ProtocolLibrary* child_li
   }
   auto child = std::make_unique<LibraryNode>(child_lib);
   for (auto& [fd, d] : fds_) {
-    IpcMessage rep = lib_->Call(ProxyOp::kProxyDup, d.sid);
-    if (rep.arg[0] != 0) {
-      return static_cast<Err>(rep.arg[0]);
+    if (Result<void> st = ReplyStatus(lib_->Call(ProxyOp::kProxyDup, d.sid)); !st.ok()) {
+      return st.error();
     }
     Desc& cd = child->fds_[fd];
     cd.sid = d.sid;
@@ -755,8 +684,8 @@ Result<int> LibraryNode::Select(SelectFds* fds, SimDuration timeout) {
   for (auto& [s, prev] : saved) {
     s->SetReadinessCallback(prev);
   }
-  if (rep.arg[0] != 0) {
-    return static_cast<Err>(rep.arg[0]);
+  if (Result<void> st = ReplyStatus(rep); !st.ok()) {
+    return st.error();
   }
   Decoder dec(rep.payload);
   dec.U32();  // server-side ready count (recomputed below)
@@ -874,12 +803,7 @@ SockAddrIn LibraryNode::LocalAddr(int fd) {
     return {};
   }
   Desc* d = *dr;
-  if (d->sock != nullptr) {
-    return d->sock->local_addr();
-  }
-  IpcMessage rep = lib_->Call(ProxyOp::kProxyFwdLocalAddr, d->sid);
-  Decoder dec(rep.payload);
-  return DecodeAddr(&dec);
+  return d->sock != nullptr ? d->sock->local_addr() : ops_.LocalAddr(d->sid);
 }
 
 }  // namespace psd

@@ -107,7 +107,7 @@ class ProtocolLibrary : public MetastateSubscriber {
 
 class LibraryNode : public SocketApi {
  public:
-  explicit LibraryNode(ProtocolLibrary* lib) : lib_(lib) {}
+  explicit LibraryNode(ProtocolLibrary* lib);
   ~LibraryNode() override;
 
   Result<int> CreateSocket(IpProto proto) override;
@@ -169,14 +169,24 @@ class LibraryNode : public SocketApi {
   };
 
   Result<Desc*> Lookup(int fd);
+  // Lookup for a send: sendto on an unbound UDP socket binds (and so
+  // migrates) it implicitly first.
+  Result<Desc*> LookupForSend(int fd, const SockAddrIn* to);
   Result<void> ReturnSession(Desc* d, bool close_after);
-  // Records the client half of a migration: `transfer` (the proxy-RPC round
-  // trip that carried the encoded state) and `resume` (local adopt + kick).
-  void RecordAdoptPhases(uint64_t sid, SimTime rpc_begin, SimTime rpc_end, SimTime resume_end);
-  Result<size_t> FwdSend(Desc* d, const uint8_t* data, size_t len, const SockAddrIn* to);
-  Result<size_t> FwdRecv(Desc* d, uint8_t* out, size_t len, SockAddrIn* from, bool peek);
+  // Adopts the TCP session a proxy reply migrated to us (payload: local,
+  // remote, encoded state; *remote gets the peer if non-null) and records
+  // the client half of the migration: `transfer` (the proxy-RPC round trip
+  // rpc_begin..rpc_end that carried the state) and `resume` (local adopt +
+  // kick).
+  Result<std::unique_ptr<Socket>> AdoptTcp(const IpcMessage& rep, uint64_t sid, SimTime rpc_begin,
+                                           SimTime rpc_end, SockAddrIn* remote = nullptr);
+  // Creates the library pcb of a UDP session the server migrated to us.
+  std::unique_ptr<Socket> AdoptUdp(SockAddrIn local, SockAddrIn remote);
 
   ProtocolLibrary* lib_;
+  // The shared socket ops of server-managed descriptors, as forwarded
+  // proxy RPCs.
+  SocketOpClient ops_;
   std::map<int, Desc> fds_;
   // Poll descriptors share the fd number space; each maps member fd ->
   // requested event mask. Members are live descriptors only: Close erases

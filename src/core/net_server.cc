@@ -164,14 +164,12 @@ IpcMessage NetServer::Handle(const IpcMessage& req) {
     case ProxyOp::kProxyReturn:
       return HandleReturn(req);
     case ProxyOp::kProxyDup: {
-      IpcMessage reply;
       Result<Session*> sr = Find(req.arg[1]);
       if (!sr.ok()) {
-        reply.arg[0] = static_cast<uint64_t>(sr.error());
-        return reply;
+        return ErrorReply(sr.error());
       }
       (*sr)->refcount++;
-      return reply;
+      return IpcMessage{};
     }
     case ProxyOp::kProxyStatus: {
       // One-way notification from an application's library (select
@@ -205,8 +203,7 @@ IpcMessage NetServer::HandleSocket(const IpcMessage& req) {
   IpProto proto = static_cast<IpProto>(req.arg[2]);
   uint64_t lib = req.arg[3];
   if (proto != IpProto::kTcp && proto != IpProto::kUdp) {
-    reply.arg[0] = static_cast<uint64_t>(Err::kProtoNoSupport);
-    return reply;
+    return ErrorReply(Err::kProtoNoSupport);
   }
   uint64_t sid = next_sid_++;
   Session& s = sessions_[sid];
@@ -225,8 +222,7 @@ IpcMessage NetServer::HandleBind(const IpcMessage& req) {
   IpcMessage reply;
   Result<Session*> sr = Find(req.arg[1]);
   if (!sr.ok()) {
-    reply.arg[0] = static_cast<uint64_t>(sr.error());
-    return reply;
+    return ErrorReply(sr.error());
   }
   Session* s = *sr;
   Decoder d(req.payload);
@@ -235,8 +231,7 @@ IpcMessage NetServer::HandleBind(const IpcMessage& req) {
   if (s->proto == IpProto::kTcp) {
     Result<void> r = s->sock->Bind(want);
     if (!r.ok()) {
-      reply.arg[0] = static_cast<uint64_t>(r.error());
-      return reply;
+      return ErrorReply(r.error());
     }
     Encoder e;
     EncodeAddr(&e, s->sock->local_addr());
@@ -250,8 +245,7 @@ IpcMessage NetServer::HandleBind(const IpcMessage& req) {
   // migrate to the application").
   Result<uint16_t> port = stack()->ports().Acquire(want.port);
   if (!port.ok()) {
-    reply.arg[0] = static_cast<uint64_t>(port.error());
-    return reply;
+    return ErrorReply(port.error());
   }
   SockAddrIn local{want.addr.IsAny() ? host_->ip() : want.addr, *port};
   s->tuple = SessionTuple{IpProto::kUdp, local, SockAddrIn{}};
@@ -269,8 +263,7 @@ IpcMessage NetServer::HandleConnect(const IpcMessage& req) {
   IpcMessage reply;
   Result<Session*> sr = Find(req.arg[1]);
   if (!sr.ok()) {
-    reply.arg[0] = static_cast<uint64_t>(sr.error());
-    return reply;
+    return ErrorReply(sr.error());
   }
   Session* s = *sr;
   Decoder d(req.payload);
@@ -284,8 +277,7 @@ IpcMessage NetServer::HandleConnect(const IpcMessage& req) {
     } else {
       Result<uint16_t> port = stack()->ports().Acquire(0);
       if (!port.ok()) {
-        reply.arg[0] = static_cast<uint64_t>(port.error());
-        return reply;
+        return ErrorReply(port.error());
       }
       s->tuple.local = SockAddrIn{host_->ip(), *port};
       s->where = Where::kApp;
@@ -307,8 +299,7 @@ IpcMessage NetServer::HandleConnect(const IpcMessage& req) {
   Result<void> r = s->sock->Connect(remote);
   stack()->Kick();
   if (!r.ok()) {
-    reply.arg[0] = static_cast<uint64_t>(r.error());
-    return reply;
+    return ErrorReply(r.error());
   }
   SockAddrIn local = s->sock->local_addr();
   std::vector<uint8_t> state = MigrateTcpOut(s);
@@ -321,32 +312,24 @@ IpcMessage NetServer::HandleConnect(const IpcMessage& req) {
 }
 
 IpcMessage NetServer::HandleListen(const IpcMessage& req) {
-  IpcMessage reply;
   Result<Session*> sr = Find(req.arg[1]);
   if (!sr.ok() || (*sr)->proto != IpProto::kTcp) {
-    reply.arg[0] = static_cast<uint64_t>(sr.ok() ? Err::kOpNotSupp : sr.error());
-    return reply;
+    return ErrorReply(sr.ok() ? Err::kOpNotSupp : sr.error());
   }
-  Result<void> r = (*sr)->sock->Listen(static_cast<int>(req.arg[2]));
-  if (!r.ok()) {
-    reply.arg[0] = static_cast<uint64_t>(r.error());
-  }
-  return reply;
+  return StatusReply((*sr)->sock->Listen(static_cast<int>(req.arg[2])));
 }
 
 IpcMessage NetServer::HandleAccept(const IpcMessage& req) {
   IpcMessage reply;
   Result<Session*> sr = Find(req.arg[1]);
   if (!sr.ok() || (*sr)->proto != IpProto::kTcp) {
-    reply.arg[0] = static_cast<uint64_t>(sr.ok() ? Err::kOpNotSupp : sr.error());
-    return reply;
+    return ErrorReply(sr.ok() ? Err::kOpNotSupp : sr.error());
   }
   Session* listener = *sr;
   SockAddrIn peer;
   Result<std::unique_ptr<Socket>> child = listener->sock->Accept(&peer);
   if (!child.ok()) {
-    reply.arg[0] = static_cast<uint64_t>(child.error());
-    return reply;
+    return ErrorReply(child.error());
   }
   uint64_t sid = next_sid_++;
   Session& cs = sessions_[sid];
@@ -365,11 +348,9 @@ IpcMessage NetServer::HandleAccept(const IpcMessage& req) {
 }
 
 IpcMessage NetServer::HandleReturn(const IpcMessage& req) {
-  IpcMessage reply;
   Result<Session*> sr = Find(req.arg[1]);
   if (!sr.ok()) {
-    reply.arg[0] = static_cast<uint64_t>(sr.error());
-    return reply;
+    return ErrorReply(sr.error());
   }
   Session* s = *sr;
   bool close_after = req.arg[2] != 0;
@@ -381,8 +362,7 @@ IpcMessage NetServer::HandleReturn(const IpcMessage& req) {
       std::vector<uint8_t> state_bytes = d.Bytes();
       Result<TcpMigrationState> st = TcpMigrationState::Decode(state_bytes);
       if (!st.ok()) {
-        reply.arg[0] = static_cast<uint64_t>(st.error());
-        return reply;
+        return ErrorReply(st.error());
       }
       SimTime resume_start = host_->sim()->Now();
       TcpPcb* pcb = nullptr;
@@ -433,7 +413,7 @@ IpcMessage NetServer::HandleReturn(const IpcMessage& req) {
       sessions_.erase(req.arg[1]);
     }
   }
-  return reply;
+  return IpcMessage{};
 }
 
 IpcMessage NetServer::HandleReacquire(const IpcMessage& req) {
@@ -446,14 +426,12 @@ IpcMessage NetServer::HandleReacquire(const IpcMessage& req) {
   IpcMessage reply;
   Result<Session*> sr = Find(req.arg[1]);
   if (!sr.ok()) {
-    reply.arg[0] = static_cast<uint64_t>(sr.error());
-    return reply;
+    return ErrorReply(sr.error());
   }
   Session* s = *sr;
   if (s->proto != IpProto::kTcp || s->where != Where::kServer || s->sock == nullptr ||
       s->sock->tcp_pcb() == nullptr) {
-    reply.arg[0] = static_cast<uint64_t>(Err::kInval);
-    return reply;
+    return ErrorReply(Err::kInval);
   }
   std::vector<uint8_t> state = MigrateTcpOut(s);
   Encoder e;
@@ -506,8 +484,7 @@ IpcMessage NetServer::HandleMetastate(const IpcMessage& req) {
     DomainLock lock(stack()->sync());
     Result<MacAddr> mac = stack()->arp()->ResolveBlocking(ip);
     if (!mac.ok()) {
-      reply.arg[0] = static_cast<uint64_t>(mac.error());
-      return reply;
+      return ErrorReply(mac.error());
     }
     reply.payload.assign(mac->b.begin(), mac->b.end());
     return reply;
@@ -516,8 +493,7 @@ IpcMessage NetServer::HandleMetastate(const IpcMessage& req) {
   Ipv4Addr dst(static_cast<uint32_t>(req.arg[2]));
   auto route = stack()->routes().Lookup(dst);
   if (!route) {
-    reply.arg[0] = static_cast<uint64_t>(Err::kNetUnreach);
-    return reply;
+    return ErrorReply(Err::kNetUnreach);
   }
   Encoder e;
   e.U32(route->dest.v);
@@ -531,14 +507,12 @@ IpcMessage NetServer::HandleForwarded(const IpcMessage& req) {
   IpcMessage reply;
   Result<Session*> sr = Find(req.arg[1]);
   if (!sr.ok()) {
-    reply.arg[0] = static_cast<uint64_t>(sr.error());
-    return reply;
+    return ErrorReply(sr.error());
   }
   Session* s = *sr;
   if (s->where != Where::kServer || (s->sock == nullptr &&
                                      static_cast<ProxyOp>(req.kind) != ProxyOp::kProxyFwdClose)) {
-    reply.arg[0] = static_cast<uint64_t>(Err::kInval);
-    return reply;
+    return ErrorReply(Err::kInval);
   }
   switch (static_cast<ProxyOp>(req.kind)) {
     case ProxyOp::kProxyFwdSend:
@@ -568,8 +542,7 @@ IpcMessage NetServer::HandleForwarded(const IpcMessage& req) {
       Decoder d(req.payload);
       Result<void> r = s->sock->Bind(DecodeAddr(&d));
       if (!r.ok()) {
-        reply.arg[0] = static_cast<uint64_t>(r.error());
-        return reply;
+        return ErrorReply(r.error());
       }
       Encoder e;
       EncodeAddr(&e, s->sock->local_addr());
@@ -580,8 +553,7 @@ IpcMessage NetServer::HandleForwarded(const IpcMessage& req) {
       SockAddrIn peer;
       Result<std::unique_ptr<Socket>> child = s->sock->Accept(&peer);
       if (!child.ok()) {
-        reply.arg[0] = static_cast<uint64_t>(child.error());
-        return reply;
+        return ErrorReply(child.error());
       }
       uint64_t sid = next_sid_++;
       Session& cs = sessions_[sid];
@@ -596,8 +568,7 @@ IpcMessage NetServer::HandleForwarded(const IpcMessage& req) {
       return reply;
     }
     default:
-      reply.arg[0] = static_cast<uint64_t>(Err::kOpNotSupp);
-      return reply;
+      return ErrorReply(Err::kOpNotSupp);
   }
 }
 

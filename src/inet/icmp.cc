@@ -45,7 +45,6 @@ void IcmpLayer::Input(Chain payload, Ipv4Addr src, Ipv4Addr dst) {
       Store16(bytes.data() + 2, 0);
       reply.Append(bytes.data(), bytes.size());
       FinishChecksum(&reply);
-      echoes_answered_++;
       ip_->Output(std::move(reply), IpProto::kIcmp, ip_->addr(), src);
       break;
     }

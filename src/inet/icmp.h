@@ -44,14 +44,12 @@ class IcmpLayer {
       std::function<void(IcmpUnreachCode, IpProto, SockAddrIn orig_dst, uint16_t orig_src_port)>;
   void SetUnreachHandler(UnreachHandler h) { on_unreach_ = std::move(h); }
 
-  uint64_t echoes_answered() const { return echoes_answered_; }
   uint64_t unreachables_sent() const { return unreachables_sent_; }
 
  private:
   StackEnv* env_;
   IpLayer* ip_;
   UnreachHandler on_unreach_;
-  uint64_t echoes_answered_ = 0;
   uint64_t unreachables_sent_ = 0;
 };
 

@@ -41,6 +41,7 @@ uint64_t Kernel::InstallFilter(FilterProgram prog, int priority, DeliveryEndpoin
                                 : engine_.Install(std::move(prog), priority);
   if (id != 0) {
     endpoints_[id] = ep;
+    ipf_endpoints_ += ep.kind == DeliverKind::kShmIpf ? 1 : 0;
     obs_->meta.Count(MetaEvent::kFilterInstall);
   }
   return id;
@@ -48,7 +49,10 @@ uint64_t Kernel::InstallFilter(FilterProgram prog, int priority, DeliveryEndpoin
 
 void Kernel::RemoveFilter(uint64_t id) {
   engine_.Remove(id);
-  if (endpoints_.erase(id) > 0) {
+  auto it = endpoints_.find(id);
+  if (it != endpoints_.end()) {
+    ipf_endpoints_ -= it->second.kind == DeliverKind::kShmIpf ? 1 : 0;
+    endpoints_.erase(it);
     obs_->meta.Count(MetaEvent::kFilterRemove);
   }
 }
@@ -102,40 +106,70 @@ void Kernel::IntrThreadBody() {
   }
 }
 
+namespace {
+
+// kIpc delivery: one message per packet. The packet id crosses the port out
+// of band (the payload vector carries no Frame metadata).
+void PostPacket(Port* port, Frame f) {
+  IpcMessage msg;
+  msg.kind = kMsgPacketDelivery;
+  msg.arg[5] = f.pkt_id;
+  msg.payload = std::move(f);
+  port->Send(std::move(msg));
+}
+
+}  // namespace
+
+FilterEngine::MatchResult Kernel::Classify(const Frame& f) {
+  ProbeSpan span(obs_->tracer, sim_, Stage::kNetisrFilter);
+  FilterEngine::MatchResult m = engine_.Match(f.data(), f.size());
+  // Zero-width span (Match charges nothing): which demux path resolved
+  // the frame, and to which filter.
+  obs_->tracer.Emit(sim_, m.via_flow_table ? "filter/classify" : "filter/vm_scan",
+                    TraceLayer::kFilter, /*stage=*/-1, sim_->Now(), /*dur=*/0, m.id);
+  filter_insns_ += static_cast<uint64_t>(m.insns_executed);
+  demux_classifies_ += static_cast<uint64_t>(m.classify_ops);
+  if (m.via_flow_table) {
+    rx_flow_hits_++;
+  }
+  // Indexed classifications charge demux_classify; any programs the
+  // engine still had to interpret keep per-instruction charging.
+  sim_->current_thread()->Charge(prof_->filter_fixed + m.insns_executed * prof_->filter_per_insn +
+                                 m.classify_ops * prof_->demux_classify);
+  return m;
+}
+
+const DeliveryEndpoint* Kernel::Resolve(const FilterEngine::MatchResult& m, const Frame& f,
+                                        JourneyNode& node) {
+  if (m.id == 0) {
+    rx_unmatched_++;
+    obs_->drops.Record(f.pkt_id, TraceLayer::kFilter, DropReason::kNoFilterMatch, sim_->Now(),
+                       node_.id());
+    return nullptr;
+  }
+  auto epit = endpoints_.find(m.id);
+  if (epit == endpoints_.end()) {
+    // The filter was removed while this frame was in flight (session
+    // migration handover); drop, retransmission recovers.
+    rx_unmatched_++;
+    obs_->drops.Record(f.pkt_id, TraceLayer::kFilter, DropReason::kFilterRemoved, sim_->Now(),
+                       node_.id());
+    return nullptr;
+  }
+  obs_->journey.Hop(f.pkt_id, TraceLayer::kKern, node.id(), sim_->Now());
+  if (pcap_ != nullptr) {
+    pcap_->CaptureFrame(sim_->Now(), f);
+  }
+  return &epit->second;
+}
+
 void Kernel::DeliverFrame() {
   SimThread* self = sim_->current_thread();
   // With any integrated-filter endpoint installed, the filter examines
   // headers in device memory and the copy is deferred until the
   // destination is known. Otherwise the driver copies the whole frame into
   // a wired kernel buffer first and the filter runs on that copy.
-  bool integrated = false;
-  for (const auto& [id, ep] : endpoints_) {
-    if (ep.kind == DeliverKind::kShmIpf) {
-      integrated = true;
-      break;
-    }
-  }
-
-  auto run_filter = [&](const Frame& f) -> FilterEngine::MatchResult {
-    ProbeSpan span(obs_->tracer, sim_, Stage::kNetisrFilter);
-    FilterEngine::MatchResult m = engine_.Match(f.data(), f.size());
-    // Zero-width span (Match charges nothing): which demux path resolved
-    // the frame, and to which filter.
-    obs_->tracer.Emit(sim_, m.via_flow_table ? "filter/classify" : "filter/vm_scan",
-                      TraceLayer::kFilter, /*stage=*/-1, sim_->Now(), /*dur=*/0, m.id);
-    filter_insns_ += static_cast<uint64_t>(m.insns_executed);
-    demux_classifies_ += static_cast<uint64_t>(m.classify_ops);
-    if (m.via_flow_table) {
-      rx_flow_hits_++;
-    }
-    // Indexed classifications charge demux_classify; any programs the
-    // engine still had to interpret keep per-instruction charging.
-    self->Charge(prof_->filter_fixed + m.insns_executed * prof_->filter_per_insn +
-                 m.classify_ops * prof_->demux_classify);
-    return m;
-  };
-
-  if (integrated) {
+  if (ipf_endpoints_ > 0) {
     FilterEngine::MatchResult m;
     {
       ProbeSpan span(obs_->tracer, sim_, Stage::kDevIntrRead);
@@ -146,46 +180,20 @@ void Kernel::DeliverFrame() {
       // Header peek reads device memory.
       size_t peek = std::min(head.size(), kIpfPeekBytes);
       self->Charge(static_cast<SimDuration>(peek) * nic_->params().rx_read_per_byte);
-      m = run_filter(head);
+      m = Classify(head);
     }
     Frame f = nic_->RxPop();
-    if (m.id == 0) {
-      rx_unmatched_++;
-      obs_->drops.Record(f.pkt_id, TraceLayer::kFilter, DropReason::kNoFilterMatch,
-                         sim_->Now(), node_.id());
+    const DeliveryEndpoint* ep = Resolve(m, f, ipf_deliver_node_);
+    if (ep == nullptr) {
       return;
-    }
-    auto epit = endpoints_.find(m.id);
-    if (epit == endpoints_.end()) {
-      // The filter was removed while this frame was in flight (session
-      // migration handover); drop, retransmission recovers.
-      rx_unmatched_++;
-      obs_->drops.Record(f.pkt_id, TraceLayer::kFilter, DropReason::kFilterRemoved,
-                         sim_->Now(), node_.id());
-      return;
-    }
-    obs_->journey.Hop(f.pkt_id, TraceLayer::kKern, ipf_deliver_node_.id(), sim_->Now());
-    const DeliveryEndpoint& ep = epit->second;
-    if (pcap_ != nullptr) {
-      pcap_->CaptureFrame(sim_->Now(), f);
     }
     ProbeSpan span(obs_->tracer, sim_, Stage::kKernelCopyout);
     // Single copy: device memory straight into the destination domain.
     self->Charge(static_cast<SimDuration>(f.size()) * nic_->params().rx_read_per_byte);
-    switch (ep.kind) {
-      case DeliverKind::kShmIpf:
-      case DeliverKind::kShm:
-      case DeliverKind::kDirect:
-        ep.queue->Push(std::move(f));
-        break;
-      case DeliverKind::kIpc: {
-        IpcMessage msg;
-        msg.kind = kMsgPacketDelivery;
-        msg.arg[5] = f.pkt_id;  // ids survive the port crossing out of band
-        msg.payload = std::move(f);
-        ep.port->Send(std::move(msg));
-        break;
-      }
+    if (ep->kind == DeliverKind::kIpc) {
+      PostPacket(ep->port, std::move(f));
+    } else {
+      ep->queue->Push(std::move(f));
     }
     rx_delivered_++;
     return;
@@ -201,29 +209,14 @@ void Kernel::DeliverFrame() {
     self->Charge(static_cast<SimDuration>(head.size()) * nic_->params().rx_read_per_byte);
     f = nic_->RxPop();
   }
-  FilterEngine::MatchResult m = run_filter(f);
-  if (m.id == 0) {
-    rx_unmatched_++;
-    obs_->drops.Record(f.pkt_id, TraceLayer::kFilter, DropReason::kNoFilterMatch, sim_->Now(),
-                       node_.id());
+  const DeliveryEndpoint* ep = Resolve(Classify(f), f, deliver_node_);
+  if (ep == nullptr) {
     return;
   }
-  auto epit = endpoints_.find(m.id);
-  if (epit == endpoints_.end()) {
-    rx_unmatched_++;
-    obs_->drops.Record(f.pkt_id, TraceLayer::kFilter, DropReason::kFilterRemoved, sim_->Now(),
-                       node_.id());
-    return;
-  }
-  obs_->journey.Hop(f.pkt_id, TraceLayer::kKern, deliver_node_.id(), sim_->Now());
-  const DeliveryEndpoint& ep = epit->second;
-  if (pcap_ != nullptr) {
-    pcap_->CaptureFrame(sim_->Now(), f);
-  }
-  switch (ep.kind) {
+  switch (ep->kind) {
     case DeliverKind::kDirect:
       // In-kernel stack: the netisr queue holds the kernel buffer directly.
-      ep.queue->Push(std::move(f));
+      ep->queue->Push(std::move(f));
       break;
     case DeliverKind::kShm:
     case DeliverKind::kShmIpf: {
@@ -235,16 +228,12 @@ void Kernel::DeliverFrame() {
       // Kernel buffer -> shared-memory ring.
       self->Charge(static_cast<SimDuration>(f.size()) * prof_->copy_per_byte);
       Frame shared(f);  // pooled copy
-      ep.queue->Push(std::move(shared));
+      ep->queue->Push(std::move(shared));
       break;
     }
     case DeliverKind::kIpc: {
       ProbeSpan span(obs_->tracer, sim_, Stage::kKernelCopyout);
-      IpcMessage msg;
-      msg.kind = kMsgPacketDelivery;
-      msg.arg[5] = f.pkt_id;
-      msg.payload = std::move(f);
-      ep.port->Send(std::move(msg));
+      PostPacket(ep->port, std::move(f));
       break;
     }
   }

@@ -110,6 +110,14 @@ class Kernel {
  private:
   void IntrThreadBody();
   void DeliverFrame();
+  // Runs the filter engine over `f` inside the netisr-filter stage and
+  // charges it.
+  FilterEngine::MatchResult Classify(const Frame& f);
+  // The matched filter's endpoint, recording the journey hop at `node` and
+  // the pcap capture; nullptr, with the drop recorded, if nothing matched
+  // or the filter is gone.
+  const DeliveryEndpoint* Resolve(const FilterEngine::MatchResult& m, const Frame& f,
+                                  JourneyNode& node);
 
   Simulator* sim_;
   Observatory* obs_;
@@ -124,6 +132,9 @@ class Kernel {
 
   FilterEngine engine_;
   std::map<uint64_t, DeliveryEndpoint> endpoints_;
+  // How many of endpoints_ are kShmIpf: any one switches every frame to
+  // the integrated filter's deferred copy.
+  size_t ipf_endpoints_ = 0;
   std::vector<std::unique_ptr<PacketQueue>> queues_;
 
   WaitQueue rx_wq_;

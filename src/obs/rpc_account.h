@@ -24,12 +24,20 @@
 #define PSD_SRC_OBS_RPC_ACCOUNT_H_
 
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "src/base/time.h"
 #include "src/obs/histogram.h"
 
 namespace psd {
+
+// An op's name without its family tag ("ux/accept" -> "accept"): the tag
+// is redundant inside an export prefix or a per-server table.
+inline const char* OpLeafName(const char* name) {
+  const char* slash = std::strchr(name, '/');
+  return slash != nullptr ? slash + 1 : name;
+}
 
 // Per-op aggregate. `queue_wait` is enqueue -> dequeue at the server port;
 // `service` is dequeue -> reply ready.

@@ -1,5 +1,6 @@
 #include "src/serv/server_core.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/api/kernel_node.h"
@@ -98,16 +99,10 @@ void ServerCore::ExportRpcStats(StatsRegistry* reg, const std::string& prefix,
                                 const char* (*slot_name)(size_t)) const {
   reg->RegisterGauge(prefix + "rpc.total", [this] { return rpc_.total_count(); });
   for (size_t i = 0; i < rpc_.slots(); i++) {
-    // "ux/accept" -> "<prefix>rpc.accept.count": the family tag is
-    // redundant inside the export prefix.
-    const char* name = slot_name(i);
-    const char* slash = std::strchr(name, '/');
-    std::string leaf = slash != nullptr ? slash + 1 : name;
-    reg->RegisterGauge(prefix + "rpc." + leaf + ".count", [this, i] { return rpc_.op(i).count; });
+    reg->RegisterGauge(prefix + "rpc." + OpLeafName(slot_name(i)) + ".count",
+                       [this, i] { return rpc_.op(i).count; });
   }
 }
-
-namespace {
 
 IpcMessage ErrorReply(Err e) {
   IpcMessage reply;
@@ -117,6 +112,19 @@ IpcMessage ErrorReply(Err e) {
 
 IpcMessage StatusReply(const Result<void>& r) {
   return r.ok() ? IpcMessage{} : ErrorReply(r.error());
+}
+
+namespace {
+
+// A send's destination and a datagram's source travel packed in one
+// argument slot: address in the high bits, port in the low 16.
+uint64_t PackAddr(const SockAddrIn& a) { return static_cast<uint64_t>(a.addr.v) << 16 | a.port; }
+
+SockAddrIn UnpackAddr(uint64_t v) {
+  SockAddrIn a;
+  a.addr = Ipv4Addr(static_cast<uint32_t>(v >> 16));
+  a.port = static_cast<uint16_t>(v & 0xffff);
+  return a;
 }
 
 }  // namespace
@@ -133,14 +141,9 @@ IpcMessage ServerCore::HandleSocketOp(SocketOp op, Socket* s, const IpcMessage& 
       return StatusReply(r);
     }
     case SocketOp::kSend: {
-      SockAddrIn to;
-      const SockAddrIn* top = nullptr;
-      if (req.arg[2] != 0) {
-        to.addr = Ipv4Addr(static_cast<uint32_t>(req.arg[3] >> 16));
-        to.port = static_cast<uint16_t>(req.arg[3] & 0xffff);
-        top = &to;
-      }
-      Result<size_t> r = s->Send(req.payload.data(), req.payload.size(), top);
+      SockAddrIn to = UnpackAddr(req.arg[3]);
+      Result<size_t> r = s->Send(req.payload.data(), req.payload.size(),
+                                 req.arg[2] != 0 ? &to : nullptr);
       stack_->Kick();
       if (!r.ok()) {
         return ErrorReply(r.error());
@@ -158,7 +161,7 @@ IpcMessage ServerCore::HandleSocketOp(SocketOp op, Socket* s, const IpcMessage& 
       }
       buf.resize(*r);
       reply.arg[1] = *r;
-      reply.arg[2] = static_cast<uint64_t>(from.addr.v) << 16 | from.port;
+      reply.arg[2] = PackAddr(from);
       reply.payload = std::move(buf);
       return reply;
     }
@@ -175,6 +178,65 @@ IpcMessage ServerCore::HandleSocketOp(SocketOp op, Socket* s, const IpcMessage& 
     }
   }
   return ErrorReply(Err::kOpNotSupp);
+}
+
+// ---------------------------------------------------------------------------
+// Client half
+
+Result<void> SocketOpClient::Listen(uint64_t id, int backlog) {
+  return ReplyStatus(call_(SocketOp::kListen, id, {}, static_cast<uint64_t>(backlog), 0));
+}
+
+Result<void> SocketOpClient::Connect(uint64_t id, SockAddrIn remote) {
+  Encoder e;
+  EncodeAddr(&e, remote);
+  return ReplyStatus(call_(SocketOp::kConnect, id, e.Take(), 0, 0));
+}
+
+Result<size_t> SocketOpClient::Send(uint64_t id, const uint8_t* data, size_t len,
+                                    const SockAddrIn* to) {
+  // User buffer -> request message.
+  host_->sim()->current_thread()->Charge(static_cast<SimDuration>(len) *
+                                         host_->prof()->ipc_per_byte);
+  IpcMessage rep = call_(SocketOp::kSend, id, std::vector<uint8_t>(data, data + len),
+                         to != nullptr ? 1 : 0, to != nullptr ? PackAddr(*to) : 0);
+  if (Result<void> st = ReplyStatus(rep); !st.ok()) {
+    return st.error();
+  }
+  return static_cast<size_t>(rep.arg[1]);
+}
+
+Result<size_t> SocketOpClient::Recv(uint64_t id, uint8_t* out, size_t len, SockAddrIn* from,
+                                    bool peek) {
+  IpcMessage rep = call_(SocketOp::kRecv, id, {}, len, peek ? 1 : 0);
+  if (Result<void> st = ReplyStatus(rep); !st.ok()) {
+    return st.error();
+  }
+  // Reply message -> user buffer.
+  size_t n = std::min(len, rep.payload.size());
+  host_->sim()->current_thread()->Charge(static_cast<SimDuration>(n) *
+                                         host_->prof()->ipc_per_byte);
+  if (n > 0) {
+    std::memcpy(out, rep.payload.data(), n);
+  }
+  if (from != nullptr) {
+    *from = UnpackAddr(rep.arg[2]);
+  }
+  return n;
+}
+
+Result<void> SocketOpClient::SetOpt(uint64_t id, SockOpt opt, size_t value) {
+  return ReplyStatus(call_(SocketOp::kSetOpt, id, {}, static_cast<uint64_t>(opt), value));
+}
+
+Result<void> SocketOpClient::Shutdown(uint64_t id, bool rd, bool wr) {
+  return ReplyStatus(call_(SocketOp::kShutdown, id, {}, rd ? 1 : 0, wr ? 1 : 0));
+}
+
+SockAddrIn SocketOpClient::LocalAddr(uint64_t id) {
+  IpcMessage rep = call_(SocketOp::kLocalAddr, id, {}, 0, 0);
+  Decoder d(rep.payload);
+  return DecodeAddr(&d);
 }
 
 }  // namespace psd

@@ -10,7 +10,10 @@
 //     owner's handler and replying;
 //   * one RpcOpRecorder for the whole server: the engine runs one fiber at
 //     a time, so every worker recording into it is already single-writer;
-//   * the socket ops whose meaning both servers' protocols share.
+//   * the socket ops whose meaning both servers' protocols share, and both
+//     halves of their request/reply format: HandleSocketOp on the server,
+//     SocketOpClient in the UX stub and in the library's forwarded
+//     descriptors.
 #ifndef PSD_SRC_SERV_SERVER_CORE_H_
 #define PSD_SRC_SERV_SERVER_CORE_H_
 
@@ -19,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "src/api/socket_api.h"
 #include "src/base/codec.h"
 #include "src/inet/stack.h"
 #include "src/ipc/port.h"
@@ -46,6 +50,36 @@ inline SockAddrIn DecodeAddr(Decoder* d) {
 // Socket ops with one meaning in both servers' protocols. Each owner maps
 // its own request kinds onto these after looking up the request's socket.
 enum class SocketOp { kListen, kConnect, kSend, kRecv, kSetOpt, kShutdown, kLocalAddr };
+
+// Reply status, one helper per side: the server puts the error in arg[0]
+// of an otherwise empty reply, and the client reads it back from there.
+IpcMessage ErrorReply(Err e);
+IpcMessage StatusReply(const Result<void>& r);
+inline Result<void> ReplyStatus(const IpcMessage& rep) { return static_cast<Err>(rep.arg[0]); }
+
+// The client half of ServerCore::HandleSocketOp: builds each op's request,
+// charges the per-byte copy between the caller's buffer and the message
+// (user buffer -> message on send, message -> user buffer on recv), and
+// decodes the reply. The placement supplies `call`, one round trip for
+// socket `id`: its own request kind for `op`, its own trap and ports.
+class SocketOpClient {
+ public:
+  using CallFn = std::function<IpcMessage(SocketOp op, uint64_t id, std::vector<uint8_t> payload,
+                                          uint64_t a2, uint64_t a3)>;
+  SocketOpClient(SimHost* host, CallFn call) : host_(host), call_(std::move(call)) {}
+
+  Result<void> Listen(uint64_t id, int backlog);
+  Result<void> Connect(uint64_t id, SockAddrIn remote);
+  Result<size_t> Send(uint64_t id, const uint8_t* data, size_t len, const SockAddrIn* to);
+  Result<size_t> Recv(uint64_t id, uint8_t* out, size_t len, SockAddrIn* from, bool peek);
+  Result<void> SetOpt(uint64_t id, SockOpt opt, size_t value);
+  Result<void> Shutdown(uint64_t id, bool rd, bool wr);
+  SockAddrIn LocalAddr(uint64_t id);
+
+ private:
+  SimHost* host_;
+  CallFn call_;
+};
 
 // Drains packet-delivery messages from `port` into `stack`, re-attaching
 // the packet id the kernel stashed in arg[5] (the payload vector crossed

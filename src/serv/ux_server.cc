@@ -1,7 +1,6 @@
 #include "src/serv/ux_server.h"
 
 #include <cassert>
-#include <cstring>
 
 #include "src/base/codec.h"
 
@@ -26,16 +25,6 @@ Result<Socket*> UxServer::Lookup(uint64_t id) {
   return it->second.get();
 }
 
-IpcMessage UxServer::SocketCall(SocketOp op, uint64_t id, const IpcMessage& req) {
-  Result<Socket*> s = Lookup(id);
-  if (!s.ok()) {
-    IpcMessage reply;
-    reply.arg[0] = static_cast<uint64_t>(s.error());
-    return reply;
-  }
-  return core_.HandleSocketOp(op, *s, req);
-}
-
 PollSet* UxServer::poll_set(uint64_t id) {
   auto it = polls_.find(id);
   return it == polls_.end() ? nullptr : it->second.get();
@@ -43,10 +32,6 @@ PollSet* UxServer::poll_set(uint64_t id) {
 
 IpcMessage UxServer::Handle(const IpcMessage& req) {
   IpcMessage reply;
-  auto fail = [&reply](Err e) {
-    reply.arg[0] = static_cast<uint64_t>(e);
-    return reply;
-  };
   ServOp op = static_cast<ServOp>(req.kind);
   uint64_t id = req.arg[1];
   // One span per socket RPC handled by the server task.
@@ -59,58 +44,6 @@ IpcMessage UxServer::Handle(const IpcMessage& req) {
       uint64_t sid = next_id_++;
       socks_[sid] = std::move(sock);
       reply.arg[1] = sid;
-      return reply;
-    }
-    case ServOp::kListen:
-      return SocketCall(SocketOp::kListen, id, req);
-    case ServOp::kConnect:
-      return SocketCall(SocketOp::kConnect, id, req);
-    case ServOp::kSend:
-      return SocketCall(SocketOp::kSend, id, req);
-    case ServOp::kRecv:
-    case ServOp::kRecvChain:
-      return SocketCall(SocketOp::kRecv, id, req);
-    case ServOp::kSetOpt:
-      return SocketCall(SocketOp::kSetOpt, id, req);
-    case ServOp::kShutdown:
-      return SocketCall(SocketOp::kShutdown, id, req);
-    case ServOp::kLocalAddr:
-      return SocketCall(SocketOp::kLocalAddr, id, req);
-    case ServOp::kBind: {
-      Result<Socket*> s = Lookup(id);
-      if (!s.ok()) {
-        return fail(s.error());
-      }
-      Decoder d(req.payload);
-      SockAddrIn a = DecodeAddr(&d);
-      Result<void> r = (*s)->Bind(a);
-      return r.ok() ? reply : fail(r.error());
-    }
-    case ServOp::kAccept: {
-      Result<Socket*> s = Lookup(id);
-      if (!s.ok()) {
-        return fail(s.error());
-      }
-      SockAddrIn peer;
-      Result<std::unique_ptr<Socket>> child = (*s)->Accept(&peer);
-      if (!child.ok()) {
-        return fail(child.error());
-      }
-      uint64_t sid = next_id_++;
-      socks_[sid] = std::move(*child);
-      reply.arg[1] = sid;
-      Encoder e;
-      EncodeAddr(&e, peer);
-      reply.payload = e.Take();
-      return reply;
-    }
-    case ServOp::kClose: {
-      Result<Socket*> s = Lookup(id);
-      if (!s.ok()) {
-        return fail(s.error());
-      }
-      (*s)->Close();
-      socks_.erase(id);
       return reply;
     }
     case ServOp::kSelect: {
@@ -149,31 +82,29 @@ IpcMessage UxServer::Handle(const IpcMessage& req) {
     case ServOp::kPollAdd: {
       PollSet* set = poll_set(id);
       if (set == nullptr) {
-        return fail(Err::kBadF);
+        return ErrorReply(Err::kBadF);
       }
       Result<Socket*> s = Lookup(req.arg[2]);
       if (!s.ok()) {
-        return fail(s.error());
+        return ErrorReply(s.error());
       }
-      Result<void> r = set->Add(*s, static_cast<uint32_t>(req.arg[3]), req.arg[2]);
-      return r.ok() ? reply : fail(r.error());
+      return StatusReply(set->Add(*s, static_cast<uint32_t>(req.arg[3]), req.arg[2]));
     }
     case ServOp::kPollRemove: {
       PollSet* set = poll_set(id);
       if (set == nullptr) {
-        return fail(Err::kBadF);
+        return ErrorReply(Err::kBadF);
       }
       Result<Socket*> s = Lookup(req.arg[2]);
       if (!s.ok()) {
-        return fail(s.error());
+        return ErrorReply(s.error());
       }
-      Result<void> r = set->Remove(*s);
-      return r.ok() ? reply : fail(r.error());
+      return StatusReply(set->Remove(*s));
     }
     case ServOp::kPollWait: {
       PollSet* set = poll_set(id);
       if (set == nullptr) {
-        return fail(Err::kBadF);
+        return ErrorReply(Err::kBadF);
       }
       // Parks this worker until an edge lands; the reply message is the
       // placement's readiness notification path back to the client.
@@ -191,21 +122,81 @@ IpcMessage UxServer::Handle(const IpcMessage& req) {
     case ServOp::kPollClose: {
       auto it = polls_.find(id);
       if (it == polls_.end()) {
-        return fail(Err::kBadF);
+        return ErrorReply(Err::kBadF);
       }
       polls_.erase(it);
       return reply;
     }
-    case ServOp::kServOpCount:
+    default:
       break;
   }
-  return fail(Err::kOpNotSupp);
+  // Every other op names a socket.
+  Result<Socket*> s = Lookup(id);
+  if (!s.ok()) {
+    return ErrorReply(s.error());
+  }
+  switch (op) {
+    case ServOp::kListen:
+      return core_.HandleSocketOp(SocketOp::kListen, *s, req);
+    case ServOp::kConnect:
+      return core_.HandleSocketOp(SocketOp::kConnect, *s, req);
+    case ServOp::kSend:
+      return core_.HandleSocketOp(SocketOp::kSend, *s, req);
+    case ServOp::kRecv:
+      return core_.HandleSocketOp(SocketOp::kRecv, *s, req);
+    case ServOp::kSetOpt:
+      return core_.HandleSocketOp(SocketOp::kSetOpt, *s, req);
+    case ServOp::kShutdown:
+      return core_.HandleSocketOp(SocketOp::kShutdown, *s, req);
+    case ServOp::kLocalAddr:
+      return core_.HandleSocketOp(SocketOp::kLocalAddr, *s, req);
+    case ServOp::kBind: {
+      Decoder d(req.payload);
+      return StatusReply((*s)->Bind(DecodeAddr(&d)));
+    }
+    case ServOp::kAccept: {
+      SockAddrIn peer;
+      Result<std::unique_ptr<Socket>> child = (*s)->Accept(&peer);
+      if (!child.ok()) {
+        return ErrorReply(child.error());
+      }
+      uint64_t sid = next_id_++;
+      socks_[sid] = std::move(*child);
+      reply.arg[1] = sid;
+      Encoder e;
+      EncodeAddr(&e, peer);
+      reply.payload = e.Take();
+      return reply;
+    }
+    case ServOp::kClose:
+      (*s)->Close();
+      socks_.erase(id);
+      return reply;
+    default:
+      break;
+  }
+  return ErrorReply(Err::kOpNotSupp);
 }
 
 // ---------------------------------------------------------------------------
 // Client stub
 
-UxServerNode::UxServerNode(UxServer* server) : server_(server), host_(server->host()) {}
+namespace {
+
+// The ServOp that carries each shared socket op, indexed by SocketOp.
+constexpr ServOp kSocketOpKinds[] = {ServOp::kListen,  ServOp::kConnect,  ServOp::kSend,
+                                     ServOp::kRecv,    ServOp::kSetOpt,   ServOp::kShutdown,
+                                     ServOp::kLocalAddr};
+
+}  // namespace
+
+UxServerNode::UxServerNode(UxServer* server)
+    : server_(server),
+      host_(server->host()),
+      ops_(host_, [this](SocketOp op, uint64_t fd, std::vector<uint8_t> payload, uint64_t a2,
+                         uint64_t a3) {
+        return Call(kSocketOpKinds[static_cast<int>(op)], fd, std::move(payload), a2, a3);
+      }) {}
 
 IpcMessage UxServerNode::Call(ServOp op, uint64_t fd, std::vector<uint8_t> payload, uint64_t a2,
                               uint64_t a3) {
@@ -225,8 +216,8 @@ IpcMessage UxServerNode::Call(ServOp op, uint64_t fd, std::vector<uint8_t> paylo
 
 Result<int> UxServerNode::CreateSocket(IpProto proto) {
   IpcMessage rep = Call(ServOp::kSocket, 0, {}, static_cast<uint64_t>(proto));
-  if (rep.arg[0] != 0) {
-    return static_cast<Err>(rep.arg[0]);
+  if (Result<void> st = ReplyStatus(rep); !st.ok()) {
+    return st.error();
   }
   return static_cast<int>(rep.arg[1]);
 }
@@ -234,25 +225,15 @@ Result<int> UxServerNode::CreateSocket(IpProto proto) {
 Result<void> UxServerNode::Bind(int fd, SockAddrIn local) {
   Encoder e;
   EncodeAddr(&e, local);
-  IpcMessage rep = Call(ServOp::kBind, fd, e.Take());
-  if (rep.arg[0] != 0) {
-    return static_cast<Err>(rep.arg[0]);
-  }
-  return OkResult();
+  return ReplyStatus(Call(ServOp::kBind, fd, e.Take()));
 }
 
-Result<void> UxServerNode::Listen(int fd, int backlog) {
-  IpcMessage rep = Call(ServOp::kListen, fd, {}, backlog);
-  if (rep.arg[0] != 0) {
-    return static_cast<Err>(rep.arg[0]);
-  }
-  return OkResult();
-}
+Result<void> UxServerNode::Listen(int fd, int backlog) { return ops_.Listen(fd, backlog); }
 
 Result<int> UxServerNode::Accept(int fd, SockAddrIn* peer) {
   IpcMessage rep = Call(ServOp::kAccept, fd);
-  if (rep.arg[0] != 0) {
-    return static_cast<Err>(rep.arg[0]);
+  if (Result<void> st = ReplyStatus(rep); !st.ok()) {
+    return st.error();
   }
   if (peer != nullptr) {
     Decoder d(rep.payload);
@@ -261,24 +242,10 @@ Result<int> UxServerNode::Accept(int fd, SockAddrIn* peer) {
   return static_cast<int>(rep.arg[1]);
 }
 
-Result<void> UxServerNode::Connect(int fd, SockAddrIn remote) {
-  Encoder e;
-  EncodeAddr(&e, remote);
-  IpcMessage rep = Call(ServOp::kConnect, fd, e.Take());
-  if (rep.arg[0] != 0) {
-    return static_cast<Err>(rep.arg[0]);
-  }
-  return OkResult();
-}
+Result<void> UxServerNode::Connect(int fd, SockAddrIn remote) { return ops_.Connect(fd, remote); }
 
 Result<size_t> UxServerNode::Send(int fd, const uint8_t* data, size_t len, const SockAddrIn* to) {
-  SimThread* self = host_->sim()->current_thread();
-  // First of the four RPC data copies: user buffer -> request message.
-  self->Charge(static_cast<SimDuration>(len) * host_->prof()->ipc_per_byte);
-  std::vector<uint8_t> payload(data, data + len);
-  uint64_t a2 = to != nullptr ? 1 : 0;
-  uint64_t a3 = to != nullptr ? (static_cast<uint64_t>(to->addr.v) << 16 | to->port) : 0;
-  IpcMessage rep = Call(ServOp::kSend, fd, std::move(payload), a2, a3);
+  Result<size_t> r = ops_.Send(fd, data, len, to);
   // Attribute the RPC request leg to Table 4's entry/copyin row (the
   // server-side socket layer records its own share via its span).
   const MachineProfile* p = host_->prof();
@@ -288,77 +255,32 @@ Result<size_t> UxServerNode::Send(int fd, const uint8_t* data, size_t len, const
                             StageLayer(Stage::kEntryCopyin),
                             static_cast<int>(Stage::kEntryCopyin), host_->sim()->Now() - cost,
                             cost);
-  if (rep.arg[0] != 0) {
-    return static_cast<Err>(rep.arg[0]);
-  }
-  return static_cast<size_t>(rep.arg[1]);
+  return r;
 }
 
 Result<size_t> UxServerNode::Recv(int fd, uint8_t* out, size_t len, SockAddrIn* from, bool peek) {
-  IpcMessage rep = Call(ServOp::kRecv, fd, {}, len, peek ? 1 : 0);
-  if (rep.arg[0] != 0) {
-    return static_cast<Err>(rep.arg[0]);
+  Result<size_t> n = ops_.Recv(fd, out, len, from, peek);
+  if (!n.ok()) {
+    return n;
   }
-  size_t n = std::min(len, rep.payload.size());
-  // Last of the four copies: reply message -> user buffer.
-  host_->sim()->current_thread()->Charge(static_cast<SimDuration>(n) *
-                                         host_->prof()->ipc_per_byte);
   // Attribute the RPC reply leg to Table 4's copyout/exit row.
   const MachineProfile* p = host_->prof();
   SimDuration cost =
-      p->ipc_fixed + p->wakeup_cross + 3 * static_cast<SimDuration>(n) * p->ipc_per_byte;
+      p->ipc_fixed + p->wakeup_cross + 3 * static_cast<SimDuration>(*n) * p->ipc_per_byte;
   host_->obs()->tracer.Emit(host_->sim(), StageName(Stage::kCopyoutExit),
                             StageLayer(Stage::kCopyoutExit),
                             static_cast<int>(Stage::kCopyoutExit), host_->sim()->Now() - cost,
                             cost);
-  if (n > 0) {
-    std::memcpy(out, rep.payload.data(), n);
-  }
-  if (from != nullptr) {
-    from->addr = Ipv4Addr(static_cast<uint32_t>(rep.arg[2] >> 16));
-    from->port = static_cast<uint16_t>(rep.arg[2] & 0xffff);
-  }
   return n;
 }
 
-Result<size_t> UxServerNode::SendShared(int fd, std::shared_ptr<const std::vector<uint8_t>> buf,
-                                        size_t off, size_t len, const SockAddrIn* to) {
-  // Shared buffers cannot cross the RPC boundary: classic copy semantics.
-  return Send(fd, buf->data() + off, len, to);
-}
-
-Result<Chain> UxServerNode::RecvChain(int fd, size_t max, SockAddrIn* from) {
-  std::vector<uint8_t> tmp(max);
-  Result<size_t> n = Recv(fd, tmp.data(), max, from, false);
-  if (!n.ok()) {
-    return n.error();
-  }
-  return Chain::FromBytes(tmp.data(), *n);
-}
-
 Result<void> UxServerNode::SetOpt(int fd, SockOpt opt, size_t value) {
-  IpcMessage rep = Call(ServOp::kSetOpt, fd, {}, static_cast<uint64_t>(opt), value);
-  if (rep.arg[0] != 0) {
-    return static_cast<Err>(rep.arg[0]);
-  }
-  return OkResult();
+  return ops_.SetOpt(fd, opt, value);
 }
 
-Result<void> UxServerNode::Shutdown(int fd, bool rd, bool wr) {
-  IpcMessage rep = Call(ServOp::kShutdown, fd, {}, rd ? 1 : 0, wr ? 1 : 0);
-  if (rep.arg[0] != 0) {
-    return static_cast<Err>(rep.arg[0]);
-  }
-  return OkResult();
-}
+Result<void> UxServerNode::Shutdown(int fd, bool rd, bool wr) { return ops_.Shutdown(fd, rd, wr); }
 
-Result<void> UxServerNode::Close(int fd) {
-  IpcMessage rep = Call(ServOp::kClose, fd);
-  if (rep.arg[0] != 0) {
-    return static_cast<Err>(rep.arg[0]);
-  }
-  return OkResult();
-}
+Result<void> UxServerNode::Close(int fd) { return ReplyStatus(Call(ServOp::kClose, fd)); }
 
 Result<int> UxServerNode::Select(SelectFds* fds, SimDuration timeout) {
   Encoder e;
@@ -371,8 +293,8 @@ Result<int> UxServerNode::Select(SelectFds* fds, SimDuration timeout) {
     e.U64(static_cast<uint64_t>(fd));
   }
   IpcMessage rep = Call(ServOp::kSelect, 0, e.Take(), static_cast<uint64_t>(timeout));
-  if (rep.arg[0] != 0) {
-    return static_cast<Err>(rep.arg[0]);
+  if (Result<void> st = ReplyStatus(rep); !st.ok()) {
+    return st.error();
   }
   Decoder d(rep.payload);
   int n = static_cast<int>(d.U32());
@@ -389,32 +311,24 @@ Result<int> UxServerNode::Select(SelectFds* fds, SimDuration timeout) {
 
 Result<int> UxServerNode::PollCreate() {
   IpcMessage rep = Call(ServOp::kPollCreate, 0);
-  if (rep.arg[0] != 0) {
-    return static_cast<Err>(rep.arg[0]);
+  if (Result<void> st = ReplyStatus(rep); !st.ok()) {
+    return st.error();
   }
   return static_cast<int>(rep.arg[1]);
 }
 
 Result<void> UxServerNode::PollAdd(int pfd, int fd, uint32_t events) {
-  IpcMessage rep = Call(ServOp::kPollAdd, pfd, {}, static_cast<uint64_t>(fd), events);
-  if (rep.arg[0] != 0) {
-    return static_cast<Err>(rep.arg[0]);
-  }
-  return OkResult();
+  return ReplyStatus(Call(ServOp::kPollAdd, pfd, {}, static_cast<uint64_t>(fd), events));
 }
 
 Result<void> UxServerNode::PollRemove(int pfd, int fd) {
-  IpcMessage rep = Call(ServOp::kPollRemove, pfd, {}, static_cast<uint64_t>(fd));
-  if (rep.arg[0] != 0) {
-    return static_cast<Err>(rep.arg[0]);
-  }
-  return OkResult();
+  return ReplyStatus(Call(ServOp::kPollRemove, pfd, {}, static_cast<uint64_t>(fd)));
 }
 
 Result<int> UxServerNode::PollWait(int pfd, std::vector<PollEvent>* out, SimDuration timeout) {
   IpcMessage rep = Call(ServOp::kPollWait, pfd, {}, static_cast<uint64_t>(timeout));
-  if (rep.arg[0] != 0) {
-    return static_cast<Err>(rep.arg[0]);
+  if (Result<void> st = ReplyStatus(rep); !st.ok()) {
+    return st.error();
   }
   Decoder d(rep.payload);
   int n = static_cast<int>(d.U32());
@@ -427,18 +341,8 @@ Result<int> UxServerNode::PollWait(int pfd, std::vector<PollEvent>* out, SimDura
   return n;
 }
 
-Result<void> UxServerNode::PollClose(int pfd) {
-  IpcMessage rep = Call(ServOp::kPollClose, pfd);
-  if (rep.arg[0] != 0) {
-    return static_cast<Err>(rep.arg[0]);
-  }
-  return OkResult();
-}
+Result<void> UxServerNode::PollClose(int pfd) { return ReplyStatus(Call(ServOp::kPollClose, pfd)); }
 
-SockAddrIn UxServerNode::LocalAddr(int fd) {
-  IpcMessage rep = Call(ServOp::kLocalAddr, fd);
-  Decoder d(rep.payload);
-  return DecodeAddr(&d);
-}
+SockAddrIn UxServerNode::LocalAddr(int fd) { return ops_.LocalAddr(fd); }
 
 }  // namespace psd

@@ -32,7 +32,6 @@ enum class ServOp : uint32_t {
   kConnect,
   kSend,
   kRecv,
-  kRecvChain,
   kSetOpt,
   kShutdown,
   kClose,
@@ -51,11 +50,10 @@ enum class ServOp : uint32_t {
 // fails the static_assert, so a new RPC op can never show up as a raw
 // integer in tool output.
 inline constexpr const char* kServOpNames[] = {
-    "ux/socket",      "ux/bind",     "ux/listen",      "ux/accept",
-    "ux/connect",     "ux/send",     "ux/recv",        "ux/recv_chain",
-    "ux/setopt",      "ux/shutdown", "ux/close",       "ux/select",
-    "ux/localaddr",   "ux/poll_create", "ux/poll_add", "ux/poll_remove",
-    "ux/poll_wait",   "ux/poll_close",
+    "ux/socket",    "ux/bind",        "ux/listen",   "ux/accept",      "ux/connect",
+    "ux/send",      "ux/recv",        "ux/setopt",   "ux/shutdown",    "ux/close",
+    "ux/select",    "ux/localaddr",   "ux/poll_create", "ux/poll_add", "ux/poll_remove",
+    "ux/poll_wait", "ux/poll_close",
 };
 inline constexpr uint32_t kServOpFirst = static_cast<uint32_t>(ServOp::kSocket);
 inline constexpr uint32_t kNumServOps =
@@ -104,8 +102,6 @@ class UxServer {
  private:
   IpcMessage Handle(const IpcMessage& req);
   Result<Socket*> Lookup(uint64_t id);
-  // Looks up socket `id` and runs the core's handler for `op` on it.
-  IpcMessage SocketCall(SocketOp op, uint64_t id, const IpcMessage& req);
 
   SimHost* host_;
   // Declared before the tables: its stack must outlive their sockets.
@@ -123,6 +119,10 @@ class UxServerNode : public SocketApi {
  public:
   explicit UxServerNode(UxServer* server);
 
+  // ops_ calls back into this object.
+  UxServerNode(const UxServerNode&) = delete;
+  UxServerNode& operator=(const UxServerNode&) = delete;
+
   Result<int> CreateSocket(IpProto proto) override;
   Result<void> Bind(int fd, SockAddrIn local) override;
   Result<void> Listen(int fd, int backlog) override;
@@ -130,9 +130,6 @@ class UxServerNode : public SocketApi {
   Result<void> Connect(int fd, SockAddrIn remote) override;
   Result<size_t> Send(int fd, const uint8_t* data, size_t len, const SockAddrIn* to) override;
   Result<size_t> Recv(int fd, uint8_t* out, size_t len, SockAddrIn* from, bool peek) override;
-  Result<size_t> SendShared(int fd, std::shared_ptr<const std::vector<uint8_t>> buf, size_t off,
-                            size_t len, const SockAddrIn* to) override;
-  Result<Chain> RecvChain(int fd, size_t max, SockAddrIn* from) override;
   Result<void> SetOpt(int fd, SockOpt opt, size_t value) override;
   Result<void> Shutdown(int fd, bool rd, bool wr) override;
   Result<void> Close(int fd) override;
@@ -157,6 +154,8 @@ class UxServerNode : public SocketApi {
   UxServer* server_;
   SimHost* host_;
   RpcClientCounter rpc_calls_{kNumServOps};
+  // The shared socket ops, as ServOp RPCs through Call.
+  SocketOpClient ops_;
 };
 
 }  // namespace psd

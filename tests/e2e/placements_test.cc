@@ -270,6 +270,50 @@ TEST_P(PlacementTest, CloseDropsPollRegistration) {
   EXPECT_EQ(clients_done, kClosed + 1);
 }
 
+// NEWAPI sendto on a fresh UDP socket binds implicitly, exactly like Send:
+// the datagram reaches the peer, and in the library placements the session
+// has migrated into the application, so later sends take the shared path.
+TEST_P(PlacementTest, SendSharedToAddressOnUnboundUdp) {
+  World w(GetParam(), MachineProfile::DecStation5000());
+  bool server_done = false;
+  bool client_done = false;
+
+  w.SpawnApp(1, "udp-server", [&] {
+    SocketApi* api = w.api(1);
+    int fd = *api->CreateSocket(IpProto::kUdp);
+    ASSERT_TRUE(api->Bind(fd, SockAddrIn{Ipv4Addr::Any(), 7000}).ok());
+    uint8_t buf[64];
+    SockAddrIn from;
+    Result<size_t> n = api->Recv(fd, buf, sizeof(buf), &from, false);
+    ASSERT_TRUE(n.ok()) << ErrName(n.error());
+    EXPECT_EQ(std::string(reinterpret_cast<char*>(buf), *n), "shared hello");
+    EXPECT_EQ(from.addr, w.addr(0));
+    api->Close(fd);
+    server_done = true;
+  });
+
+  w.SpawnApp(0, "udp-client", [&] {
+    SocketApi* api = w.api(0);
+    int fd = *api->CreateSocket(IpProto::kUdp);
+    SockAddrIn dst{w.addr(1), 7000};
+    w.sim().current_thread()->SleepFor(Millis(10));
+    std::string msg = "shared hello";
+    auto buf = std::make_shared<const std::vector<uint8_t>>(msg.begin(), msg.end());
+    Result<size_t> s = api->SendShared(fd, buf, 0, buf->size(), &dst);
+    ASSERT_TRUE(s.ok()) << ErrName(s.error());
+    EXPECT_EQ(*s, msg.size());
+    if (w.library_node(0) != nullptr) {
+      EXPECT_TRUE(w.library_node(0)->IsAppManaged(fd));
+    }
+    api->Close(fd);
+    client_done = true;
+  });
+
+  w.sim().Run(Seconds(30));
+  EXPECT_TRUE(server_done);
+  EXPECT_TRUE(client_done);
+}
+
 TEST_P(PlacementTest, TcpConnectRefused) {
   World w(GetParam(), MachineProfile::DecStation5000());
   bool done = false;
