@@ -106,22 +106,12 @@ void ProtocolLibrary::InputBody() {
 
 IpcMessage ProtocolLibrary::Call(ProxyOp op, uint64_t sid, std::vector<uint8_t> payload,
                                  uint64_t a2, uint64_t a3) {
-  SimThread* self = host_->sim()->current_thread();
-  assert(self != nullptr);
   // Control-path proxy RPC into the OS server (the span covers the trap,
   // the send leg, and the blocked wait for the reply).
   TraceSpan span(host_->obs()->tracer, host_->sim(), ProxyOpName(op), TraceLayer::kCore, sid);
   rpc_calls_.Count(ProxyOpSlot(static_cast<uint32_t>(op)));
-  self->Charge(host_->prof()->trap);
-  Port reply(host_->sim(), host_->obs(), host_->prof(), name_ + "/reply");
-  IpcMessage req;
-  req.kind = static_cast<uint32_t>(op);
-  req.arg[1] = sid;
-  req.arg[2] = a2;
-  req.arg[3] = a3;
-  req.arg[4] = lib_id_;
-  req.payload = std::move(payload);
-  return RpcCall(server_->control_port(), &reply, std::move(req));
+  return ClientRpc(host_, server_->control_port(), name_ + "/reply", static_cast<uint32_t>(op),
+                   sid, std::move(payload), a2, a3, lib_id_);
 }
 
 void ProtocolLibrary::Notify(ProxyOp op, uint64_t sid, uint64_t a2) {
@@ -271,7 +261,7 @@ Result<void> LibraryNode::Bind(int fd, SockAddrIn local) {
   if (d->proto == IpProto::kUdp && !d->via_server) {
     // The session migrated to us: instantiate it in the library stack.
     Decoder dec(rep.payload);
-    d->sock = AdoptUdp(DecodeAddr(&dec), SockAddrIn{});
+    d->sock = Socket::AdoptUdp(lib_->stack(), DecodeAddr(&dec), SockAddrIn{});
   }
   return OkResult();
 }
@@ -350,7 +340,7 @@ Result<void> LibraryNode::Connect(int fd, SockAddrIn remote) {
     SockAddrIn local = DecodeAddr(&dec);
     SockAddrIn rem = DecodeAddr(&dec);
     if (d->sock == nullptr) {
-      d->sock = AdoptUdp(local, rem);
+      d->sock = Socket::AdoptUdp(lib_->stack(), local, rem);
     } else {
       DomainLock lock(lib_->stack()->sync());
       d->sock->udp_pcb()->remote = rem;
@@ -379,14 +369,7 @@ Result<std::unique_ptr<Socket>> LibraryNode::AdoptTcp(const IpcMessage& rep, uin
   if (!st.ok()) {
     return st.error();
   }
-  Stack* stack = lib_->stack();
-  TcpPcb* pcb = nullptr;
-  {
-    DomainLock lock(stack->sync());
-    pcb = stack->tcp().AdoptMigrated(*st);
-  }
-  auto sock = std::make_unique<Socket>(stack, pcb);
-  stack->Kick();
+  std::unique_ptr<Socket> sock = Socket::AdoptTcp(lib_->stack(), *st);
   // Client half of the migration taxonomy: `transfer` is the observed
   // proxy-RPC round trip carrying the encoded state (it overlaps the
   // server's freeze/install/encode phases by design); `resume` is the local
@@ -401,18 +384,6 @@ Result<std::unique_ptr<Socket>> LibraryNode::AdoptTcp(const IpcMessage& rep, uin
   obs->tracer.Emit(sim, "migrate/resume", TraceLayer::kCore, -1, rpc_end, resume_end - rpc_end,
                    sid);
   return sock;
-}
-
-std::unique_ptr<Socket> LibraryNode::AdoptUdp(SockAddrIn local, SockAddrIn remote) {
-  Stack* stack = lib_->stack();
-  UdpPcb* pcb = nullptr;
-  {
-    DomainLock lock(stack->sync());
-    pcb = stack->udp().Create();
-    stack->udp().AdoptBinding(pcb, local);
-    pcb->remote = remote;
-  }
-  return std::make_unique<Socket>(stack, pcb);
 }
 
 Result<size_t> LibraryNode::Send(int fd, const uint8_t* data, size_t len, const SockAddrIn* to) {

@@ -173,15 +173,13 @@ class LibraryNode : public SocketApi {
   // migrates) it implicitly first.
   Result<Desc*> LookupForSend(int fd, const SockAddrIn* to);
   Result<void> ReturnSession(Desc* d, bool close_after);
-  // Adopts the TCP session a proxy reply migrated to us (payload: local,
-  // remote, encoded state; *remote gets the peer if non-null) and records
-  // the client half of the migration: `transfer` (the proxy-RPC round trip
-  // rpc_begin..rpc_end that carried the state) and `resume` (local adopt +
-  // kick).
+  // Adopts the TCP session a proxy reply migrated to us (the handover
+  // payload: local, remote, encoded state; *remote gets the peer if
+  // non-null) through Socket::AdoptTcp, and records the client half of the
+  // migration: `transfer` (the proxy-RPC round trip rpc_begin..rpc_end that
+  // carried the state) and `resume` (local adopt + kick).
   Result<std::unique_ptr<Socket>> AdoptTcp(const IpcMessage& rep, uint64_t sid, SimTime rpc_begin,
                                            SimTime rpc_end, SockAddrIn* remote = nullptr);
-  // Creates the library pcb of a UDP session the server migrated to us.
-  std::unique_ptr<Socket> AdoptUdp(SockAddrIn local, SockAddrIn remote);
 
   ProtocolLibrary* lib_;
   // The shared socket ops of server-managed descriptors, as forwarded

@@ -112,6 +112,9 @@ std::vector<uint8_t> NetServer::MigrateTcpOut(Session* s) {
   SimTime t0 = sim->Now();
   TcpPcb* pcb = s->sock->DetachTcpPcb();
   s->tuple = SessionTuple{IpProto::kTcp, pcb->local, pcb->remote};
+  if (pcb->port_owned) {  // only at the first migration: adopted pcbs own no name
+    s->port = pcb->local.port;
+  }
   suppressed_.insert(TupleKey(pcb->local, pcb->remote));
   SimTime t1 = sim->Now();
   InstallSessionFilter(s);
@@ -125,7 +128,10 @@ std::vector<uint8_t> NetServer::MigrateTcpOut(Session* s) {
   s->sock.reset();
   s->where = Where::kApp;
   SimTime t3 = sim->Now();
-  std::vector<uint8_t> enc = st.Encode();
+  Encoder e;
+  EncodeAddr(&e, s->tuple.local);
+  EncodeAddr(&e, s->tuple.remote);
+  e.Bytes(st.Encode());
   SimTime t4 = sim->Now();
   // Phase accounting: freeze is detach+suppress plus the locked extraction
   // (the install sits between the two chunks and is ledgered on its own).
@@ -142,7 +148,7 @@ std::vector<uint8_t> NetServer::MigrateTcpOut(Session* s) {
   tracer.Emit(sim, "migrate/install", TraceLayer::kCore, -1, t1, t2 - t1, s->filter_id);
   tracer.Emit(sim, "migrate/encode", TraceLayer::kCore, -1, t3, t4 - t3, s->filter_id);
   tracer.Instant(sim, "migrate/out", TraceLayer::kCore, s->filter_id);
-  return enc;
+  return e.Take();
 }
 
 IpcMessage NetServer::Handle(const IpcMessage& req) {
@@ -248,6 +254,7 @@ IpcMessage NetServer::HandleBind(const IpcMessage& req) {
     return ErrorReply(port.error());
   }
   SockAddrIn local{want.addr.IsAny() ? host_->ip() : want.addr, *port};
+  s->port = *port;
   s->tuple = SessionTuple{IpProto::kUdp, local, SockAddrIn{}};
   s->where = Where::kApp;
   InstallSessionFilter(s);
@@ -279,6 +286,7 @@ IpcMessage NetServer::HandleConnect(const IpcMessage& req) {
       if (!port.ok()) {
         return ErrorReply(port.error());
       }
+      s->port = *port;
       s->tuple.local = SockAddrIn{host_->ip(), *port};
       s->where = Where::kApp;
       migrations_out_++;
@@ -301,13 +309,7 @@ IpcMessage NetServer::HandleConnect(const IpcMessage& req) {
   if (!r.ok()) {
     return ErrorReply(r.error());
   }
-  SockAddrIn local = s->sock->local_addr();
-  std::vector<uint8_t> state = MigrateTcpOut(s);
-  Encoder e;
-  EncodeAddr(&e, local);
-  EncodeAddr(&e, remote);
-  e.Bytes(state);
-  reply.payload = e.Take();
+  reply.payload = MigrateTcpOut(s);
   return reply;
 }
 
@@ -336,14 +338,8 @@ IpcMessage NetServer::HandleAccept(const IpcMessage& req) {
   cs.proto = IpProto::kTcp;
   cs.owner_lib = listener->owner_lib;
   cs.sock = std::move(*child);
-  SockAddrIn local = cs.sock->local_addr();
-  std::vector<uint8_t> state = MigrateTcpOut(&cs);
   reply.arg[1] = sid;
-  Encoder e;
-  EncodeAddr(&e, local);
-  EncodeAddr(&e, peer);
-  e.Bytes(state);
-  reply.payload = e.Take();
+  reply.payload = MigrateTcpOut(&cs);
   return reply;
 }
 
@@ -359,59 +355,34 @@ IpcMessage NetServer::HandleReturn(const IpcMessage& req) {
     RemoveSessionFilter(s);
     if (s->proto == IpProto::kTcp) {
       Decoder d(req.payload);
-      std::vector<uint8_t> state_bytes = d.Bytes();
-      Result<TcpMigrationState> st = TcpMigrationState::Decode(state_bytes);
+      Result<TcpMigrationState> st = TcpMigrationState::Decode(d.Bytes());
       if (!st.ok()) {
         return ErrorReply(st.error());
       }
       SimTime resume_start = host_->sim()->Now();
-      TcpPcb* pcb = nullptr;
-      {
-        DomainLock lock(stack()->sync());
-        pcb = stack()->tcp().AdoptMigrated(*st);
-      }
+      s->sock = Socket::AdoptTcp(stack(), *st);
       // Erase under the authoritative tuple recorded at migration time, not
       // the app-decoded endpoints, so the entry removed is exactly the one
       // MigrateTcpOut inserted.
       suppressed_.erase(TupleKey(s->tuple.local, s->tuple.remote));
-      s->sock = std::make_unique<Socket>(stack(), pcb);
-      stack()->Kick();
-      migrations_in_++;
-      MetastateLedger& meta = host_->obs()->meta;
-      meta.Count(MetaEvent::kMigrationIn);
-      meta.RecordPhase(MigrationPhase::kResume, host_->sim()->Now() - resume_start);
+      host_->obs()->meta.RecordPhase(MigrationPhase::kResume, host_->sim()->Now() - resume_start);
       Tracer& tracer = host_->obs()->tracer;
       tracer.Emit(host_->sim(), "migrate/resume", TraceLayer::kCore, -1, resume_start,
                   host_->sim()->Now() - resume_start, req.arg[1]);
       tracer.Instant(host_->sim(), "migrate/in", TraceLayer::kCore, req.arg[1]);
     } else {
       // UDP: recreate the binding server-side.
-      UdpPcb* pcb = nullptr;
-      {
-        DomainLock lock(stack()->sync());
-        pcb = stack()->udp().Create();
-        stack()->udp().AdoptBinding(pcb, s->tuple.local);
-        pcb->remote = s->tuple.remote;
-      }
-      s->sock = std::make_unique<Socket>(stack(), pcb);
-      migrations_in_++;
-      host_->obs()->meta.Count(MetaEvent::kMigrationIn);
+      s->sock = Socket::AdoptUdp(stack(), s->tuple.local, s->tuple.remote);
     }
+    migrations_in_++;
+    host_->obs()->meta.Count(MetaEvent::kMigrationIn);
     s->where = Where::kServer;
   }
 
-  if (close_after) {
+  if (close_after && --s->refcount <= 0) {
     // Clean shutdown runs here: the FIN handshake and TIME_WAIT outlive the
     // application's interest in the session (§3.2).
-    if (--s->refcount <= 0) {
-      if (s->sock != nullptr) {
-        s->sock->Close();
-      }
-      if (s->tuple.local.port != 0) {
-        stack()->ports().Release(s->tuple.local.port);
-      }
-      sessions_.erase(req.arg[1]);
-    }
+    EndSession(sessions_.find(req.arg[1]));
   }
   return IpcMessage{};
 }
@@ -433,12 +404,7 @@ IpcMessage NetServer::HandleReacquire(const IpcMessage& req) {
       s->sock->tcp_pcb() == nullptr) {
     return ErrorReply(Err::kInval);
   }
-  std::vector<uint8_t> state = MigrateTcpOut(s);
-  Encoder e;
-  EncodeAddr(&e, s->tuple.local);
-  EncodeAddr(&e, s->tuple.remote);
-  e.Bytes(state);
-  reply.payload = e.Take();
+  reply.payload = MigrateTcpOut(s);
   return reply;
 }
 
@@ -529,15 +495,11 @@ IpcMessage NetServer::HandleForwarded(const IpcMessage& req) {
       return core_.HandleSocketOp(SocketOp::kListen, s->sock.get(), req);
     case ProxyOp::kProxyFwdConnect:
       return core_.HandleSocketOp(SocketOp::kConnect, s->sock.get(), req);
-    case ProxyOp::kProxyFwdClose: {
+    case ProxyOp::kProxyFwdClose:
       if (--s->refcount <= 0) {
-        if (s->sock != nullptr) {
-          s->sock->Close();
-        }
-        sessions_.erase(req.arg[1]);
+        EndSession(sessions_.find(req.arg[1]));
       }
       return reply;
-    }
     case ProxyOp::kProxyFwdBind: {
       Decoder d(req.payload);
       Result<void> r = s->sock->Bind(DecodeAddr(&d));
@@ -572,6 +534,18 @@ IpcMessage NetServer::HandleForwarded(const IpcMessage& req) {
   }
 }
 
+std::map<uint64_t, NetServer::Session>::iterator NetServer::EndSession(
+    std::map<uint64_t, Session>::iterator it) {
+  Session& s = it->second;
+  if (s.sock != nullptr) {
+    s.sock->Close();
+  }
+  if (s.port != 0) {
+    stack()->ports().Release(s.port);
+  }
+  return sessions_.erase(it);
+}
+
 void NetServer::OnProcessDeath(uint64_t lib_id) {
   // §3.2: "The operating system ... can detect the death of processes that
   // are managing network connections, abort outstanding connections by
@@ -594,17 +568,9 @@ void NetServer::OnProcessDeath(uint64_t lib_id) {
         stack()->tcp().SendRawRst(s.tuple.local, s.tuple.remote, s.shadow_snd_nxt);
         suppressed_.erase(TupleKey(s.tuple.local, s.tuple.remote));
       }
-      if (s.tuple.local.port != 0) {
-        stack()->ports().Release(s.tuple.local.port);
-      }
-      if (s.sock != nullptr) {
-        // Mid-handover shell socket; its pcb is detached or extracted.
-        s.sock->Close();
-      }
-    } else if (s.sock != nullptr) {
-      s.sock->Close();
     }
-    it = sessions_.erase(it);
+    // A mid-handover shell socket's pcb is already detached or extracted.
+    it = EndSession(it);
   }
   // Frames already demuxed to the dead process sit in its delivery
   // endpoint with no receiver left; account each one or the journey

@@ -93,6 +93,9 @@ class NetServer {
     int refcount = 1;  // shared descriptor tables after fork
     std::unique_ptr<Socket> sock;  // server-managed state
     SessionTuple tuple;            // last known endpoints
+    // Port name this session acquired, released at teardown (0: none): UDP
+    // bind/connect's, or TCP's if its pcb owned it at the first migration.
+    uint16_t port = 0;
     uint64_t filter_id = 0;        // installed app filter (app-managed)
     uint32_t shadow_snd_nxt = 0;   // best-effort RST sequence after crash
   };
@@ -114,8 +117,12 @@ class NetServer {
   Result<Session*> Find(uint64_t sid);
   // Migrates a server-side established TCP session into the owner app:
   // extracts state, installs the session filter, marks the tuple in
-  // handover. Returns the encoded migration state.
+  // handover. Returns the handover reply payload: local and remote
+  // address, then the encoded migration state.
   std::vector<uint8_t> MigrateTcpOut(Session* s);
+  // The one session teardown (last close, process death): closes the
+  // server socket and releases `port`. Returns the next session.
+  std::map<uint64_t, Session>::iterator EndSession(std::map<uint64_t, Session>::iterator it);
   void InstallSessionFilter(Session* s);
   void RemoveSessionFilter(Session* s);
 

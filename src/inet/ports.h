@@ -4,6 +4,9 @@
 // endpoint is uniquely named; the operating system is a convenient place to
 // implement this manager" (§3.2) — and library stacks adopt ports the
 // server assigned.
+// A name is released once, by what acquired it: an owning pcb when it
+// dies, or the OS server at the teardown of a migrated session that
+// acquired it — never an accepted child, whose name is its listener's.
 #ifndef PSD_SRC_INET_PORTS_H_
 #define PSD_SRC_INET_PORTS_H_
 

@@ -387,7 +387,8 @@ TcpMigrationState TcpLayer::ExtractForMigration(TcpPcb* pcb) {
   // The pcb leaves this stack: silence it so no further segments are
   // produced here. Retransmission at the new home recovers anything lost
   // during the handover. The port name stays allocated — the migrated
-  // session still owns it; the OS server releases it at session teardown.
+  // session still owns it; the OS server releases it at session teardown
+  // if this pcb owned it (an accepted child's name is its listener's).
   CancelTimers(pcb);
   pcb->state = TcpState::kClosed;
   pcb->port_owned = false;

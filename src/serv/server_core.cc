@@ -1,6 +1,7 @@
 #include "src/serv/server_core.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
 
 #include "src/api/kernel_node.h"
@@ -19,6 +20,23 @@ void RunPacketInput(Port* port, Stack* stack) {
     f.pkt_id = msg.arg[5];
     stack->InputFrame(f);
   }
+}
+
+IpcMessage ClientRpc(SimHost* host, Port* server, std::string reply_name, uint32_t kind,
+                     uint64_t id, std::vector<uint8_t> payload, uint64_t a2, uint64_t a3,
+                     uint64_t a4) {
+  SimThread* self = host->sim()->current_thread();
+  assert(self != nullptr);
+  self->Charge(host->prof()->trap);
+  Port reply(host->sim(), host->obs(), host->prof(), std::move(reply_name));
+  IpcMessage req;
+  req.kind = kind;
+  req.arg[1] = id;
+  req.arg[2] = a2;
+  req.arg[3] = a3;
+  req.arg[4] = a4;
+  req.payload = std::move(payload);
+  return RpcCall(server, &reply, std::move(req));
 }
 
 ServerCore::ServerCore(SimHost* host, const std::string& tag, const std::string& request_port,

@@ -1,7 +1,5 @@
 #include "src/serv/ux_server.h"
 
-#include <cassert>
-
 #include "src/base/codec.h"
 
 namespace psd {
@@ -200,18 +198,9 @@ UxServerNode::UxServerNode(UxServer* server)
 
 IpcMessage UxServerNode::Call(ServOp op, uint64_t fd, std::vector<uint8_t> payload, uint64_t a2,
                               uint64_t a3) {
-  SimThread* self = host_->sim()->current_thread();
-  assert(self != nullptr);
   rpc_calls_.Count(ServOpSlot(static_cast<uint32_t>(op)));
-  self->Charge(host_->prof()->trap);
-  Port reply_port(host_->sim(), host_->obs(), host_->prof(), "ux-reply");
-  IpcMessage req;
-  req.kind = static_cast<uint32_t>(op);
-  req.arg[1] = fd;
-  req.arg[2] = a2;
-  req.arg[3] = a3;
-  req.payload = std::move(payload);
-  return RpcCall(server_->request_port(), &reply_port, std::move(req));
+  return ClientRpc(host_, server_->request_port(), "ux-reply", static_cast<uint32_t>(op), fd,
+                   std::move(payload), a2, a3, 0);
 }
 
 Result<int> UxServerNode::CreateSocket(IpProto proto) {

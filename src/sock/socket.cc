@@ -23,10 +23,11 @@ Socket::Socket(Stack* stack, IpProto proto)
   InstallHooks();
 }
 
-Socket::Socket(Stack* stack, TcpPcb* pcb)
+Socket::Socket(Stack* stack, TcpPcb* tcp, UdpPcb* udp)
     : stack_(stack),
-      proto_(IpProto::kTcp),
-      tcp_(pcb),
+      proto_(tcp != nullptr ? IpProto::kTcp : IpProto::kUdp),
+      tcp_(tcp),
+      udp_(udp),
       rcv_cv_(stack->env()->sim),
       snd_cv_(stack->env()->sim),
       state_cv_(stack->env()->sim) {
@@ -34,15 +35,26 @@ Socket::Socket(Stack* stack, TcpPcb* pcb)
   InstallHooks();
 }
 
-Socket::Socket(Stack* stack, UdpPcb* pcb)
-    : stack_(stack),
-      proto_(IpProto::kUdp),
-      udp_(pcb),
-      rcv_cv_(stack->env()->sim),
-      snd_cv_(stack->env()->sim),
-      state_cv_(stack->env()->sim) {
-  DomainLock lock(stack_->sync());
-  InstallHooks();
+std::unique_ptr<Socket> Socket::AdoptTcp(Stack* stack, const TcpMigrationState& st) {
+  TcpPcb* pcb = nullptr;
+  {
+    DomainLock lock(stack->sync());
+    pcb = stack->tcp().AdoptMigrated(st);
+  }
+  std::unique_ptr<Socket> sock(new Socket(stack, pcb, nullptr));
+  stack->Kick();
+  return sock;
+}
+
+std::unique_ptr<Socket> Socket::AdoptUdp(Stack* stack, SockAddrIn local, SockAddrIn remote) {
+  UdpPcb* pcb = nullptr;
+  {
+    DomainLock lock(stack->sync());
+    pcb = stack->udp().Create();
+    stack->udp().AdoptBinding(pcb, local);
+    pcb->remote = remote;
+  }
+  return std::unique_ptr<Socket>(new Socket(stack, nullptr, pcb));
 }
 
 Socket::~Socket() {
@@ -240,7 +252,7 @@ Result<std::unique_ptr<Socket>> Socket::Accept(SockAddrIn* peer) {
     }
   }
   // Construct outside the domain lock (the constructor takes it).
-  auto sock = std::make_unique<Socket>(stack_, child);
+  std::unique_ptr<Socket> sock(new Socket(stack_, child, nullptr));
   sock->SetBoundary(boundary_);
   stack_->Kick();
   return sock;

@@ -38,11 +38,14 @@ class Socket {
  public:
   // Creates a fresh socket of the given protocol on `stack`.
   Socket(Stack* stack, IpProto proto);
-  // Wraps an already-existing TCP pcb (accepted child or migrated session).
-  Socket(Stack* stack, TcpPcb* pcb);
-  // Wraps an already-existing UDP pcb (migrated session).
-  Socket(Stack* stack, UdpPcb* pcb);
   ~Socket();
+
+  // The one adopt of a migrated session, by the OS server and the protocol
+  // library alike: recreates its pcb under the domain lock (TCP from `st`,
+  // UDP bound to `local` and connected to `remote`) and wraps it; TCP then
+  // kicks the transmit machinery. The pcb owns no port name.
+  static std::unique_ptr<Socket> AdoptTcp(Stack* stack, const TcpMigrationState& st);
+  static std::unique_ptr<Socket> AdoptUdp(Stack* stack, SockAddrIn local, SockAddrIn remote);
 
   Socket(const Socket&) = delete;
   Socket& operator=(const Socket&) = delete;
@@ -106,6 +109,9 @@ class Socket {
 
  private:
   friend class PollSet;
+
+  // Wraps an accepted child or adopted pcb (exactly one of `tcp`, `udp`).
+  Socket(Stack* stack, TcpPcb* tcp, UdpPcb* udp);
 
   void InstallHooks();
   void WakeReaders();

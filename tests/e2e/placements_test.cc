@@ -330,6 +330,46 @@ TEST_P(PlacementTest, TcpConnectRefused) {
   EXPECT_TRUE(done);
 }
 
+// An accepted connection shares its listener's port name without owning
+// it: closing the child must leave the name taken while the listener lives.
+TEST_P(PlacementTest, ClosingAcceptedChildKeepsListenerPort) {
+  World w(GetParam(), MachineProfile::DecStation5000());
+  bool server_done = false;
+  bool client_done = false;
+
+  w.SpawnApp(1, "listener", [&] {
+    SocketApi* api = w.api(1);
+    int lfd = *api->CreateSocket(IpProto::kTcp);
+    ASSERT_TRUE(api->Bind(lfd, SockAddrIn{Ipv4Addr::Any(), 5001}).ok());
+    ASSERT_TRUE(api->Listen(lfd, 5).ok());
+    SockAddrIn peer;
+    Result<int> cfd = api->Accept(lfd, &peer);
+    ASSERT_TRUE(cfd.ok()) << ErrName(cfd.error());
+    ASSERT_TRUE(api->Close(*cfd).ok());
+    int other = *api->CreateSocket(IpProto::kTcp);
+    Result<void> rebind = api->Bind(other, SockAddrIn{Ipv4Addr::Any(), 5001});
+    ASSERT_FALSE(rebind.ok());
+    EXPECT_EQ(rebind.error(), Err::kAddrInUse) << ErrName(rebind.error());
+    api->Close(other);
+    api->Close(lfd);
+    server_done = true;
+  });
+
+  w.SpawnApp(0, "client", [&] {
+    SocketApi* api = w.api(0);
+    int fd = *api->CreateSocket(IpProto::kTcp);
+    w.sim().current_thread()->SleepFor(Millis(10));
+    Result<void> c = api->Connect(fd, SockAddrIn{w.addr(1), 5001});
+    ASSERT_TRUE(c.ok()) << ErrName(c.error());
+    api->Close(fd);
+    client_done = true;
+  });
+
+  w.sim().Run(Seconds(30));
+  EXPECT_TRUE(server_done);
+  EXPECT_TRUE(client_done);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllPlacements, PlacementTest,
                          ::testing::Values(Config::kInKernel, Config::kServer,
                                            Config::kLibraryIpc, Config::kLibraryShm,
