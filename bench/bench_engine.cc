@@ -3,7 +3,7 @@
 // Every other bench in this repo reports *virtual* time; this one reports
 // how many real (host) nanoseconds the engine burns per simulated packet,
 // which is what bounds the scenario sizes every other open item needs.
-// The three canonical workloads live in bench/common/engine_workloads.{h,cc}
+// The four canonical workloads live in bench/common/engine_workloads.{h,cc}
 // (`psdobs prof` and the profiler tests drive the same scenarios):
 //
 //   tcp_stream — one ttcp-style bulk TCP transfer, in-kernel placement
@@ -15,6 +15,10 @@
 //   churn_256  — 256 TCP sessions opened/transferred/closed on the
 //                Library-SHM placement (session filter install/remove,
 //                SHM rings, port churn: the C10K-shaped workload).
+//   idle_128   — 128 In-Kernel client hosts each send one short message
+//                and close, then sit in TIME_WAIT for 2MSL (the idle
+//                timer cost of many hosts: its pinned thread switches
+//                catch a slow tick that wakes a fiber it need not).
 //
 // Methodology (see EXPERIMENTS.md): one warmup run, then --trials measured
 // runs of each workload. Virtual quantities (frames carried, events
@@ -155,6 +159,7 @@ int main(int argc, char** argv) {
   all.push_back(MeasureWorkload("tcp_stream", RunEngineTcpStream, prof, trials));
   all.push_back(MeasureWorkload("udp_blast", RunEngineUdpBlast, prof, trials));
   all.push_back(MeasureWorkload("churn_256", RunEngineChurn256, prof, trials));
+  all.push_back(MeasureWorkload("idle_128", RunEngineIdle128, prof, trials));
 
   BenchJson out("engine", prof.name);
   out.summary().Set("trials", trials);

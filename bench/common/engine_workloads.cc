@@ -247,6 +247,76 @@ EngineRunOutcome RunEngineChurn256(const MachineProfile& prof, double scale) {
   });
 }
 
+// --- Workload 4: 128 mostly idle In-Kernel hosts -----------------------------
+
+EngineRunOutcome RunEngineIdle128(const MachineProfile& prof, double scale) {
+  const int clients = std::max(8, static_cast<int>(128 * scale));
+  constexpr int kSessions = 4;
+  return TimeOne([&](EngineRunOutcome* out) {
+    World w(Config::kInKernel, prof, clients + 1);
+    w.SeedStaticArp();
+    constexpr size_t kBytes = 64;
+    int served = 0;
+    int completed = 0;
+    w.SpawnApp(0, "idle-server", [&] {
+      SocketApi* api = w.api(0);
+      int lfd = *api->CreateSocket(IpProto::kTcp);
+      api->Bind(lfd, SockAddrIn{Ipv4Addr::Any(), 5001});
+      api->Listen(lfd, 8);
+      uint8_t buf[kBytes];
+      for (int s = 0; s < clients * kSessions; s++) {
+        Result<int> fd = api->Accept(lfd, nullptr);
+        if (!fd.ok()) {
+          break;
+        }
+        size_t got = 0;
+        for (;;) {
+          Result<size_t> n = api->Recv(*fd, buf, sizeof(buf), nullptr, false);
+          if (!n.ok() || *n == 0) {
+            break;
+          }
+          got += *n;
+        }
+        api->Close(*fd);
+        if (got == kBytes) {
+          served++;
+        }
+      }
+      api->Close(lfd);
+    });
+    // Client c opens a session at 3c ms and every 30 s after: the grids of
+    // the clients' slow ticks stay 3 ms apart, and each pcb then idles in
+    // TIME_WAIT for 60 s.
+    for (int c = 1; c <= clients; c++) {
+      w.SpawnApp(c, "idle-client", [&, c] {
+        SocketApi* api = w.api(c);
+        SimThread* self = w.sim().current_thread();
+        const uint8_t buf[kBytes] = {};
+        for (int s = 0; s < kSessions; s++) {
+          self->SleepUntil(Millis(3) * c + Seconds(30) * s);
+          int fd = *api->CreateSocket(IpProto::kTcp);
+          if (api->Connect(fd, SockAddrIn{w.addr(0), 5001}).ok() &&
+              api->Send(fd, buf, sizeof(buf)).ok()) {
+            completed++;
+          }
+          api->Close(fd);
+        }
+      });
+    }
+    w.sim().Run(Seconds(180));
+    if (completed != clients * kSessions || served != clients * kSessions) {
+      std::fprintf(stderr, "engine workload: idle_128 incomplete (client=%d server=%d)\n",
+                   completed, served);
+      DumpDropsAndExit(w);
+    }
+    out->frames = w.wire().frames_carried();
+    out->events = w.sim().events_executed();
+    out->switches = w.sim().thread_switches();
+    out->elided = w.sim().elided_wakeups();
+    out->virtual_end = w.sim().Now();
+  });
+}
+
 EngineWorkloadFn FindEngineWorkload(const char* name) {
   if (std::strcmp(name, "tcp_stream") == 0) {
     return RunEngineTcpStream;
@@ -256,6 +326,9 @@ EngineWorkloadFn FindEngineWorkload(const char* name) {
   }
   if (std::strcmp(name, "churn_256") == 0) {
     return RunEngineChurn256;
+  }
+  if (std::strcmp(name, "idle_128") == 0) {
+    return RunEngineIdle128;
   }
   return nullptr;
 }

@@ -1,4 +1,4 @@
-// The three canonical engine workloads (see bench/bench_engine.cc for the
+// The four canonical engine workloads (see bench/bench_engine.cc for the
 // methodology they anchor), extracted so more than one binary can drive
 // them: bench_engine measures them, `psdobs prof` profiles them, and the
 // profiler tests re-run them at reduced scale.
@@ -6,6 +6,8 @@
 //   tcp_stream — ttcp-style bulk TCP transfer, In-Kernel placement.
 //   udp_blast  — one-way UDP datagram blast (the per-packet hot path).
 //   churn_256  — 256 TCP sessions opened/transferred/closed, Library-SHM.
+//   idle_128   — 128 In-Kernel clients each send one message to a server
+//                and close, then idle in TIME_WAIT (the idle timer cost).
 //
 // Each run constructs a fresh World, runs the scenario to completion
 // (std::exit(2) if it does not complete — these are benches, not tests) and
@@ -35,10 +37,12 @@ struct EngineRunOutcome {
 EngineRunOutcome RunEngineTcpStream(const MachineProfile& prof, double scale = 1.0);
 EngineRunOutcome RunEngineUdpBlast(const MachineProfile& prof, double scale = 1.0);
 EngineRunOutcome RunEngineChurn256(const MachineProfile& prof, double scale = 1.0);
+EngineRunOutcome RunEngineIdle128(const MachineProfile& prof, double scale = 1.0);
 
 using EngineWorkloadFn = EngineRunOutcome (*)(const MachineProfile&, double);
 
-// Resolves "tcp_stream" / "udp_blast" / "churn_256"; nullptr if unknown.
+// Resolves "tcp_stream" / "udp_blast" / "churn_256" / "idle_128"; nullptr
+// if unknown.
 EngineWorkloadFn FindEngineWorkload(const char* name);
 
 }  // namespace psd

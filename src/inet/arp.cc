@@ -153,6 +153,15 @@ void ArpLayer::SlowTick() {
   }
 }
 
+bool ArpLayer::SlowTickDue(SimTime t) const {
+  for (const auto& [ip, e] : table_) {
+    if ((!e.resolved && e.requesting) || (e.resolved && t >= e.expires)) {
+      return true;
+    }
+  }
+  return false;
+}
+
 Result<MacAddr> ArpLayer::ResolveBlocking(Ipv4Addr ip, SimDuration timeout) {
   SimTime deadline = env_->Now() + timeout;
   bool first_pass = true;

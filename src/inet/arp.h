@@ -34,6 +34,8 @@ class ArpLayer : public MacResolver {
   // Retransmits outstanding requests and expires stale entries. Called
   // from the stack's slow timer.
   void SlowTick();
+  // True if SlowTick at `t` would retry a request or expire an entry.
+  bool SlowTickDue(SimTime t) const;
 
   // Blocking resolve used by the OS server's metastate RPC handler: waits
   // (releasing the stack lock) until the entry resolves or times out.

@@ -213,4 +213,13 @@ void IpLayer::SlowTick() {
   }
 }
 
+bool IpLayer::SlowTickDue(SimTime t) const {
+  for (const auto& [key, r] : reasm_) {
+    if (t >= r.deadline) {
+      return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace psd

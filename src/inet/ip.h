@@ -58,6 +58,8 @@ class IpLayer {
 
   // Reassembly timeouts. Called from the stack's slow timer.
   void SlowTick();
+  // True if SlowTick at `t` would time out a reassembly.
+  bool SlowTickDue(SimTime t) const;
 
   Ipv4Addr addr() const { return my_ip_; }
   const IpStats& stats() const { return stats_; }

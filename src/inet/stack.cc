@@ -1,5 +1,7 @@
 #include "src/inet/stack.h"
 
+#include <algorithm>
+
 #include "src/base/log.h"
 #include "src/obs/stats.h"
 
@@ -165,34 +167,103 @@ void Stack::Kick() {
   }
 }
 
-bool Stack::TimersNeeded(bool* fast_needed) const {
+Stack::PcbTimerScan Stack::ScanPcbs() const {
   // FastTick only sends delayed ACKs, and tcp_input arms one only on an
   // ESTABLISHED pcb: with neither present the fast grid points are no-ops.
-  *fast_needed = false;
-  bool needed = false;
+  PcbTimerScan s;
   for (const auto& p : tcp_.pcbs()) {
     if (p->state == TcpState::kEstablished || p->delack) {
-      *fast_needed = true;
-      return true;
+      s.fast = true;
+      return s;
     }
-    if ((p->state != TcpState::kClosed && p->state != TcpState::kListen) ||
-        (p->detached && p->state == TcpState::kClosed)) {
-      needed = true;
+    if (p->state == TcpState::kClosed || p->state == TcpState::kListen) {
+      // SlowTick reaps a detached CLOSED pcb and skips the rest of these.
+      if (p->detached && p->state == TcpState::kClosed) {
+        s.slow = s.fires = true;
+      }
+      continue;
+    }
+    s.slow = true;
+    for (int t : p->t_timer) {
+      s.fires |= t != 0 && t <= 1;  // SlowTick's countdown reaches 0
     }
   }
-  if (needed) {
-    return true;
-  }
+  return s;
+}
+
+bool Stack::OtherTimersNeeded() const {
   if (ip_.stats().fragments_received > ip_.stats().reassembled + ip_.stats().reassembly_timeouts) {
     return true;
   }
   return arp_ != nullptr && arp_->HasPendingWork();
 }
 
+bool Stack::TimersNeeded(bool* fast_needed) const {
+  PcbTimerScan s = ScanPcbs();
+  *fast_needed = s.fast;
+  return s.fast || s.slow || OtherTimersNeeded();
+}
+
+void Stack::SkipPassedFastPoints() {
+  while (next_fast_ <= env_.sim->Now()) {
+    next_fast_ += kFastPeriod;
+  }
+}
+
+void Stack::Tick() {
+  if (env_.sim->Now() >= next_fast_) {
+    tcp_.FastTick();
+    next_fast_ += kFastPeriod;
+  }
+  if (env_.sim->Now() >= next_slow_) {
+    tcp_.SlowTick();
+    ip_.SlowTick();
+    if (arp_ != nullptr) {
+      arp_->SlowTick();
+    }
+    next_slow_ += kSlowPeriod;
+  }
+}
+
+std::optional<SimTime> Stack::TryIdleSlowTick() {
+  // At the slow deadline T, the parked timer thread would take the domain
+  // lock (a sync-pair charge ending at end1, its wakeup elided), tick, and
+  // take the lock again (ending at end2) to find only slow timers left,
+  // then wait for the next slow tick. When that tick only counts down, no
+  // one else can run before end2 and no fast point falls in between, the
+  // same charges, elisions and tick are made here instead.
+  const SimDuration pair = sync_.pair_cost();
+  if (pair <= 0 || !sync_.mutex()->idle()) {
+    return std::nullopt;
+  }
+  SkipPassedFastPoints();
+  const SimTime end1 = std::max(env_.Now(), env_.cpu->free_at()) + pair;
+  if (end1 >= next_fast_ || !env_.sim->CanElideWakeup(end1 + pair)) {
+    return std::nullopt;
+  }
+  // Re-read now: input since the wait began can have made a pcb
+  // ESTABLISHED, closed one or armed its timers.
+  PcbTimerScan s = ScanPcbs();
+  if (s.fast || s.fires || !(s.slow || OtherTimersNeeded()) || ip_.SlowTickDue(end1) ||
+      (arp_ != nullptr && arp_->SlowTickDue(end1))) {
+    return std::nullopt;
+  }
+  auto charge_sync_pair = [&] {
+    SimTime end = env_.cpu->Acquire(env_.Now(), pair);
+    env_.cpu->AccountBusy(pair);
+    env_.sim->ElideWakeup(end);
+  };
+  charge_sync_pair();
+  Tick();
+  charge_sync_pair();
+  timer_acks_delayed_ = tcp_.stats().acks_delayed;
+  return next_slow_;
+}
+
 void Stack::TimerThreadBody() {
   SimThread* self = env_.sim->current_thread();
-  SimTime next_fast = env_.sim->Now() + kFastPeriod;
-  SimTime next_slow = env_.sim->Now() + kSlowPeriod;
+  next_fast_ = env_.sim->Now() + kFastPeriod;
+  next_slow_ = env_.sim->Now() + kSlowPeriod;
   for (;;) {
     bool fast_needed = false;
     {
@@ -204,43 +275,32 @@ void Stack::TimerThreadBody() {
     if (timer_idle_) {
       self->WaitOn(&timer_kick_);
       timer_idle_ = false;
-      next_fast = env_.sim->Now() + kFastPeriod;
-      next_slow = env_.sim->Now() + kSlowPeriod;
+      next_fast_ = env_.sim->Now() + kFastPeriod;
+      next_slow_ = env_.sim->Now() + kSlowPeriod;
       // A kick still visits its first fast point: skipping it, and with it
       // that wake's two sync-pair charges, moved Table 2.
       fast_needed = true;
     }
     if (fast_needed) {
-      self->SleepUntil(std::min(next_fast, next_slow));
+      self->SleepUntil(std::min(next_fast_, next_slow_));
     } else {
       // Wait for the slow tick unless InputFrame arms a delayed ACK first.
       // Either way the fast grid moves past the points skipped meanwhile,
       // so an armed ACK still leaves at the next one, as it would have had
-      // every point been visited. No lock is taken on the way.
+      // every point been visited. No lock is taken on the way. Slow ticks
+      // that only count down run in event context (TryIdleSlowTick), and
+      // the wait goes on.
       timer_acks_delayed_ = tcp_.stats().acks_delayed;
       timer_skips_fast_ = true;
-      bool armed = self->WaitOn(&timer_kick_, next_slow);
+      bool armed = self->WaitOn(&timer_kick_, next_slow_, &idle_slow_tick_);
       timer_skips_fast_ = false;
-      while (next_fast <= env_.sim->Now()) {
-        next_fast += kFastPeriod;
-      }
+      SkipPassedFastPoints();
       if (armed) {
-        self->SleepUntil(std::min(next_fast, next_slow));
+        self->SleepUntil(std::min(next_fast_, next_slow_));
       }
     }
     DomainLock lock(&sync_);
-    if (env_.sim->Now() >= next_fast) {
-      tcp_.FastTick();
-      next_fast += kFastPeriod;
-    }
-    if (env_.sim->Now() >= next_slow) {
-      tcp_.SlowTick();
-      ip_.SlowTick();
-      if (arp_ != nullptr) {
-        arp_->SlowTick();
-      }
-      next_slow += kSlowPeriod;
-    }
+    Tick();
   }
 }
 

@@ -12,6 +12,16 @@
 // point without taking the domain lock: the ACK leaves at the grid instant
 // it always did.
 //
+// When a slow tick runs in event context: while the thread waits for the
+// next slow tick, the wait's own timeout event runs the tick without a
+// switch onto the thread if the tick only counts down. That needs, at the
+// deadline, a free domain lock, only slow timers needed (read then, not at
+// the wait's start), no pcb to reap and no timer at 1, nothing due in IP
+// reassembly or ARP, and no event or fast grid point before the two
+// sync-pair charges the thread would make end. The event makes those same
+// charges and the wait goes on; otherwise the thread wakes as before (see
+// TryIdleSlowTick).
+//
 // The same Stack class is instantiated in all three placements; only its
 // StackParams differ. In the library placement ARP is disabled and the MAC
 // resolver / route-miss hooks are provided by the application's metastate
@@ -21,6 +31,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "src/inet/arp.h"
@@ -103,9 +114,29 @@ class Stack {
   void ExportStats(StatsRegistry* reg, const std::string& prefix) const;
 
  private:
+  // What the timer thread needs to know of the pcbs, in one pass.
+  struct PcbTimerScan {
+    bool fast = false;   // some pcb is ESTABLISHED or owes a delayed ACK
+                         // (the scan stops there; the rest are then unset)
+    bool slow = false;   // some pcb needs the slow tick
+    bool fires = false;  // the next slow tick reaps a pcb or fires a timer
+  };
+
   void TimerThreadBody();
+  PcbTimerScan ScanPcbs() const;
+  // True while IP reassembly or ARP resolution has work outstanding.
+  bool OtherTimersNeeded() const;
   // True if any timer can fire; *fast_needed tells whether the fast tick can.
   bool TimersNeeded(bool* fast_needed) const;
+  // Moves the fast grid past Now(), over the points skipped while waiting.
+  void SkipPassedFastPoints();
+  // Runs the fast and slow ticks due at Now(). The caller holds the domain
+  // lock, or (TryIdleSlowTick) has made the same charges with it idle.
+  void Tick();
+  // The slow-tick wait's deadline hook: runs a tick that only counts down
+  // in event context and returns the next slow deadline, or returns
+  // nullopt to wake the timer thread as usual.
+  std::optional<SimTime> TryIdleSlowTick();
 
   std::string name_;
   SyncDomain sync_;
@@ -126,6 +157,12 @@ class Stack {
   bool timer_skips_fast_ = false;
   uint64_t timer_acks_delayed_ = 0;
   SimThread* timer_thread_ = nullptr;
+  // The next fast (200 ms) and slow (500 ms) grid points, and the slow
+  // wait's deadline hook beside them: the hook reads them at every slow
+  // deadline, long after the timer thread's own stack went cold.
+  SimTime next_fast_ = 0;
+  SimTime next_slow_ = 0;
+  const SimThread::DeadlineHook idle_slow_tick_ = [this] { return TryIdleSlowTick(); };
   uint64_t frames_in_ = 0;
   uint64_t ether_bad_frames_ = 0;
   SockStats sock_stats_;

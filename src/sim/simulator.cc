@@ -236,7 +236,7 @@ EventNode* Simulator::ScheduleResume(SimThread* t, SimTime when) {
   return n;
 }
 
-EventNode* Simulator::PeekNext() {
+EventNode* Simulator::PeekNext() const {
   EventNode* b = heap_.empty() ? nullptr : heap_.front();
   EventNode* r = ready_head_;
   if (r == nullptr) {
@@ -373,33 +373,40 @@ bool Simulator::TryFastResume(SimThread* t, EventNode* n) {
   return false;
 }
 
-bool Simulator::TrySkipWakeup(SimTime t) {
+bool Simulator::CanElideWakeup(SimTime t) const {
   if (!in_run_ || stopped_ || shutting_down_) {
     return false;
   }
-  const bool clamped = t < now_;
-  if (clamped) {
-    t = now_;
-  }
+  t = std::max(t, now_);
   if (t > run_until_) {
     return false;
   }
   // Every queued node has a lower seq than the wakeup would get, so an
   // equal time runs first: only a strictly later (or no) next event lets
-  // the caller's wakeup go straight to the front.
+  // the wakeup go straight to the front.
   const EventNode* next = PeekNext();
-  if (next != nullptr && next->time <= t) {
-    return false;
-  }
+  return next == nullptr || next->time > t;
+}
+
+void Simulator::ElideWakeup(SimTime t) {
+  assert(CanElideWakeup(t));
   // Exactly TryFastResume's `top == n` exit, minus the node: the same clock,
   // seq and event count, with no arena node and no heap operation.
-  if (clamped) {
+  if (t < now_) {
+    t = now_;
     past_time_clamps_++;
   }
   now_ = t;
   next_seq_++;
   events_executed_++;
   elided_wakeups_++;
+}
+
+bool Simulator::TrySkipWakeup(SimTime t) {
+  if (!CanElideWakeup(t)) {
+    return false;
+  }
+  ElideWakeup(t);
   return true;
 }
 
@@ -554,25 +561,18 @@ void SimThread::SleepFor(SimDuration d) { SleepUntil(sim_->Now() + d); }
 
 void SimThread::Yield() { SleepUntil(sim_->Now()); }
 
-bool SimThread::WaitOn(WaitQueue* q, SimTime deadline) {
+bool SimThread::WaitOn(WaitQueue* q, SimTime deadline, const DeadlineHook* on_deadline) {
   assert(sim_->current_thread() == this);
   if (sim_->shutting_down_ || killed_) {
     return false;
   }
   wait_epoch_++;
-  uint64_t epoch = wait_epoch_;
   timed_out_ = false;
   waiting_on_ = q;
+  on_deadline_ = on_deadline;
   q->PushBack(this);
   if (deadline != kTimeNever) {
-    sim_->Schedule(deadline, [this, q, epoch] {
-      if (waiting_on_ == q && wait_epoch_ == epoch) {
-        timed_out_ = true;
-        waiting_on_ = nullptr;
-        q->Remove(this);
-        sim_->ResumeThread(this);
-      }
-    });
+    ArmWaitDeadline(q, wait_epoch_, deadline);
   }
   try {
     YieldToSimulator();
@@ -588,6 +588,24 @@ bool SimThread::WaitOn(WaitQueue* q, SimTime deadline) {
     throw;
   }
   return !timed_out_;
+}
+
+void SimThread::ArmWaitDeadline(WaitQueue* q, uint64_t epoch, SimTime deadline) {
+  sim_->Schedule(deadline, [this, q, epoch] {
+    if (waiting_on_ != q || wait_epoch_ != epoch) {
+      return;  // notified or unwound since
+    }
+    if (on_deadline_ != nullptr) {
+      if (std::optional<SimTime> next = (*on_deadline_)()) {
+        ArmWaitDeadline(q, epoch, *next);
+        return;
+      }
+    }
+    timed_out_ = true;
+    waiting_on_ = nullptr;
+    q->Remove(this);
+    sim_->ResumeThread(this);
+  });
 }
 
 // ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -139,6 +140,17 @@ class Simulator {
   // per packet.
   uint64_t thread_switches() const { return thread_switches_; }
 
+  // The self-wakeup queue skip, as a test and an advance (SleepUntil tries
+  // them first, and event-context code that stands in for a sleeping thread
+  // makes the same moves). CanElideWakeup(t) is true when a wakeup at `t`
+  // would be the next event: in Run, not stopped or shutting down, `t`
+  // clamped to Now() within the deadline, and nothing queued at or before
+  // it. ElideWakeup(t), valid only then, advances the clock, seq and event
+  // count exactly as scheduling and popping that wakeup would (counted in
+  // elided_wakeups()), without touching the queue.
+  bool CanElideWakeup(SimTime t) const;
+  void ElideWakeup(SimTime t);
+
  private:
   friend class SimThread;
   friend class WaitQueue;
@@ -158,16 +170,12 @@ class Simulator {
   EventNode* ScheduleResume(SimThread* t, SimTime when);
 
   // The pending node with the smallest (time, seq), or nullptr.
-  EventNode* PeekNext();
+  EventNode* PeekNext() const;
   // Removes `n`, which the immediately preceding PeekNext() returned.
   void RemovePeeked(EventNode* n);
 
-  // Thread-context fast path, tried first by SleepUntil: when the calling
-  // thread's wakeup at `t` would be the next event (in Run, not stopped or
-  // shutting down, `t` clamped to Now() is within the deadline, and nothing
-  // is queued at or before it), advances the clock and the counters exactly
-  // as scheduling and popping that wakeup would, and returns true without
-  // touching the queue. Otherwise changes nothing and returns false.
+  // Thread-context fast path, tried first by SleepUntil: ElideWakeup(t) if
+  // CanElideWakeup(t) (returns true), else changes nothing (returns false).
   bool TrySkipWakeup(SimTime t);
 
   // Thread-context fast path: drain events inline on the calling thread's
@@ -227,9 +235,17 @@ class SimThread {
   void SleepUntil(SimTime t);
   void SleepFor(SimDuration d);
 
+  // Runs in event context when a timed wait reaches its deadline with the
+  // thread still waiting. A returned time keeps the thread waiting, queued
+  // where it was and under the same epoch, until that new deadline (where
+  // the hook runs again); nullopt times the wait out, resuming the thread.
+  using DeadlineHook = std::function<std::optional<SimTime>()>;
+
   // Blocks on `q` until notified or `deadline` passes. Returns true if
-  // notified, false on timeout.
-  bool WaitOn(WaitQueue* q, SimTime deadline = kTimeNever);
+  // notified, false on timeout. `*on_deadline`, if given, must outlive the
+  // call; it runs at each deadline the wait reaches (see DeadlineHook).
+  bool WaitOn(WaitQueue* q, SimTime deadline = kTimeNever,
+              const DeadlineHook* on_deadline = nullptr);
 
   // Yields to let same-time events run (reschedules self at Now()).
   void Yield();
@@ -248,6 +264,8 @@ class SimThread {
   // Transfers control: fiber -> whoever entered it via RunUntilBlocked.
   void YieldToSimulator();
   void CheckShutdown();
+  // Schedules the deadline event of the wait on `q` tagged `epoch`.
+  void ArmWaitDeadline(WaitQueue* q, uint64_t epoch, SimTime deadline);
 
   Simulator* sim_;
   std::string name_;
@@ -280,6 +298,7 @@ class SimThread {
   SimThread* wait_next_ = nullptr;  // intrusive WaitQueue links
   SimThread* wait_prev_ = nullptr;
   uint64_t wait_epoch_ = 0;
+  const DeadlineHook* on_deadline_ = nullptr;
   bool timed_out_ = false;
   bool killed_ = false;
 
@@ -330,6 +349,9 @@ class SimMutex {
   void Lock();
   void Unlock();
   bool held() const { return owner_ != nullptr; }
+  // No owner and nobody queued: a Lock now takes it at once, and the
+  // matching Unlock wakes no one.
+  bool idle() const { return owner_ == nullptr && waiters_.empty(); }
   SimThread* owner() const { return owner_; }
 
  private:

@@ -61,6 +61,105 @@ TEST(Checksum, SplitInvariance) {
   }
 }
 
+// The byte-pair accumulator ChecksumAccumulator::Add replaced: one
+// big-endian 16-bit word per step, the odd byte carried across pieces.
+class BytePairChecksum {
+ public:
+  void Add(const uint8_t* data, size_t len) {
+    size_t i = 0;
+    if (odd_ && len > 0) {
+      sum_ += data[0];
+      i = 1;
+      odd_ = false;
+    }
+    for (; i + 1 < len; i += 2) {
+      sum_ += static_cast<uint64_t>(data[i]) << 8 | data[i + 1];
+    }
+    if (i < len) {
+      sum_ += static_cast<uint64_t>(data[i]) << 8;
+      odd_ = true;
+    }
+  }
+  void AddWord(uint16_t w) { sum_ += w; }
+  uint16_t Finish() const {
+    uint64_t s = sum_;
+    while (s >> 16) {
+      s = (s & 0xffff) + (s >> 16);
+    }
+    return static_cast<uint16_t>(~s & 0xffff);
+  }
+
+ private:
+  uint64_t sum_ = 0;
+  bool odd_ = false;
+};
+
+// The word-at-a-time sum gives exactly the byte-pair checksum, over random
+// contents, lengths 0-3000, start offsets 0-63 (every alignment of the
+// 8-byte loads), up to four pieces split at arbitrary (odd) points, with
+// and without a leading pseudo header, and on all-0x00 and all-0xff
+// buffers, whose sums are the two one's-complement zeros.
+TEST(Checksum, WordAtATimeMatchesBytePairs) {
+  constexpr size_t kMaxLen = 3000;
+  constexpr size_t kMaxOffset = 63;
+  Rng rng(1071);
+  std::vector<uint8_t> random(kMaxLen + kMaxOffset);
+  for (auto& b : random) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  const std::vector<uint8_t> zeros(random.size(), 0x00);
+  const std::vector<uint8_t> ones(random.size(), 0xff);
+  int zero_sums = 0;
+  int ffff_sums = 0;
+  for (int trial = 0; trial < 1000000; trial++) {
+    // Mostly short lengths, so the whole range is covered at a bounded
+    // cost; every content kind and offset is drawn uniformly.
+    const size_t len = rng.Below(4) == 0 ? rng.Below(kMaxLen + 1) : rng.Below(130);
+    const size_t off = rng.Below(kMaxOffset + 1);
+    const uint64_t kind = rng.Below(8);
+    const uint8_t* data = (kind == 0 ? zeros : kind == 1 ? ones : random).data() + off;
+    if (kind > 1) {
+      random[rng.Below(random.size())] = static_cast<uint8_t>(rng.Next());
+    }
+    ChecksumAccumulator got;
+    BytePairChecksum want;
+    if (rng.Below(2) == 0) {
+      const uint16_t pseudo[] = {static_cast<uint16_t>(rng.Next()),
+                                 static_cast<uint16_t>(rng.Next()), 6,
+                                 static_cast<uint16_t>(len)};
+      for (uint16_t w : pseudo) {
+        got.AddWord(w);
+        want.AddWord(w);
+      }
+    }
+    want.Add(data, len);
+    size_t at = 0;
+    for (int piece = static_cast<int>(rng.Below(4)); piece > 0 && at < len; piece--) {
+      const size_t n = rng.Below(len - at + 1);
+      got.Add(data + at, n);
+      at += n;
+    }
+    got.Add(data + at, len - at);
+    const uint16_t sum = want.Finish();
+    ASSERT_EQ(got.Finish(), sum) << "trial " << trial << " len " << len << " offset " << off
+                                 << " kind " << kind;
+    zero_sums += sum == 0xffff;
+    ffff_sums += sum == 0x0000;
+  }
+  // Both zeros came up: an all-zero sum (checksum 0xffff) and a sum of
+  // 0xffff (checksum 0).
+  EXPECT_GT(zero_sums, 0);
+  EXPECT_GT(ffff_sums, 0);
+}
+
+TEST(Checksum, OnesComplementZeros) {
+  const std::vector<uint8_t> zeros(1460, 0x00);
+  const std::vector<uint8_t> ones(1460, 0xff);
+  EXPECT_EQ(InternetChecksum(zeros.data(), zeros.size()), 0xffff);
+  EXPECT_EQ(InternetChecksum(ones.data(), ones.size()), 0x0000);
+  EXPECT_EQ(InternetChecksum(ones.data() + 1, 1459), 0x00ff);  // odd tail: 0xff00 padded
+}
+
 TEST(Result, ValueAndError) {
   Result<int> ok(7);
   ASSERT_TRUE(ok.ok());

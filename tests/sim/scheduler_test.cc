@@ -1,11 +1,12 @@
 // Scheduler-focused regression tests: (time, seq) ordering across
 // microsecond-to-second time scales, inserts from event context, scheduling
 // after an idle Run(until), past-time clamping, the self-wakeup queue skip,
-// and wait-queue intrusive-list integrity. The replay harness
+// wait-queue intrusive-list integrity and timed waits' deadline hooks. The replay harness
 // (replay_ab_test.cc) covers whole-system determinism; these pin down the
 // scheduler primitives it rests on.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <random>
 #include <vector>
 
@@ -111,7 +112,7 @@ TEST(Simulator, PastTimeScheduleClampsToNow) {
   EXPECT_EQ(sim.Now(), Millis(1));
 }
 
-// --- Self-wakeup queue skip (Simulator::TrySkipWakeup) ----------------------
+// --- Self-wakeup queue skip (Simulator::CanElideWakeup/ElideWakeup) --------
 
 // Counter snapshot around one blocking call inside a thread.
 struct Counters {
@@ -248,6 +249,27 @@ TEST(SelfWakeup, PastTimeTargetIsCountedOnce) {
   EXPECT_EQ(queued.now, Micros(10));
 }
 
+TEST(SelfWakeup, EventContextElisionMatchesTheThreadsOwn) {
+  // An event standing in for a sleeping thread makes the same move the
+  // thread's SleepUntil would: the same clock, event count and elision.
+  Simulator sim;
+  bool blocked = true;
+  bool elided = false;
+  sim.Schedule(Micros(10), [&] {
+    sim.Schedule(Micros(30), [] {});
+    blocked = sim.CanElideWakeup(Micros(30));  // an equal-time event runs first
+    elided = sim.CanElideWakeup(Micros(29));
+    sim.ElideWakeup(Micros(29));
+  });
+  sim.Run();
+  EXPECT_FALSE(blocked);
+  EXPECT_TRUE(elided);
+  EXPECT_EQ(sim.elided_wakeups(), 1u);
+  EXPECT_EQ(sim.events_executed(), 3u);
+  EXPECT_EQ(sim.Now(), Micros(30));
+  EXPECT_FALSE(sim.CanElideWakeup(Micros(40))) << "outside Run nothing is elided";
+}
+
 TEST(WaitQueue, TimeoutRemovesFromMiddleOfQueue) {
   // Three waiters; the middle one times out first. The intrusive list must
   // unlink it cleanly and keep FIFO order for the survivors.
@@ -285,6 +307,89 @@ TEST(WaitQueue, NotifyInvalidatesPendingTimeout) {
   sim.Schedule(Millis(4), [&] { q.NotifyOne(); });  // after the stale event
   sim.Run();
   EXPECT_EQ(results, (std::vector<bool>{true, true}));
+}
+
+// --- Deadline hooks on timed waits -------------------------------------------
+
+// A hook that re-arms three times runs in event context at each deadline,
+// keeps the thread parked (no switch into it) and then lets the wait time
+// out at the fourth.
+TEST(DeadlineHook, RearmsThenTimesOut) {
+  Simulator sim;
+  HostCpu cpu;
+  WaitQueue q(&sim);
+  std::vector<SimTime> ran;
+  const SimThread::DeadlineHook hook = [&]() -> std::optional<SimTime> {
+    EXPECT_EQ(sim.current_thread(), nullptr);
+    ran.push_back(sim.Now());
+    if (ran.size() == 4) {
+      return std::nullopt;
+    }
+    return sim.Now() + Millis(1);
+  };
+  bool notified = true;
+  SimTime woke = 0;
+  sim.Spawn("w", &cpu, [&] {
+    notified = sim.current_thread()->WaitOn(&q, Millis(1), &hook);
+    woke = sim.Now();
+  });
+  sim.Run();
+  EXPECT_EQ(ran, (std::vector<SimTime>{Millis(1), Millis(2), Millis(3), Millis(4)}));
+  EXPECT_FALSE(notified);
+  EXPECT_EQ(woke, Millis(4));
+  EXPECT_EQ(sim.thread_switches(), 2u) << "the start and the timeout, nothing per re-arm";
+  EXPECT_EQ(sim.events_executed(), 5u);
+  EXPECT_TRUE(q.empty());
+}
+
+// A notify during a re-armed wait wakes the thread at the notify instant,
+// and the wait's pending deadline never runs the hook again.
+TEST(DeadlineHook, NotifyDuringRearmedWaitWakesAtOnce) {
+  Simulator sim;
+  HostCpu cpu;
+  WaitQueue q(&sim);
+  int hooks = 0;
+  const SimThread::DeadlineHook hook = [&]() -> std::optional<SimTime> {
+    hooks++;
+    return sim.Now() + Millis(1);
+  };
+  bool notified = false;
+  SimTime woke = 0;
+  sim.Spawn("w", &cpu, [&] {
+    notified = sim.current_thread()->WaitOn(&q, Millis(1), &hook);
+    woke = sim.Now();
+  });
+  sim.Schedule(Millis(2) + Micros(500), [&] { EXPECT_TRUE(q.NotifyOne()); });
+  sim.Run();
+  EXPECT_TRUE(notified);
+  EXPECT_EQ(woke, Millis(2) + Micros(500));
+  EXPECT_EQ(hooks, 2);
+  EXPECT_EQ(sim.Now(), Millis(3)) << "the stale deadline still runs, as an empty event";
+}
+
+// After a notify, the first wait's deadline is stale: it must neither run
+// that wait's hook nor time out the thread's next wait on the same queue.
+TEST(DeadlineHook, StaleEpochNeverRunsTheHook) {
+  Simulator sim;
+  HostCpu cpu;
+  WaitQueue q(&sim);
+  int hooks = 0;
+  const SimThread::DeadlineHook hook = [&]() -> std::optional<SimTime> {
+    hooks++;
+    return std::nullopt;
+  };
+  std::vector<bool> results;
+  SimTime second_woke = 0;
+  sim.Spawn("w", &cpu, [&] {
+    results.push_back(sim.current_thread()->WaitOn(&q, Millis(2), &hook));
+    results.push_back(sim.current_thread()->WaitOn(&q, Millis(5)));
+    second_woke = sim.Now();
+  });
+  sim.Schedule(Millis(1), [&] { q.NotifyOne(); });
+  sim.Run();
+  EXPECT_EQ(results, (std::vector<bool>{true, false}));
+  EXPECT_EQ(second_woke, Millis(5));
+  EXPECT_EQ(hooks, 0);
 }
 
 }  // namespace

@@ -70,7 +70,7 @@ const char kUsage[] =
     "         [--config NAME] [--clients N] [--conns N] [--migrate N] [--interval MS] [--json]\n"
     "         defaults: --config library-shm --clients 8 --conns 2 --migrate 2 --interval 100\n"
     "  prof   host wall-clock profile of an engine workload\n"
-    "         [--workload tcp_stream|udp_blast|churn_256] [--scale F] [--json] [--flame]\n"
+    "         [--workload tcp_stream|udp_blast|churn_256|idle_128] [--scale F] [--json] [--flame]\n"
     "         [--min-attributed PCT]\n"
     "         defaults: --workload udp_blast --scale 1\n"
     "\n"
