@@ -2,6 +2,7 @@
 """Structural checks on the bench binaries' JSON output.
 
 usage: check_bench_json.py tables|c10k|appmix [DIR]
+       check_bench_json.py golden COMMITTED [DIR]
 
 Reads the BENCH_*.json files a bench run left in DIR (default: the current
 directory) and exits non-zero with a message naming the first violated
@@ -19,6 +20,9 @@ check; on success it prints one summary line per file and "<kind>: OK".
   appmix  BENCH_appmix.json: exactly one row per placement x mix, each with
           virtual time, frames and events; RPC calls on the RPC-carrying
           mixes; messages and bytes on every mix but dns.
+  golden  the file named like COMMITTED (a committed full-size table run):
+          the same bench, and `summary` and `results` equal to COMMITTED's
+          value for value; a failure lists the cells that moved.
 """
 import glob
 import json
@@ -40,7 +44,7 @@ def load(path, bench=None):
     return doc
 
 
-def check_tables(d):
+def check_tables(d='.'):
     files = {os.path.basename(p) for p in glob.glob(os.path.join(d, 'BENCH_*.json'))}
     expected = {'BENCH_ablations.json', 'BENCH_demux.json', 'BENCH_table2_decstation.json',
                 'BENCH_table2_gateway.json', 'BENCH_table3_newapi.json',
@@ -51,7 +55,7 @@ def check_tables(d):
         print(f'{name}: {len(doc["results"])} rows')
 
 
-def check_c10k(d):
+def check_c10k(d='.'):
     doc = load(os.path.join(d, 'BENCH_c10k.json'), 'c10k')
     summary = doc['summary']
     requested = summary['migrate']
@@ -110,7 +114,7 @@ def check_c10k(d):
               f"p99 connect {r['connect_p99_ms']} ms")
 
 
-def check_appmix(d):
+def check_appmix(d='.'):
     doc = load(os.path.join(d, 'BENCH_appmix.json'), 'appmix')
     mixes = {'rpc', 'lines', 'dns', 'switchy', 'mixed'}
     grid = {(r['config'], r['mix']) for r in doc['results']}
@@ -127,15 +131,33 @@ def check_appmix(d):
     print(f'{len(doc["results"])} placement x mix rows')
 
 
-CHECKS = {'tables': check_tables, 'c10k': check_c10k, 'appmix': check_appmix}
+def check_golden(committed, d='.'):
+    want = load(committed)
+    got = load(os.path.join(d, os.path.basename(committed)), want['bench'])
+    moved = [f'summary.{k}: {want["summary"].get(k)} -> {got["summary"].get(k)}'
+             for k in sorted(set(want['summary']) | set(got['summary']))
+             if want['summary'].get(k) != got['summary'].get(k)]
+    if len(want['results']) != len(got['results']):
+        moved.append(f'{len(want["results"])} -> {len(got["results"])} result rows')
+    for i, (w, g) in enumerate(zip(want['results'], got['results'])):
+        moved += [f'results[{i}] ({w.get("section")}, {w.get("config")}).{k}: '
+                  f'{w.get(k)} -> {g.get(k)}'
+                  for k in sorted(set(w) | set(g)) if w.get(k) != g.get(k)]
+    assert not moved, f'{len(moved)} cells moved from {committed}:\n  ' + '\n  '.join(moved)
+    print(f'{os.path.basename(committed)}: {len(got["results"])} rows match')
+
+
+CHECKS = {'tables': check_tables, 'c10k': check_c10k, 'appmix': check_appmix,
+          'golden': check_golden}
 
 
 def main(argv):
-    if len(argv) not in (2, 3) or argv[1] not in CHECKS:
+    kind = argv[1] if len(argv) > 1 else None
+    args = argv[2:]
+    if kind not in CHECKS or len(args) not in ((1, 2) if kind == 'golden' else (0, 1)):
         sys.exit(__doc__.split('\n\n')[1])
-    kind = argv[1]
     try:
-        CHECKS[kind](argv[2] if len(argv) == 3 else '.')
+        CHECKS[kind](*args)
     except (AssertionError, KeyError, OSError, ValueError) as e:
         sys.exit(f'{kind}: FAILED: {type(e).__name__}: {e}')
     print(f'{kind}: OK')

@@ -257,9 +257,9 @@ C10kOutcome RunC10k(Config config, const MachineProfile& prof, const C10kParams&
     // poll through cooperative select and have none).
     PollSet* set = nullptr;
     if (w.kernel_node(0) != nullptr) {
-      set = w.kernel_node(0)->poll_set(server_pfd);
+      set = w.kernel_node(0)->sockets().poll_set(server_pfd);
     } else if (w.ux_server(0) != nullptr) {
-      set = w.ux_server(0)->poll_set(static_cast<uint64_t>(server_pfd));
+      set = w.ux_server(0)->sockets().poll_set(server_pfd);
     }
     if (set != nullptr) {
       out.poll_edges = set->edges();

@@ -5,14 +5,11 @@
 #ifndef PSD_SRC_API_KERNEL_NODE_H_
 #define PSD_SRC_API_KERNEL_NODE_H_
 
-#include <map>
 #include <memory>
 
 #include "src/api/socket_api.h"
 #include "src/kern/host.h"
-#include "src/sock/pollset.h"
-#include "src/sock/select.h"
-#include "src/sock/socket.h"
+#include "src/sock/socket_table.h"
 
 namespace psd {
 
@@ -39,10 +36,8 @@ class KernelNode : public SocketApi {
   Result<void> PollClose(int pfd) override;
   SockAddrIn LocalAddr(int fd) override;
 
-  // The in-kernel PollSet behind poll descriptor `pfd` (nullptr if
-  // unknown); tests and benches read its edge/wakeup counters.
-  PollSet* poll_set(int pfd);
-
+  // The kernel's descriptor table; tests and benches read its poll sets.
+  SocketTable& sockets() { return table_; }
   Stack* stack() { return stack_.get(); }
   SimHost* host() { return host_; }
 
@@ -52,24 +47,18 @@ class KernelNode : public SocketApi {
   uint64_t traps() const { return traps_; }
 
  private:
-  Result<Socket*> Lookup(int fd);
-  int Install(std::unique_ptr<Socket> sock);
   BoundaryModel TrapBoundary();
+  void ChargeTrap();
 
   SimHost* host_;
   std::unique_ptr<Stack> stack_;
   PacketQueue* rxq_ = nullptr;
   SimThread* input_thread_ = nullptr;
-  std::map<int, std::unique_ptr<Socket>> fds_;
-  // Poll descriptors share the fd number space but live in their own
-  // table (a pfd is not a socket).
-  std::map<int, std::unique_ptr<PollSet>> polls_;
-  int next_fd_ = 3;
+  // Descriptors from 3 (after stdin/stdout/stderr); declared after stack_,
+  // which must outlive its sockets.
+  SocketTable table_;
   uint64_t traps_ = 0;
 };
-
-// Applies placement-independent option plumbing shared by all nodes.
-Result<void> ApplySockOpt(Socket* sock, SockOpt opt, size_t value);
 
 }  // namespace psd
 

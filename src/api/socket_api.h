@@ -18,15 +18,9 @@
 #include "src/base/time.h"
 #include "src/inet/addr.h"
 #include "src/mbuf/mbuf.h"
+#include "src/sock/socket.h"
 
 namespace psd {
-
-enum class SockOpt {
-  kRcvBuf,
-  kSndBuf,
-  kNoDelay,
-  kKeepAlive,
-};
 
 struct SelectFds {
   std::vector<int> read;   // in: descriptors to test; out via *_ready flags

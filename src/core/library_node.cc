@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "src/api/kernel_node.h"
 #include "src/base/log.h"
 #include "src/obs/observatory.h"
 #include "src/obs/stats.h"
@@ -43,8 +42,6 @@ ProtocolLibrary::ProtocolLibrary(SimHost* host, NetServer* server, std::string n
   params.send_frame = [kernel](Frame f) { kernel->NetSendFromUser(std::move(f)); };
   params.ip = host->ip();
   params.mac = host->mac();
-  params.with_arp = false;  // ARP lives in the OS server; we cache (§3.3)
-  params.sync_pair_cost = host->prof()->sync_lib_lock;
   params.name = name_;
   stack_ = std::make_unique<Stack>(params);
   stack_->ether().SetResolver(&resolver_);
@@ -451,7 +448,7 @@ Result<void> LibraryNode::SetOpt(int fd, SockOpt opt, size_t value) {
   if (d->sock == nullptr) {
     return ops_.SetOpt(d->sid, opt, value);
   }
-  return ApplySockOpt(d->sock.get(), opt, value);
+  return d->sock->SetOpt(opt, value);
 }
 
 Result<void> LibraryNode::Shutdown(int fd, bool rd, bool wr) {

@@ -14,7 +14,9 @@ constexpr SimDuration kSlowPeriod = Millis(500);
 
 Stack::Stack(const StackParams& params)
     : name_(params.name),
-      sync_(params.sim, params.sync_pair_cost),
+      sync_(params.sim, params.placement == Placement::kKernel   ? params.prof->sync_spl_hw
+                        : params.placement == Placement::kServer ? params.prof->sync_spl_emulated
+                                                                 : params.prof->sync_lib_lock),
       env_{params.sim,
            params.cpu,
            params.prof,
@@ -33,7 +35,8 @@ Stack::Stack(const StackParams& params)
       udp_(&env_, &ip_, &icmp_, &ports_),
       tcp_(&env_, &ip_, &ports_),
       timer_kick_(params.sim) {
-  if (params.with_arp) {
+  // A library stack resolves through the OS server's ARP (§3.3).
+  if (params.placement != Placement::kLibrary) {
     arp_ = std::make_unique<ArpLayer>(&env_, &ether_, params.ip);
     ether_.SetResolver(arp_.get());
   }

@@ -23,9 +23,12 @@
 // TryIdleSlowTick).
 //
 // The same Stack class is instantiated in all three placements; only its
-// StackParams differ. In the library placement ARP is disabled and the MAC
-// resolver / route-miss hooks are provided by the application's metastate
-// cache, which consults the operating-system server (paper §3.3).
+// StackParams differ. The placement picks the cost of one internal
+// synchronization pair (hardware spl in the kernel, emulated spl in the UX
+// server, library locks; see MachineProfile). In the library placement ARP
+// is disabled and the MAC resolver / route-miss hooks are provided by the
+// application's metastate cache, which consults the operating-system
+// server (paper §3.3).
 #ifndef PSD_SRC_INET_STACK_H_
 #define PSD_SRC_INET_STACK_H_
 
@@ -68,10 +71,6 @@ struct StackParams {
   std::function<void(Frame)> send_frame;
   Ipv4Addr ip;
   MacAddr mac;
-  bool with_arp = true;
-  // Cost of one internal synchronization pair; chosen per placement
-  // (hardware spl / emulated spl / library locks — see MachineProfile).
-  SimDuration sync_pair_cost = 0;
   std::string name = "stack";
 };
 

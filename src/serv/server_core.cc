@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstring>
 
-#include "src/api/kernel_node.h"
 #include "src/filter/session_filter.h"
 #include "src/obs/stats.h"
 
@@ -59,8 +58,6 @@ ServerCore::ServerCore(SimHost* host, const std::string& tag, const std::string&
   params.send_frame = [kernel](Frame f) { kernel->NetSendFromUser(std::move(f)); };
   params.ip = host->ip();
   params.mac = host->mac();
-  params.with_arp = true;
-  params.sync_pair_cost = host->prof()->sync_spl_emulated;
   params.name = host->name() + "/" + tag;
   stack_ = std::make_unique<Stack>(params);
   stack_->routes().Add(Ipv4Addr(host->ip().v & 0xffff0000), Ipv4Addr(0xffff0000),
@@ -185,7 +182,7 @@ IpcMessage ServerCore::HandleSocketOp(SocketOp op, Socket* s, const IpcMessage& 
     }
     case SocketOp::kSetOpt:
       return StatusReply(
-          ApplySockOpt(s, static_cast<SockOpt>(req.arg[2]), static_cast<size_t>(req.arg[3])));
+          s->SetOpt(static_cast<SockOpt>(req.arg[2]), static_cast<size_t>(req.arg[3])));
     case SocketOp::kShutdown:
       return StatusReply(s->Shutdown(req.arg[2] != 0, req.arg[3] != 0));
     case SocketOp::kLocalAddr: {

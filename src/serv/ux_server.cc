@@ -1,31 +1,31 @@
 #include "src/serv/ux_server.h"
 
+#include <iterator>
+
 #include "src/base/codec.h"
+#include "src/sock/select.h"
 
 namespace psd {
+
+namespace {
+
+// The ServOp that carries each shared socket op, indexed by SocketOp.
+constexpr ServOp kSocketOpKinds[] = {ServOp::kListen,  ServOp::kConnect,  ServOp::kSend,
+                                     ServOp::kRecv,    ServOp::kSetOpt,   ServOp::kShutdown,
+                                     ServOp::kLocalAddr};
+
+}  // namespace
 
 UxServer::UxServer(SimHost* host, int workers)
     : host_(host),
       core_(host, "ux", "ux-req", workers, ServOpSlot, kNumServOps,
-            [this](const IpcMessage& req) { return Handle(req); }) {}
+            [this](const IpcMessage& req) { return Handle(req); }),
+      table_(core_.stack(), /*first_id=*/1) {}
 
 UxServer::~UxServer() { core_.Stop(); }
 
 void UxServer::ExportStats(StatsRegistry* reg, const std::string& prefix) const {
   core_.ExportRpcStats(reg, prefix, [](size_t slot) { return kServOpNames[slot]; });
-}
-
-Result<Socket*> UxServer::Lookup(uint64_t id) {
-  auto it = socks_.find(id);
-  if (it == socks_.end()) {
-    return Err::kBadF;
-  }
-  return it->second.get();
-}
-
-PollSet* UxServer::poll_set(uint64_t id) {
-  auto it = polls_.find(id);
-  return it == polls_.end() ? nullptr : it->second.get();
 }
 
 IpcMessage UxServer::Handle(const IpcMessage& req) {
@@ -37,11 +37,11 @@ IpcMessage UxServer::Handle(const IpcMessage& req) {
 
   switch (op) {
     case ServOp::kSocket: {
-      IpProto proto = static_cast<IpProto>(req.arg[2]);
-      auto sock = std::make_unique<Socket>(core_.stack(), proto);
-      uint64_t sid = next_id_++;
-      socks_[sid] = std::move(sock);
-      reply.arg[1] = sid;
+      Result<std::unique_ptr<Socket>> sock = table_.Create(static_cast<IpProto>(req.arg[2]));
+      if (!sock.ok()) {
+        return ErrorReply(sock.error());
+      }
+      reply.arg[1] = table_.Install(std::move(*sock));
       return reply;
     }
     case ServOp::kSelect: {
@@ -49,13 +49,11 @@ IpcMessage UxServer::Handle(const IpcMessage& req) {
       uint32_t nr = d.U32();
       std::vector<Socket*> rd, wr;
       for (uint32_t i = 0; i < nr; i++) {
-        Result<Socket*> s = Lookup(d.U64());
-        rd.push_back(s.ok() ? *s : nullptr);
+        rd.push_back(table_.Lookup(d.U64()));
       }
       uint32_t nw = d.U32();
       for (uint32_t i = 0; i < nw; i++) {
-        Result<Socket*> s = Lookup(d.U64());
-        wr.push_back(s.ok() ? *s : nullptr);
+        wr.push_back(table_.Lookup(d.U64()));
       }
       int64_t timeout = static_cast<int64_t>(req.arg[2]);
       std::vector<bool> rready, wready;
@@ -71,36 +69,21 @@ IpcMessage UxServer::Handle(const IpcMessage& req) {
       reply.payload = e.Take();
       return reply;
     }
-    case ServOp::kPollCreate: {
-      uint64_t pid = next_id_++;
-      polls_[pid] = std::make_unique<PollSet>(core_.stack());
-      reply.arg[1] = pid;
+    case ServOp::kPollCreate:
+      reply.arg[1] = table_.PollCreate();
       return reply;
-    }
-    case ServOp::kPollAdd: {
-      PollSet* set = poll_set(id);
-      if (set == nullptr) {
-        return ErrorReply(Err::kBadF);
-      }
-      Result<Socket*> s = Lookup(req.arg[2]);
-      if (!s.ok()) {
-        return ErrorReply(s.error());
-      }
-      return StatusReply(set->Add(*s, static_cast<uint32_t>(req.arg[3]), req.arg[2]));
-    }
+    case ServOp::kPollAdd:
     case ServOp::kPollRemove: {
-      PollSet* set = poll_set(id);
-      if (set == nullptr) {
-        return ErrorReply(Err::kBadF);
+      Result<PollMember> m = table_.ResolveMember(id, req.arg[2]);
+      if (!m.ok()) {
+        return ErrorReply(m.error());
       }
-      Result<Socket*> s = Lookup(req.arg[2]);
-      if (!s.ok()) {
-        return ErrorReply(s.error());
-      }
-      return StatusReply(set->Remove(*s));
+      return StatusReply(op == ServOp::kPollAdd
+                             ? m->set->Add(m->sock, static_cast<uint32_t>(req.arg[3]), req.arg[2])
+                             : m->set->Remove(m->sock));
     }
     case ServOp::kPollWait: {
-      PollSet* set = poll_set(id);
+      PollSet* set = table_.poll_set(id);
       if (set == nullptr) {
         return ErrorReply(Err::kBadF);
       }
@@ -117,58 +100,41 @@ IpcMessage UxServer::Handle(const IpcMessage& req) {
       reply.payload = e.Take();
       return reply;
     }
-    case ServOp::kPollClose: {
-      auto it = polls_.find(id);
-      if (it == polls_.end()) {
-        return ErrorReply(Err::kBadF);
-      }
-      polls_.erase(it);
-      return reply;
-    }
+    case ServOp::kPollClose:
+      return StatusReply(table_.PollClose(id));
     default:
       break;
   }
   // Every other op names a socket.
-  Result<Socket*> s = Lookup(id);
-  if (!s.ok()) {
-    return ErrorReply(s.error());
+  Socket* s = table_.Lookup(id);
+  if (s == nullptr) {
+    return ErrorReply(Err::kBadF);
+  }
+  for (size_t i = 0; i < std::size(kSocketOpKinds); i++) {
+    if (kSocketOpKinds[i] == op) {
+      return core_.HandleSocketOp(static_cast<SocketOp>(i), s, req);
+    }
   }
   switch (op) {
-    case ServOp::kListen:
-      return core_.HandleSocketOp(SocketOp::kListen, *s, req);
-    case ServOp::kConnect:
-      return core_.HandleSocketOp(SocketOp::kConnect, *s, req);
-    case ServOp::kSend:
-      return core_.HandleSocketOp(SocketOp::kSend, *s, req);
-    case ServOp::kRecv:
-      return core_.HandleSocketOp(SocketOp::kRecv, *s, req);
-    case ServOp::kSetOpt:
-      return core_.HandleSocketOp(SocketOp::kSetOpt, *s, req);
-    case ServOp::kShutdown:
-      return core_.HandleSocketOp(SocketOp::kShutdown, *s, req);
-    case ServOp::kLocalAddr:
-      return core_.HandleSocketOp(SocketOp::kLocalAddr, *s, req);
     case ServOp::kBind: {
       Decoder d(req.payload);
-      return StatusReply((*s)->Bind(DecodeAddr(&d)));
+      return StatusReply(s->Bind(DecodeAddr(&d)));
     }
     case ServOp::kAccept: {
       SockAddrIn peer;
-      Result<std::unique_ptr<Socket>> child = (*s)->Accept(&peer);
+      Result<std::unique_ptr<Socket>> child = s->Accept(&peer);
       if (!child.ok()) {
         return ErrorReply(child.error());
       }
-      uint64_t sid = next_id_++;
-      socks_[sid] = std::move(*child);
-      reply.arg[1] = sid;
+      reply.arg[1] = table_.Install(std::move(*child));
       Encoder e;
       EncodeAddr(&e, peer);
       reply.payload = e.Take();
       return reply;
     }
     case ServOp::kClose:
-      (*s)->Close();
-      socks_.erase(id);
+      // The reply ignores the close's own result, as NetServer's does.
+      table_.Close(id);
       return reply;
     default:
       break;
@@ -178,15 +144,6 @@ IpcMessage UxServer::Handle(const IpcMessage& req) {
 
 // ---------------------------------------------------------------------------
 // Client stub
-
-namespace {
-
-// The ServOp that carries each shared socket op, indexed by SocketOp.
-constexpr ServOp kSocketOpKinds[] = {ServOp::kListen,  ServOp::kConnect,  ServOp::kSend,
-                                     ServOp::kRecv,    ServOp::kSetOpt,   ServOp::kShutdown,
-                                     ServOp::kLocalAddr};
-
-}  // namespace
 
 UxServerNode::UxServerNode(UxServer* server)
     : server_(server),

@@ -5,18 +5,16 @@
 // the protocol code synchronizes with the rest of the server through the
 // emulated spl priority-level machinery the paper identifies as the main
 // server overhead (§4.3). The task skeleton (stack, ports, fibers, RPC
-// accounting) is ServerCore; this class keeps the socket and poll tables.
+// accounting) is ServerCore; this class decodes each request into the
+// server's SocketTable, the one the In-Kernel placement traps into.
 #ifndef PSD_SRC_SERV_UX_SERVER_H_
 #define PSD_SRC_SERV_UX_SERVER_H_
 
-#include <map>
-#include <memory>
 #include <vector>
 
 #include "src/api/socket_api.h"
 #include "src/serv/server_core.h"
-#include "src/sock/pollset.h"
-#include "src/sock/select.h"
+#include "src/sock/socket_table.h"
 
 namespace psd {
 
@@ -89,9 +87,9 @@ class UxServer {
   Stack* stack() { return core_.stack(); }
   SimHost* host() { return host_; }
 
-  // The server-side PollSet behind poll descriptor `id` (nullptr if
-  // unknown); tests and benches read its edge/wakeup counters.
-  PollSet* poll_set(uint64_t id);
+  // The server's socket and poll table; tests and benches read its poll
+  // sets. A PollWait request parks the worker that handles it.
+  SocketTable& sockets() { return table_; }
 
   // Per-op RPC accounting over every worker (counts, bytes, queue-wait and
   // service histograms per ServOp).
@@ -101,16 +99,11 @@ class UxServer {
 
  private:
   IpcMessage Handle(const IpcMessage& req);
-  Result<Socket*> Lookup(uint64_t id);
 
   SimHost* host_;
-  // Declared before the tables: its stack must outlive their sockets.
+  // Declared before the table: its stack must outlive the table's sockets.
   ServerCore core_;
-  std::map<uint64_t, std::unique_ptr<Socket>> socks_;
-  // Poll descriptors share the id space with sockets but live in their
-  // own table; a PollWait request parks the worker that handles it.
-  std::map<uint64_t, std::unique_ptr<PollSet>> polls_;
-  uint64_t next_id_ = 1;
+  SocketTable table_;
 };
 
 // Client-side stub: implements SocketApi by RPC to a UxServer on the same

@@ -607,6 +607,20 @@ Result<void> Socket::SetKeepAlive(bool on) {
   return OkResult();
 }
 
+Result<void> Socket::SetOpt(SockOpt opt, size_t value) {
+  switch (opt) {
+    case SockOpt::kRcvBuf:
+      return SetRcvBuf(value);
+    case SockOpt::kSndBuf:
+      return SetSndBuf(value);
+    case SockOpt::kNoDelay:
+      return SetNoDelay(value != 0);
+    case SockOpt::kKeepAlive:
+      return SetKeepAlive(value != 0);
+  }
+  return Err::kInval;
+}
+
 bool Socket::Readable() const {
   if (tcp_ != nullptr) {
     if (tcp_->state == TcpState::kListen) {

@@ -24,6 +24,14 @@ namespace psd {
 class PollSet;
 struct PollEntry;
 
+// The setsockopt options the socket layer implements, one per Socket::Set*.
+enum class SockOpt {
+  kRcvBuf,
+  kSndBuf,
+  kNoDelay,
+  kKeepAlive,
+};
+
 // Prices the protection-boundary crossing around socket-layer calls.
 // entry(len): called at the start of a send with the payload size, and at
 // the start of control ops with 0. exit(len): called on the receive path
@@ -81,6 +89,8 @@ class Socket {
   Result<void> SetSndBuf(size_t bytes);
   Result<void> SetNoDelay(bool on);
   Result<void> SetKeepAlive(bool on);
+  // setsockopt: dispatches `opt` to the setter above (flags take value != 0).
+  Result<void> SetOpt(SockOpt opt, size_t value);
 
   // --- Introspection / select support (callable under the domain lock or
   // from readiness callbacks) ---

@@ -370,6 +370,68 @@ TEST_P(PlacementTest, ClosingAcceptedChildKeepsListenerPort) {
   EXPECT_TRUE(client_done);
 }
 
+// Only TCP and UDP sockets exist, in every placement.
+TEST_P(PlacementTest, UnsupportedProtocolIsProtoNoSupport) {
+  World w(GetParam(), MachineProfile::DecStation5000());
+  bool done = false;
+  w.SpawnApp(0, "app", [&] {
+    Result<int> fd = w.api(0)->CreateSocket(IpProto::kIcmp);
+    ASSERT_FALSE(fd.ok()) << "ICMP socket created as fd " << *fd;
+    EXPECT_EQ(fd.error(), Err::kProtoNoSupport) << ErrName(fd.error());
+    done = true;
+  });
+  w.sim().Run(Seconds(5));
+  EXPECT_TRUE(done);
+}
+
+// Sockets and poll descriptors share one number space, but neither kind
+// stands in for the other, and a closed descriptor of either kind is gone.
+TEST_P(PlacementTest, DescriptorNamespaces) {
+  World w(GetParam(), MachineProfile::DecStation5000());
+  bool done = false;
+  w.SpawnApp(0, "app", [&] {
+    SocketApi* api = w.api(0);
+    uint8_t b = 0;
+    std::vector<PollEvent> events;
+    // Never issued.
+    EXPECT_EQ(api->Recv(999, &b, 1, nullptr, false).error(), Err::kBadF);
+    EXPECT_EQ(api->Send(999, &b, 1, nullptr).error(), Err::kBadF);
+    EXPECT_EQ(api->Close(999).error(), Err::kBadF);
+
+    int fd = *api->CreateSocket(IpProto::kUdp);
+    Result<int> pfd = api->PollCreate();
+    ASSERT_TRUE(pfd.ok()) << ErrName(pfd.error());
+    ASSERT_NE(fd, *pfd);
+    // A poll descriptor is not a socket...
+    EXPECT_EQ(api->Bind(*pfd, SockAddrIn{Ipv4Addr::Any(), 7100}).error(), Err::kBadF);
+    EXPECT_EQ(api->Send(*pfd, &b, 1, nullptr).error(), Err::kBadF);
+    EXPECT_EQ(api->Close(*pfd).error(), Err::kBadF);
+    // ...and a socket is not a poll descriptor.
+    EXPECT_EQ(api->PollAdd(fd, fd, kPollEventIn).error(), Err::kBadF);
+    EXPECT_EQ(api->PollWait(fd, &events, 0).error(), Err::kBadF);
+    EXPECT_EQ(api->PollClose(fd).error(), Err::kBadF);
+    // Both survived the misdirected calls.
+    EXPECT_TRUE(api->PollAdd(*pfd, fd, kPollEventOut).ok());
+
+    EXPECT_TRUE(api->Close(fd).ok());
+    EXPECT_EQ(api->Close(fd).error(), Err::kBadF);
+    EXPECT_TRUE(api->PollClose(*pfd).ok());
+    EXPECT_EQ(api->PollClose(*pfd).error(), Err::kBadF);
+
+    // select treats a closed descriptor as never ready.
+    SelectFds fds;
+    fds.read = {fd};
+    Result<int> n = api->Select(&fds, 0);
+    ASSERT_TRUE(n.ok()) << ErrName(n.error());
+    EXPECT_EQ(*n, 0);
+    ASSERT_EQ(fds.read_ready.size(), 1u);
+    EXPECT_FALSE(fds.read_ready[0]);
+    done = true;
+  });
+  w.sim().Run(Seconds(5));
+  EXPECT_TRUE(done);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllPlacements, PlacementTest,
                          ::testing::Values(Config::kInKernel, Config::kServer,
                                            Config::kLibraryIpc, Config::kLibraryShm,

@@ -108,7 +108,7 @@ TEST_F(PollSetTest, BlockedWaitWakesOnEdgeAndCountsIt) {
   });
   w.sim().Run(Seconds(30));
   ASSERT_TRUE(done);
-  PollSet* set = w.kernel_node(1)->poll_set(server_pfd);
+  PollSet* set = w.kernel_node(1)->sockets().poll_set(server_pfd);
   ASSERT_NE(set, nullptr);
   EXPECT_GE(set->edges(), 1u);        // accept-readiness pushed an edge
   EXPECT_GE(set->wakeups(), 1u);      // ...which woke a blocked waiter

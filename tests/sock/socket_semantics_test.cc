@@ -125,20 +125,6 @@ TEST_F(SockTest, BindToTakenPortIsAddrInUse) {
   EXPECT_TRUE(checked);
 }
 
-TEST_F(SockTest, BadDescriptorIsEbadf) {
-  bool checked = false;
-  w.SpawnApp(0, "app", [&] {
-    SocketApi* api = w.api(0);
-    uint8_t b;
-    EXPECT_EQ(api->Recv(999, &b, 1, nullptr, false).error(), Err::kBadF);
-    EXPECT_EQ(api->Send(999, &b, 1, nullptr).error(), Err::kBadF);
-    EXPECT_EQ(api->Close(999).error(), Err::kBadF);
-    checked = true;
-  });
-  w.sim().Run(Seconds(5));
-  EXPECT_TRUE(checked);
-}
-
 TEST_F(SockTest, TenDataMovementCalls) {
   // The paper's "ten different ways to move data through a session" (§3.2):
   // send/sendto/sendmsg/write/writev and recv/recvfrom/recvmsg/read/readv.
