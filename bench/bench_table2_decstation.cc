@@ -6,13 +6,10 @@
 // Cells print "measured (paper)". The paper's Ultrix 4.2A row is collapsed
 // into the single in-kernel architecture (see EXPERIMENTS.md); the paper's
 // Mach 2.5 values are used as the in-kernel reference.
-//
-// Set PSD_BENCH_MB to shrink the 16 MB transfer for quick runs.
 #include <cstdio>
 #include <map>
 
 #include "bench/common/bench_json.h"
-#include "bench/common/flags.h"
 #include "bench/common/table_printer.h"
 #include "bench/common/workloads.h"
 
@@ -46,11 +43,10 @@ const size_t kUdpSizes[5] = {1, 100, 512, 1024, 1472};
 }  // namespace
 }  // namespace psd
 
-int main(int, char** argv) {
+int main() {
   using namespace psd;
   MachineProfile prof = MachineProfile::DecStation5000();
 
-  const size_t total_bytes = BenchTransferBytes(argv[0]);
   int trials = 60;
 
   std::printf("Table 2 (DECstation 5000/200): TCP throughput and TCP/UDP round-trip latency\n");
@@ -66,7 +62,6 @@ int main(int, char** argv) {
   PrintRule(48);
   for (Config c : configs) {
     TtcpOptions opt;
-    opt.total_bytes = total_bytes;
     SweepResult sweep = TtcpBestBuffer(c, prof, opt);
     const PaperRow& paper = kPaper.at(c);
     throughput[c] = sweep.best.kb_per_sec;

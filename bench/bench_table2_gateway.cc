@@ -12,7 +12,6 @@
 #include <map>
 
 #include "bench/common/bench_json.h"
-#include "bench/common/flags.h"
 #include "bench/common/table_printer.h"
 #include "bench/common/workloads.h"
 
@@ -42,10 +41,9 @@ const size_t kUdpSizes[5] = {1, 100, 512, 1024, 1472};
 }  // namespace
 }  // namespace psd
 
-int main(int, char** argv) {
+int main() {
   using namespace psd;
   MachineProfile prof = MachineProfile::Gateway486();
-  const size_t total_bytes = BenchTransferBytes(argv[0]);
   int trials = 60;
   const Config configs[] = {Config::kInKernel, Config::kServer, Config::kLibraryIpc,
                             Config::kLibraryShm};
@@ -59,7 +57,6 @@ int main(int, char** argv) {
   PrintRule(36);
   for (Config c : configs) {
     TtcpOptions opt;
-    opt.total_bytes = total_bytes;
     opt.pio_nic = true;
     SweepResult sweep = TtcpBestBuffer(c, prof, opt);
     tput[c] = sweep.best.kb_per_sec;

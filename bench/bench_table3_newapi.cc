@@ -10,7 +10,6 @@
 #include <map>
 
 #include "bench/common/bench_json.h"
-#include "bench/common/flags.h"
 #include "bench/common/table_printer.h"
 #include "bench/common/workloads.h"
 
@@ -44,10 +43,9 @@ const size_t kUdpSizes[5] = {1, 100, 512, 1024, 1472};
 }  // namespace
 }  // namespace psd
 
-int main(int, char** argv) {
+int main() {
   using namespace psd;
   MachineProfile prof = MachineProfile::DecStation5000();
-  const size_t total_bytes = BenchTransferBytes(argv[0]);
   int trials = 60;
   const Config configs[] = {Config::kLibraryIpc, Config::kLibraryShm, Config::kLibraryShmIpf};
 
@@ -60,7 +58,6 @@ int main(int, char** argv) {
   BenchJson out("table3_newapi", prof.name);
   for (Config c : configs) {
     TtcpOptions opt;
-    opt.total_bytes = total_bytes;
     opt.newapi = true;
     SweepResult sweep = TtcpBestBuffer(c, prof, opt);
     tput_new[c] = sweep.best.kb_per_sec;

@@ -69,7 +69,7 @@ const char* PktDispositionName(PktDisposition d) {
 
 void DropLedger::Record(uint64_t pkt, TraceLayer layer, DropReason reason, SimTime at,
                         uint32_t node) {
-  if (!enabled_ || reason == DropReason::kNone || reason == DropReason::kNumReasons) return;
+  if (reason == DropReason::kNone || reason == DropReason::kNumReasons) return;
   totals_[static_cast<size_t>(reason)]++;
   DropEvent ev;
   ev.pkt = pkt;
@@ -104,12 +104,10 @@ void DropLedger::ExportStats(StatsRegistry* reg, const std::string& prefix) cons
 void DropLedger::Reset() {
   for (auto& t : totals_) t = 0;
   recent_.clear();
-  enabled_ = true;
   ring_capacity_ = kDefaultRingCapacity;
 }
 
 uint64_t PacketJourney::Mint() {
-  if (!enabled_) return 0;
   minted_++;
   return next_id_++;
 }
@@ -128,7 +126,7 @@ void PacketJourney::PushHop(const HopEvent& ev) {
 
 void PacketJourney::Hop(uint64_t pkt, TraceLayer layer, uint32_t node, SimTime at,
                         uint64_t aux) {
-  if (!enabled_ || pkt == 0) return;
+  if (pkt == 0) return;
   HopEvent ev;
   ev.pkt = pkt;
   ev.layer = layer;
@@ -140,7 +138,7 @@ void PacketJourney::Hop(uint64_t pkt, TraceLayer layer, uint32_t node, SimTime a
 
 void PacketJourney::SetTerminal(uint64_t pkt, TraceLayer layer, PktDisposition disp,
                                 DropReason reason, uint32_t node, SimTime at) {
-  if (!enabled_ || pkt == 0) return;
+  if (pkt == 0) return;
   if (pkt > terminals_.size()) terminals_.resize(pkt);
   Terminal& term = terminals_[pkt - 1];
   if (term.disp != PktDisposition::kNone) {
@@ -179,7 +177,6 @@ void PacketJourney::Reset() {
   minted_ = delivered_ = consumed_ = dropped_ = conflicts_ = 0;
   hops_.clear();
   terminals_.clear();
-  enabled_ = true;
   hop_capacity_ = kDefaultHopCapacity;
 }
 

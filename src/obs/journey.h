@@ -29,9 +29,8 @@
 // Terminals live in a dense vector indexed by packet id - 1 (ids are minted
 // in order), so first-terminal-wins holds exactly for every id ever minted.
 //
-// Recording charges no simulated cost — Table 2/3/4 outputs are
-// byte-identical with the recorder running (asserted in tests). Both
-// recorders have a runtime kill switch (set_enabled).
+// Recording charges no simulated cost: the recorders always run, and the
+// golden ctests (tests/CMakeLists.txt) pin virtual time with them running.
 #ifndef PSD_SRC_OBS_JOURNEY_H_
 #define PSD_SRC_OBS_JOURNEY_H_
 
@@ -150,19 +149,16 @@ class DropLedger {
   // Registers one gauge per nonzero-capable reason: "<prefix><reason-name>".
   void ExportStats(StatsRegistry* reg, const std::string& prefix) const;
 
-  void set_enabled(bool on) { enabled_ = on; }
-  bool enabled() const { return enabled_; }
   void set_ring_capacity(size_t n) { ring_capacity_ = n; }
 
   // Returns the ledger to its constructed state: zero totals, empty ring,
-  // enabled, default ring capacity. Only the perfbench shim needs it.
+  // default ring capacity. Only the perfbench shim needs it.
   void Reset();
 
   static constexpr size_t kDefaultRingCapacity = 1024;
 
  private:
   PacketJourney* journey_;
-  bool enabled_ = true;
   size_t ring_capacity_ = kDefaultRingCapacity;
   uint64_t totals_[static_cast<size_t>(DropReason::kNumReasons)] = {};
   std::deque<DropEvent> recent_;
@@ -232,13 +228,11 @@ class PacketJourney {
   // All hop events for one packet, in order (scans the ring).
   std::vector<HopEvent> JourneyOf(uint64_t pkt) const;
 
-  void set_enabled(bool on) { enabled_ = on; }
-  bool enabled() const { return enabled_; }
   void set_hop_capacity(size_t n) { hop_capacity_ = n; }
 
   // Returns the recorder to its constructed state: ids restart at 1, no
-  // hops or terminals, enabled, default hop capacity. Interned node names
-  // are kept. Only the perfbench shim needs it.
+  // hops or terminals, default hop capacity. Interned node names are kept.
+  // Only the perfbench shim needs it.
   void Reset();
 
   static constexpr size_t kDefaultHopCapacity = 1 << 16;
@@ -253,7 +247,6 @@ class PacketJourney {
                    uint32_t node, SimTime at);
   void PushHop(const HopEvent& ev);
 
-  bool enabled_ = true;
   size_t hop_capacity_ = kDefaultHopCapacity;
   uint64_t next_id_ = 1;
   uint64_t minted_ = 0;

@@ -57,7 +57,6 @@ void MetastateLedger::Reset() {
   for (auto& h : phases_) {
     h.Reset();
   }
-  enabled_ = true;
 }
 
 }  // namespace psd

@@ -24,8 +24,8 @@
 // Stack, the ARP layer through its StackEnv, the kernel and servers through
 // their host. Its totals cover every host of the World, construction
 // included, and its gauges point into the World. Recording charges no
-// simulated cost — Table 2/3 outputs are byte-identical with the ledger
-// running. Runtime kill switch via set_enabled.
+// simulated cost: the golden ctests (tests/CMakeLists.txt) pin virtual
+// time with the ledger running.
 #ifndef PSD_SRC_OBS_METASTATE_H_
 #define PSD_SRC_OBS_METASTATE_H_
 
@@ -88,18 +88,12 @@ class MetastateLedger {
   // The perfbench shim (src/obs/observatory.h).
   static MetastateLedger& Get();
 
-  void Count(MetaEvent e, uint64_t n = 1) {
-    if (enabled_) {
-      totals_[static_cast<size_t>(e)] += n;
-    }
-  }
+  void Count(MetaEvent e, uint64_t n = 1) { totals_[static_cast<size_t>(e)] += n; }
   uint64_t total(MetaEvent e) const { return totals_[static_cast<size_t>(e)]; }
   const Totals& totals() const { return totals_; }
 
   void RecordPhase(MigrationPhase p, SimDuration d) {
-    if (enabled_) {
-      phases_[static_cast<size_t>(p)].Record(d);
-    }
+    phases_[static_cast<size_t>(p)].Record(d);
   }
   const LatencyHistogram& phase(MigrationPhase p) const {
     return phases_[static_cast<size_t>(p)];
@@ -111,14 +105,10 @@ class MetastateLedger {
   void ExportStats(StatsRegistry* reg, const std::string& prefix,
                    const Totals& since = {}) const;
 
-  void set_enabled(bool on) { enabled_ = on; }
-  bool enabled() const { return enabled_; }
-
   // Only the perfbench shim needs it.
   void Reset();
 
  private:
-  bool enabled_ = true;
   Totals totals_ = {};
   LatencyHistogram phases_[static_cast<size_t>(MigrationPhase::kNumPhases)];
 };

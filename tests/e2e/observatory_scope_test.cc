@@ -148,27 +148,20 @@ TEST(ObservatoryScope, TwoWorldsInOneThreadMatchTheirSoloRuns) {
   ExpectSame(RecorderSnapshot::Of(*a->w), lossy_alone, "lossy world after the clean run");
 }
 
-// Each World starts its recorders in their constructed state, so a kill
-// switch, a resized ring or recorded traffic from one run cannot leak into
-// the next run in the same process (torture sizes the hop ring to 1 << 20
-// for its run).
+// Each World starts its recorders in their constructed state, so a resized
+// ring or recorded traffic from one run cannot leak into the next run in the
+// same process (torture sizes the hop ring to 1 << 20 for its run).
 TEST(ObservatoryScope, NewWorldStartsFromConstructedState) {
   const MachineProfile prof = MachineProfile::DecStation5000();
   {
     World first(Config::kInKernel, prof);
     first.obs().drops.set_ring_capacity(2);
-    first.obs().drops.set_enabled(false);
     first.obs().journey.set_hop_capacity(1 << 20);
     first.obs().journey.Mint();
-    first.obs().journey.set_enabled(false);
-    first.obs().meta.set_enabled(false);
   }
   World w(Config::kInKernel, prof);
   DropLedger& led = w.obs().drops;
   PacketJourney& j = w.obs().journey;
-  EXPECT_TRUE(led.enabled());
-  EXPECT_TRUE(j.enabled());
-  EXPECT_TRUE(w.obs().meta.enabled());
   const uint64_t pkt = j.Mint();
   EXPECT_EQ(pkt, 1u) << "ids restart at 1";
   EXPECT_FALSE(j.HasTerminal(pkt));

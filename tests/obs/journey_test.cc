@@ -9,8 +9,7 @@
 //    with zero terminal conflicts;
 //  * migration — strays arriving in the handover window are attributed to
 //    migration-window, not lumped into generic no-pcb drops;
-//  * pktwalk — golden text/JSON rendering incl. --lost-only;
-//  * zero cost — disabling both recorders must not move virtual time.
+//  * pktwalk — golden text/JSON rendering incl. --lost-only.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -665,42 +664,6 @@ TEST(QueueGauges, EveryPacketQueueExportsDepthDroppedAndHighWatermark) {
   EXPECT_EQ(hwm_gauges, depth_gauges);
   EXPECT_GE(dropped_gauges, hwm_gauges);
   EXPECT_GT(max_hwm, 0u) << "traffic must have raised some queue's high watermark";
-}
-
-// ---------------------------------------------------------------------------
-// Zero cost: the recorders observe everything and charge nothing. With both
-// recorders disabled (no ids minted, no hops, no ledger) virtual time is
-// byte-identical to the fully-recorded run — the Table 2/3/4 guarantee.
-
-TEST(JourneyZeroCost, DisabledAndEnabledRunsAreVirtualTimeIdentical) {
-  ProtolatOptions opt;
-  opt.proto = IpProto::kTcp;
-  opt.msg_size = 512;
-  opt.trials = 10;
-  const MachineProfile prof = MachineProfile::DecStation5000();
-  for (Config config : {Config::kInKernel, Config::kServer, Config::kLibraryShmIpf}) {
-    uint64_t minted = 0;
-    size_t hops = 0;
-    ProtolatHooks hooks;
-    hooks.on_world = [](World& w) { WidenRings(w); };
-    hooks.on_end = [&](World& w) {
-      minted = w.obs().journey.minted();
-      hops = w.obs().journey.hops().size();
-    };
-    double recorded = RunProtolat(config, prof, opt, hooks);
-    ASSERT_GT(minted, 0u) << ConfigName(config);
-    ASSERT_GT(hops, 0u) << ConfigName(config);
-
-    hooks.on_world = [](World& w) {
-      w.obs().drops.set_enabled(false);
-      w.obs().journey.set_enabled(false);
-    };
-    double plain = RunProtolat(config, prof, opt, hooks);
-    EXPECT_EQ(minted, 0u) << ConfigName(config);
-    EXPECT_EQ(hops, 0u) << ConfigName(config);
-
-    EXPECT_EQ(plain, recorded) << ConfigName(config);
-  }
 }
 
 }  // namespace

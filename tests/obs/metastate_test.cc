@@ -1,6 +1,6 @@
-// MetastateLedger unit tests: event counting, the runtime kill switch,
-// per-phase histograms and the stats-registry export surface, counted from
-// construction or from a mid-run baseline. Each test owns its ledger.
+// MetastateLedger unit tests: event counting, per-phase histograms and the
+// stats-registry export surface, counted from construction or from a mid-run
+// baseline. Each test owns its ledger.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -54,17 +54,6 @@ TEST_F(MetastateTest, CountAccumulatesPerEvent) {
   EXPECT_EQ(m.total(MetaEvent::kArpMiss), 2u);
   EXPECT_EQ(m.total(MetaEvent::kRouteLookup), 10u);
   EXPECT_EQ(m.total(MetaEvent::kArpHit), 0u);
-}
-
-TEST_F(MetastateTest, KillSwitchStopsCountingAndPhases) {
-  m.set_enabled(false);
-  m.Count(MetaEvent::kPortAcquire);
-  m.RecordPhase(MigrationPhase::kFreeze, Micros(5));
-  EXPECT_EQ(m.total(MetaEvent::kPortAcquire), 0u);
-  EXPECT_EQ(m.phase(MigrationPhase::kFreeze).count(), 0u);
-  m.set_enabled(true);
-  m.Count(MetaEvent::kPortAcquire);
-  EXPECT_EQ(m.total(MetaEvent::kPortAcquire), 1u);
 }
 
 TEST_F(MetastateTest, PhasesRecordIntoIndependentHistograms) {

@@ -9,7 +9,8 @@
 // pair is profiled. And no observability state leaks from one run into the
 // next inside one process: the second run of each pair, and every run
 // after the first cell, follows earlier Worlds in the same process.
-// The two-process replay is the torture_replay_is_byte_identical ctest.
+// Across processes, the torture_seed<N>_golden ctests diff each seed's
+// report with its committed golden (tests/golden/).
 #include <gtest/gtest.h>
 
 #include <string>
