@@ -28,7 +28,7 @@ namespace psd {
 struct EngineRunOutcome {
   uint64_t frames = 0;    // wire frames carried (the "packets" denominator)
   uint64_t events = 0;    // simulator events executed
-  uint64_t switches = 0;  // control transfers into fibers (Simulator::thread_switches)
+  uint64_t switches = 0;  // stack switches into fibers (Simulator::thread_switches)
   uint64_t elided = 0;    // of `events`, wakeups that skipped the queue (elided_wakeups)
   SimTime virtual_end = 0;
   double wall_ns = 0;     // host time for the simulation phase

@@ -82,8 +82,11 @@ namespace psd {
 
 namespace {
 
-// Min-heap comparator for heap_: true when `a` executes later.
-bool NodeAfter(const EventNode* a, const EventNode* b) { return b->Before(*a); }
+// Min-heap comparator for heap_: true when `a` executes later. A function
+// object, so the heap algorithms inline it.
+struct NodeAfter {
+  bool operator()(const EventNode* a, const EventNode* b) const { return b->Before(*a); }
+};
 
 constexpr size_t kStackBytes = 1024 * 1024;
 constexpr size_t kGuardBytes = 4096;
@@ -173,16 +176,16 @@ inline void AsanFinishSwitch(void* fake_stack, const void** from_lo, size_t* fro
 #endif
 }
 
-// Switches from the running context to `load_sp`, saving ours in *save_sp;
-// returns once some context switches back. [to_lo, to_lo + to_size) bounds
-// the stack being entered; the bounds of the stack that eventually switches
-// back land in *from_lo/*from_size (either may be null).
-inline void SwitchStack(void** save_sp, void* load_sp, const void* to_lo, size_t to_size,
-                        const void** from_lo, size_t* from_size) {
-  void* fake_stack = nullptr;
-  AsanStartSwitch(&fake_stack, to_lo, to_size);
-  psd_fiber_switch(save_sp, load_sp);
-  AsanFinishSwitch(fake_stack, from_lo, from_size);
+FpEnv ReadFpEnv() {
+  FpEnv e;
+  e.mxcsr = __builtin_ia32_stmxcsr();
+  asm volatile("fnstcw %0" : "=m"(e.x87_cw));
+  return e;
+}
+
+void LoadFpEnv(const FpEnv& e) {
+  __builtin_ia32_ldmxcsr(e.mxcsr);
+  asm volatile("fldcw %0" : : "m"(e.x87_cw));
 }
 
 }  // namespace
@@ -195,9 +198,7 @@ Simulator::~Simulator() {
   // primitive return, and CheckShutdown throws SimShutdown through the body.
   for (auto& t : threads_) {
     while (!t->finished_) {
-      current_ = t.get();
-      t->RunUntilBlocked();
-      current_ = nullptr;
+      SwitchTo(nullptr, t.get());
     }
   }
   threads_.clear();
@@ -225,15 +226,14 @@ void Simulator::InsertNode(EventNode* n) {
     ready_tail_ = n;
   } else {
     heap_.push_back(n);
-    std::push_heap(heap_.begin(), heap_.end(), NodeAfter);
+    std::push_heap(heap_.begin(), heap_.end(), NodeAfter{});
   }
 }
 
-EventNode* Simulator::ScheduleResume(SimThread* t, SimTime when) {
+void Simulator::ScheduleResume(SimThread* t, SimTime when) {
   EventNode* n = NewNode(when);
   n->resumes = t;
   InsertNode(n);
-  return n;
 }
 
 EventNode* Simulator::PeekNext() const {
@@ -256,7 +256,7 @@ void Simulator::RemovePeeked(EventNode* n) {
     }
     n->next = nullptr;
   } else {
-    std::pop_heap(heap_.begin(), heap_.end(), NodeAfter);
+    std::pop_heap(heap_.begin(), heap_.end(), NodeAfter{});
     assert(heap_.back() == n);
     heap_.pop_back();
   }
@@ -274,103 +274,116 @@ void Simulator::Run(SimTime until) {
   stopped_ = false;
   in_run_ = true;
   run_until_ = until;
-  // Host-profiler attribution (reads the TSC, never virtual state): loop
-  // dispatch — heap peek/pop, arena frees — charges to sim.sched
-  // exclusively; closure bodies charge to sim.event; time while a resumed
-  // fiber runs charges to that fiber via the Depart/Arrive edges in
-  // RunUntilBlocked.
-  ProfScope prof_sched(ProfDomain::kSimSched);
-  for (;;) {
-    EventNode* n = PeekNext();
-    if (stopped_ || n == nullptr || n->time > until) {
-      break;
-    }
-    RemovePeeked(n);
-    now_ = n->time;
-    events_executed_++;
-    if (n->resumes != nullptr) {
-      SimThread* t = n->resumes;
-      arena_.Free(n);
-      ResumeThread(t);
-    } else {
-      {
-        ProfScope prof_ev(ProfDomain::kSimEvent);
-        n->invoke(n);
-      }
-      n->DestroyCallable();
-      arena_.Free(n);
-    }
-  }
+  run_fp_env_ = ReadFpEnv();
+  Dispatch(nullptr);
   in_run_ = false;
   if (until != kTimeNever && now_ < until && !stopped_) {
     now_ = until;
   }
 }
 
-bool Simulator::TryFastResume(SimThread* t, EventNode* n) {
-  assert(current_ == t);
-  if (!in_run_ || shutting_down_) {
-    return false;
-  }
-  // Drain events inline on this OS thread until the calling thread's own
-  // wakeup `n` comes up, in which case the thread just keeps going — zero
-  // handoffs. Closures run in event context exactly as the loop would run
-  // them, and a parked foreign thread is resumed directly (one wake/park
-  // pair instead of two via the event-loop thread); this OS thread blocks
-  // until it yields, then keeps draining. The one case that aborts the
-  // drain is a resume for a non-parked thread: that thread is blocked
-  // inside someone's RunUntilBlocked further up the token chain, so the
-  // only way to reach it is to park — the token then unwinds resumer by
-  // resumer until the drain loop holding that thread's frame continues and
-  // finds its own wakeup on top. Virtual behavior (time, order, event
-  // count) is identical to the loop running everything.
-  // The drain IS the scheduler, just running on a fiber's OS context: charge
-  // it to sim.sched (nested under whatever scope the fiber holds open), with
-  // closure bodies under sim.event, exactly like the main loop. The scope
-  // opens lazily, once the drain commits to processing an event: most calls
-  // bail on the first peek, and paying two TSC stamps on that path roughly
-  // doubled the profiler's whole-run overhead (the peek itself is a few ns
-  // and charges to whatever scope the caller holds — noise).
-  std::optional<ProfScope> prof_sched;
-  while (!stopped_) {
-    EventNode* top = PeekNext();
-    if (top == nullptr || top->time > run_until_) {
-      return false;
-    }
-    SimThread* u = top->resumes;
-    if (u != nullptr && u != t && !u->parked_ && !u->finished_) {
-      return false;  // on the token chain above us: unwind to it
-    }
-    if (!prof_sched.has_value()) {
-      prof_sched.emplace(ProfDomain::kSimSched);
-    }
-    RemovePeeked(top);
-    now_ = top->time;
-    events_executed_++;
-    if (top == n) {
-      arena_.Free(n);
-      return true;
-    }
-    if (u != nullptr) {
-      arena_.Free(top);
-      if (!u->finished_) {
-        thread_switches_++;
-        current_ = u;
-        u->RunUntilBlocked();
-        current_ = t;
+void Simulator::Dispatch(SimThread* self) {
+  // Host-profiler attribution (reads the TSC, never virtual state): the
+  // loop — heap peek/pop, arena frees — charges to sim.sched, closure
+  // bodies to sim.event. The scope closes before the switch, whose
+  // Depart/Arrive edges charge the gap to fiber.swap.
+  SimThread* next = nullptr;
+  // Closures run under Run's caller's FP environment. On a fiber's stack,
+  // the first closure swaps it in if the fiber's differs, and the fiber's
+  // comes back on return; the switch keeps each context's own.
+  bool fp_env_checked = self == nullptr;
+  bool fp_env_swapped = false;
+  FpEnv own_fp_env;
+  {
+    ProfScope prof_sched(ProfDomain::kSimSched);
+    while (next == nullptr) {
+      EventNode* n = PeekNext();
+      if (!in_run_ || stopped_ || shutting_down_ || n == nullptr || n->time > run_until_) {
+        break;
       }
+      RemovePeeked(n);
+      now_ = n->time;
+      events_executed_++;
+      if (n->resumes != nullptr) {
+        next = n->resumes;
+        arena_.Free(n);
+      } else {
+        if (!fp_env_checked) {
+          fp_env_checked = true;
+          own_fp_env = ReadFpEnv();
+          fp_env_swapped = own_fp_env != run_fp_env_;
+          if (fp_env_swapped) {
+            LoadFpEnv(run_fp_env_);
+          }
+        }
+        current_ = nullptr;
+        {
+          ProfScope prof_ev(ProfDomain::kSimEvent);
+          n->invoke(n);
+        }
+        n->DestroyCallable();
+        arena_.Free(n);
+        next = handoff_;
+        handoff_ = nullptr;
+      }
+      if (next != nullptr && next->finished_) {
+        next = nullptr;  // stale wakeup for a killed thread
+      }
+    }
+  }
+  if (next != self) {
+    SwitchTo(self, next);
+  } else {
+    current_ = self;
+  }
+  if (fp_env_swapped) {
+    LoadFpEnv(own_fp_env);
+  }
+}
+
+void Simulator::SwitchTo(SimThread* from, SimThread* to) {
+  if (HostProfiler::enabled()) {
+    HostProfiler::Get().Depart();
+  }
+  void** save_sp = from != nullptr ? &from->fiber_sp_ : &main_sp_;
+  void* fake_stack = nullptr;
+  void** fake_stack_slot = &fake_stack;
+  if (from != nullptr && from->finished_) {
+    // Never resumed: whoever comes next frees its stack, and ASan its fake
+    // stack.
+    exited_ = from;
+    fake_stack_slot = nullptr;
+  }
+  if (to != nullptr) {
+    thread_switches_++;
+    AsanStartSwitch(fake_stack_slot, to->stack_, kStackBytes);
+    psd_fiber_switch(save_sp, to->fiber_sp_);
+  } else {
+    AsanStartSwitch(fake_stack_slot, main_stack_lo_, main_stack_size_);
+    psd_fiber_switch(save_sp, main_sp_);
+  }
+  Arrived(from, fake_stack);
+}
+
+void Simulator::Arrived(SimThread* self, void* fake_stack) {
+  if (main_stack_size_ == 0) {
+    AsanFinishSwitch(fake_stack, &main_stack_lo_, &main_stack_size_);
+  } else {
+    AsanFinishSwitch(fake_stack, nullptr, nullptr);
+  }
+  if (HostProfiler::enabled()) {
+    if (self != nullptr) {
+      HostProfiler::Get().ArriveFiber(&self->prof_ctx_, self->name_);
     } else {
-      current_ = nullptr;
-      {
-        ProfScope prof_ev(ProfDomain::kSimEvent);
-        top->invoke(top);
-      }
-      top->DestroyCallable();
-      current_ = t;
-      arena_.Free(top);
+      HostProfiler::Get().Arrive(0);  // Run's caller is the profiler's base context
     }
   }
-  return false;
+  if (exited_ != nullptr) {
+    stack_pool.Release(exited_->stack_);  // dead fibers keep their SimThread, not their stack
+    exited_->stack_ = nullptr;
+    exited_ = nullptr;
+  }
+  current_ = self;
 }
 
 bool Simulator::CanElideWakeup(SimTime t) const {
@@ -390,8 +403,9 @@ bool Simulator::CanElideWakeup(SimTime t) const {
 
 void Simulator::ElideWakeup(SimTime t) {
   assert(CanElideWakeup(t));
-  // Exactly TryFastResume's `top == n` exit, minus the node: the same clock,
-  // seq and event count, with no arena node and no heap operation.
+  // Exactly Dispatch popping the thread's own wakeup, minus the node: the
+  // same clock, seq and event count, with no arena node and no heap
+  // operation.
   if (t < now_) {
     t = now_;
     past_time_clamps_++;
@@ -414,21 +428,13 @@ void Simulator::KillThread(SimThread* t) {
   assert(current_ == nullptr && "KillThread must be called outside Run()");
   t->killed_ = true;
   while (!t->finished_) {
-    current_ = t;
-    t->RunUntilBlocked();
-    current_ = nullptr;
+    SwitchTo(nullptr, t);
   }
 }
 
 void Simulator::ResumeThread(SimThread* t) {
-  if (t->finished_) {
-    return;  // stale wakeup for a killed thread
-  }
-  assert(current_ == nullptr && "nested thread resume");
-  thread_switches_++;
-  current_ = t;
-  t->RunUntilBlocked();
-  current_ = nullptr;
+  assert(current_ == nullptr && handoff_ == nullptr && "one resume per closure");
+  handoff_ = t;
 }
 
 // ---------------------------------------------------------------------------
@@ -463,10 +469,7 @@ SimThread::~SimThread() {
 }
 
 void SimThread::FiberMain() {
-  AsanFinishSwitch(nullptr, &return_stack_lo_, &return_stack_size_);
-  if (HostProfiler::enabled()) {
-    HostProfiler::Get().ArriveFiber(&prof_ctx_, name_);
-  }
+  sim_->Arrived(this, nullptr);
   try {
     CheckShutdown();
     // Run the body from a local so its captures die with the body, not with
@@ -477,49 +480,9 @@ void SimThread::FiberMain() {
     // Normal teardown path.
   }
   finished_ = true;
-  parked_ = true;
-  if (HostProfiler::enabled()) {
-    HostProfiler::Get().Depart();
-  }
-  // Final exit; whoever entered this fiber returns the stack to the pool.
-  AsanStartSwitch(nullptr, return_stack_lo_, return_stack_size_);
-  psd_fiber_switch(&fiber_sp_, return_sp_);
+  // Final exit: dispatch on until a switch leaves this stack for good.
+  sim_->Dispatch(this);
   __builtin_unreachable();
-}
-
-void SimThread::RunUntilBlocked() {
-  parked_ = false;
-  // Host-profiler context-switch edges: remember whose host time was accruing
-  // (this frame's context survives the swap on our stack), charge the swap
-  // gap to fiber.swap, and restore on return.
-  uint32_t prof_prev = 0;
-  if (HostProfiler::enabled()) {
-    prof_prev = HostProfiler::Get().Depart();
-  }
-  // Each entry freshly records the caller's context, so nested drain chains
-  // (fiber A drains and enters fiber B, which later yields) unwind to the
-  // right frame.
-  SwitchStack(&return_sp_, fiber_sp_, stack_, kStackBytes, nullptr, nullptr);
-  if (HostProfiler::enabled()) {
-    HostProfiler::Get().Arrive(prof_prev);
-  }
-  if (finished_ && stack_ != nullptr) {
-    stack_pool.Release(stack_);  // dead fibers keep their SimThread, not their stack
-    stack_ = nullptr;
-  }
-}
-
-void SimThread::YieldToSimulator() {
-  parked_ = true;
-  if (HostProfiler::enabled()) {
-    HostProfiler::Get().Depart();
-  }
-  SwitchStack(&fiber_sp_, return_sp_, return_stack_lo_, return_stack_size_, &return_stack_lo_,
-              &return_stack_size_);
-  if (HostProfiler::enabled()) {
-    HostProfiler::Get().ArriveFiber(&prof_ctx_, name_);
-  }
-  CheckShutdown();
 }
 
 void SimThread::CheckShutdown() {
@@ -547,14 +510,9 @@ void SimThread::SleepUntil(SimTime t) {
   if (sim_->TrySkipWakeup(t)) {
     return;
   }
-  EventNode* n = sim_->ScheduleResume(this, t);
-  if (sim_->TryFastResume(this, n)) {
-    // Our wakeup was the next event anyway: time advanced, the event was
-    // consumed and counted, and this OS thread just keeps going — no
-    // round trip through the event-loop thread.
-    return;
-  }
-  YieldToSimulator();
+  sim_->ScheduleResume(this, t);
+  sim_->Dispatch(this);
+  CheckShutdown();
 }
 
 void SimThread::SleepFor(SimDuration d) { SleepUntil(sim_->Now() + d); }
@@ -575,7 +533,8 @@ bool SimThread::WaitOn(WaitQueue* q, SimTime deadline, const DeadlineHook* on_de
     ArmWaitDeadline(q, wait_epoch_, deadline);
   }
   try {
-    YieldToSimulator();
+    sim_->Dispatch(this);
+    CheckShutdown();
   } catch (...) {
     // Forced unwind: leave no dangling queue entry behind. During whole-
     // simulator shutdown the queue's owner may already be destroyed, so the

@@ -8,9 +8,9 @@
 //    per-event cost is independent of host scheduler load. Fiber stacks
 //    are pooled 1 MB mappings with a PROT_NONE guard page: an overflow
 //    faults instead of corrupting the heap.
-//    Exactly one of {event loop, some SimThread} runs at any instant, so
-//    simulation state needs no locking and runs are bit-for-bit
-//    reproducible.
+//    Exactly one context (Run's caller or some SimThread) runs at any
+//    instant, so simulation state needs no locking and runs are
+//    bit-for-bit reproducible.
 //  * Virtual time advances only between events. Events at equal times run in
 //    schedule order (monotonic sequence tie-break).
 //  * CPU time is modelled per host by HostCpu: charging N ns of CPU occupies
@@ -21,13 +21,15 @@
 // Scheduler internals (see DESIGN.md "Engine internals"): one event queue.
 // Events are arena-recycled EventNodes ordered by (time, seq) in a binary
 // heap, plus a FIFO for events scheduled at exactly Now() (no ordering
-// structure needed there — sequence numbers are monotonic). Two wall-clock
-// fast paths never change virtual behavior. A thread that sleeps while
-// nothing is queued at or before its wakeup skips the queue altogether: the
-// clock, seq and event count advance as if its wakeup were pushed and popped
-// (counted in elided_wakeups()). Otherwise the wakeup is queued and the
-// thread drains the events ahead of it inline; if its own wakeup then comes
-// up it continues without handing control back to the event loop.
+// structure needed there — sequence numbers are monotonic). One dispatch
+// loop pops them, and every context runs it: Run's caller, and a thread
+// that blocks. It runs closures inline on the current stack, returns when
+// its own thread's wakeup comes up, and switches straight to the fiber
+// whose wakeup comes up otherwise; when nothing is runnable it switches to
+// Run's caller. A thread that sleeps while nothing is queued at or before
+// its wakeup skips the queue altogether: the clock, seq and event count
+// advance as if its wakeup were pushed and popped (counted in
+// elided_wakeups()). Neither changes virtual behavior.
 #ifndef PSD_SRC_SIM_SIMULATOR_H_
 #define PSD_SRC_SIM_SIMULATOR_H_
 
@@ -76,6 +78,13 @@ class HostCpu {
 // Thrown inside SimThreads when the simulator shuts down while they are
 // blocked; unwinds the thread body. Never catch it (catch(...) must rethrow).
 struct SimShutdown {};
+
+// A context's floating-point environment: MXCSR and the x87 control word.
+struct FpEnv {
+  uint32_t mxcsr = 0;
+  uint16_t x87_cw = 0;
+  bool operator==(const FpEnv&) const = default;
+};
 
 class Simulator {
  public:
@@ -134,8 +143,9 @@ class Simulator {
   // the next event anyway (each is also counted in events_executed()).
   uint64_t elided_wakeups() const { return elided_wakeups_; }
 
-  // Number of control transfers into a SimThread (each implies a matching
-  // switch back out when it parks: two fiber stack switches). The engine
+  // Number of stack switches into a SimThread's fiber: one per hand-off,
+  // made by whichever context's dispatch loop popped the wakeup. A switch
+  // back to Run's caller (nothing left to run) is not counted. The engine
   // fast paths exist to minimize this number; bench/bench_engine reports it
   // per packet.
   uint64_t thread_switches() const { return thread_switches_; }
@@ -167,7 +177,7 @@ class Simulator {
   }
 
   void InsertNode(EventNode* n);
-  EventNode* ScheduleResume(SimThread* t, SimTime when);
+  void ScheduleResume(SimThread* t, SimTime when);
 
   // The pending node with the smallest (time, seq), or nullptr.
   EventNode* PeekNext() const;
@@ -178,15 +188,21 @@ class Simulator {
   // CanElideWakeup(t) (returns true), else changes nothing (returns false).
   bool TrySkipWakeup(SimTime t);
 
-  // Thread-context fast path: drain events inline on the calling thread's
-  // OS thread — closures run in event context exactly as the loop would run
-  // them — until `n` (the caller's own wakeup) comes up, in which case the
-  // thread continues with zero handoffs (returns true), or a foreign
-  // thread's resume surfaces / the deadline passes, in which case the
-  // caller parks normally (returns false). Virtual behavior (time, event
-  // count, order) is exactly as if the loop ran everything.
-  bool TryFastResume(SimThread* t, EventNode* n);
-
+  // The dispatch loop, run by `self` (nullptr: Run's caller) on its own
+  // stack. Pops events in (time, seq) order and runs closures inline in
+  // event context, under Run's caller's FP environment. Returns when
+  // `self`'s wakeup comes up; switches to a fiber whose wakeup comes up
+  // and returns once something switches back; and, when nothing is
+  // runnable, returns (Run's caller) or switches to Run's caller. A thread
+  // thus resumes only after its own wakeup was consumed, or to unwind.
+  void Dispatch(SimThread* self);
+  // The one stack switch: from the running context `from` to `to` (nullptr
+  // is Run's caller); returns once something switches back to `from`.
+  void SwitchTo(SimThread* from, SimThread* to);
+  // What a context does on arriving from a switch (FiberMain's first entry
+  // included): ASan and profiler edges, the exited fiber's stack, current_.
+  void Arrived(SimThread* self, void* fake_stack);
+  // From event context (a wait's timeout): `t` runs right after the closure.
   void ResumeThread(SimThread* t);
 
   SimTime now_ = 0;
@@ -200,6 +216,14 @@ class Simulator {
   bool in_run_ = false;
   SimTime run_until_ = 0;
   SimThread* current_ = nullptr;
+  FpEnv run_fp_env_;                // Run's caller's, for closures on fibers
+  SimThread* handoff_ = nullptr;    // set by ResumeThread during a closure
+  SimThread* exited_ = nullptr;     // finished; the next arrival frees its stack
+  void* main_sp_ = nullptr;         // Run's caller, while a fiber runs
+  // Run's caller's stack bounds, for ASan (unused in other builds): taken
+  // at the first switch ever made, which always leaves that context.
+  const void* main_stack_lo_ = nullptr;
+  size_t main_stack_size_ = 0;
 
   EventArena arena_;
   // FIFO of events scheduled at exactly Now(): they are younger (higher
@@ -213,7 +237,7 @@ class Simulator {
 };
 
 // A simulated thread. User code runs on a dedicated fiber stack under
-// strict hand-off with the simulator loop; use the blocking primitives below
+// strict hand-off with the dispatch loop; use the blocking primitives below
 // instead of OS synchronization.
 class SimThread {
  public:
@@ -258,11 +282,6 @@ class SimThread {
 
   static void FiberEntry(SimThread* t) { t->FiberMain(); }
   [[noreturn]] void FiberMain();
-  // Transfers control into this thread's fiber; returns when it yields or
-  // finishes. The caller's context becomes this fiber's return target.
-  void RunUntilBlocked();
-  // Transfers control: fiber -> whoever entered it via RunUntilBlocked.
-  void YieldToSimulator();
   void CheckShutdown();
   // Schedules the deadline event of the wait on `q` tagged `epoch`.
   void ArmWaitDeadline(WaitQueue* q, uint64_t epoch, SimTime deadline);
@@ -278,20 +297,9 @@ class SimThread {
   // else on that context's own stack.
   uint8_t* stack_ = nullptr;     // lowest usable byte; the guard page is below
   void* fiber_sp_ = nullptr;     // this fiber, while it is not running
-  void* return_sp_ = nullptr;    // whoever entered it via RunUntilBlocked
   std::function<void()> body_;   // consumed at first entry
-  // Bounds of the stack that last entered this fiber, which ASan must be
-  // told about when the fiber switches back to it (unused in other builds).
-  const void* return_stack_lo_ = nullptr;
-  size_t return_stack_size_ = 0;
 
   bool finished_ = false;
-  // True while this thread is parked (yielded, or not yet started):
-  // entering it via RunUntilBlocked is safe from any running context.
-  // False while running or while blocked inside another thread's
-  // RunUntilBlocked (on the control-transfer chain) — entering it then
-  // would abandon the frame that is waiting for that transfer to return.
-  bool parked_ = true;
 
   // Wait bookkeeping (touched only under the simulation's logical lock).
   WaitQueue* waiting_on_ = nullptr;

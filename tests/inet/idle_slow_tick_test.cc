@@ -111,8 +111,12 @@ TEST_F(TimeWaitHost, EventDueBeforeTheChargesEndWakesTheThread) {
 }
 
 // A thread holding the domain lock across the tick: the timer thread wakes
-// and queues for the lock. Three switches in all: the holder's start, and
-// the timer thread's wake at the tick and at the unlock.
+// and queues for the lock. Four switches into fibers: the holder's start;
+// the holder's sleep pops the tick's timeout and hands off to the timer
+// thread; the timer thread blocks on the lock and its loop pops the
+// holder's wakeup; the holder unlocks and exits, and its last loop pops the
+// timer thread's wakeup. The timer thread then waits with nothing left to
+// run and switches to Run's caller, which is not counted.
 TEST_F(TimeWaitHost, HeldDomainLockWakesTheThread) {
   const SimTime next = tick_ + Millis(500);
   const int idle = pcb_->t_idle;
@@ -124,7 +128,7 @@ TEST_F(TimeWaitHost, HeldDomainLockWakesTheThread) {
     self->SleepUntil(next + Millis(100));
   });
   RunOneTick();
-  EXPECT_EQ(switches(), before + 3);
+  EXPECT_EQ(switches(), before + 4);
   EXPECT_EQ(pcb_->t_idle, idle + 1);
   // The grid is unchanged: the next tick is idle again.
   const uint64_t after = switches();

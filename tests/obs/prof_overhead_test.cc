@@ -22,11 +22,13 @@
 //        a slower stamp path without flaking on loaded CI machines. Only
 //        optimized, uninstrumented builds check it: under ASan at -O0 the
 //        same crossing costs ~900 ns.
-//      - Crossings per frame: deterministic, 71.1 today. An earlier
-//        version opened a sched scope on every fast-resume bail; that
-//        regression is 77.0 crossings per frame, and the original ratio
-//        form of this test is what flagged it. A new hot-path scope
-//        should raise this ceiling on purpose, not by accident.
+//      - Crossings per frame: deterministic, 58.5 today. It was 71.1
+//        when the bound was set, and an earlier engine that opened a
+//        sched scope on every fast-resume bail read 77.0, which the
+//        original ratio form of this test flagged. The one dispatch loop
+//        opens its sched scope once per loop call, on every context
+//        (52.8 before it). A new hot-path scope should raise this
+//        ceiling on purpose, not by accident.
 //    Bench trials are never profiled (host_profile rows come from one
 //    extra run), so neither cost reaches a bench number.
 //

@@ -1,13 +1,17 @@
 // Scheduler-focused regression tests: (time, seq) ordering across
 // microsecond-to-second time scales, inserts from event context, scheduling
 // after an idle Run(until), past-time clamping, the self-wakeup queue skip,
-// wait-queue intrusive-list integrity and timed waits' deadline hooks. The replay harness
-// (replay_ab_test.cc) covers whole-system determinism; these pin down the
-// scheduler primitives it rests on.
+// direct hand-offs between fibers, wait-queue intrusive-list integrity and
+// timed waits' deadline hooks. The replay harness (replay_ab_test.cc)
+// covers whole-system determinism; these pin down the scheduler primitives
+// it rests on.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <optional>
 #include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/sim/simulator.h"
@@ -270,6 +274,59 @@ TEST(SelfWakeup, EventContextElisionMatchesTheThreadsOwn) {
   EXPECT_FALSE(sim.CanElideWakeup(Micros(40))) << "outside Run nothing is elided";
 }
 
+// --- Hand-offs between fibers --------------------------------------------
+
+// The chain pattern of a connection storm: each woken fiber wakes the next
+// and then charges, so every charge is still running when the next fiber
+// wakes. Each hand-off is one switch, straight from the fiber that pops the
+// wakeup into the fiber it wakes, however deep the chain.
+TEST(HandOff, OneSwitchPerHandOffAtAnyChainDepth) {
+  constexpr int kFibers = 64;
+  Simulator sim;
+  std::vector<HostCpu> cpus(kFibers);
+  std::deque<WaitQueue> queues;
+  for (int i = 0; i < kFibers; i++) {
+    queues.emplace_back(&sim);
+  }
+  std::vector<std::pair<int, SimTime>> order;  // (fiber, time); fiber + 100 at its end
+  for (int i = 0; i < kFibers; i++) {
+    sim.Spawn("link" + std::to_string(i), &cpus[i], [&, i] {
+      sim.current_thread()->WaitOn(&queues[i]);
+      order.emplace_back(i, sim.Now());
+      if (i + 1 < kFibers) {
+        queues[i + 1].NotifyOne();
+      }
+      sim.current_thread()->Charge(Micros(10));
+      order.emplace_back(i + 100, sim.Now());
+    });
+  }
+  sim.Schedule(Millis(1), [&] { queues[0].NotifyOne(); });
+
+  // Up to the middle of the charges: N starts (each start's wait pops the
+  // next start) and the N hand-offs of the chain, the first from the loop
+  // that runs the kick; one switch each. A nested drain entered each fiber
+  // and later switched back out of it: two stack switches per hand-off.
+  sim.Run(Millis(1) + Micros(5));
+  std::vector<std::pair<int, SimTime>> want;
+  for (int i = 0; i < kFibers; i++) {
+    want.emplace_back(i, Millis(1));
+  }
+  EXPECT_EQ(order, want);
+  EXPECT_EQ(sim.thread_switches(), uint64_t{2 * kFibers}) << "N starts + N hand-offs";
+
+  // The charges end in wakeup order: the loop that finds nothing left before
+  // the deadline went to Run's caller, which now pops the first charge end;
+  // each fiber then exits and its last loop pops the next one.
+  sim.Run();
+  for (int i = 0; i < kFibers; i++) {
+    want.emplace_back(i + 100, Millis(1) + Micros(10));
+  }
+  EXPECT_EQ(order, want);
+  EXPECT_EQ(sim.thread_switches(), uint64_t{3 * kFibers}) << "and one per charge end";
+  EXPECT_EQ(sim.events_executed(), uint64_t{3 * kFibers + 1});
+  EXPECT_EQ(sim.elided_wakeups(), 0u);
+}
+
 TEST(WaitQueue, TimeoutRemovesFromMiddleOfQueue) {
   // Three waiters; the middle one times out first. The intrusive list must
   // unlink it cleanly and keep FIFO order for the survivors.
@@ -337,7 +394,11 @@ TEST(DeadlineHook, RearmsThenTimesOut) {
   EXPECT_EQ(ran, (std::vector<SimTime>{Millis(1), Millis(2), Millis(3), Millis(4)}));
   EXPECT_FALSE(notified);
   EXPECT_EQ(woke, Millis(4));
-  EXPECT_EQ(sim.thread_switches(), 2u) << "the start and the timeout, nothing per re-arm";
+  // One switch, the start. The wait's dispatch loop runs on the thread's
+  // own stack: it pops every deadline itself, and the timeout hands the
+  // thread back to that loop with no switch. Exiting finds nothing to run
+  // and switches to Run's caller, which is not a switch into a fiber.
+  EXPECT_EQ(sim.thread_switches(), 1u) << "the start, nothing per re-arm or for the timeout";
   EXPECT_EQ(sim.events_executed(), 5u);
   EXPECT_TRUE(q.empty());
 }

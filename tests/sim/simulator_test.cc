@@ -288,6 +288,40 @@ TEST(SimThread, FloatingPointEnvironmentIsPerContext) {
   EXPECT_EQ(std::fegetround(), FE_TONEAREST);
 }
 
+// The drained case: the fiber's charge outlasts the event at 1 ms, so its
+// own dispatch loop pops and runs that closure on the fiber's stack (one
+// switch, the start). The closure must still see Run's caller's rounding
+// mode, and the fiber its own once the charge ends.
+TEST(SimThread, FloatingPointEnvironmentOfDrainedEvents) {
+  volatile double one = 1.0;
+  volatile double three = 3.0;
+  const double nearest_third = one / three;
+  Simulator sim;
+  HostCpu cpu;
+  int event_round = -1;
+  double event_third = 0;
+  int resumed_round = -1;
+  double resumed_third = 0;
+  sim.Spawn("upward", &cpu, [&] {
+    std::fesetround(FE_UPWARD);
+    sim.current_thread()->Charge(Millis(2));
+    resumed_round = std::fegetround();
+    resumed_third = one / three;
+    std::fesetround(FE_TONEAREST);
+  });
+  sim.Schedule(Millis(1), [&] {
+    event_round = std::fegetround();
+    event_third = one / three;
+  });
+  sim.Run();
+  EXPECT_EQ(sim.thread_switches(), 1u) << "the closure was not drained on the fiber";
+  EXPECT_EQ(event_round, FE_TONEAREST);
+  EXPECT_EQ(event_third, nearest_third);
+  EXPECT_EQ(resumed_round, FE_UPWARD);
+  EXPECT_GT(resumed_third, nearest_third);
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+}
+
 TEST(Simulator, DeterministicAcrossRuns) {
   auto run = [] {
     Simulator sim;
