@@ -40,7 +40,6 @@ MacResolver::Status ArpLayer::Resolve(Ipv4Addr next_hop, MacAddr* out, Chain* pe
     // creation, so there is no journey id to terminate — ledger with id 0
     // like the other pre-frame tx drops.
     e.hold.pop_front();
-    hold_drops_++;
     env_->Drop(0, TraceLayer::kInet, DropReason::kEtherUnresolved);
   }
   e.resolved = false;

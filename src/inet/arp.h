@@ -63,7 +63,6 @@ class ArpLayer : public MacResolver {
 
   uint64_t requests_sent() const { return requests_sent_; }
   uint64_t replies_sent() const { return replies_sent_; }
-  uint64_t hold_drops() const { return hold_drops_; }
 
  private:
   struct Entry {
@@ -92,7 +91,6 @@ class ArpLayer : public MacResolver {
   std::function<void(Ipv4Addr)> change_hook_;
   uint64_t requests_sent_ = 0;
   uint64_t replies_sent_ = 0;
-  uint64_t hold_drops_ = 0;
 };
 
 }  // namespace psd

@@ -20,7 +20,6 @@ Result<void> EtherLayer::OutputIp(Chain pkt, Ipv4Addr next_hop) {
     case MacResolver::Status::kPending:
       return OkResult();  // resolver owns the packet now
     case MacResolver::Status::kFail:
-      unresolved_drops_++;
       // Tx-side: the packet dies before a frame (and its id) exists.
       env_->Drop(0, TraceLayer::kInet, DropReason::kEtherUnresolved);
       return Err::kHostUnreach;

@@ -38,14 +38,12 @@ class EtherLayer {
   static bool Parse(const Frame& f, RxFrame* out);
 
   uint64_t tx_frames() const { return tx_frames_; }
-  uint64_t unresolved_drops() const { return unresolved_drops_; }
 
  private:
   StackEnv* env_;
   MacAddr self_;
   MacResolver* resolver_ = nullptr;
   uint64_t tx_frames_ = 0;
-  uint64_t unresolved_drops_ = 0;
 };
 
 }  // namespace psd

@@ -43,7 +43,6 @@ Result<void> IpLayer::Output(Chain payload, IpProto proto, Ipv4Addr src, Ipv4Add
     next_hop = routes_->NextHop(dst);
   }
   if (!next_hop) {
-    stats_.no_route++;
     // Tx-side: dies before a frame exists, so no packet id yet.
     env_->Drop(0, TraceLayer::kInet, DropReason::kIpNoRoute);
     return Err::kNetUnreach;
@@ -96,19 +95,16 @@ void IpLayer::Input(Chain pkt) {
 
   const uint8_t* h = pkt.Pullup(kIpHeaderLen);
   if (h == nullptr || h[0] != 0x45) {
-    stats_.bad_header++;
     env_->Drop(env_->cur_rx_pkt, TraceLayer::kInet, DropReason::kIpBadHeader);
     return;
   }
   env_->Charge(kIpHeaderLen * env_->prof->checksum_per_byte);
   if (InternetChecksum(h, kIpHeaderLen) != 0) {
-    stats_.bad_checksum++;
     env_->Drop(env_->cur_rx_pkt, TraceLayer::kInet, DropReason::kIpBadChecksum);
     return;
   }
   uint16_t total_len = Load16(h + 2);
   if (total_len < kIpHeaderLen || total_len > pkt.len()) {
-    stats_.bad_header++;
     env_->Drop(env_->cur_rx_pkt, TraceLayer::kInet, DropReason::kIpBadHeader);
     return;
   }
@@ -119,7 +115,6 @@ void IpLayer::Input(Chain pkt) {
   Ipv4Addr dst(Load32(h + 16));
 
   if (!(dst == my_ip_) && !(dst == Ipv4Addr::Broadcast())) {
-    stats_.not_ours++;
     env_->Drop(env_->cur_rx_pkt, TraceLayer::kInet, DropReason::kIpNotOurs);
     return;
   }
@@ -191,7 +186,6 @@ void IpLayer::InputFragment(Chain payload, const ReasmKey& key, uint16_t frag_fi
 void IpLayer::DeliverLocal(Chain payload, IpProto proto, Ipv4Addr src, Ipv4Addr dst) {
   auto it = handlers_.find(static_cast<uint8_t>(proto));
   if (it == handlers_.end()) {
-    stats_.no_proto++;
     env_->Drop(env_->cur_rx_pkt, TraceLayer::kInet, DropReason::kIpNoProto);
     return;
   }
@@ -202,7 +196,6 @@ void IpLayer::DeliverLocal(Chain payload, IpProto proto, Ipv4Addr src, Ipv4Addr 
 void IpLayer::SlowTick() {
   for (auto it = reasm_.begin(); it != reasm_.end();) {
     if (env_->Now() >= it->second.deadline) {
-      stats_.reassembly_timeouts++;
       // Timer context: the fragments' own ids were consumed at input; the
       // timeout is a whole-datagram loss with no single frame to blame.
       env_->Drop(0, TraceLayer::kInet, DropReason::kIpReassemblyTimeout);

@@ -25,15 +25,9 @@ struct IpStats {
   uint64_t sent = 0;
   uint64_t received = 0;
   uint64_t delivered = 0;
-  uint64_t bad_checksum = 0;
-  uint64_t bad_header = 0;
-  uint64_t not_ours = 0;
-  uint64_t no_route = 0;
-  uint64_t no_proto = 0;
   uint64_t fragments_sent = 0;
   uint64_t fragments_received = 0;
   uint64_t reassembled = 0;
-  uint64_t reassembly_timeouts = 0;
 };
 
 class IpLayer {
@@ -60,6 +54,8 @@ class IpLayer {
   void SlowTick();
   // True if SlowTick at `t` would time out a reassembly.
   bool SlowTickDue(SimTime t) const;
+  // True while some datagram is partly reassembled.
+  bool reassembling() const { return !reasm_.empty(); }
 
   Ipv4Addr addr() const { return my_ip_; }
   const IpStats& stats() const { return stats_; }

@@ -68,7 +68,6 @@ void Stack::InputFrame(const Frame& frame) {
     env_.Charge(env_.prof->sbqueue_fixed);
     env_.sync->ChargeSyncPair();
     if (!EtherLayer::Parse(frame, &rx)) {
-      ether_bad_frames_++;
       env_.Drop(env_.cur_rx_pkt, TraceLayer::kInet, DropReason::kEtherBadFrame);
       env_.cur_rx_pkt = 0;
       return;
@@ -100,9 +99,6 @@ void Stack::ExportStats(StatsRegistry* reg, const std::string& prefix) const {
 
   // Ethernet / ARP.
   reg->RegisterGauge(prefix + "ether.tx_frames", [this] { return ether_.tx_frames(); });
-  reg->RegisterGauge(prefix + "ether.unresolved_drops",
-                     [this] { return ether_.unresolved_drops(); });
-  reg->RegisterGauge(prefix + "ether.bad_frames", [this] { return ether_bad_frames_; });
   if (arp_ != nullptr) {
     reg->RegisterGauge(prefix + "arp.requests_sent", [this] { return arp_->requests_sent(); });
     reg->RegisterGauge(prefix + "arp.replies_sent", [this] { return arp_->replies_sent(); });
@@ -112,24 +108,14 @@ void Stack::ExportStats(StatsRegistry* reg, const std::string& prefix) const {
   reg->RegisterGauge(prefix + "ip.sent", [this] { return ip_.stats().sent; });
   reg->RegisterGauge(prefix + "ip.received", [this] { return ip_.stats().received; });
   reg->RegisterGauge(prefix + "ip.delivered", [this] { return ip_.stats().delivered; });
-  reg->RegisterGauge(prefix + "ip.bad_checksum", [this] { return ip_.stats().bad_checksum; });
-  reg->RegisterGauge(prefix + "ip.bad_header", [this] { return ip_.stats().bad_header; });
-  reg->RegisterGauge(prefix + "ip.not_ours", [this] { return ip_.stats().not_ours; });
-  reg->RegisterGauge(prefix + "ip.no_route", [this] { return ip_.stats().no_route; });
-  reg->RegisterGauge(prefix + "ip.no_proto", [this] { return ip_.stats().no_proto; });
   reg->RegisterGauge(prefix + "ip.fragments_sent", [this] { return ip_.stats().fragments_sent; });
   reg->RegisterGauge(prefix + "ip.fragments_received",
                      [this] { return ip_.stats().fragments_received; });
   reg->RegisterGauge(prefix + "ip.reassembled", [this] { return ip_.stats().reassembled; });
-  reg->RegisterGauge(prefix + "ip.reassembly_timeouts",
-                     [this] { return ip_.stats().reassembly_timeouts; });
 
   // UDP.
   reg->RegisterGauge(prefix + "udp.sent", [this] { return udp_.stats().sent; });
   reg->RegisterGauge(prefix + "udp.received", [this] { return udp_.stats().received; });
-  reg->RegisterGauge(prefix + "udp.bad_checksum", [this] { return udp_.stats().bad_checksum; });
-  reg->RegisterGauge(prefix + "udp.no_port", [this] { return udp_.stats().no_port; });
-  reg->RegisterGauge(prefix + "udp.full_drops", [this] { return udp_.stats().full_drops; });
 
   // TCP.
   reg->RegisterGauge(prefix + "tcp.segs_sent", [this] { return tcp_.stats().segs_sent; });
@@ -145,9 +131,7 @@ void Stack::ExportStats(StatsRegistry* reg, const std::string& prefix) const {
   reg->RegisterGauge(prefix + "tcp.acks_received", [this] { return tcp_.stats().acks_received; });
   reg->RegisterGauge(prefix + "tcp.acks_delayed", [this] { return tcp_.stats().acks_delayed; });
   reg->RegisterGauge(prefix + "tcp.window_updates", [this] { return tcp_.stats().window_updates; });
-  reg->RegisterGauge(prefix + "tcp.bad_checksum", [this] { return tcp_.stats().bad_checksum; });
   reg->RegisterGauge(prefix + "tcp.out_of_order", [this] { return tcp_.stats().out_of_order; });
-  reg->RegisterGauge(prefix + "tcp.dropped_no_pcb", [this] { return tcp_.stats().dropped_no_pcb; });
   reg->RegisterGauge(prefix + "tcp.rsts_sent", [this] { return tcp_.stats().rsts_sent; });
   reg->RegisterGauge(prefix + "tcp.conns_established",
                      [this] { return tcp_.stats().conns_established; });
@@ -162,6 +146,10 @@ void Stack::ExportStats(StatsRegistry* reg, const std::string& prefix) const {
   reg->RegisterGauge(prefix + "sock.send_blocks", [this] { return sock_stats_.send_blocks; });
   reg->RegisterGauge(prefix + "sock.recv_blocks", [this] { return sock_stats_.recv_blocks; });
   reg->RegisterGauge(prefix + "sock.wakeups", [this] { return sock_stats_.wakeups; });
+
+  // Every drop in this stack, from ether up to the socket buffers.
+  env_.obs->drops.ExportNodeStats(reg, prefix + "drops.", &env_.node, DropReason::kEtherBadFrame,
+                                  DropReason::kTcpAfterClose);
 }
 
 void Stack::Kick() {
@@ -195,10 +183,7 @@ Stack::PcbTimerScan Stack::ScanPcbs() const {
 }
 
 bool Stack::OtherTimersNeeded() const {
-  if (ip_.stats().fragments_received > ip_.stats().reassembled + ip_.stats().reassembly_timeouts) {
-    return true;
-  }
-  return arp_ != nullptr && arp_->HasPendingWork();
+  return ip_.reassembling() || (arp_ != nullptr && arp_->HasPendingWork());
 }
 
 bool Stack::TimersNeeded(bool* fast_needed) const {

@@ -104,7 +104,6 @@ class Stack {
   const std::string& name() const { return name_; }
 
   uint64_t frames_in() const { return frames_in_; }
-  uint64_t ether_bad_frames() const { return ether_bad_frames_; }
   SockStats& sock_stats() { return sock_stats_; }
   const SockStats& sock_stats() const { return sock_stats_; }
 
@@ -163,7 +162,6 @@ class Stack {
   SimTime next_slow_ = 0;
   const SimThread::DeadlineHook idle_slow_tick_ = [this] { return TryIdleSlowTick(); };
   uint64_t frames_in_ = 0;
-  uint64_t ether_bad_frames_ = 0;
   SockStats sock_stats_;
 };
 

@@ -185,9 +185,7 @@ struct TcpStats {
   uint64_t retransmits = 0;
   uint64_t fast_retransmits = 0;
   uint64_t dup_acks = 0;
-  uint64_t bad_checksum = 0;
   uint64_t out_of_order = 0;
-  uint64_t dropped_no_pcb = 0;
   uint64_t rsts_sent = 0;
   uint64_t conns_established = 0;
   uint64_t conns_dropped = 0;

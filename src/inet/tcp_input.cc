@@ -75,7 +75,6 @@ void TcpLayer::Input(Chain seg, Ipv4Addr src, Ipv4Addr dst) {
   }
   env_->Charge(static_cast<SimDuration>(seg.len()) * env_->prof->checksum_per_byte);
   if (TcpChecksum(seg, src, dst) != 0) {
-    stats_.bad_checksum++;
     drop(DropReason::kTcpBadChecksum);
     return;
   }
@@ -144,7 +143,6 @@ void TcpLayer::Input(Chain seg, Ipv4Addr src, Ipv4Addr dst) {
   for (int pass = 0; pass < 2; pass++) {
     pcb = Demux(local, remote);
     if (pcb == nullptr) {
-      stats_.dropped_no_pcb++;
       if (rst_suppress_ != nullptr && rst_suppress_(local, remote)) {
         // Tuple is owned by another placement (migration handover): the
         // stray dies silently and retransmission recovers after handover.

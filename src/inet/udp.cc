@@ -181,7 +181,6 @@ void UdpLayer::Input(Chain dgram, Ipv4Addr src, Ipv4Addr dst) {
   }
   env_->Charge(static_cast<SimDuration>(dgram.len()) * env_->prof->checksum_per_byte);
   if (sum != 0 && UdpChecksum(dgram, src, dst) != 0) {
-    stats_.bad_checksum++;
     env_->Drop(env_->cur_rx_pkt, TraceLayer::kInet, DropReason::kUdpBadChecksum);
     return;
   }
@@ -189,7 +188,6 @@ void UdpLayer::Input(Chain dgram, Ipv4Addr src, Ipv4Addr dst) {
 
   UdpPcb* pcb = Demux(SockAddrIn{dst, dport}, SockAddrIn{src, sport});
   if (pcb == nullptr) {
-    stats_.no_port++;
     env_->Drop(env_->cur_rx_pkt, TraceLayer::kInet, DropReason::kUdpNoPort);
     if (!(dst == Ipv4Addr::Broadcast())) {
       icmp_->SendUnreachable(IcmpUnreachCode::kPort, dgram, IpProto::kUdp, src, dst);
@@ -199,8 +197,6 @@ void UdpLayer::Input(Chain dgram, Ipv4Addr src, Ipv4Addr dst) {
   dgram.TrimFront(kUdpHeaderLen);
   env_->Charge(env_->prof->sbqueue_fixed);
   if (!pcb->rcv.AppendDgram(SockAddrIn{src, sport}, std::move(dgram))) {
-    pcb->drops_full++;
-    stats_.full_drops++;
     env_->Drop(env_->cur_rx_pkt, TraceLayer::kSock, DropReason::kUdpBufferFull);
     return;
   }

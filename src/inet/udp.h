@@ -36,15 +36,11 @@ struct UdpPcb {
   Err so_error = Err::kOk;
   bool port_owned = false;  // release to PortAlloc on destroy
   std::function<void()> rcv_wakeup;
-  uint64_t drops_full = 0;
 };
 
 struct UdpStats {
   uint64_t sent = 0;
   uint64_t received = 0;
-  uint64_t bad_checksum = 0;
-  uint64_t no_port = 0;
-  uint64_t full_drops = 0;
 };
 
 class UdpLayer {

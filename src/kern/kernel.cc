@@ -66,15 +66,19 @@ PacketQueue* Kernel::MakeQueueEndpoint(std::string name, SimDuration signal_cost
 
 void Kernel::ExportStats(StatsRegistry* reg, const std::string& prefix) const {
   reg->RegisterGauge(prefix + "rx_delivered", [this] { return rx_delivered_; });
-  reg->RegisterGauge(prefix + "rx_unmatched", [this] { return rx_unmatched_; });
   reg->RegisterGauge(prefix + "filter_insns", [this] { return filter_insns_; });
   reg->RegisterGauge(prefix + "demux_classifies", [this] { return demux_classifies_; });
   reg->RegisterGauge(prefix + "rx_flow_hits", [this] { return rx_flow_hits_; });
-  // Per-queue delivery gauges: depth and drops were previously only visible
-  // inside the PacketQueue object; the high-watermark sizes capacities.
+  obs_->drops.ExportNodeStats(reg, prefix + "drops.", &node_, DropReason::kNoFilterMatch,
+                              DropReason::kFilterRemoved);
+  obs_->drops.ExportNodeStats(reg, prefix + "nic.drops.", &nic_->node(),
+                              DropReason::kNicRingOverflow, DropReason::kNicRingOverflow);
+  // Per-queue delivery gauges: depth, drops and the high watermark that
+  // sizes capacities.
   for (const auto& q : queues_) {
     PacketQueue* pq = q.get();
-    reg->RegisterGauge(prefix + pq->name() + ".dropped", [pq] { return pq->dropped(); });
+    obs_->drops.ExportNodeStats(reg, prefix + pq->name() + ".drops.", &pq->node(),
+                                DropReason::kQueueOverflow, DropReason::kCrashCleanup);
     reg->RegisterGauge(prefix + pq->name() + ".depth",
                        [pq] { return static_cast<uint64_t>(pq->size()); });
     reg->RegisterGauge(prefix + pq->name() + ".high_watermark",
@@ -142,7 +146,6 @@ FilterEngine::MatchResult Kernel::Classify(const Frame& f) {
 const DeliveryEndpoint* Kernel::Resolve(const FilterEngine::MatchResult& m, const Frame& f,
                                         JourneyNode& node) {
   if (m.id == 0) {
-    rx_unmatched_++;
     obs_->drops.Record(f.pkt_id, TraceLayer::kFilter, DropReason::kNoFilterMatch, sim_->Now(),
                        node_.id());
     return nullptr;
@@ -151,7 +154,6 @@ const DeliveryEndpoint* Kernel::Resolve(const FilterEngine::MatchResult& m, cons
   if (epit == endpoints_.end()) {
     // The filter was removed while this frame was in flight (session
     // migration handover); drop, retransmission recovers.
-    rx_unmatched_++;
     obs_->drops.Record(f.pkt_id, TraceLayer::kFilter, DropReason::kFilterRemoved, sim_->Now(),
                        node_.id());
     return nullptr;

@@ -102,7 +102,6 @@ class Kernel {
   size_t installed_filters() const { return engine_.installed_count(); }
 
   uint64_t rx_delivered() const { return rx_delivered_; }
-  uint64_t rx_unmatched() const { return rx_unmatched_; }
   uint64_t filter_insns() const { return filter_insns_; }
   uint64_t demux_classifies() const { return demux_classifies_; }
   uint64_t rx_flow_hits() const { return rx_flow_hits_; }
@@ -141,7 +140,6 @@ class Kernel {
   SimThread* intr_thread_ = nullptr;
 
   uint64_t rx_delivered_ = 0;
-  uint64_t rx_unmatched_ = 0;
   uint64_t filter_insns_ = 0;
   uint64_t demux_classifies_ = 0;
   uint64_t rx_flow_hits_ = 0;

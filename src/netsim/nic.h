@@ -87,7 +87,8 @@ class Nic {
   void DeliverFromWire(Frame frame);
 
   const NicParams& params() const { return params_; }
-  uint64_t rx_dropped() const { return rx_dropped_; }
+  // The journey node its rx ring drops are recorded at.
+  const JourneyNode& node() const { return node_; }
   uint64_t rx_frames() const { return rx_frames_; }
   uint64_t tx_frames() const { return tx_frames_; }
 
@@ -102,7 +103,6 @@ class Nic {
   MacAddr mac_;
   std::function<void()> rx_notify_;
   FrameRing rx_ring_;
-  uint64_t rx_dropped_ = 0;
   uint64_t rx_frames_ = 0;
   uint64_t tx_frames_ = 0;
 };

@@ -142,12 +142,13 @@ class EthernetSegment {
     return on_wire * params_.per_byte + params_.latency;
   }
 
+  // No ledger reason equals the last two: corrupted frames include dup
+  // clones, and a partition counts every NIC it blocks, bystanders too.
   uint64_t frames_carried() const { return frames_carried_; }
-  uint64_t frames_dropped() const { return frames_dropped_; }
   uint64_t frames_corrupted() const { return frames_corrupted_; }
-  uint64_t frames_reordered() const { return frames_reordered_; }
   uint64_t frames_partitioned() const { return frames_partitioned_; }
-  uint64_t frames_shaper_dropped() const { return frames_shaper_dropped_; }
+  // The journey node the segment's drops and fault events are recorded at.
+  const JourneyNode& node() const { return wire_node_; }
 
  private:
   // Computes the frame's target NICs (hardware MAC filter plus partition
@@ -194,11 +195,8 @@ class EthernetSegment {
   SimTime medium_free_at_ = 0;
   int queued_frames_ = 0;  // transmissions waiting for or occupying the medium
   uint64_t frames_carried_ = 0;
-  uint64_t frames_dropped_ = 0;
   uint64_t frames_corrupted_ = 0;
-  uint64_t frames_reordered_ = 0;
   uint64_t frames_partitioned_ = 0;
-  uint64_t frames_shaper_dropped_ = 0;
 };
 
 }  // namespace psd

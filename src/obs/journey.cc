@@ -71,6 +71,7 @@ void DropLedger::Record(uint64_t pkt, TraceLayer layer, DropReason reason, SimTi
                         uint32_t node) {
   if (reason == DropReason::kNone || reason == DropReason::kNumReasons) return;
   totals_[static_cast<size_t>(reason)]++;
+  by_node_[{node, reason}]++;
   DropEvent ev;
   ev.pkt = pkt;
   ev.layer = layer;
@@ -85,6 +86,16 @@ void DropLedger::Record(uint64_t pkt, TraceLayer layer, DropReason reason, SimTi
   }
 }
 
+uint64_t DropLedger::total(DropReason r, uint32_t node) const {
+  auto it = by_node_.find({node, r});
+  return it == by_node_.end() ? 0 : it->second;
+}
+
+uint64_t DropLedger::total(DropReason r, const JourneyNode& node) const {
+  const uint32_t id = node.peek();
+  return id == 0 ? 0 : total(r, id);
+}
+
 uint64_t DropLedger::total_drops() const {
   uint64_t sum = 0;
   for (size_t i = 0; i < static_cast<size_t>(DropReason::kNumReasons); ++i) {
@@ -93,16 +104,18 @@ uint64_t DropLedger::total_drops() const {
   return sum;
 }
 
-void DropLedger::ExportStats(StatsRegistry* reg, const std::string& prefix) const {
-  for (size_t i = 1; i < static_cast<size_t>(DropReason::kNumReasons); ++i) {
+void DropLedger::ExportNodeStats(StatsRegistry* reg, const std::string& prefix,
+                                 const JourneyNode* node, DropReason first,
+                                 DropReason last) const {
+  for (auto i = static_cast<size_t>(first); i <= static_cast<size_t>(last); ++i) {
     const DropReason r = static_cast<DropReason>(i);
-    const uint64_t* cell = &totals_[i];
-    reg->RegisterGauge(prefix + DropReasonName(r), [cell] { return *cell; });
+    reg->RegisterGauge(prefix + DropReasonName(r), [this, node, r] { return total(r, *node); });
   }
 }
 
 void DropLedger::Reset() {
   for (auto& t : totals_) t = 0;
+  by_node_.clear();
   recent_.clear();
   ring_capacity_ = kDefaultRingCapacity;
 }
@@ -117,6 +130,11 @@ uint32_t PacketJourney::Intern(std::string_view name) {
   auto ins = name_ids_.try_emplace(std::string(name), static_cast<uint32_t>(names_.size()));
   if (ins.second) names_.emplace_back(name);
   return ins.first->second;
+}
+
+uint32_t PacketJourney::Find(std::string_view name) const {
+  auto it = name_ids_.find(std::string(name));
+  return it == name_ids_.end() ? 0 : it->second;
 }
 
 void PacketJourney::PushHop(const HopEvent& ev) {

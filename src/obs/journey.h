@@ -10,12 +10,13 @@
 // StackEnv handle they already hold:
 //
 //  * DropLedger    — one DropReason taxonomy for every drop site in
-//                    netsim/kern/filter/ipc/inet/sock/core. Exact per-reason
-//                    totals (registerable as StatsRegistry gauges, which
-//                    point into the World) plus a bounded ring of recent
-//                    drop events. Tests assert each legacy drop counter
-//                    equals the sum of its ledger reasons, so the taxonomy
-//                    cannot drift.
+//                    netsim/kern/filter/ipc/inet/sock/core, and the only
+//                    count of drops: exact totals per reason and per
+//                    (recording node, reason), plus a bounded ring of recent
+//                    drop events. Components export their own drops as
+//                    StatsRegistry gauges that read the per-node counts
+//                    (which point into the World); tests assert the
+//                    per-node counts of every reason sum to its total.
 //  * PacketJourney — per-packet hop records (layer, node, virtual timestamp,
 //                    disposition) in a bounded ring, plus one terminal
 //                    disposition per packet id. The conservation law: every
@@ -36,6 +37,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -123,6 +125,7 @@ struct DropEvent {
   uint32_t node = 0;  // interned in the run's PacketJourney; 0 = none
 };
 
+class JourneyNode;
 class PacketJourney;
 
 class DropLedger {
@@ -134,24 +137,32 @@ class DropLedger {
   // innermost live World's ledger.
   static DropLedger& Get();
 
-  // Records a whole-frame drop at node id `node`: bumps the per-reason
-  // total, appends to the recent-events ring, and (for pkt != 0) sets the
-  // packet's terminal disposition in the journey. For the kWire* event
-  // reasons no terminal is recorded — the frame lives on.
+  // Records a whole-frame drop at node id `node`: bumps the per-reason and
+  // per-(node, reason) counts, appends to the recent-events ring, and (for
+  // pkt != 0) sets the packet's terminal disposition in the journey. For the
+  // kWire* event reasons no terminal is recorded — the frame lives on.
   void Record(uint64_t pkt, TraceLayer layer, DropReason reason, SimTime at = 0,
               uint32_t node = 0);
 
   uint64_t total(DropReason r) const { return totals_[static_cast<size_t>(r)]; }
+  // Records of reason `r` at node id `node`.
+  uint64_t total(DropReason r, uint32_t node) const;
+  // Records of reason `r` at `node`. Never interns the node: one that never
+  // recorded reads 0.
+  uint64_t total(DropReason r, const JourneyNode& node) const;
   // Sum over real drop reasons (excludes dup/delay events).
   uint64_t total_drops() const;
   const std::deque<DropEvent>& recent() const { return recent_; }
 
-  // Registers one gauge per nonzero-capable reason: "<prefix><reason-name>".
-  void ExportStats(StatsRegistry* reg, const std::string& prefix) const;
+  // Registers "<prefix><reason-name>" for each reason in [first, last],
+  // reading total(reason, *node); `node` must outlive the registry's last
+  // Snapshot.
+  void ExportNodeStats(StatsRegistry* reg, const std::string& prefix, const JourneyNode* node,
+                       DropReason first, DropReason last) const;
 
   void set_ring_capacity(size_t n) { ring_capacity_ = n; }
 
-  // Returns the ledger to its constructed state: zero totals, empty ring,
+  // Returns the ledger to its constructed state: zero counts, empty ring,
   // default ring capacity. Only the perfbench shim needs it.
   void Reset();
 
@@ -161,6 +172,9 @@ class DropLedger {
   PacketJourney* journey_;
   size_t ring_capacity_ = kDefaultRingCapacity;
   uint64_t totals_[static_cast<size_t>(DropReason::kNumReasons)] = {};
+  // Sparse: drops are the cold path, and a C10K world has thousands of
+  // nodes.
+  std::map<std::pair<uint32_t, DropReason>, uint64_t> by_node_;
   std::deque<DropEvent> recent_;
 };
 
@@ -186,7 +200,11 @@ class PacketJourney {
   // ids stay valid across Reset(). "" is id 0. Cold: components intern
   // through a JourneyNode.
   uint32_t Intern(std::string_view name);
+  // The id of `name` if it was interned, else 0; never interns.
+  uint32_t Find(std::string_view name) const;
   const std::string& NodeName(uint32_t id) const { return names_[id]; }
+  // Ids run from 0 to node_count() - 1.
+  uint32_t node_count() const { return static_cast<uint32_t>(names_.size()); }
 
   // Records a hop: the packet passed through `node` at layer `layer`.
   void Hop(uint64_t pkt, TraceLayer layer, uint32_t node, SimTime at, uint64_t aux = 0);
@@ -273,6 +291,8 @@ class JourneyNode {
     if (id_ == 0) id_ = journey_->Intern(name_);
     return id_;
   }
+  // The id without interning the name: 0 while the run has not seen it.
+  uint32_t peek() const { return id_ != 0 ? id_ : journey_->Find(name_); }
 
  private:
   PacketJourney* journey_;

@@ -9,7 +9,8 @@ namespace psd {
 namespace {
 
 // Humanized phrases for the well-known protocol counters, mirroring the
-// netstat -s wording for the BSD counters they model.
+// netstat -s wording for the BSD counters they model. Drop gauges keep
+// their ledger reason names ("drops.ip-bad-checksum").
 const char* Phrase(const std::string& leaf) {
   struct Entry {
     const char* name;
@@ -30,8 +31,6 @@ const char* Phrase(const std::string& leaf) {
       {"acks_delayed", "delayed acks scheduled"},
       {"window_updates", "window update segments received"},
       {"out_of_order", "out-of-order segments received"},
-      {"bad_checksum", "discarded for bad checksums"},
-      {"dropped_no_pcb", "dropped, no matching connection"},
       {"rsts_sent", "resets sent"},
       {"conns_established", "connections established"},
       {"conns_dropped", "connections dropped"},
@@ -40,29 +39,18 @@ const char* Phrase(const std::string& leaf) {
       // udpstat
       {"sent", "datagrams output"},
       {"received", "datagrams received"},
-      {"no_port", "dropped, no socket on port"},
-      {"full_drops", "dropped, receive buffer full"},
       // ipstat
       {"delivered", "packets delivered to upper layers"},
-      {"bad_header", "discarded for bad headers"},
-      {"not_ours", "packets not for this host"},
-      {"no_route", "output packets discarded, no route"},
-      {"no_proto", "packets for unknown protocols"},
       {"fragments_sent", "output fragments created"},
       {"fragments_received", "fragments received"},
       {"reassembled", "packets reassembled ok"},
-      {"reassembly_timeouts", "fragments dropped after timeout"},
       // etherstat
       {"tx_frames", "frames transmitted"},
-      {"bad_frames", "malformed frames discarded"},
-      {"unknown_type", "frames with unknown ethertype"},
-      {"unresolved_drops", "frames dropped, address unresolvable"},
       // arpstat
       {"requests_sent", "requests sent"},
       {"replies_sent", "replies sent"},
       // wire
       {"frames_carried", "frames carried"},
-      {"frames_dropped", "frames dropped (fault injection)"},
   };
   for (const Entry& e : kPhrases) {
     if (leaf == e.name) {

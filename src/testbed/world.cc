@@ -150,7 +150,8 @@ void World::ExportStats(int i, StatsRegistry* reg) {
 
 void World::ExportWireStats(StatsRegistry* reg) {
   reg->RegisterGauge("wire.frames_carried", [this] { return wire_.frames_carried(); });
-  reg->RegisterGauge("wire.frames_dropped", [this] { return wire_.frames_dropped(); });
+  obs_.drops.ExportNodeStats(reg, "wire.drops.", &wire_.node(), DropReason::kWireFault,
+                             DropReason::kWireShaperDrop);
 }
 
 void World::ExportEngineStats(StatsRegistry* reg) {

@@ -101,7 +101,8 @@ class World {
   // counters). Call once per host; combine with ExportWireStats.
   void ExportStats(int i, StatsRegistry* reg);
 
-  // Registers segment-level counters ("wire.frames_carried" etc.).
+  // Registers segment-level counters: "wire.frames_carried" and the
+  // segment's drops, "wire.drops.<reason>".
   void ExportWireStats(StatsRegistry* reg);
 
   // Registers engine-level gauges: scheduler counters

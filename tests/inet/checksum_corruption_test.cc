@@ -50,13 +50,15 @@ TEST(ChecksumCorruption, AlignedWordFlipsAlwaysChangeTheSum) {
   }
 }
 
-// Sums every checksum/header-validation counter on host `i` of `w` — the
-// set of counters a corrupted inbound frame can land in.
+// Sums every checksum/header-validation drop on host `i` of `w` — the set
+// of reasons a corrupted inbound frame can land in.
 uint64_t ChecksumDrops(World& w, int i) {
   uint64_t total = 0;
   for (Stack* s : w.AllStacks(i)) {
-    total += s->ip().stats().bad_header + s->ip().stats().bad_checksum +
-             s->tcp().stats().bad_checksum + s->udp().stats().bad_checksum;
+    for (DropReason r : {DropReason::kIpBadHeader, DropReason::kIpBadChecksum,
+                         DropReason::kTcpBadChecksum, DropReason::kUdpBadChecksum}) {
+      total += w.obs().drops.total(r, s->env()->node);
+    }
   }
   return total;
 }

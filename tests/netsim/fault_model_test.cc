@@ -243,10 +243,10 @@ TEST_F(FaultModelTest, ShaperQueueTailDrops) {
   }
   sim.Run(Seconds(5));
 
-  EXPECT_GT(wire.frames_shaper_dropped(), 0u);
+  const uint64_t shaper_dropped = obs.drops.total(DropReason::kWireShaperDrop);
+  EXPECT_GT(shaper_dropped, 0u);
   EXPECT_GT(wire.frames_carried(), 0u);
-  EXPECT_EQ(wire.frames_carried() + wire.frames_shaper_dropped(),
-            static_cast<uint64_t>(kOffered));
+  EXPECT_EQ(wire.frames_carried() + shaper_dropped, static_cast<uint64_t>(kOffered));
   EXPECT_EQ(nic_b->rx_frames(), wire.frames_carried());
 }
 
@@ -372,11 +372,11 @@ TEST_F(FaultModelTest, DefaultPlanIsPerfectWire) {
   wire.SetFaults(FaultPlan{});
   Blast(100);
   EXPECT_EQ(wire.frames_carried(), 100u);
-  EXPECT_EQ(wire.frames_dropped(), 0u);
+  EXPECT_EQ(obs.drops.total(DropReason::kWireFault), 0u);
   EXPECT_EQ(wire.frames_corrupted(), 0u);
-  EXPECT_EQ(wire.frames_reordered(), 0u);
+  EXPECT_EQ(obs.drops.total(DropReason::kWireReorder), 0u);
   EXPECT_EQ(wire.frames_partitioned(), 0u);
-  EXPECT_EQ(wire.frames_shaper_dropped(), 0u);
+  EXPECT_EQ(obs.drops.total(DropReason::kWireShaperDrop), 0u);
   EXPECT_EQ(nic_b->rx_frames(), 100u);
 }
 

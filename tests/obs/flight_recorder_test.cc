@@ -56,7 +56,7 @@ TEST(FlightRecorder, CountersMatchTracerUnderLoss) {
     w.ExportStats(1, &reg);
     snap = reg.Snapshot();
     reg.Reset();
-    wire_dropped = w.wire().frames_dropped();
+    wire_dropped = w.obs().drops.total(DropReason::kWireFault);
     rexmit_instants = hist.instant_count("tcp/rexmit");
     dupack_instants = hist.instant_count("tcp/dupack");
   };

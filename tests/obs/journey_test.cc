@@ -115,18 +115,32 @@ TEST(DropLedgerUnit, RecentRingIsBoundedButTotalsAreExact) {
   EXPECT_EQ(led.total(DropReason::kQueueOverflow), 10u);
 }
 
-TEST(DropLedgerUnit, ExportStatsRegistersOneGaugePerReason) {
+// A node's gauges read its own counts, one gauge per reason of the range,
+// and reading one never interns the node.
+TEST(DropLedgerUnit, NodeGaugesReadPerNodeCountsWithoutInterning) {
   Observatory obs;
   DropLedger& led = obs.drops;
-  led.Record(0, TraceLayer::kWire, DropReason::kWireFault, 1);
-  led.Record(0, TraceLayer::kWire, DropReason::kWireFault, 2);
+  JourneyNode a(&obs.journey, "a");
+  JourneyNode b(&obs.journey, "b");
+  led.Record(0, TraceLayer::kKern, DropReason::kQueueOverflow, 1, a.id());
+  led.Record(0, TraceLayer::kKern, DropReason::kQueueOverflow, 2, a.id());
+  led.Record(0, TraceLayer::kCore, DropReason::kCrashCleanup, 3, a.id());
   StatsRegistry reg;
-  led.ExportStats(&reg, "drops.");
+  led.ExportNodeStats(&reg, "a.", &a, DropReason::kQueueOverflow, DropReason::kCrashCleanup);
+  led.ExportNodeStats(&reg, "b.", &b, DropReason::kQueueOverflow, DropReason::kCrashCleanup);
   std::vector<StatsRegistry::Entry> snap = reg.Snapshot();
-  // One gauge per real reason plus the two event pseudo-reasons.
-  EXPECT_EQ(snap.size(), static_cast<size_t>(DropReason::kNumReasons) - 1);
-  EXPECT_EQ(SumSuffix(snap, "drops.wire-fault"), 2u);
-  EXPECT_EQ(SumSuffix(snap, "drops.migration-window"), 0u);
+  EXPECT_EQ(snap.size(), 4u);
+  EXPECT_EQ(SumSuffix(snap, "a.queue-overflow"), 2u);
+  EXPECT_EQ(SumSuffix(snap, "a.crash-cleanup"), 1u);
+  EXPECT_EQ(SumSuffix(snap, "b.queue-overflow"), 0u);
+  EXPECT_EQ(obs.journey.Find("b"), 0u) << "reading a gauge interned its node";
+  // A gauge finds its node by name: another component recording under the
+  // same name counts there too.
+  JourneyNode b_again(&obs.journey, "b");
+  led.Record(0, TraceLayer::kKern, DropReason::kQueueOverflow, 4, b_again.id());
+  EXPECT_EQ(SumSuffix(reg.Snapshot(), "b.queue-overflow"), 1u);
+  EXPECT_EQ(led.total(DropReason::kQueueOverflow, a.id()), 2u);
+  EXPECT_EQ(led.total(DropReason::kQueueOverflow), 3u);
 }
 
 TEST(PacketJourneyUnit, MintIsMonotonicAndNeverZero) {
@@ -361,10 +375,10 @@ struct LedgerSnapshot {
   uint64_t of(DropReason r) const { return totals[static_cast<size_t>(r)]; }
 };
 
-// Every legacy drop counter must equal the sum of its ledger reasons — the
-// taxonomy covers every drop site exactly once. Snapshot counters and ledger
-// at the same virtual instant (on_done): the TCP close keeps running after.
-TEST(JourneyReconciliation, LegacyCountersEqualLedgerUnderLossEverywhere) {
+// Every drop is counted once, at the node that recorded it: for each reason
+// the per-node counts sum to the reason's total. Snapshot at the done
+// instant (on_done): the TCP close keeps running after.
+TEST(JourneyReconciliation, PerNodeCountsSumToTotalsUnderLossEverywhere) {
   ProtolatOptions opt;
   opt.proto = IpProto::kTcp;
   opt.msg_size = 512;
@@ -372,9 +386,8 @@ TEST(JourneyReconciliation, LegacyCountersEqualLedgerUnderLossEverywhere) {
   const MachineProfile prof = MachineProfile::DecStation5000();
   for (Config config : {Config::kInKernel, Config::kServer, Config::kLibraryIpc,
                         Config::kLibraryShm, Config::kLibraryShmIpf}) {
-    std::vector<StatsRegistry::Entry> snap;
     LedgerSnapshot led;
-    uint64_t wire_dropped = 0, nic_dropped = 0;
+    uint64_t node_sums[static_cast<size_t>(DropReason::kNumReasons)] = {};
     ProtolatHooks hooks;
     hooks.on_world = [](World& w) {
       FaultPlan plan;
@@ -383,42 +396,21 @@ TEST(JourneyReconciliation, LegacyCountersEqualLedgerUnderLossEverywhere) {
       w.wire().SetFaults(plan);
     };
     hooks.on_done = [&](World& w) {
-      StatsRegistry reg;
-      w.ExportStats(0, &reg);
-      w.ExportStats(1, &reg);
-      snap = reg.Snapshot();
       led = LedgerSnapshot::Of(w.obs());
-      wire_dropped = w.wire().frames_dropped();
-      nic_dropped = w.host(0)->nic()->rx_dropped() + w.host(1)->nic()->rx_dropped();
+      for (size_t i = 0; i < static_cast<size_t>(DropReason::kNumReasons); ++i) {
+        for (uint32_t node = 0; node < w.obs().journey.node_count(); ++node) {
+          node_sums[i] += w.obs().drops.total(static_cast<DropReason>(i), node);
+        }
+      }
     };
     ASSERT_GT(RunProtolat(config, prof, opt, hooks), 0.0) << ConfigName(config);
 
     SCOPED_TRACE(ConfigName(config));
-    // The run must actually have lost frames, and each one must be ledgered.
-    ASSERT_GT(wire_dropped, 0u);
-    EXPECT_EQ(wire_dropped, led.of(DropReason::kWireFault));
-    EXPECT_EQ(nic_dropped, led.of(DropReason::kNicRingOverflow));
-    // Kernel demux.
-    EXPECT_EQ(SumSuffix(snap, ".rx_unmatched"),
-              led.of(DropReason::kNoFilterMatch) + led.of(DropReason::kFilterRemoved));
-    EXPECT_EQ(SumSuffix(snap, ".dropped"), led.of(DropReason::kQueueOverflow));
-    // Ether / IP.
-    EXPECT_EQ(SumSuffix(snap, ".ether.bad_frames"), led.of(DropReason::kEtherBadFrame));
-    EXPECT_EQ(SumSuffix(snap, ".ether.unresolved_drops"), led.of(DropReason::kEtherUnresolved));
-    EXPECT_EQ(SumSuffix(snap, ".ip.bad_header"), led.of(DropReason::kIpBadHeader));
-    EXPECT_EQ(SumSuffix(snap, ".ip.bad_checksum"), led.of(DropReason::kIpBadChecksum));
-    EXPECT_EQ(SumSuffix(snap, ".ip.not_ours"), led.of(DropReason::kIpNotOurs));
-    EXPECT_EQ(SumSuffix(snap, ".ip.no_route"), led.of(DropReason::kIpNoRoute));
-    EXPECT_EQ(SumSuffix(snap, ".ip.no_proto"), led.of(DropReason::kIpNoProto));
-    EXPECT_EQ(SumSuffix(snap, ".ip.reassembly_timeouts"),
-              led.of(DropReason::kIpReassemblyTimeout));
-    // UDP / TCP.
-    EXPECT_EQ(SumSuffix(snap, ".udp.bad_checksum"), led.of(DropReason::kUdpBadChecksum));
-    EXPECT_EQ(SumSuffix(snap, ".udp.no_port"), led.of(DropReason::kUdpNoPort));
-    EXPECT_EQ(SumSuffix(snap, ".udp.full_drops"), led.of(DropReason::kUdpBufferFull));
-    EXPECT_EQ(SumSuffix(snap, ".tcp.bad_checksum"), led.of(DropReason::kTcpBadChecksum));
-    EXPECT_EQ(SumSuffix(snap, ".tcp.dropped_no_pcb"),
-              led.of(DropReason::kTcpNoPcb) + led.of(DropReason::kMigrationWindow));
+    // The run must actually have lost frames.
+    ASSERT_GT(led.of(DropReason::kWireFault), 0u);
+    for (size_t i = 0; i < static_cast<size_t>(DropReason::kNumReasons); ++i) {
+      EXPECT_EQ(node_sums[i], led.totals[i]) << DropReasonName(static_cast<DropReason>(i));
+    }
     // Conservation at the snapshot instant, and no double terminals ever.
     EXPECT_EQ(led.minted, led.delivered + led.consumed + led.dropped + led.in_flight);
     EXPECT_EQ(led.conflicts, 0u);
@@ -512,7 +504,8 @@ TEST(JourneyFaults, DupAndDelayAreEventsNotDrops) {
 
 // ---------------------------------------------------------------------------
 // Migration handover: strays hitting a stack whose pcb is mid-migration are
-// attributed to migration-window, and still reconcile with dropped_no_pcb.
+// attributed to migration-window, and the stacks' exported drop gauges see
+// each one.
 
 TEST(JourneyMigration, HandoverStraysAttributedToMigrationWindow) {
   // The handover window — pcb extracted on the library, session filter not
@@ -599,11 +592,13 @@ TEST(JourneyMigration, HandoverStraysAttributedToMigrationWindow) {
     StatsRegistry reg;
     w.ExportStats(0, &reg);
     w.ExportStats(1, &reg);
-    // Reconciliation: every no-pcb drop in either stack is ledgered as
-    // either a real no-pcb (RST answered) or a suppressed migration-window
-    // stray.
-    EXPECT_EQ(SumSuffix(reg.Snapshot(), ".tcp.dropped_no_pcb"),
-              led.total(DropReason::kTcpNoPcb) + led.total(DropReason::kMigrationWindow));
+    // Reconciliation: every no-pcb drop in either stack is a real no-pcb
+    // (RST answered) or a suppressed migration-window stray, and the
+    // stacks' gauges count both.
+    const std::vector<StatsRegistry::Entry> snap = reg.Snapshot();
+    EXPECT_EQ(SumSuffix(snap, ".drops.tcp-no-pcb"), led.total(DropReason::kTcpNoPcb));
+    EXPECT_EQ(SumSuffix(snap, ".drops.migration-window"),
+              led.total(DropReason::kMigrationWindow));
     // Each migration-window stray carries a packet id whose journey ends in
     // dropped(migration-window).
     for (const auto& ev : led.recent()) {
@@ -620,7 +615,7 @@ TEST(JourneyMigration, HandoverStraysAttributedToMigrationWindow) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-queue gauges (Kernel::ExportStats): dropped / depth / high_watermark.
+// Per-queue gauges (Kernel::ExportStats): drops / depth / high_watermark.
 
 TEST(QueueGauges, EveryPacketQueueExportsDepthDroppedAndHighWatermark) {
   std::vector<StatsRegistry::Entry> snap;
@@ -647,22 +642,22 @@ TEST(QueueGauges, EveryPacketQueueExportsDepthDroppedAndHighWatermark) {
     if (ends_with(".high_watermark")) {
       hwm_gauges++;
       max_hwm = std::max(max_hwm, e.value);
-      // The matching depth/dropped gauges exist for the same queue.
+      // The matching depth/overflow-drop gauges exist for the same queue.
       std::string base = e.name.substr(0, e.name.size() - std::string(".high_watermark").size());
       bool have_depth = false, have_dropped = false;
       for (const auto& o : snap) {
         have_depth |= o.name == base + ".depth";
-        have_dropped |= o.name == base + ".dropped";
+        have_dropped |= o.name == base + ".drops.queue-overflow";
       }
       EXPECT_TRUE(have_depth) << base;
       EXPECT_TRUE(have_dropped) << base;
     }
     if (ends_with(".depth")) depth_gauges++;
-    if (ends_with(".dropped")) dropped_gauges++;
+    if (ends_with(".drops.queue-overflow")) dropped_gauges++;
   }
   ASSERT_GT(hwm_gauges, 0u) << "no per-queue gauges registered";
   EXPECT_EQ(hwm_gauges, depth_gauges);
-  EXPECT_GE(dropped_gauges, hwm_gauges);
+  EXPECT_EQ(dropped_gauges, hwm_gauges);
   EXPECT_GT(max_hwm, 0u) << "traffic must have raised some queue's high watermark";
 }
 

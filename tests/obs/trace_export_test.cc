@@ -203,7 +203,7 @@ TEST(TraceExport, StatsRegistryExportsEndToEndCounters) {
   };
   // Both directions of the echo carried frames over the wire...
   EXPECT_GT(value("wire.frames_carried"), 0);
-  EXPECT_EQ(value("wire.frames_dropped"), 0);
+  EXPECT_EQ(value("wire.drops.wire-fault"), 0);
   // ...and the per-host registries picked up kernel + stack counters.
   EXPECT_GT(value("h0.kern.rx_delivered"), 0);
   EXPECT_GT(value("h1.kern.rx_delivered"), 0);

@@ -96,6 +96,20 @@ def view_stat():
     loss = json.loads(run('stat', '--proto', 'tcp', '--trials', '5', '--loss', '0.05', '--json'))
     assert loss['drop_reasons'].get('wire-fault', 0) > 0, \
         f'no wire-fault drops ledgered: {loss["drop_reasons"]}'
+    # Each component exports its drops as reads of the ledger at its own
+    # node ("h0.kern.nic.drops.nic-ring-overflow", "wire.drops.wire-fault"):
+    # summed over both hosts and the wire they equal the run's totals.
+    blocks = []
+    for part in ('h0', 'h1', 'wire'):
+        find_blocks(loss['counters'][part], 'drops', blocks)
+    sums = {}
+    for b in blocks:
+        for reason, v in b.items():
+            sums[reason] = sums.get(reason, 0) + v
+    assert sums.get('wire-fault', 0) > 0, f'no wire-fault drop gauge: {sums}'
+    for reason, v in sums.items():
+        assert v == loss['drop_reasons'].get(reason, 0), \
+            f'{reason}: drop gauges sum to {v}, ledger says {loss["drop_reasons"]}'
     check_journey(loss['journey'])
     text = run('stat', '--proto', 'tcp', '--trials', '5', '--loss', '0.05')
     m = re.search(r'^drop reasons:\n((?:  \S+ +\d+.*\n)+)', text, re.M)

@@ -386,7 +386,11 @@ int Stat(const Opts& o) {
       w.AttachKernelPcap(1, &kern_pcap);
     }
   };
+  // Counters and recorder totals are read at one instant, the end of the
+  // timed trials, so the components' drop gauges add up to the ledger's.
+  RecorderTotals rec;
   hooks.on_done = [&](World& w) {
+    rec.Add(w.obs());
     std::vector<StatsRegistry::Entry> entries = ExportRun(w);
     if (!o.terse) {
       // --terse asks for the aggregate picture only; per-session rows are
@@ -398,8 +402,6 @@ int Stat(const Opts& o) {
       counters[e.name] += e.value;
     }
   };
-  RecorderTotals rec;
-  hooks.on_end = [&rec](World& w) { rec.Add(w.obs()); };
   std::vector<LatRun> runs;
   if (!RunLat(o, hooks, &runs)) {
     return 1;
