@@ -59,7 +59,7 @@ AppmixOutcome RunAppmix(Config config, const MachineProfile& prof, const MixSpec
     World w(config, prof);
     int apps_done = 0;
     const int apps_total = m.apps_total();
-    m.Launch(&w, &apps_done);
+    m.Launch(&w, [&apps_done] { apps_done++; });
     // Completion watcher: samples virtual time the moment the last fiber
     // exits, without keeping the sim alive afterwards.
     w.SpawnApp(0, "watch", [&] {

@@ -129,12 +129,12 @@ int TrafficMix::apps_total() const {
          2 * spec_.switch_conns + (spec_.dns_clients > 0 ? spec_.dns_clients + 1 : 0);
 }
 
-void TrafficMix::Launch(World* w, int* apps_done) {
+void TrafficMix::Launch(World* w, std::function<void()> app_done) {
   // --- RPC over pfx: one listener per connection, pipelined client.
   const size_t rpc_max_msg = kRpcHeaderLen + spec_.rpc_max_payload;
   for (int k = 0; k < spec_.rpc_conns; k++) {
     const uint16_t port = static_cast<uint16_t>(kRpcPortBase + k);
-    w->SpawnApp(1, "mix-rpcsrv" + std::to_string(k), [this, w, apps_done, k, port, rpc_max_msg] {
+    w->SpawnApp(1, "mix-rpcsrv" + std::to_string(k), [this, w, app_done, k, port, rpc_max_msg] {
       SocketApi* api = w->api(1);
       int lfd = *api->CreateSocket(IpProto::kTcp);
       api->Bind(lfd, SockAddrIn{Ipv4Addr::Any(), port});
@@ -152,9 +152,9 @@ void TrafficMix::Launch(World* w, int* apps_done) {
         api->Close(*cfd);
       }
       api->Close(lfd);
-      (*apps_done)++;
+      app_done();
     });
-    w->SpawnApp(0, "mix-rpc" + std::to_string(k), [this, w, apps_done, k, port, rpc_max_msg] {
+    w->SpawnApp(0, "mix-rpc" + std::to_string(k), [this, w, app_done, k, port, rpc_max_msg] {
       SocketApi* api = w->api(0);
       int fd = *api->CreateSocket(IpProto::kTcp);
       w->sim().current_thread()->SleepFor(Millis(2 + k));
@@ -171,7 +171,7 @@ void TrafficMix::Launch(World* w, int* apps_done) {
         rpc_client_err_[k] = static_cast<int>(out.error);
       }
       api->Close(fd);
-      (*apps_done)++;
+      app_done();
     });
   }
 
@@ -183,7 +183,7 @@ void TrafficMix::Launch(World* w, int* apps_done) {
   for (int k = 0; k < lconns; k++) {
     const uint16_t port = static_cast<uint16_t>(kLinePortBase + k);
     const bool noisy = k >= spec_.line_conns;
-    w->SpawnApp(1, "mix-linesrv" + std::to_string(k), [this, w, apps_done, k, port] {
+    w->SpawnApp(1, "mix-linesrv" + std::to_string(k), [this, w, app_done, k, port] {
       SocketApi* api = w->api(1);
       int lfd = *api->CreateSocket(IpProto::kTcp);
       api->Bind(lfd, SockAddrIn{Ipv4Addr::Any(), port});
@@ -209,9 +209,9 @@ void TrafficMix::Launch(World* w, int* apps_done) {
         api->Close(*cfd);
       }
       api->Close(lfd);
-      (*apps_done)++;
+      app_done();
     });
-    w->SpawnApp(0, "mix-line" + std::to_string(k), [this, w, apps_done, k, port, noisy] {
+    w->SpawnApp(0, "mix-line" + std::to_string(k), [this, w, app_done, k, port, noisy] {
       SocketApi* api = w->api(0);
       int fd = *api->CreateSocket(IpProto::kTcp);
       w->sim().current_thread()->SleepFor(Millis(3 + k));
@@ -253,7 +253,7 @@ void TrafficMix::Launch(World* w, int* apps_done) {
         }
       }
       api->Close(fd);
-      (*apps_done)++;
+      app_done();
     });
   }
 
@@ -262,7 +262,7 @@ void TrafficMix::Launch(World* w, int* apps_done) {
   const size_t switch_max_msg = kRpcHeaderLen + kSwitchRpcPayload;
   for (int k = 0; k < spec_.switch_conns; k++) {
     const uint16_t port = static_cast<uint16_t>(kSwitchPortBase + k);
-    w->SpawnApp(1, "mix-swsrv" + std::to_string(k), [this, w, apps_done, k, port, switch_max_msg] {
+    w->SpawnApp(1, "mix-swsrv" + std::to_string(k), [this, w, app_done, k, port, switch_max_msg] {
       SocketApi* api = w->api(1);
       int lfd = *api->CreateSocket(IpProto::kTcp);
       api->Bind(lfd, SockAddrIn{Ipv4Addr::Any(), port});
@@ -303,9 +303,9 @@ void TrafficMix::Launch(World* w, int* apps_done) {
       }
       api->Close(lfd);
       switch_server_done_[k] = 1;
-      (*apps_done)++;
+      app_done();
     });
-    w->SpawnApp(0, "mix-sw" + std::to_string(k), [this, w, apps_done, k, port, switch_max_msg] {
+    w->SpawnApp(0, "mix-sw" + std::to_string(k), [this, w, app_done, k, port, switch_max_msg] {
       SocketApi* api = w->api(0);
       int fd = *api->CreateSocket(IpProto::kTcp);
       w->sim().current_thread()->SleepFor(Millis(4 + k));
@@ -347,13 +347,13 @@ void TrafficMix::Launch(World* w, int* apps_done) {
       }
       api->Close(fd);
       switch_client_done_[k] = 1;
-      (*apps_done)++;
+      app_done();
     });
   }
 
   // --- DNS-like UDP query/retry: one server socket, per-client sockets.
   if (spec_.dns_clients > 0) {
-    w->SpawnApp(1, "mix-dnssrv", [this, w, apps_done] {
+    w->SpawnApp(1, "mix-dnssrv", [this, w, app_done] {
       SocketApi* api = w->api(1);
       int fd = *api->CreateSocket(IpProto::kUdp);
       api->SetOpt(fd, SockOpt::kRcvBuf, 64 * 1024);
@@ -361,10 +361,10 @@ void TrafficMix::Launch(World* w, int* apps_done) {
       SockDgram dg(api, fd);
       dns_answered_ = DnsServeLoop(&dg, &dns_stop_, Millis(100), &server_);
       api->Close(fd);
-      (*apps_done)++;
+      app_done();
     });
     for (int c = 0; c < spec_.dns_clients; c++) {
-      w->SpawnApp(0, "mix-dns" + std::to_string(c), [this, w, apps_done, c] {
+      w->SpawnApp(0, "mix-dns" + std::to_string(c), [this, w, app_done, c] {
         SocketApi* api = w->api(0);
         int fd = *api->CreateSocket(IpProto::kUdp);
         api->Bind(fd, SockAddrIn{Ipv4Addr::Any(),
@@ -388,7 +388,7 @@ void TrafficMix::Launch(World* w, int* apps_done) {
         if (dns_clients_finished_ == spec_.dns_clients) {
           dns_stop_ = true;  // the server exits after one quiet poll window
         }
-        (*apps_done)++;
+        app_done();
       });
     }
   }

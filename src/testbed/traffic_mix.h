@@ -26,6 +26,7 @@
 #define PSD_SRC_TESTBED_TRAFFIC_MIX_H_
 
 #include <cstdint>
+#include <functional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -82,9 +83,9 @@ class TrafficMix {
   TrafficMix(const MixSpec& spec, uint64_t seed);
 
   // Spawns every server and client fiber (clients host 0, servers host 1).
-  // Each fiber bumps *apps_done exactly once on exit — the same completion
-  // accounting the torture watchdog already runs on.
-  void Launch(World* w, int* apps_done);
+  // Each fiber calls app_done exactly once, as the last thing it does — the
+  // same completion accounting the torture watchdog already runs on.
+  void Launch(World* w, std::function<void()> app_done);
 
   int apps_total() const;
   // Folded into the watchdog's progress signature: moves whenever any

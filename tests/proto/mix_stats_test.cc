@@ -23,7 +23,7 @@ TEST(MixStats, ExportsClientAndServerAdapterCounters) {
   {
     World w(Config::kInKernel, MachineProfile::DecStation5000());
     int apps_done = 0;
-    mix.Launch(&w, &apps_done);
+    mix.Launch(&w, [&apps_done] { apps_done++; });
     w.sim().Run(Seconds(120));
     ASSERT_EQ(apps_done, mix.apps_total());
 
