@@ -584,7 +584,7 @@ void NetServer::OnProcessDeath(uint64_t lib_id) {
       Frame f;
       while (ep.queue->TryPop(&f)) {
         obs->drops.Record(f.pkt_id, TraceLayer::kCore, DropReason::kCrashCleanup, now,
-                          ep.queue->node_id());
+                          ep.queue->node().id());
       }
     }
     if (ep.port != nullptr) {
