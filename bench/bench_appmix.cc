@@ -59,14 +59,11 @@ AppmixOutcome RunAppmix(Config config, const MachineProfile& prof, const MixSpec
     World w(config, prof);
     int apps_done = 0;
     const int apps_total = m.apps_total();
-    m.Launch(&w, [&apps_done] { apps_done++; });
-    // Completion watcher: samples virtual time the moment the last fiber
-    // exits, without keeping the sim alive afterwards.
-    w.SpawnApp(0, "watch", [&] {
-      while (apps_done < apps_total) {
-        w.sim().current_thread()->SleepFor(Millis(1));
+    // The last fiber to finish stamps the mix's virtual completion time.
+    m.Launch(&w, [&] {
+      if (++apps_done == apps_total) {
+        out.virtual_ms = static_cast<uint64_t>(w.sim().Now() / Millis(1));
       }
-      out.virtual_ms = static_cast<uint64_t>(w.sim().Now() / Millis(1));
     });
     w.sim().Run(Seconds(600));
     out.complete = apps_done == apps_total;

@@ -1,8 +1,10 @@
 #include "src/obs/netstat.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <sstream>
+#include <tuple>
 
 namespace psd {
 
@@ -101,30 +103,36 @@ void RenderJson(const JsonNode& node, std::ostringstream& os, int depth) {
 }  // namespace
 
 std::string NetstatText(const std::vector<StatsRegistry::Entry>& entries, bool skip_zero) {
-  std::ostringstream os;
-  std::string open_block;
-  bool any = false;
+  // Ordered by (block, leaf), not by full name: a block's own counters stay
+  // under one header even where its sub-blocks ("h0.kern.drops.*") sort
+  // between them by name.
+  struct Row {
+    std::string block;
+    std::string leaf;
+    uint64_t value;
+  };
+  std::vector<Row> rows;
   for (const StatsRegistry::Entry& e : entries) {
     if (skip_zero && e.value == 0) {
       continue;
     }
-    std::string block;
-    std::string leaf;
-    SplitLeaf(e.name, &block, &leaf);
-    if (!any || block != open_block) {
-      os << (block.empty() ? "(top)" : block) << ":\n";
-      open_block = block;
-      any = true;
+    Row r{{}, {}, e.value};
+    SplitLeaf(e.name, &r.block, &r.leaf);
+    rows.push_back(std::move(r));
+  }
+  std::stable_sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+    return std::tie(a.block, a.leaf) < std::tie(b.block, b.leaf);
+  });
+  std::ostringstream os;
+  for (size_t i = 0; i < rows.size(); i++) {
+    const Row& r = rows[i];
+    if (i == 0 || r.block != rows[i - 1].block) {
+      os << (r.block.empty() ? "(top)" : r.block) << ":\n";
     }
-    const char* phrase = Phrase(leaf);
+    const char* phrase = Phrase(r.leaf);
     char line[192];
-    if (phrase != nullptr) {
-      std::snprintf(line, sizeof(line), "\t%llu %s\n", static_cast<unsigned long long>(e.value),
-                    phrase);
-    } else {
-      std::snprintf(line, sizeof(line), "\t%llu %s\n", static_cast<unsigned long long>(e.value),
-                    leaf.c_str());
-    }
+    std::snprintf(line, sizeof(line), "\t%llu %s\n", static_cast<unsigned long long>(r.value),
+                  phrase != nullptr ? phrase : r.leaf.c_str());
     os << line;
   }
   return os.str();

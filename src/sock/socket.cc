@@ -2,37 +2,48 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
-#include "src/base/log.h"
 #include "src/sock/pollset.h"
 
 namespace psd {
 
-Socket::Socket(Stack* stack, IpProto proto)
-    : stack_(stack),
-      proto_(proto),
-      rcv_cv_(stack->env()->sim),
-      snd_cv_(stack->env()->sim),
-      state_cv_(stack->env()->sim) {
-  DomainLock lock(stack_->sync());
-  if (proto == IpProto::kTcp) {
-    tcp_ = stack_->tcp().Create();
-  } else {
-    udp_ = stack_->udp().Create();
+namespace {
+
+// Prices one boundary crossing; an unset side crosses no boundary.
+void Cross(const std::function<void(size_t)>& charge, size_t len) {
+  if (charge) {
+    charge(len);
   }
-  InstallHooks();
 }
 
-Socket::Socket(Stack* stack, TcpPcb* tcp, UdpPcb* udp)
+}  // namespace
+
+Socket::Socket(Stack* stack, IpProto proto) : Socket(stack, proto, nullptr, nullptr) {}
+
+Socket::Socket(Stack* stack, IpProto proto, TcpPcb* tcp, UdpPcb* udp)
     : stack_(stack),
-      proto_(tcp != nullptr ? IpProto::kTcp : IpProto::kUdp),
+      proto_(proto),
       tcp_(tcp),
       udp_(udp),
       rcv_cv_(stack->env()->sim),
       snd_cv_(stack->env()->sim),
       state_cv_(stack->env()->sim) {
   DomainLock lock(stack_->sync());
-  InstallHooks();
+  if (proto == IpProto::kTcp) {
+    if (tcp_ == nullptr) {
+      tcp_ = stack_->tcp().Create();
+    }
+    tcp_->rcv_wakeup = [this] { WakeReaders(); };
+    tcp_->snd_wakeup = [this] { WakeWriters(); };
+    tcp_->state_wakeup = [this] { WakeState(); };
+    tcp_->accept_wakeup = [this] { WakeReaders(); };
+  } else {
+    if (udp_ == nullptr) {
+      udp_ = stack_->udp().Create();
+    }
+    udp_->rcv_wakeup = [this] { WakeReaders(); };
+  }
 }
 
 std::unique_ptr<Socket> Socket::AdoptTcp(Stack* stack, const TcpMigrationState& st) {
@@ -41,7 +52,7 @@ std::unique_ptr<Socket> Socket::AdoptTcp(Stack* stack, const TcpMigrationState& 
     DomainLock lock(stack->sync());
     pcb = stack->tcp().AdoptMigrated(st);
   }
-  std::unique_ptr<Socket> sock(new Socket(stack, pcb, nullptr));
+  std::unique_ptr<Socket> sock(new Socket(stack, IpProto::kTcp, pcb, nullptr));
   stack->Kick();
   return sock;
 }
@@ -54,7 +65,7 @@ std::unique_ptr<Socket> Socket::AdoptUdp(Stack* stack, SockAddrIn local, SockAdd
     stack->udp().AdoptBinding(pcb, local);
     pcb->remote = remote;
   }
-  return std::unique_ptr<Socket>(new Socket(stack, nullptr, pcb));
+  return std::unique_ptr<Socket>(new Socket(stack, IpProto::kUdp, nullptr, pcb));
 }
 
 Socket::~Socket() {
@@ -66,15 +77,7 @@ Socket::~Socket() {
   if (sim->current_thread() == nullptr || sim->shutting_down()) {
     // Simulation-external teardown (world destruction): just unhook; the
     // stack dies with us.
-    if (tcp_ != nullptr) {
-      tcp_->rcv_wakeup = nullptr;
-      tcp_->snd_wakeup = nullptr;
-      tcp_->state_wakeup = nullptr;
-      tcp_->accept_wakeup = nullptr;
-    }
-    if (udp_ != nullptr) {
-      udp_->rcv_wakeup = nullptr;
-    }
+    Unhook();
     return;
   }
   // Abort rather than linger: destruction without Close is an abnormal
@@ -90,15 +93,19 @@ Socket::~Socket() {
   }
 }
 
-void Socket::InstallHooks() {
+void Socket::Unhook() {
   if (tcp_ != nullptr) {
-    tcp_->rcv_wakeup = [this] { WakeReaders(); };
-    tcp_->snd_wakeup = [this] { WakeWriters(); };
-    tcp_->state_wakeup = [this] { WakeState(); };
-    tcp_->accept_wakeup = [this] { WakeReaders(); };
-  } else {
-    udp_->rcv_wakeup = [this] { WakeReaders(); };
+    tcp_->rcv_wakeup = nullptr;
+    tcp_->snd_wakeup = nullptr;
+    tcp_->state_wakeup = nullptr;
+    tcp_->accept_wakeup = nullptr;
   }
+  if (udp_ != nullptr) {
+    udp_->rcv_wakeup = nullptr;
+  }
+  rcv_cv_.NotifyAll();
+  snd_cv_.NotifyAll();
+  state_cv_.NotifyAll();
 }
 
 SimDuration Socket::WakeupCost() const {
@@ -115,52 +122,46 @@ SimDuration Socket::WakeupCost() const {
   return p->wakeup_user;
 }
 
+void Socket::WakeWaiters(SimCondition* cv) {
+  stack_->sock_stats().wakeups++;
+  stack_->env()->Charge(WakeupCost());
+  cv->NotifyAll();
+}
+
 void Socket::WakeReaders() {
   if (rcv_cv_.has_waiters()) {
     ProbeSpan span(stack_->env()->obs->tracer, stack_->env()->sim, Stage::kWakeupUser);
-    stack_->sock_stats().wakeups++;
-    stack_->env()->Charge(WakeupCost());
-    rcv_cv_.NotifyAll();
+    WakeWaiters(&rcv_cv_);
   }
-  PollEdge(kPollIn);
-  if (on_readiness_) {
-    // Invoke through a copy: the callback may yield (cooperative-select
-    // ping), and the blocked waiter may swap the callback out before this
-    // invocation returns — the copy keeps the closure alive.
-    std::function<void()> cb = on_readiness_;
-    cb();
-  }
+  SignalReadiness(kPollIn);
 }
 
 void Socket::WakeWriters() {
   if (snd_cv_.has_waiters()) {
-    stack_->sock_stats().wakeups++;
-    stack_->env()->Charge(WakeupCost());
-    snd_cv_.NotifyAll();
+    WakeWaiters(&snd_cv_);
   }
-  PollEdge(kPollOut);
-  if (on_readiness_) {
-    std::function<void()> cb = on_readiness_;  // see WakeReaders
-    cb();
-  }
+  SignalReadiness(kPollOut);
 }
 
 void Socket::WakeState() {
   state_cv_.NotifyAll();
   // State changes can flip both directions (connect completion makes the
   // socket writable; errors make it readable) — edge both.
-  PollEdge(kPollIn | kPollOut | kPollErr);
-  if (on_readiness_) {
-    std::function<void()> cb = on_readiness_;  // see WakeReaders
-    cb();
-  }
+  SignalReadiness(kPollIn | kPollOut | kPollErr);
 }
 
-void Socket::PollEdge(uint32_t events) {
+void Socket::SignalReadiness(uint32_t events) {
   for (PollEntry* e : poll_entries_) {
     if (((e->mask | kPollErr) & events) != 0) {
       e->set->PushEdge(e);
     }
+  }
+  if (on_readiness_) {
+    // Invoke through a copy: the callback may yield (cooperative-select
+    // ping), and the blocked waiter may swap the callback out before this
+    // invocation returns — the copy keeps the closure alive.
+    std::function<void()> cb = on_readiness_;
+    cb();
   }
 }
 
@@ -172,23 +173,18 @@ void Socket::PollDetachAll() {
 }
 
 Err Socket::ConsumeError() {
-  if (tcp_ != nullptr && tcp_->so_error != Err::kOk) {
-    Err e = tcp_->so_error;
-    return e;
+  if (tcp_ != nullptr) {
+    return tcp_->so_error;  // stays set; the receive wait clears resets
   }
-  if (udp_ != nullptr && udp_->so_error != Err::kOk) {
-    Err e = udp_->so_error;
-    udp_->so_error = Err::kOk;
-    return e;
+  if (udp_ != nullptr) {
+    return std::exchange(udp_->so_error, Err::kOk);
   }
   return Err::kOk;
 }
 
 Result<void> Socket::Bind(SockAddrIn local) {
   DomainLock lock(stack_->sync());
-  if (boundary_.charge_entry) {
-    boundary_.charge_entry(0);
-  }
+  Cross(boundary_.charge_entry, 0);
   return tcp_ != nullptr ? stack_->tcp().Bind(tcp_, local) : stack_->udp().Bind(udp_, local);
 }
 
@@ -197,17 +193,13 @@ Result<void> Socket::Listen(int backlog) {
     return Err::kOpNotSupp;
   }
   DomainLock lock(stack_->sync());
-  if (boundary_.charge_entry) {
-    boundary_.charge_entry(0);
-  }
+  Cross(boundary_.charge_entry, 0);
   return stack_->tcp().Listen(tcp_, backlog);
 }
 
 Result<void> Socket::Connect(SockAddrIn remote) {
   DomainLock lock(stack_->sync());
-  if (boundary_.charge_entry) {
-    boundary_.charge_entry(0);
-  }
+  Cross(boundary_.charge_entry, 0);
   if (udp_ != nullptr) {
     return stack_->udp().Connect(udp_, remote);
   }
@@ -234,10 +226,11 @@ Result<std::unique_ptr<Socket>> Socket::Accept(SockAddrIn* peer) {
   TcpPcb* child = nullptr;
   {
     DomainLock lock(stack_->sync());
-    if (boundary_.charge_entry) {
-      boundary_.charge_entry(0);
-    }
+    Cross(boundary_.charge_entry, 0);
     for (;;) {
+      if (closed_) {
+        return Err::kBadF;
+      }
       child = stack_->tcp().PopAcceptable(tcp_);
       if (child != nullptr) {
         if (peer != nullptr) {
@@ -245,25 +238,21 @@ Result<std::unique_ptr<Socket>> Socket::Accept(SockAddrIn* peer) {
         }
         break;
       }
-      if (closed_) {
-        return Err::kBadF;
-      }
       rcv_cv_.Wait(stack_->sync()->mutex());
     }
   }
   // Construct outside the domain lock (the constructor takes it).
-  std::unique_ptr<Socket> sock(new Socket(stack_, child, nullptr));
+  std::unique_ptr<Socket> sock(new Socket(stack_, IpProto::kTcp, child, nullptr));
   sock->SetBoundary(boundary_);
   stack_->Kick();
   return sock;
 }
 
-Result<size_t> Socket::Send(const uint8_t* data, size_t len, const SockAddrIn* to, bool urgent) {
+template <typename MakeChunk>
+Result<size_t> Socket::SendLoop(size_t len, const SockAddrIn* to, bool urgent, MakeChunk chunk) {
   DomainLock lock(stack_->sync());
   ProbeSpan span(stack_->env()->obs->tracer, stack_->env()->sim, Stage::kEntryCopyin);
-  if (boundary_.charge_entry) {
-    boundary_.charge_entry(len);
-  }
+  Cross(boundary_.charge_entry, len);
   stack_->env()->Charge(stack_->env()->prof->sock_send_fixed);
   stack_->sock_stats().sends++;
 
@@ -271,19 +260,7 @@ Result<size_t> Socket::Send(const uint8_t* data, size_t len, const SockAddrIn* t
     if (shutdown_wr_) {
       return Err::kPipe;
     }
-    // A datagram send is synchronous: the stack serializes the data into a
-    // frame before returning, so the library placement can reference the
-    // caller's buffer instead of copying it (Table 4: UDP library
-    // entry/copyin has no per-byte cost).
-    Chain c;
-    if (stack_->env()->placement == Placement::kLibrary) {
-      c = Chain::ReferencingRaw(data, len);
-    } else {
-      stack_->env()->Charge(static_cast<SimDuration>(len) * stack_->env()->prof->copy_per_byte +
-                            stack_->env()->prof->mbuf_get);
-      c = Chain::FromBytes(data, len);
-    }
-    Result<void> r = stack_->udp().Output(udp_, std::move(c), to);
+    Result<void> r = stack_->udp().Output(udp_, chunk(0, len), to);
     stack_->Kick();  // ARP retries / reassembly timeouts may now be pending
     if (!r.ok()) {
       return r.error();
@@ -291,16 +268,13 @@ Result<size_t> Socket::Send(const uint8_t* data, size_t len, const SockAddrIn* t
     return len;
   }
 
-  // TCP byte stream: copy into the send buffer in chunks as space allows.
+  // TCP byte stream: hand the data to the send buffer in chunks as space
+  // allows. A woken waiter whose socket was closed meanwhile gets EBADF.
   size_t sent = 0;
   while (sent < len) {
-    if (shutdown_wr_ || tcp_->cantsendmore) {
-      if (sent > 0) {
-        return sent;
-      }
-      return Err::kPipe;
-    }
-    Err e = ConsumeError();
+    Err e = closed_ ? Err::kBadF
+            : (shutdown_wr_ || tcp_->cantsendmore) ? Err::kPipe
+            : ConsumeError();
     if (e != Err::kOk) {
       return sent > 0 ? Result<size_t>(sent) : Result<size_t>(e);
     }
@@ -311,10 +285,7 @@ Result<size_t> Socket::Send(const uint8_t* data, size_t len, const SockAddrIn* t
       continue;
     }
     size_t take = std::min(space, len - sent);
-    stack_->env()->Charge(static_cast<SimDuration>(take) * stack_->env()->prof->copy_per_byte);
-    Chain c = Chain::FromBytes(data + sent, take);
-    stack_->env()->Charge(stack_->env()->prof->mbuf_get * c.SegmentCount());
-    Result<void> r = stack_->tcp().UsrSend(tcp_, std::move(c), urgent && sent + take == len);
+    Result<void> r = stack_->tcp().UsrSend(tcp_, chunk(sent, take), urgent && sent + take == len);
     stack_->Kick();
     if (!r.ok()) {
       return sent > 0 ? Result<size_t>(sent) : Result<size_t>(r.error());
@@ -322,198 +293,136 @@ Result<size_t> Socket::Send(const uint8_t* data, size_t len, const SockAddrIn* t
     sent += take;
   }
   return sent;
+}
+
+Result<size_t> Socket::Send(const uint8_t* data, size_t len, const SockAddrIn* to, bool urgent) {
+  const StackEnv* env = stack_->env();
+  return SendLoop(len, to, urgent, [&](size_t off, size_t take) {
+    if (udp_ != nullptr) {
+      // A datagram send is synchronous: the stack serializes the data into
+      // a frame before returning, so the library placement can reference
+      // the caller's buffer instead of copying it (Table 4: UDP library
+      // entry/copyin has no per-byte cost).
+      if (env->placement == Placement::kLibrary) {
+        return Chain::ReferencingRaw(data + off, take);
+      }
+      env->Charge(static_cast<SimDuration>(take) * env->prof->copy_per_byte + env->prof->mbuf_get);
+      return Chain::FromBytes(data + off, take);
+    }
+    // A stream chunk is copied into mbufs: the copy, then one mbuf each.
+    env->Charge(static_cast<SimDuration>(take) * env->prof->copy_per_byte);
+    Chain c = Chain::FromBytes(data + off, take);
+    env->Charge(env->prof->mbuf_get * c.SegmentCount());
+    return c;
+  });
 }
 
 Result<size_t> Socket::SendShared(std::shared_ptr<const std::vector<uint8_t>> buf, size_t off,
                                   size_t len, const SockAddrIn* to) {
   assert(off + len <= buf->size());
-  DomainLock lock(stack_->sync());
-  ProbeSpan span(stack_->env()->obs->tracer, stack_->env()->sim, Stage::kEntryCopyin);
-  if (boundary_.charge_entry) {
-    boundary_.charge_entry(len);
-  }
-  stack_->env()->Charge(stack_->env()->prof->sock_send_fixed);
-  stack_->sock_stats().sends++;
+  // No copy: the stack references the shared buffer until acknowledged.
+  return SendLoop(len, to, false,
+                  [&](size_t at, size_t take) { return Chain::Referencing(buf, off + at, take); });
+}
 
-  if (udp_ != nullptr) {
-    Result<void> r = stack_->udp().Output(udp_, Chain::Referencing(std::move(buf), off, len), to);
-    stack_->Kick();
-    if (!r.ok()) {
-      return r.error();
+Result<bool> Socket::WaitForData() {
+  for (;;) {
+    if (closed_) {
+      return Err::kBadF;  // closed while this caller waited
     }
-    return len;
-  }
-
-  size_t sent = 0;
-  while (sent < len) {
-    if (shutdown_wr_ || tcp_->cantsendmore) {
-      if (sent > 0) {
-        return sent;
-      }
-      return Err::kPipe;
-    }
+    // A datagram socket reports a pending error before its queued
+    // datagrams; a stream delivers its buffered bytes first.
     Err e = ConsumeError();
-    if (e != Err::kOk) {
-      return sent > 0 ? Result<size_t>(sent) : Result<size_t>(e);
+    bool ready = udp_ != nullptr ? udp_->rcv.dgram_count() > 0 : tcp_->rcv.cc() > 0;
+    if (e != Err::kOk && (udp_ != nullptr || !ready)) {
+      if (tcp_ != nullptr && (e == Err::kConnAborted || e == Err::kConnReset)) {
+        tcp_->so_error = Err::kOk;
+      }
+      return e;
     }
-    size_t space = tcp_->snd.space();
-    if (space == 0) {
-      stack_->sock_stats().send_blocks++;
-      snd_cv_.Wait(stack_->sync()->mutex());
-      continue;
+    if (ready) {
+      return true;
     }
-    size_t take = std::min(space, len - sent);
-    // No copy: the stack references the shared buffer until acknowledged.
-    Result<void> r =
-        stack_->tcp().UsrSend(tcp_, Chain::Referencing(buf, off + sent, take), false);
-    stack_->Kick();
-    if (!r.ok()) {
-      return sent > 0 ? Result<size_t>(sent) : Result<size_t>(r.error());
+    if (shutdown_rd_ ||
+        (tcp_ != nullptr && (tcp_->cantrcvmore || tcp_->state == TcpState::kClosed))) {
+      return false;
     }
-    sent += take;
+    stack_->sock_stats().recv_blocks++;
+    rcv_cv_.Wait(stack_->sync()->mutex());
   }
-  return sent;
 }
 
 Result<size_t> Socket::Recv(uint8_t* out, size_t len, SockAddrIn* from, bool peek) {
   DomainLock lock(stack_->sync());
   stack_->sock_stats().recvs++;
-
+  Result<bool> ready = WaitForData();
+  if (!ready.ok()) {
+    return ready.error();
+  }
+  if (!*ready) {
+    return size_t{0};  // EOF
+  }
+  const StackEnv* env = stack_->env();
+  ProbeSpan span(env->obs->tracer, env->sim, Stage::kCopyoutExit);
+  env->Charge(env->prof->sock_recv_fixed);
+  size_t n;
   if (udp_ != nullptr) {
-    for (;;) {
-      Err e = ConsumeError();
-      if (e != Err::kOk) {
-        return e;
-      }
-      if (udp_->rcv.dgram_count() > 0) {
-        break;
-      }
-      if (shutdown_rd_) {
-        return size_t{0};
-      }
-      stack_->sock_stats().recv_blocks++;
-      rcv_cv_.Wait(stack_->sync()->mutex());
+    SockBuf::Dgram taken;
+    const SockBuf::Dgram* d = udp_->rcv.PeekDgram();
+    if (!peek) {
+      udp_->rcv.TakeDgram(&taken);
+      d = &taken;
     }
-    ProbeSpan span(stack_->env()->obs->tracer, stack_->env()->sim, Stage::kCopyoutExit);
-    stack_->env()->Charge(stack_->env()->prof->sock_recv_fixed);
-    size_t n;
-    if (peek) {
-      const SockBuf::Dgram* d = udp_->rcv.PeekDgram();
-      n = std::min(len, d->data.len());
-      stack_->env()->Charge(static_cast<SimDuration>(n) * stack_->env()->prof->copy_per_byte);
-      d->data.CopyOut(0, out, n);
-      if (from != nullptr) {
-        *from = d->from;
-      }
-    } else {
-      SockBuf::Dgram d;
-      udp_->rcv.TakeDgram(&d);
-      n = std::min(len, d.data.len());
-      stack_->env()->Charge(static_cast<SimDuration>(n) * stack_->env()->prof->copy_per_byte);
-      d.data.CopyOut(0, out, n);
-      if (from != nullptr) {
-        *from = d.from;
-      }
+    n = std::min(len, d->data.len());
+    env->Charge(static_cast<SimDuration>(n) * env->prof->copy_per_byte);
+    d->data.CopyOut(0, out, n);
+    if (from != nullptr) {
+      *from = d->from;
     }
-    if (boundary_.charge_exit) {
-      boundary_.charge_exit(n);
-    }
-    return n;
-  }
-
-  // TCP stream.
-  for (;;) {
-    Err e = ConsumeError();
-    if (e != Err::kOk && tcp_->rcv.cc() == 0) {
-      if (e == Err::kConnAborted || e == Err::kConnReset) {
-        tcp_->so_error = Err::kOk;
-      }
-      return e;
-    }
-    if (tcp_->rcv.cc() > 0) {
-      break;
-    }
-    if (tcp_->cantrcvmore || shutdown_rd_ || tcp_->state == TcpState::kClosed) {
-      return size_t{0};  // EOF
-    }
-    stack_->sock_stats().recv_blocks++;
-    rcv_cv_.Wait(stack_->sync()->mutex());
-  }
-  ProbeSpan span(stack_->env()->obs->tracer, stack_->env()->sim, Stage::kCopyoutExit);
-  stack_->env()->Charge(stack_->env()->prof->sock_recv_fixed);
-  size_t n = std::min(len, tcp_->rcv.cc());
-  stack_->env()->Charge(static_cast<SimDuration>(n) * stack_->env()->prof->copy_per_byte);
-  if (peek) {
-    tcp_->rcv.CopyRange(0, n).CopyOut(0, out, n);
   } else {
-    tcp_->rcv.stream().CopyOut(0, out, n);
-    tcp_->rcv.Drop(n);
-    stack_->tcp().UsrRcvd(tcp_);
+    n = std::min(len, tcp_->rcv.cc());
+    env->Charge(static_cast<SimDuration>(n) * env->prof->copy_per_byte);
+    if (peek) {
+      tcp_->rcv.CopyRange(0, n).CopyOut(0, out, n);
+    } else {
+      tcp_->rcv.stream().CopyOut(0, out, n);
+      tcp_->rcv.Drop(n);
+      stack_->tcp().UsrRcvd(tcp_);
+    }
   }
-  if (boundary_.charge_exit) {
-    boundary_.charge_exit(n);
-  }
+  Cross(boundary_.charge_exit, n);
   return n;
 }
 
 Result<Chain> Socket::RecvChain(size_t max, SockAddrIn* from) {
   DomainLock lock(stack_->sync());
+  // Charged on entry, before any wait (Recv charges it once data is ready).
   stack_->env()->Charge(stack_->env()->prof->sock_recv_fixed);
   stack_->sock_stats().recvs++;
-
+  Result<bool> ready = WaitForData();
+  if (!ready.ok()) {
+    return ready.error();
+  }
+  if (!*ready) {
+    return Chain();  // EOF
+  }
+  ProbeSpan span(stack_->env()->obs->tracer, stack_->env()->sim, Stage::kCopyoutExit);
+  Chain out;
   if (udp_ != nullptr) {
-    for (;;) {
-      Err e = ConsumeError();
-      if (e != Err::kOk) {
-        return e;
-      }
-      if (udp_->rcv.dgram_count() > 0) {
-        break;
-      }
-      if (shutdown_rd_) {
-        return Chain();
-      }
-      stack_->sock_stats().recv_blocks++;
-      rcv_cv_.Wait(stack_->sync()->mutex());
-    }
-    ProbeSpan span(stack_->env()->obs->tracer, stack_->env()->sim, Stage::kCopyoutExit);
     SockBuf::Dgram d;
     udp_->rcv.TakeDgram(&d);
     if (from != nullptr) {
       *from = d.from;
     }
-    if (d.data.len() > max) {
-      d.data.TrimBack(d.data.len() - max);
+    out = std::move(d.data);
+    if (out.len() > max) {
+      out.TrimBack(out.len() - max);
     }
-    if (boundary_.charge_exit) {
-      boundary_.charge_exit(0);
-    }
-    return std::move(d.data);
+  } else {
+    out = tcp_->rcv.TakeStream(max);
+    stack_->tcp().UsrRcvd(tcp_);
   }
-
-  for (;;) {
-    Err e = ConsumeError();
-    if (e != Err::kOk && tcp_->rcv.cc() == 0) {
-      if (e == Err::kConnAborted || e == Err::kConnReset) {
-        tcp_->so_error = Err::kOk;
-      }
-      return e;
-    }
-    if (tcp_->rcv.cc() > 0) {
-      break;
-    }
-    if (tcp_->cantrcvmore || shutdown_rd_ || tcp_->state == TcpState::kClosed) {
-      return Chain();
-    }
-    stack_->sock_stats().recv_blocks++;
-    rcv_cv_.Wait(stack_->sync()->mutex());
-  }
-  ProbeSpan span(stack_->env()->obs->tracer, stack_->env()->sim, Stage::kCopyoutExit);
-  Chain out = tcp_->rcv.TakeStream(max);
-  stack_->tcp().UsrRcvd(tcp_);
-  if (boundary_.charge_exit) {
-    boundary_.charge_exit(0);
-  }
+  Cross(boundary_.charge_exit, 0);
   return out;
 }
 
@@ -539,22 +448,15 @@ Result<void> Socket::Close() {
   }
   closed_ = true;
   PollDetachAll();  // close drops every poll registration, as epoll does
-  if (boundary_.charge_entry) {
-    boundary_.charge_entry(0);
-  }
+  Cross(boundary_.charge_entry, 0);
+  Unhook();  // anything still blocked on this socket wakes to EBADF
   if (udp_ != nullptr) {
-    stack_->udp().Destroy(udp_);
-    udp_ = nullptr;
+    stack_->udp().Destroy(std::exchange(udp_, nullptr));
     return OkResult();
   }
   // BSD close without SO_LINGER: initiate the shutdown handshake and
   // return; the pcb is detached and reaped when it reaches CLOSED.
-  TcpPcb* pcb = tcp_;
-  tcp_ = nullptr;
-  pcb->rcv_wakeup = nullptr;
-  pcb->snd_wakeup = nullptr;
-  pcb->state_wakeup = nullptr;
-  pcb->accept_wakeup = nullptr;
+  TcpPcb* pcb = std::exchange(tcp_, nullptr);
   Result<void> r = stack_->tcp().UsrClose(pcb);
   pcb->detached = true;
   if (pcb->state == TcpState::kClosed) {
@@ -562,63 +464,33 @@ Result<void> Socket::Close() {
   } else {
     stack_->Kick();
   }
-  // Wake anything still blocked on this socket.
-  rcv_cv_.NotifyAll();
-  snd_cv_.NotifyAll();
-  state_cv_.NotifyAll();
   return r;
 }
 
-Result<void> Socket::SetRcvBuf(size_t bytes) {
-  DomainLock lock(stack_->sync());
-  if (tcp_ != nullptr) {
-    tcp_->rcv.set_hiwat(bytes);
-  } else {
-    udp_->rcv.set_hiwat(bytes);
-  }
-  return OkResult();
-}
-
-Result<void> Socket::SetSndBuf(size_t bytes) {
-  DomainLock lock(stack_->sync());
-  if (tcp_ != nullptr) {
-    tcp_->snd.set_hiwat(bytes);
-  } else {
-    udp_->snd_limit = bytes;
-  }
-  return OkResult();
-}
-
-Result<void> Socket::SetNoDelay(bool on) {
-  if (tcp_ == nullptr) {
-    return Err::kOpNotSupp;
-  }
-  DomainLock lock(stack_->sync());
-  tcp_->nodelay = on;
-  return OkResult();
-}
-
-Result<void> Socket::SetKeepAlive(bool on) {
-  if (tcp_ == nullptr) {
-    return Err::kOpNotSupp;
-  }
-  DomainLock lock(stack_->sync());
-  tcp_->keepalive = on;
-  return OkResult();
-}
-
 Result<void> Socket::SetOpt(SockOpt opt, size_t value) {
+  if (tcp_ == nullptr && (opt == SockOpt::kNoDelay || opt == SockOpt::kKeepAlive)) {
+    return Err::kOpNotSupp;
+  }
+  DomainLock lock(stack_->sync());
   switch (opt) {
     case SockOpt::kRcvBuf:
-      return SetRcvBuf(value);
+      (tcp_ != nullptr ? tcp_->rcv : udp_->rcv).set_hiwat(value);
+      break;
     case SockOpt::kSndBuf:
-      return SetSndBuf(value);
+      if (tcp_ != nullptr) {
+        tcp_->snd.set_hiwat(value);
+      } else {
+        udp_->snd_limit = value;
+      }
+      break;
     case SockOpt::kNoDelay:
-      return SetNoDelay(value != 0);
+      tcp_->nodelay = value != 0;
+      break;
     case SockOpt::kKeepAlive:
-      return SetKeepAlive(value != 0);
+      tcp_->keepalive = value != 0;
+      break;
   }
-  return Err::kInval;
+  return OkResult();
 }
 
 bool Socket::Readable() const {
@@ -676,32 +548,17 @@ SockAddrIn Socket::remote_addr() const {
 TcpPcb* Socket::DetachTcpPcb() {
   DomainLock lock(stack_->sync());
   PollDetachAll();
-  TcpPcb* pcb = tcp_;
-  tcp_ = nullptr;
   closed_ = true;
-  if (pcb != nullptr) {
-    pcb->rcv_wakeup = nullptr;
-    pcb->snd_wakeup = nullptr;
-    pcb->state_wakeup = nullptr;
-    pcb->accept_wakeup = nullptr;
-  }
-  rcv_cv_.NotifyAll();
-  snd_cv_.NotifyAll();
-  state_cv_.NotifyAll();
-  return pcb;
+  Unhook();
+  return std::exchange(tcp_, nullptr);
 }
 
 UdpPcb* Socket::DetachUdpPcb() {
   DomainLock lock(stack_->sync());
   PollDetachAll();
-  UdpPcb* pcb = udp_;
-  udp_ = nullptr;
   closed_ = true;
-  if (pcb != nullptr) {
-    pcb->rcv_wakeup = nullptr;
-  }
-  rcv_cv_.NotifyAll();
-  return pcb;
+  Unhook();
+  return std::exchange(udp_, nullptr);
 }
 
 }  // namespace psd

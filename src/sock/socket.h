@@ -1,10 +1,12 @@
 // BSD socket semantics over a protocol stack: blocking send/receive with
 // socket-buffer flow control, listen/accept, connect, shutdown/close,
 // SO_SNDBUF/SO_RCVBUF/TCP_NODELAY/SO_KEEPALIVE, readiness callbacks for
-// select, and both data interfaces:
+// select, and both data interfaces over one data path:
 //   * the classic copying interface (sosend/soreceive), and
 //   * the NEWAPI shared-buffer interface from paper §4.2, where application
 //     and protocol stack exchange buffer ownership instead of copying.
+// The two share one send loop and one receive wait; the only difference is
+// whether a byte is copied or referenced.
 //
 // One Socket class serves all three placements; the placement glue supplies
 // a BoundaryModel that prices the user/kernel (or user/server) crossings at
@@ -24,7 +26,7 @@ namespace psd {
 class PollSet;
 struct PollEntry;
 
-// The setsockopt options the socket layer implements, one per Socket::Set*.
+// The setsockopt options Socket::SetOpt implements.
 enum class SockOpt {
   kRcvBuf,
   kSndBuf,
@@ -84,12 +86,8 @@ class Socket {
   // For UDP, at most one datagram; `from` receives its source.
   Result<Chain> RecvChain(size_t max, SockAddrIn* from = nullptr);
 
-  // --- Options ---
-  Result<void> SetRcvBuf(size_t bytes);
-  Result<void> SetSndBuf(size_t bytes);
-  Result<void> SetNoDelay(bool on);
-  Result<void> SetKeepAlive(bool on);
-  // setsockopt: dispatches `opt` to the setter above (flags take value != 0).
+  // setsockopt: buffer sizes take `value` bytes, flags are on when
+  // value != 0. TCP_NODELAY and SO_KEEPALIVE are TCP-only.
   Result<void> SetOpt(SockOpt opt, size_t value);
 
   // --- Introspection / select support (callable under the domain lock or
@@ -120,18 +118,32 @@ class Socket {
  private:
   friend class PollSet;
 
-  // Wraps an accepted child or adopted pcb (exactly one of `tcp`, `udp`).
-  Socket(Stack* stack, TcpPcb* tcp, UdpPcb* udp);
+  // Wraps `tcp` or `udp` (an accepted child or adopted pcb), or creates a
+  // fresh pcb of `proto` when both are null, and hooks its wakeups.
+  Socket(Stack* stack, IpProto proto, TcpPcb* tcp, UdpPcb* udp);
 
-  void InstallHooks();
+  // The one send path of both interfaces. `chunk(off, take)` turns bytes
+  // [off, off + take) of the caller's data into a Chain: the classic calls
+  // copy (and charge for it), NEWAPI references the shared buffer.
+  template <typename MakeChunk>
+  Result<size_t> SendLoop(size_t len, const SockAddrIn* to, bool urgent, MakeChunk chunk);
+  // The one receive wait: blocks until data is ready (true), the socket is
+  // at EOF (false) or an error is pending (EBADF once the socket is closed).
+  Result<bool> WaitForData();
+
   void WakeReaders();
   void WakeWriters();
   void WakeState();
+  // Charges one wakeup across the placement's boundary and wakes `cv`.
+  void WakeWaiters(SimCondition* cv);
   // Pushes a readiness edge into every PollSet this socket is registered
-  // with (domain lock held, protocol-thread context).
-  void PollEdge(uint32_t events);
+  // with, then runs the readiness callback (domain lock held,
+  // protocol-thread context).
+  void SignalReadiness(uint32_t events);
   // Unregisters from every PollSet (socket teardown).
   void PollDetachAll();
+  // Unhooks the pcb's wakeups from this socket and wakes every waiter.
+  void Unhook();
   SimDuration WakeupCost() const;
   Err ConsumeError();
 

@@ -1,8 +1,10 @@
 // StatsRegistry unit tests: snapshot ordering, the duplicate-gauge guard
 // (assert in debug builds, reject-and-count in release builds), and the
-// Reset contract that lets one registry span back-to-back runs.
+// Reset contract that lets one registry span back-to-back runs; and
+// NetstatText's one header per counter block.
 #include <gtest/gtest.h>
 
+#include "src/obs/netstat.h"
 #include "src/obs/stats.h"
 
 namespace psd {
@@ -63,6 +65,13 @@ TEST(StatsRegistry, ResetClearsGaugesNamesAndRejectCount) {
   // re-register the same counter names.
   EXPECT_TRUE(reg.RegisterGauge("g", [] { return uint64_t{8}; }));
   EXPECT_EQ(reg.Snapshot()[0].value, 8u);
+}
+
+// A block with a sub-block keeps one header: "a.b.y" sorts between "a.x"
+// and "a.z" by name but is printed under its own "a.b:" header after them.
+TEST(Netstat, EachBlockHeaderPrintedOnce) {
+  std::string text = NetstatText({{"a.x", 1}, {"a.b.y", 2}, {"a.z", 3}});
+  EXPECT_EQ(text, "a:\n\t1 x\n\t3 z\na.b:\n\t2 y\n");
 }
 
 }  // namespace

@@ -44,7 +44,63 @@ TEST_F(SockTest, RecvPeekDoesNotConsume) {
   EXPECT_EQ(second, "hello");
 }
 
-TEST_F(SockTest, ShutdownWriteDeliversEofButAllowsRead) {
+// The two call families of the one socket data path: classic Send/Recv
+// (parameter false), and NEWAPI SendShared/RecvChain (true). NEWAPI runs in
+// Library-SHM-IPF, where an application-managed session reaches Socket's
+// shared-buffer calls (the other placements answer them with SocketApi's
+// copying fallbacks).
+class SockFamilyTest : public ::testing::TestWithParam<bool> {
+ protected:
+  SockFamilyTest()
+      : w(newapi() ? Config::kLibraryShmIpf : Config::kInKernel,
+          MachineProfile::DecStation5000()) {}
+
+  static bool newapi() { return GetParam(); }
+
+  // Sends `s` on `fd` through the family's send call, after checking that
+  // NEWAPI will take the shared-buffer path.
+  Result<size_t> Send(int host, int fd, const std::string& s) {
+    SocketApi* api = w.api(host);
+    if (!newapi()) {
+      return api->Send(fd, reinterpret_cast<const uint8_t*>(s.data()), s.size());
+    }
+    EXPECT_TRUE(w.library_node(host)->IsAppManaged(fd));
+    auto buf = std::make_shared<const std::vector<uint8_t>>(s.begin(), s.end());
+    return api->SendShared(fd, buf, 0, buf->size());
+  }
+
+  // Receives at most `max` bytes from `fd` through the family's receive
+  // call: "" at EOF (an empty Chain for NEWAPI).
+  Result<std::string> Recv(int host, int fd, size_t max) {
+    SocketApi* api = w.api(host);
+    std::string out(max, '\0');
+    if (!newapi()) {
+      Result<size_t> n = api->Recv(fd, reinterpret_cast<uint8_t*>(out.data()), max);
+      if (!n.ok()) {
+        return n.error();
+      }
+      out.resize(*n);
+      return out;
+    }
+    EXPECT_TRUE(w.library_node(host)->IsAppManaged(fd));
+    Result<Chain> c = api->RecvChain(fd, max);
+    if (!c.ok()) {
+      return c.error();
+    }
+    out.resize(c->len());
+    c->CopyOut(0, reinterpret_cast<uint8_t*>(out.data()), out.size());
+    return out;
+  }
+
+  World w;
+};
+
+INSTANTIATE_TEST_SUITE_P(CallFamilies, SockFamilyTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "NewApi" : "Classic";
+                         });
+
+TEST_P(SockFamilyTest, ShutdownWriteDeliversEofButAllowsRead) {
   bool checked = false;
   w.SpawnApp(1, "rx", [&] {
     SocketApi* api = w.api(1);
@@ -53,13 +109,12 @@ TEST_F(SockTest, ShutdownWriteDeliversEofButAllowsRead) {
     api->Listen(lfd, 1);
     Result<int> cfd = api->Accept(lfd, nullptr);
     ASSERT_TRUE(cfd.ok());
-    uint8_t buf[8];
     // Peer shut down its write side: we see EOF...
-    Result<size_t> n = api->Recv(*cfd, buf, sizeof(buf), nullptr, false);
-    ASSERT_TRUE(n.ok());
-    EXPECT_EQ(*n, 0u);
+    Result<std::string> got = Recv(1, *cfd, 8);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(*got, "");
     // ...but can still send to it (half-close).
-    Result<size_t> s = api->Send(*cfd, reinterpret_cast<const uint8_t*>("bye"), 3, nullptr);
+    Result<size_t> s = Send(1, *cfd, "bye");
     EXPECT_TRUE(s.ok());
     api->Close(*cfd);
   });
@@ -69,18 +124,16 @@ TEST_F(SockTest, ShutdownWriteDeliversEofButAllowsRead) {
     w.sim().current_thread()->SleepFor(Millis(5));
     ASSERT_TRUE(api->Connect(fd, SockAddrIn{w.addr(1), 5001}).ok());
     ASSERT_TRUE(api->Shutdown(fd, false, true).ok());
-    uint8_t buf[8];
-    Result<size_t> n = api->Recv(fd, buf, sizeof(buf), nullptr, false);
-    ASSERT_TRUE(n.ok());
-    EXPECT_EQ(*n, 3u);
-    EXPECT_EQ(std::string(buf, buf + 3), "bye");
+    Result<std::string> got = Recv(0, fd, 8);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(*got, "bye");
     checked = true;
   });
   w.sim().Run(Seconds(20));
   EXPECT_TRUE(checked);
 }
 
-TEST_F(SockTest, SendAfterShutdownIsPipe) {
+TEST_P(SockFamilyTest, SendAfterShutdownIsPipe) {
   bool checked = false;
   w.SpawnApp(1, "rx", [&] {
     SocketApi* api = w.api(1);
@@ -96,14 +149,56 @@ TEST_F(SockTest, SendAfterShutdownIsPipe) {
     w.sim().current_thread()->SleepFor(Millis(5));
     ASSERT_TRUE(api->Connect(fd, SockAddrIn{w.addr(1), 5001}).ok());
     api->Shutdown(fd, false, true);
-    uint8_t b = 1;
-    Result<size_t> r = api->Send(fd, &b, 1, nullptr);
+    Result<size_t> r = Send(0, fd, "\x01");
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), Err::kPipe);
     checked = true;
   });
   w.sim().Run(Seconds(20));
   EXPECT_TRUE(checked);
+}
+
+// A connected UDP socket's pending error (ICMP port unreachable from a port
+// nobody listens on) is what the next receive returns, through either call.
+TEST_F(SockTest, PendingUdpErrorReachesRecvAndRecvChain) {
+  bool checked = false;
+  w.SpawnApp(0, "tx", [&] {
+    // Drive the socket layer directly: In-Kernel answers the NEWAPI calls
+    // with SocketApi's copying fallbacks.
+    Socket sock(w.kernel_node(0)->stack(), IpProto::kUdp);
+    ASSERT_TRUE(sock.Connect(SockAddrIn{w.addr(1), 4444}).ok());
+    uint8_t b[4] = {};
+    ASSERT_TRUE(sock.Send(b, sizeof(b)).ok());
+    Result<size_t> n = sock.Recv(b, sizeof(b));
+    ASSERT_FALSE(n.ok());
+    EXPECT_EQ(n.error(), Err::kConnRefused);
+    ASSERT_TRUE(sock.Send(b, sizeof(b)).ok());
+    Result<Chain> c = sock.RecvChain(sizeof(b));
+    ASSERT_FALSE(c.ok());
+    EXPECT_EQ(c.error(), Err::kConnRefused);
+    sock.Close();
+    checked = true;
+  });
+  w.sim().Run(Seconds(10));
+  EXPECT_TRUE(checked);
+}
+
+// Close wakes a caller blocked in the receive wait, which then fails with
+// EBADF instead of reading a pcb that is gone.
+TEST_F(SockTest, CloseWakesBlockedRecvWithBadF) {
+  std::unique_ptr<Socket> sock;
+  Err err = Err::kOk;
+  w.SpawnApp(0, "reader", [&] {
+    sock = std::make_unique<Socket>(w.kernel_node(0)->stack(), IpProto::kUdp);
+    uint8_t b[4];
+    err = sock->Recv(b, sizeof(b)).error();
+  });
+  w.SpawnApp(0, "closer", [&] {
+    w.sim().current_thread()->SleepFor(Millis(5));
+    ASSERT_TRUE(sock->Close().ok());
+  });
+  w.sim().Run(Seconds(1));
+  EXPECT_EQ(err, Err::kBadF);
 }
 
 TEST_F(SockTest, BindToTakenPortIsAddrInUse) {

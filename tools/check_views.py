@@ -110,6 +110,11 @@ def view_stat():
     for reason, v in sums.items():
         assert v == loss['drop_reasons'].get(reason, 0), \
             f'{reason}: drop gauges sum to {v}, ledger says {loss["drop_reasons"]}'
+    # Protocol events are read at the same instant as the ledger: every
+    # wire fault is one "wire/drop" instant.
+    assert loss['instants'].get('wire/drop', 0) == loss['drop_reasons']['wire-fault'], \
+        f'wire/drop {loss["instants"].get("wire/drop", 0)} != ' \
+        f'wire-fault {loss["drop_reasons"]["wire-fault"]}'
     check_journey(loss['journey'])
     text = run('stat', '--proto', 'tcp', '--trials', '5', '--loss', '0.05')
     m = re.search(r'^drop reasons:\n((?:  \S+ +\d+.*\n)+)', text, re.M)

@@ -363,19 +363,22 @@ struct RecorderTotals {
   }
 };
 
-// With --proto both the workload runs once per protocol; counters and
-// recorder totals are summed across the runs and histograms accumulate.
-// The pcap taps are re-armed at the start of each run, so a capture file
-// holds the final run's traffic with monotone virtual timestamps.
+// With --proto both the workload runs once per protocol; counters,
+// recorder totals, protocol events and histograms are summed across the
+// runs. The pcap taps are re-armed at the start of each run, so a capture
+// file holds the final run's traffic with monotone virtual timestamps.
 int Stat(const Opts& o) {
-  HistogramSink hist;
+  HistogramSink hist;  // the current run's spans and instants
   PcapCapture wire_pcap;
   PcapCapture kern_pcap;
   std::map<std::string, uint64_t> counters;
+  std::map<std::string, LatencyHistogram> histograms;
+  std::map<std::string, uint64_t> instants;
 
   ProtolatHooks hooks;
   hooks.sinks = {&hist};
   hooks.on_world = [&](World& w) {
+    hist.Reset();
     if (!o.pcap.empty()) {
       wire_pcap.Reset();
       w.AttachWirePcap(&wire_pcap);
@@ -386,11 +389,17 @@ int Stat(const Opts& o) {
       w.AttachKernelPcap(1, &kern_pcap);
     }
   };
-  // Counters and recorder totals are read at one instant, the end of the
-  // timed trials, so the components' drop gauges add up to the ledger's.
+  // Everything is read at one instant, the end of the timed trials, so the
+  // components' drop gauges and the protocol events add up to the ledger's.
   RecorderTotals rec;
   hooks.on_done = [&](World& w) {
     rec.Add(w.obs());
+    for (const auto& kv : hist.histograms()) {
+      histograms[kv.first].Merge(kv.second);
+    }
+    for (const auto& kv : hist.instants()) {
+      instants[kv.first] += kv.second;
+    }
     std::vector<StatsRegistry::Entry> entries = ExportRun(w);
     if (!o.terse) {
       // --terse asks for the aggregate picture only; per-session rows are
@@ -435,7 +444,7 @@ int Stat(const Opts& o) {
     printf("  \"counters\": %s,\n", NetstatJson(merged).c_str());
     printf("  \"histograms\": {");
     bool first = true;
-    for (const auto& kv : hist.histograms()) {
+    for (const auto& kv : histograms) {
       const LatencyHistogram& h = kv.second;
       printf("%s\n    \"%s\": {\"count\": %lu, \"mean_us\": %.6g, \"min_us\": %.6g, "
              "\"max_us\": %.6g, \"p50_us\": %.6g, \"p90_us\": %.6g, \"p99_us\": %.6g}",
@@ -448,7 +457,7 @@ int Stat(const Opts& o) {
     printf("\n  },\n");
     printf("  \"instants\": {");
     first = true;
-    for (const auto& kv : hist.instants()) {
+    for (const auto& kv : instants) {
       printf("%s\"%s\": %lu", first ? "" : ", ", JsonEscape(kv.first).c_str(),
              static_cast<unsigned long>(kv.second));
       first = false;
@@ -485,15 +494,15 @@ int Stat(const Opts& o) {
   }
   printf("\n%s", NetstatText(merged, o.terse).c_str());
   printf("\nlatency histograms (virtual time, us):\n");
-  for (const auto& kv : hist.histograms()) {
+  for (const auto& kv : histograms) {
     const LatencyHistogram& h = kv.second;
     printf("  %-24s count %-7lu mean %8.1f  p50 %8.1f  p90 %8.1f  p99 %8.1f\n", kv.first.c_str(),
            static_cast<unsigned long>(h.count()), h.MeanMicros(), h.QuantileMicros(0.50),
            h.QuantileMicros(0.90), h.QuantileMicros(0.99));
   }
-  if (!hist.instants().empty()) {
+  if (!instants.empty()) {
     printf("\nprotocol events:\n");
-    for (const auto& kv : hist.instants()) {
+    for (const auto& kv : instants) {
       printf("  %-24s %lu\n", kv.first.c_str(), static_cast<unsigned long>(kv.second));
     }
   }
