@@ -2,7 +2,7 @@
 """Structural checks on the bench binaries' JSON output.
 
 usage: check_bench_json.py tables|c10k|appmix [DIR]
-       check_bench_json.py golden COMMITTED [DIR]
+       check_bench_json.py golden|c10k-virtual|c10k-repin COMMITTED [DIR]
 
 Reads the BENCH_*.json files a bench run left in DIR (default: the current
 directory) and exits non-zero with a message naming the first violated
@@ -24,6 +24,14 @@ check; on success it prints one summary line per file and "<kind>: OK".
   golden  the file named like COMMITTED (a committed full-size table run):
           the same bench, and `summary` and `results` equal to COMMITTED's
           value for value; a failure lists the cells that moved.
+  c10k-virtual
+          BENCH_c10k.json's virtual columns (every summary and row field but
+          the wall-clock ones and host_profile: accepts, flows, frames,
+          events, virtual time, connect latency, RPC and trap counts,
+          metastate, migrations) equal COMMITTED's value for value; a
+          failure lists the cells that moved.
+  c10k-repin
+          writes those virtual columns to COMMITTED (repin_goldens).
 """
 import glob
 import json
@@ -146,14 +154,58 @@ def check_golden(committed, d='.'):
     print(f'{os.path.basename(committed)}: {len(got["results"])} rows match')
 
 
+def c10k_virtual(d='.'):
+    """BENCH_c10k.json without its host side: wall-clock fields and host_profile."""
+    doc = load(os.path.join(d, 'BENCH_c10k.json'), 'c10k')
+    skip = ('placement', 'wall_ns', 'wall_ns_per_pkt', 'host_profile')
+    return {
+        'summary': {k: v for k, v in doc['summary'].items() if not k.endswith('_wall_ns_per_pkt')},
+        'results': {r['placement']: {k: v for k, v in r.items() if k not in skip}
+                    for r in doc['results']},
+    }
+
+
+def cells(value, path=''):
+    """Flattens nested dicts and lists into {path: leaf}."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return {path: value}
+    out = {}
+    for k, v in items:
+        out.update(cells(v, f'{path}.{k}' if path else str(k)))
+    return out
+
+
+def check_c10k_virtual(committed, d='.'):
+    with open(committed) as f:
+        want = cells(json.load(f))
+    got = cells(c10k_virtual(d))
+    moved = [f'{k}: {want.get(k)} -> {got.get(k)}'
+             for k in sorted(set(want) | set(got)) if want.get(k) != got.get(k)]
+    assert not moved, f'{len(moved)} cells moved from {committed}:\n  ' + '\n  '.join(moved)
+    print(f'{os.path.basename(committed)}: {len(got)} virtual cells match')
+
+
+def repin_c10k_virtual(committed, d='.'):
+    with open(committed, 'w') as f:
+        json.dump(c10k_virtual(d), f, indent=1, sort_keys=True)
+        f.write('\n')
+    print(f'wrote {committed}')
+
+
 CHECKS = {'tables': check_tables, 'c10k': check_c10k, 'appmix': check_appmix,
-          'golden': check_golden}
+          'golden': check_golden, 'c10k-virtual': check_c10k_virtual,
+          'c10k-repin': repin_c10k_virtual}
+TAKES_COMMITTED = ('golden', 'c10k-virtual', 'c10k-repin')
 
 
 def main(argv):
     kind = argv[1] if len(argv) > 1 else None
     args = argv[2:]
-    if kind not in CHECKS or len(args) not in ((1, 2) if kind == 'golden' else (0, 1)):
+    if kind not in CHECKS or len(args) not in ((1, 2) if kind in TAKES_COMMITTED else (0, 1)):
         sys.exit(__doc__.split('\n\n')[1])
     try:
         CHECKS[kind](*args)

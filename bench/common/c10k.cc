@@ -284,7 +284,8 @@ C10kOutcome RunC10k(Config config, const MachineProfile& prof, const C10kParams&
 
     // Observatory extraction (before the World and its recorders die).
     out.timeseries_samples = sampler.taken();
-    out.timeseries_json = sampler.Json();
+    out.timeseries_json = sampler.Json("", "prof.");
+    out.host_timeseries_json = sampler.Json("prof.");
     out.rpcs_per_sec = sampler.RatePerSec("rpc.total");
     out.arp_miss_per_sec = sampler.RatePerSec("meta.arp-miss");
     out.route_lookup_per_sec = sampler.RatePerSec("meta.route-lookup");

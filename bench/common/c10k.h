@@ -76,7 +76,11 @@ struct C10kOutcome {
   double route_lookup_per_sec = 0;
   double port_acquire_per_sec = 0;
   uint64_t timeseries_samples = 0;
-  std::string timeseries_json;  // TimeSeriesSampler::Json() of the run
+  // TimeSeriesSampler::Json() of the run, split in two: the virtual gauges
+  // (byte-identical between runs of one binary) and the host wall-clock
+  // prof.* gauges.
+  std::string timeseries_json;
+  std::string host_timeseries_json;
   uint64_t live_migrations = 0;
   uint64_t migrated_completed = 0;
   uint64_t migrated_errors = 0;

@@ -13,6 +13,10 @@ namespace psd {
 
 class Encoder {
  public:
+  // Room for every fixed-size request up front: growing a byte at a time
+  // would reallocate at 1, 2, 4, 8, ... bytes.
+  Encoder() { buf_.reserve(64); }
+
   void U8(uint8_t x) { buf_.push_back(x); }
   void U16(uint16_t x) {
     buf_.push_back(static_cast<uint8_t>(x >> 8));

@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "src/base/log.h"
+#include "src/base/scratch.h"
 #include "src/obs/observatory.h"
 #include "src/obs/stats.h"
 #include "src/obs/trace.h"
@@ -107,8 +108,8 @@ IpcMessage ProtocolLibrary::Call(ProxyOp op, uint64_t sid, std::vector<uint8_t> 
   // the send leg, and the blocked wait for the reply).
   TraceSpan span(host_->obs()->tracer, host_->sim(), ProxyOpName(op), TraceLayer::kCore, sid);
   rpc_calls_.Count(ProxyOpSlot(static_cast<uint32_t>(op)));
-  return ClientRpc(host_, server_->control_port(), name_ + "/reply", static_cast<uint32_t>(op),
-                   sid, std::move(payload), a2, a3, lib_id_);
+  return ClientRpc(host_, server_->control_port(), static_cast<uint32_t>(op), sid,
+                   std::move(payload), a2, a3, lib_id_);
 }
 
 void ProtocolLibrary::Notify(ProxyOp op, uint64_t sid, uint64_t a2) {
@@ -118,7 +119,7 @@ void ProtocolLibrary::Notify(ProxyOp op, uint64_t sid, uint64_t a2) {
   req.arg[1] = sid;
   req.arg[2] = a2;
   req.arg[4] = lib_id_;
-  server_->control_port()->Send(std::move(req));
+  server_->control_port()->Send(req);
 }
 
 MacResolver::Status ProtocolLibrary::CacheResolver::Resolve(Ipv4Addr next_hop, MacAddr* out,
@@ -579,12 +580,33 @@ Result<std::unique_ptr<LibraryNode>> LibraryNode::Fork(ProtocolLibrary* child_li
   return child;
 }
 
-Result<int> LibraryNode::Select(SelectFds* fds, SimDuration timeout) {
-  // Partition descriptors into app-managed sockets and server-managed
-  // sessions (the paper's "information gap", §3.2).
+namespace {
+
+// One library select's working storage (pooled: a second fiber may select
+// while the first is blocked in proxy_select).
+struct LibrarySelectScratch {
   std::vector<Socket*> local_rd;
+  std::vector<Socket*> local_wr;
   std::vector<uint64_t> server_sids;
   std::vector<size_t> server_pos;
+  std::vector<bool> lr;
+  std::vector<bool> lw;
+};
+
+}  // namespace
+
+Result<int> LibraryNode::Select(SelectFds* fds, SimDuration timeout) {
+  Scratch<LibrarySelectScratch> scratch;
+  std::vector<Socket*>& local_rd = scratch->local_rd;
+  std::vector<Socket*>& local_wr = scratch->local_wr;
+  std::vector<uint64_t>& server_sids = scratch->server_sids;
+  std::vector<size_t>& server_pos = scratch->server_pos;
+  local_rd.clear();
+  local_wr.clear();
+  server_sids.clear();
+  server_pos.clear();
+  // Partition descriptors into app-managed sockets and server-managed
+  // sessions (the paper's "information gap", §3.2).
   for (size_t i = 0; i < fds->read.size(); i++) {
     Result<Desc*> dr = Lookup(fds->read[i]);
     if (dr.ok() && (*dr)->sock != nullptr) {
@@ -597,7 +619,6 @@ Result<int> LibraryNode::Select(SelectFds* fds, SimDuration timeout) {
       }
     }
   }
-  std::vector<Socket*> local_wr;
   for (size_t i = 0; i < fds->write.size(); i++) {
     Result<Desc*> dr = Lookup(fds->write[i]);
     local_wr.push_back(dr.ok() && (*dr)->sock != nullptr ? (*dr)->sock.get() : nullptr);
@@ -626,19 +647,10 @@ Result<int> LibraryNode::Select(SelectFds* fds, SimDuration timeout) {
 
   // Arm local notification: readiness in the library notifies the server.
   ProtocolLibrary* lib = lib_;
-  std::vector<std::pair<Socket*, std::function<void()>>> saved;
   for (Socket* s : local_rd) {
-    if (s == nullptr) {
-      continue;
+    if (s != nullptr) {
+      s->ArmReadiness(token, [lib, token] { lib->Notify(ProxyOp::kProxyStatus, 0, token); });
     }
-    saved.emplace_back(s, s->readiness_callback());
-    std::function<void()> prev = saved.back().second;
-    s->SetReadinessCallback([lib, token, prev] {
-      lib->Notify(ProxyOp::kProxyStatus, 0, token);
-      if (prev) {
-        prev();
-      }
-    });
   }
 
   Encoder e;
@@ -649,8 +661,10 @@ Result<int> LibraryNode::Select(SelectFds* fds, SimDuration timeout) {
   IpcMessage rep = lib_->Call(ProxyOp::kProxySelect, 0, e.Take(), token,
                               static_cast<uint64_t>(timeout));
 
-  for (auto& [s, prev] : saved) {
-    s->SetReadinessCallback(prev);
+  for (Socket* s : local_rd) {
+    if (s != nullptr) {
+      s->DisarmReadiness(token);
+    }
   }
   if (Result<void> st = ReplyStatus(rep); !st.ok()) {
     return st.error();
@@ -658,7 +672,8 @@ Result<int> LibraryNode::Select(SelectFds* fds, SimDuration timeout) {
   Decoder dec(rep.payload);
   dec.U32();  // server-side ready count (recomputed below)
   dec.U8();   // pinged flag
-  std::vector<bool> lr, lw;
+  std::vector<bool>& lr = scratch->lr;
+  std::vector<bool>& lw = scratch->lw;
   SelectSockets(lib_->stack(), local_rd, local_wr, 0, &lr, &lw);
   int total = 0;
   for (size_t i = 0; i < fds->read.size(); i++) {
@@ -713,6 +728,16 @@ Result<void> LibraryNode::PollRemove(int pfd, int fd) {
   return OkResult();
 }
 
+namespace {
+
+// One PollWait's materialized interest set (pooled, like select's).
+struct LibraryPollScratch {
+  SelectFds fds;
+  std::vector<std::pair<int, uint32_t>> members;
+};
+
+}  // namespace
+
 Result<int> LibraryNode::PollWait(int pfd, std::vector<PollEvent>* out, SimDuration timeout) {
   auto it = polls_.find(pfd);
   if (it == polls_.end()) {
@@ -720,8 +745,12 @@ Result<int> LibraryNode::PollWait(int pfd, std::vector<PollEvent>* out, SimDurat
   }
   out->clear();
   // Materialize the persistent interest map into one cooperative select.
-  SelectFds fds;
-  std::vector<std::pair<int, uint32_t>> members;
+  Scratch<LibraryPollScratch> scratch;
+  SelectFds& fds = scratch->fds;
+  std::vector<std::pair<int, uint32_t>>& members = scratch->members;
+  fds.read.clear();
+  fds.write.clear();
+  members.clear();
   for (const auto& [fd, mask] : it->second) {
     assert(fds_.count(fd) != 0);  // Close deregisters
     members.emplace_back(fd, mask);

@@ -126,7 +126,7 @@ class LibraryNode : public SocketApi {
   Result<int> Select(SelectFds* fds, SimDuration timeout) override;
   // Poll descriptors in the library placement keep a persistent interest
   // map and drive the cooperative select machinery on each wait: app-
-  // managed sockets hook their readiness callbacks, server-managed
+  // managed sockets arm readiness pings, server-managed
   // sessions ride the blocking proxy_select. The O(ready) push-edge path
   // materializes in the kernel and UX-server placements, which own real
   // PollSets; here the win is the persistent registration.

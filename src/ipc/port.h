@@ -10,11 +10,18 @@
 // Costs: Send charges the fixed IPC cost plus per-byte transfer into the
 // queue; Receive charges per-byte transfer out, and — when the receiver had
 // actually blocked — the cross-address-space wakeup cost.
+//
+// On the host, Send copies the payload once, into a queue slot, and
+// Receive swaps the slot's buffer with the receiver's: a slot keeps a
+// buffer when its message leaves, so a port in steady use (a server's
+// request port, a packet port, a worker's reused message) stops
+// allocating. A drained queue keeps at most kKeptSlots slots, so a burst's
+// backlog is not held for the port's lifetime. Building a Port allocates
+// nothing.
 #ifndef PSD_SRC_IPC_PORT_H_
 #define PSD_SRC_IPC_PORT_H_
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -78,41 +85,44 @@ class Port {
   Port(const Port&) = delete;
   Port& operator=(const Port&) = delete;
 
-  // Sends a message (thread context required; charges IPC costs).
-  void Send(IpcMessage msg);
+  // Sends a copy of `msg` (thread context required; charges IPC costs).
+  void Send(const IpcMessage& msg);
 
-  // Sends without charging (used by test fixtures and for free in-kernel
-  // handoffs where the cost is accounted elsewhere).
-  void SendUncharged(IpcMessage msg);
+  // Sends without charging (for free in-kernel handoffs where the cost is
+  // accounted elsewhere).
+  void SendUncharged(const IpcMessage& msg);
 
-  // Receives the next message; blocks until one arrives or `deadline`.
+  // Receives the next message into *out (whose old payload buffer the
+  // queue keeps for reuse); blocks until one arrives or `deadline`.
   // Returns false on timeout. Charges receive-side IPC costs.
   bool Receive(IpcMessage* out, SimTime deadline = kTimeNever);
 
   // Dequeues without blocking or charging (crash cleanup: the receiver is
   // dead, nobody pays for these messages). Returns false when empty.
-  bool DrainOne(IpcMessage* out) {
-    if (queue_.empty()) {
-      return false;
-    }
-    *out = std::move(queue_.front());
-    queue_.pop_front();
-    return true;
-  }
+  bool DrainOne(IpcMessage* out);
 
-  size_t queued() const { return queue_.size(); }
+  size_t queued() const { return count_; }
   const std::string& name() const { return name_; }
   Simulator* simulator() const { return sim_; }
 
   uint64_t messages_sent() const { return messages_sent_; }
 
  private:
+  // Swaps the oldest queued message with *out: the slot keeps *out's old
+  // payload buffer for the next Send.
+  void Dequeue(IpcMessage* out);
+
   Simulator* sim_;
   Observatory* obs_;
   std::string name_;
   PortCosts costs_;
   WaitQueue nonempty_;
-  std::deque<IpcMessage> queue_;
+  // The queue: a ring of message slots, oldest at head_, grown (doubling)
+  // only when full and cut back to kKeptSlots whenever it drains.
+  static constexpr size_t kKeptSlots = 64;
+  std::vector<IpcMessage> ring_;
+  size_t head_ = 0;
+  size_t count_ = 0;
   uint64_t messages_sent_ = 0;
 };
 

@@ -113,13 +113,16 @@ void Kernel::IntrThreadBody() {
 namespace {
 
 // kIpc delivery: one message per packet. The packet id crosses the port out
-// of band (the payload vector carries no Frame metadata).
+// of band (the payload vector carries no Frame metadata). The message
+// borrows the frame's pooled buffer for Send's one copy and hands it back,
+// so ~Frame parks it in FramePool.
 void PostPacket(Port* port, Frame f) {
   IpcMessage msg;
   msg.kind = kMsgPacketDelivery;
   msg.arg[5] = f.pkt_id;
-  msg.payload = std::move(f);
-  port->Send(std::move(msg));
+  msg.payload.swap(f);
+  port->Send(msg);
+  msg.payload.swap(f);
 }
 
 }  // namespace

@@ -17,6 +17,17 @@ struct FreeBlock {
 };
 
 struct MbufPoolState {
+  ~MbufPoolState() { FreeParkedMbufs(); }
+
+  void FreeParkedMbufs() {
+    while (free_mbufs != nullptr) {
+      FreeBlock* b = free_mbufs;
+      free_mbufs = b->next;
+      ::operator delete(b);
+    }
+    parked_mbufs = 0;
+  }
+
   FreeBlock* free_mbufs = nullptr;
   size_t parked_mbufs = 0;
   // Parked with use_count() == 1: reissuing reuses the control block, the
@@ -32,8 +43,10 @@ struct MbufPoolState {
   uint64_t cluster_high_watermark = 0;
 };
 
+// One pool per host thread, like the fiber StackPool: simulations run on
+// different threads never share (or race on) parked objects or counters.
 MbufPoolState& PS() {
-  static MbufPoolState s;
+  thread_local MbufPoolState s;
   return s;
 }
 
@@ -52,11 +65,7 @@ size_t MbufPool::parked_clusters() { return PS().clusters.size(); }
 
 void MbufPool::ResetForTest() {
   MbufPoolState& s = PS();
-  while (s.free_mbufs != nullptr) {
-    FreeBlock* b = s.free_mbufs;
-    s.free_mbufs = b->next;
-    ::operator delete(b);
-  }
+  s.FreeParkedMbufs();
   s = MbufPoolState{};
 }
 

@@ -33,8 +33,10 @@ constexpr size_t kMbufInline = 112;
 // operator new/delete; kClusterBytes cluster buffers are recycled —
 // control block, vector and heap storage together — when the last
 // reference dies, and re-zeroed on reissue so a recycled cluster is
-// indistinguishable from a fresh one. Like every engine structure, the
-// pools rely on the simulator's strict token handoff instead of locks.
+// indistinguishable from a fresh one. The pools, their counters included,
+// are per host thread: within a thread they rely on the simulator's strict
+// token handoff instead of locks, and simulations on different threads
+// never share them.
 class MbufPool {
  public:
   static constexpr size_t kMaxParkedMbufs = 8192;

@@ -18,8 +18,10 @@ struct PoolState {
   uint64_t high_watermark = 0;
 };
 
+// One pool per host thread, like the fiber StackPool: simulations run on
+// different threads never share (or race on) parked buffers or counters.
 PoolState& S() {
-  static PoolState s;
+  thread_local PoolState s;
   return s;
 }
 

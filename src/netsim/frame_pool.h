@@ -13,9 +13,11 @@
 // Frame object itself, not the buffer, and never travels with recycled
 // storage. tests/netsim/pool_lifecycle_test.cc holds the pool to this.
 //
-// No locking: everything in the simulation runs under the simulator's
-// strict token handoff (one logical thread), which is the same discipline
-// that protects every other engine structure.
+// The pool, its counters included, is per host thread. No locking within a
+// thread: everything in the simulation runs under the simulator's strict
+// token handoff (one logical thread), which is the same discipline that
+// protects every other engine structure; simulations on different threads
+// never share a pool.
 #ifndef PSD_SRC_NETSIM_FRAME_POOL_H_
 #define PSD_SRC_NETSIM_FRAME_POOL_H_
 

@@ -79,7 +79,7 @@ double TimeSeriesSampler::RatePerSec(const std::string& name) const {
          (static_cast<double>(elapsed) / 1e9);
 }
 
-std::string TimeSeriesSampler::Json(const std::string& prefix) const {
+std::string TimeSeriesSampler::Json(const std::string& prefix, const std::string& drop) const {
   std::ostringstream os;
   os << "{\"timeseries\":1,\"interval_ns\":" << interval_ << ",\"taken\":" << taken_
      << ",\"dropped\":" << dropped() << ",\"samples\":[";
@@ -92,7 +92,7 @@ std::string TimeSeriesSampler::Json(const std::string& prefix) const {
     os << "{\"t_ns\":" << s.at << ",\"gauges\":{";
     bool first_gauge = true;
     for (const auto& e : s.entries) {
-      if (!HasPrefix(e.name, prefix)) {
+      if (!HasPrefix(e.name, prefix) || (!drop.empty() && HasPrefix(e.name, drop))) {
         continue;
       }
       if (!first_gauge) {

@@ -66,8 +66,9 @@ class TimeSeriesSampler {
 
   // {"timeseries":1, "interval_ns":N, "taken":N, "dropped":N,
   //  "samples":[{"t_ns":T, "gauges":{"name":v,...}},...]}
-  // `prefix` filters gauges by name prefix (empty = all).
-  std::string Json(const std::string& prefix = "") const;
+  // `prefix` filters gauges by name prefix (empty = all); gauges whose name
+  // starts with a non-empty `drop` are left out.
+  std::string Json(const std::string& prefix = "", const std::string& drop = "") const;
   // Header "t_ns,<name>,..." from the first sample's gauge set, one row per
   // sample (missing names render 0).
   std::string Csv(const std::string& prefix = "") const;

@@ -15,19 +15,19 @@ void RunPacketInput(Port* port, Stack* stack) {
     if (!port->Receive(&msg)) {
       continue;
     }
-    Frame f(std::move(msg.payload));
+    // Copy onto pooled storage; msg keeps its buffer for the next receive.
+    Frame f(msg.payload);
     f.pkt_id = msg.arg[5];
     stack->InputFrame(f);
   }
 }
 
-IpcMessage ClientRpc(SimHost* host, Port* server, std::string reply_name, uint32_t kind,
-                     uint64_t id, std::vector<uint8_t> payload, uint64_t a2, uint64_t a3,
-                     uint64_t a4) {
+IpcMessage ClientRpc(SimHost* host, Port* server, uint32_t kind, uint64_t id,
+                     std::vector<uint8_t> payload, uint64_t a2, uint64_t a3, uint64_t a4) {
   SimThread* self = host->sim()->current_thread();
   assert(self != nullptr);
   self->Charge(host->prof()->trap);
-  Port reply(host->sim(), host->obs(), host->prof(), std::move(reply_name));
+  Port reply(host->sim(), host->obs(), host->prof(), "reply");
   IpcMessage req;
   req.kind = kind;
   req.arg[1] = id;
@@ -105,7 +105,7 @@ void ServerCore::WorkerBody() {
     rpc_.Record(op_slot_(msg.kind), bytes_in, reply.payload.size(), queue_wait,
                 host_->sim()->Now() - start);
     if (msg.reply_port != nullptr) {
-      msg.reply_port->Send(std::move(reply));
+      msg.reply_port->Send(reply);
     }
   }
 }

@@ -83,15 +83,15 @@ class SocketOpClient {
 
 // One client RPC round trip into a server: charges the trap, sends request
 // `kind` (arg[1] = id, arg[2..4] = a2..a4, the payload) to `server` and
-// blocks on a fresh reply port named `reply_name` for the answer. Callers
-// keep their own span and per-op counter around it.
-IpcMessage ClientRpc(SimHost* host, Port* server, std::string reply_name, uint32_t kind,
-                     uint64_t id, std::vector<uint8_t> payload, uint64_t a2, uint64_t a3,
-                     uint64_t a4);
+// blocks on a fresh reply port for the answer. Callers keep their own span
+// and per-op counter around it.
+IpcMessage ClientRpc(SimHost* host, Port* server, uint32_t kind, uint64_t id,
+                     std::vector<uint8_t> payload, uint64_t a2, uint64_t a3, uint64_t a4);
 
-// Drains packet-delivery messages from `port` into `stack`, re-attaching
-// the packet id the kernel stashed in arg[5] (the payload vector crossed
-// the port without its Frame metadata). Never returns.
+// Drains packet-delivery messages from `port` into `stack`, each copied
+// onto a pooled Frame with the packet id the kernel stashed in arg[5]
+// re-attached (the payload vector crossed the port without its Frame
+// metadata). Never returns.
 void RunPacketInput(Port* port, Stack* stack);
 
 class ServerCore {

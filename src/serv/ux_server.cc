@@ -156,7 +156,7 @@ UxServerNode::UxServerNode(UxServer* server)
 IpcMessage UxServerNode::Call(ServOp op, uint64_t fd, std::vector<uint8_t> payload, uint64_t a2,
                               uint64_t a3) {
   rpc_calls_.Count(ServOpSlot(static_cast<uint32_t>(op)));
-  return ClientRpc(host_, server_->request_port(), "ux-reply", static_cast<uint32_t>(op), fd,
+  return ClientRpc(host_, server_->request_port(), static_cast<uint32_t>(op), fd,
                    std::move(payload), a2, a3, 0);
 }
 

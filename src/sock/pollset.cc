@@ -1,8 +1,72 @@
 #include "src/sock/pollset.h"
 
 #include <algorithm>
+#include <memory>
 
 namespace psd {
+
+namespace {
+
+// Retired entries, reused by the next registration on this thread. The
+// bound keeps a closed 2,048-member set from parking every entry for good.
+constexpr size_t kMaxParkedEntries = 4096;
+
+std::vector<std::unique_ptr<PollEntry>>& ParkedEntries() {
+  thread_local std::vector<std::unique_ptr<PollEntry>> parked;
+  return parked;
+}
+
+PollEntry* NewEntry() {
+  std::vector<std::unique_ptr<PollEntry>>& parked = ParkedEntries();
+  if (parked.empty()) {
+    return new PollEntry();
+  }
+  PollEntry* e = parked.back().release();
+  parked.pop_back();
+  return e;
+}
+
+void FreeEntry(PollEntry* e) {
+  std::vector<std::unique_ptr<PollEntry>>& parked = ParkedEntries();
+  if (parked.size() < kMaxParkedEntries) {
+    *e = PollEntry{};
+    parked.emplace_back(e);
+  } else {
+    delete e;
+  }
+}
+
+}  // namespace
+
+template <PollEntry::Link PollEntry::*L>
+void PollEntryList<L>::PushBack(PollEntry* e) {
+  (e->*L).prev = tail_;
+  (e->*L).next = nullptr;
+  if (tail_ != nullptr) {
+    (tail_->*L).next = e;
+  } else {
+    head_ = e;
+  }
+  tail_ = e;
+  size_++;
+}
+
+template <PollEntry::Link PollEntry::*L>
+void PollEntryList<L>::Unlink(PollEntry* e) {
+  PollEntry::Link& link = e->*L;
+  if (link.prev != nullptr) {
+    (link.prev->*L).next = link.next;
+  } else {
+    head_ = link.next;
+  }
+  if (link.next != nullptr) {
+    (link.next->*L).prev = link.prev;
+  } else {
+    tail_ = link.prev;
+  }
+  link = PollEntry::Link{};
+  size_--;
+}
 
 PollSet::PollSet(Stack* stack) : stack_(stack), cv_(stack->env()->sim), wake_cv_(&cv_) {}
 
@@ -19,10 +83,20 @@ PollSet::~PollSet() {
 }
 
 void PollSet::Unhook() {
-  for (auto& [sock, entry] : entries_) {
-    auto& v = sock->poll_entries_;
-    v.erase(std::remove(v.begin(), v.end(), entry.get()), v.end());
+  while (PollEntry* e = members_.front()) {
+    auto& v = e->sock->poll_entries_;
+    v.erase(std::find(v.begin(), v.end(), e));
+    Drop(e);
   }
+}
+
+PollEntry* PollSet::Find(Socket* s) const {
+  for (PollEntry* e : s->poll_entries_) {
+    if (e->set == this) {
+      return e;
+    }
+  }
+  return nullptr;
 }
 
 Result<void> PollSet::Add(Socket* s, uint32_t mask, uint64_t data) {
@@ -30,19 +104,17 @@ Result<void> PollSet::Add(Socket* s, uint32_t mask, uint64_t data) {
     return Err::kBadF;
   }
   DomainLock lock(stack_->sync());
-  auto it = entries_.find(s);
-  if (it != entries_.end()) {
-    it->second->mask = mask;
-    it->second->data = data;
+  if (PollEntry* e = Find(s)) {
+    e->mask = mask;
+    e->data = data;
     return OkResult();
   }
-  auto entry = std::make_unique<PollEntry>();
-  PollEntry* e = entry.get();
+  PollEntry* e = NewEntry();
   e->set = this;
   e->sock = s;
   e->mask = mask;
   e->data = data;
-  entries_.emplace(s, std::move(entry));
+  members_.PushBack(e);
   s->poll_entries_.push_back(e);
   // Level-at-add: readiness that predates registration must still report.
   if (((mask & kPollIn) && s->Readable()) || ((mask & kPollOut) && s->Writable()) ||
@@ -54,30 +126,22 @@ Result<void> PollSet::Add(Socket* s, uint32_t mask, uint64_t data) {
 
 Result<void> PollSet::Remove(Socket* s) {
   DomainLock lock(stack_->sync());
-  auto it = entries_.find(s);
-  if (it == entries_.end()) {
+  PollEntry* e = Find(s);
+  if (e == nullptr) {
     return Err::kBadF;
   }
-  PollEntry* e = it->second.get();
-  if (e->queued) {
-    ready_.erase(std::remove(ready_.begin(), ready_.end(), e), ready_.end());
-  }
   auto& v = s->poll_entries_;
-  v.erase(std::remove(v.begin(), v.end(), e), v.end());
-  entries_.erase(it);
+  v.erase(std::find(v.begin(), v.end(), e));
+  Drop(e);
   return OkResult();
 }
 
-void PollSet::DropSocket(Socket* s) {
-  auto it = entries_.find(s);
-  if (it == entries_.end()) {
-    return;
-  }
-  PollEntry* e = it->second.get();
+void PollSet::Drop(PollEntry* e) {
   if (e->queued) {
-    ready_.erase(std::remove(ready_.begin(), ready_.end(), e), ready_.end());
+    ready_.Unlink(e);
   }
-  entries_.erase(it);
+  members_.Unlink(e);
+  FreeEntry(e);
 }
 
 void PollSet::PushEdge(PollEntry* e) {
@@ -86,7 +150,7 @@ void PollSet::PushEdge(PollEntry* e) {
     return;
   }
   e->queued = true;
-  ready_.push_back(e);
+  ready_.PushBack(e);
   if (wake_cv_->has_waiters()) {
     // Same pricing as a socket wakeup: the waiter is a real thread being
     // made runnable across the placement's protection boundary.
@@ -104,7 +168,7 @@ int PollSet::HarvestLocked(std::vector<PollReady>* out) {
   size_t scan = ready_.size();
   while (scan-- > 0) {
     PollEntry* e = ready_.front();
-    ready_.pop_front();
+    ready_.Unlink(e);
     e->queued = false;
     uint32_t ev = 0;
     if ((e->mask & kPollIn) && e->sock->Readable()) {
@@ -123,7 +187,7 @@ int PollSet::HarvestLocked(std::vector<PollReady>* out) {
     n++;
     // Level-triggered: stay queued until a harvest observes not-ready.
     e->queued = true;
-    ready_.push_back(e);
+    ready_.PushBack(e);
   }
   return n;
 }

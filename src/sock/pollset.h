@@ -2,22 +2,22 @@
 // protocol domain. Sockets push readiness *edges* into the ready-list of
 // every set they are registered with, so a waiter wakes and harvests in
 // O(ready) instead of re-polling its whole interest set the way select()
-// does. Registration is O(log n) (sorted map — also the duplicate check),
-// and the level-triggered contract matches epoll's default: an event keeps
+// does. Registration and removal are O(1): a socket finds its entry for a
+// set among its own few registrations (the duplicate check), and both the
+// member list and the ready list are threaded through the entries. The
+// level-triggered contract matches epoll's default: an event keeps
 // reporting until the condition it reports is consumed.
 //
 // The same object backs all placements: the in-kernel and UX-server
 // placements expose it through a trap/RPC boundary (PollWait blocks a
 // kernel thread or a server worker), and SelectSockets is a thin
-// compatibility layer that builds a transient PollSet per call.
+// compatibility layer that builds a transient PollSet per call. Building a
+// PollSet allocates nothing, and entries come from a per-thread free list,
+// so a transient set costs no heap traffic once the list is warm.
 #ifndef PSD_SRC_SOCK_POLLSET_H_
 #define PSD_SRC_SOCK_POLLSET_H_
 
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <map>
-#include <memory>
 #include <vector>
 
 #include "src/sock/socket.h"
@@ -36,11 +36,35 @@ constexpr uint32_t kPollErr = 0x4;
 // PollSet; the Socket keeps a raw back-pointer so its wake paths can push
 // edges without a lookup.
 struct PollEntry {
+  // A place in one of the set's two intrusive lists.
+  struct Link {
+    PollEntry* prev = nullptr;
+    PollEntry* next = nullptr;
+  };
+
   PollSet* set = nullptr;
   Socket* sock = nullptr;
   uint32_t mask = 0;    // kPollIn/kPollOut interest
   uint64_t data = 0;    // caller cookie (placements store the fd here)
-  bool queued = false;  // already on the set's ready list
+  bool queued = false;  // on the set's ready list
+  Link member;          // the set's members, in registration order
+  Link ready;           // the set's ready list, oldest edge first
+};
+
+// A doubly-linked list threaded through the PollEntry link `L`: O(1) push,
+// pop and unlink, no storage of its own.
+template <PollEntry::Link PollEntry::*L>
+class PollEntryList {
+ public:
+  PollEntry* front() const { return head_; }
+  size_t size() const { return size_; }
+  void PushBack(PollEntry* e);
+  void Unlink(PollEntry* e);
+
+ private:
+  PollEntry* head_ = nullptr;
+  PollEntry* tail_ = nullptr;
+  size_t size_ = 0;
 };
 
 // A harvested event.
@@ -78,7 +102,7 @@ class PollSet {
   int HarvestLocked(std::vector<PollReady>* out);
 
   Stack* stack() const { return stack_; }
-  size_t size() const { return entries_.size(); }
+  size_t size() const { return members_.size(); }
   size_t ready_count() const { return ready_.size(); }
 
   // Observability: edges pushed by sockets, waiter wakeups charged, and
@@ -90,19 +114,22 @@ class PollSet {
  private:
   friend class Socket;
 
+  // This set's entry for `s`, or nullptr: a socket sits in one or two
+  // sets, so its own registration list is the index.
+  PollEntry* Find(Socket* s) const;
   // Called from Socket wake paths (domain lock held): queue the entry on
   // the ready list and wake the waiter.
   void PushEdge(PollEntry* e);
-  // Called from Socket teardown: the socket is dying, forget it.
-  void DropSocket(Socket* s);
+  // Unlinks `e` from this set's lists and frees it; the caller unlinks it
+  // from its socket. Socket teardown calls it with each of its entries.
+  void Drop(PollEntry* e);
   // Severs every socket back-pointer (destructor body; lock optional
   // during simulation-external teardown).
   void Unhook();
 
   Stack* stack_;
-  // Sorted by socket pointer: doubles as the O(log n) duplicate check.
-  std::map<Socket*, std::unique_ptr<PollEntry>> entries_;
-  std::deque<PollEntry*> ready_;
+  PollEntryList<&PollEntry::member> members_;
+  PollEntryList<&PollEntry::ready> ready_;
   SimCondition cv_;
   // Where PushEdge sends its notify: &cv_ normally, the caller's extra cv
   // while a cooperative Wait is in progress.

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <utility>
 
+#include "src/base/scratch.h"
 #include "src/sock/pollset.h"
 
 namespace psd {
@@ -156,18 +157,37 @@ void Socket::SignalReadiness(uint32_t events) {
       e->set->PushEdge(e);
     }
   }
-  if (on_readiness_) {
-    // Invoke through a copy: the callback may yield (cooperative-select
-    // ping), and the blocked waiter may swap the callback out before this
-    // invocation returns — the copy keeps the closure alive.
-    std::function<void()> cb = on_readiness_;
-    cb();
+  if (pings_.empty()) {
+    return;
+  }
+  // Newest first, through a snapshot: a ping may yield (it sends a message
+  // to the OS server), and a select may disarm meanwhile.
+  Scratch<std::vector<std::function<void()>>> snapshot;
+  snapshot->clear();
+  for (auto it = pings_.rbegin(); it != pings_.rend(); ++it) {
+    snapshot->push_back(it->second);
+  }
+  for (const std::function<void()>& ping : *snapshot) {
+    ping();
+  }
+}
+
+void Socket::ArmReadiness(uint64_t key, std::function<void()> ping) {
+  pings_.emplace_back(key, std::move(ping));
+}
+
+void Socket::DisarmReadiness(uint64_t key) {
+  for (size_t i = pings_.size(); i-- > 0;) {
+    if (pings_[i].first == key) {
+      pings_.erase(pings_.begin() + static_cast<std::ptrdiff_t>(i));
+      return;
+    }
   }
 }
 
 void Socket::PollDetachAll() {
   for (PollEntry* e : poll_entries_) {
-    e->set->DropSocket(this);
+    e->set->Drop(e);
   }
   poll_entries_.clear();
 }

@@ -1,6 +1,6 @@
 // BSD socket semantics over a protocol stack: blocking send/receive with
 // socket-buffer flow control, listen/accept, connect, shutdown/close,
-// SO_SNDBUF/SO_RCVBUF/TCP_NODELAY/SO_KEEPALIVE, readiness callbacks for
+// SO_SNDBUF/SO_RCVBUF/TCP_NODELAY/SO_KEEPALIVE, readiness pings for
 // select, and both data interfaces over one data path:
 //   * the classic copying interface (sosend/soreceive), and
 //   * the NEWAPI shared-buffer interface from paper §4.2, where application
@@ -91,16 +91,17 @@ class Socket {
   Result<void> SetOpt(SockOpt opt, size_t value);
 
   // --- Introspection / select support (callable under the domain lock or
-  // from readiness callbacks) ---
+  // from readiness pings) ---
   bool Readable() const;
   bool Writable() const;
   bool HasError() const;
-  // Fired (in protocol-thread context, lock held) whenever readability/
-  // writability may have changed. Used by the library placement's
-  // cooperative-select machinery; PollSet registration (pollset.h) is the
-  // scalable path and does not consume this slot.
-  void SetReadinessCallback(std::function<void()> cb) { on_readiness_ = std::move(cb); }
-  const std::function<void()>& readiness_callback() const { return on_readiness_; }
+  // Cooperative select (the library placement's, paper §3.2): while armed,
+  // `ping` runs (in protocol-thread context, lock held) whenever
+  // readability/writability may have changed, newest arm first. Disarm
+  // takes out the newest ping armed under `key`. PollSet registration
+  // (pollset.h) is the scalable path and does not use these.
+  void ArmReadiness(uint64_t key, std::function<void()> ping);
+  void DisarmReadiness(uint64_t key);
 
   IpProto proto() const { return proto_; }
   Stack* stack() const { return stack_; }
@@ -137,7 +138,7 @@ class Socket {
   // Charges one wakeup across the placement's boundary and wakes `cv`.
   void WakeWaiters(SimCondition* cv);
   // Pushes a readiness edge into every PollSet this socket is registered
-  // with, then runs the readiness callback (domain lock held,
+  // with, then runs the armed readiness pings (domain lock held,
   // protocol-thread context).
   void SignalReadiness(uint32_t events);
   // Unregisters from every PollSet (socket teardown).
@@ -156,7 +157,7 @@ class Socket {
   SimCondition rcv_cv_;
   SimCondition snd_cv_;
   SimCondition state_cv_;
-  std::function<void()> on_readiness_;
+  std::vector<std::pair<uint64_t, std::function<void()>>> pings_;  // armed, oldest first
   std::vector<PollEntry*> poll_entries_;  // entries owned by their PollSets
   bool closed_ = false;
   bool shutdown_rd_ = false;

@@ -134,5 +134,51 @@ TEST_F(PortTest, RpcCallRoundTrip) {
   EXPECT_EQ(answer, 42u);
 }
 
+// The queue is a ring of reused slots: it must stay FIFO, with each
+// message's own payload, across wrap-around, growth while wrapped, and the
+// cut back after a drained burst.
+TEST_F(PortTest, RingStaysFifoAcrossWrapGrowthAndDrain) {
+  Port port(&sim, &obs, &prof, "p");
+  std::vector<uint32_t> sent;
+  std::vector<uint32_t> got;
+  bool payloads_ok = true;
+  auto send = [&](uint32_t k) {
+    IpcMessage m;
+    m.kind = k;
+    m.payload.assign(1 + k % 7, static_cast<uint8_t>(k));
+    port.SendUncharged(m);
+    sent.push_back(k);
+  };
+  auto receive = [&](int n) {
+    IpcMessage m;
+    for (int i = 0; i < n; i++) {
+      ASSERT_TRUE(port.Receive(&m));
+      got.push_back(m.kind);
+      std::vector<uint8_t> want(1 + m.kind % 7, static_cast<uint8_t>(m.kind));
+      payloads_ok &= m.payload == want;
+    }
+  };
+  sim.Spawn("rxtx", &cpu, [&] {
+    uint32_t k = 0;
+    auto send_n = [&](int n) {
+      for (int i = 0; i < n; i++) {
+        send(k++);
+      }
+    };
+    send_n(3);
+    receive(2);  // the head moves off slot 0
+    send_n(10);  // grows while wrapped
+    receive(5);
+    send_n(200);  // a burst past the kept slots
+    receive(206);
+    EXPECT_EQ(port.queued(), 0u);
+    send_n(5);  // after the cut back
+    receive(5);
+  });
+  sim.Run();
+  EXPECT_EQ(got, sent);
+  EXPECT_TRUE(payloads_ok);
+}
+
 }  // namespace
 }  // namespace psd

@@ -3,12 +3,15 @@
 //    payload bytes, no stale packet-journey id;
 //  * copies round-trip bytes exactly;
 //  * hit/miss/live/high-watermark counters move the way dashboards expect;
-//  * parked inventory is bounded.
+//  * parked inventory is bounded;
+//  * frames delivered over the kernel's IPC packet port stay in the pool;
+//  * each host thread has pools of its own.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/mbuf/mbuf.h"
@@ -165,6 +168,91 @@ TEST_F(PoolLifecycleTest, GaugesExportedAndMoveUnderTrafficChurn) {
   EXPECT_GT(snap["engine.events_executed"], 0u);
   EXPECT_EQ(snap["engine.past_time_clamps"], 0u) << "traffic scheduled events into the past";
   reg.Reset();  // gauges capture &w.sim(): drop them before the World dies
+}
+
+TEST_F(PoolLifecycleTest, IpcPacketDeliveryStopsMissingAfterWarmUp) {
+  // On the Server placement the kernel hands every accepted frame to the
+  // UX server as an IPC message and the server rebuilds a Frame from it.
+  // Neither leg may take a buffer out of the pool: once the first round
+  // has warmed it, further rounds of the same traffic draw only hits.
+  constexpr int kRounds = 4;
+  constexpr int kPerRound = 32;
+  World w(Config::kServer, MachineProfile::DecStation5000());
+  ASSERT_NE(w.ux_server(1), nullptr);
+  std::vector<uint64_t> misses;  // after each round
+  int received = 0;
+  w.SpawnApp(1, "sink", [&] {
+    SocketApi* api = w.api(1);
+    int fd = *api->CreateSocket(IpProto::kUdp);
+    ASSERT_TRUE(api->Bind(fd, SockAddrIn{Ipv4Addr::Any(), 9000}).ok());
+    uint8_t buf[2048];
+    for (int i = 0; i < kRounds * kPerRound; i++) {
+      if (api->Recv(fd, buf, sizeof(buf), nullptr, false).ok()) {
+        received++;
+      }
+    }
+    api->Close(fd);
+  });
+  w.SpawnApp(0, "blaster", [&] {
+    SocketApi* api = w.api(0);
+    int fd = *api->CreateSocket(IpProto::kUdp);
+    SockAddrIn dst{w.addr(1), 9000};
+    std::vector<uint8_t> payload(512, 0x5A);
+    for (int round = 0; round < kRounds; round++) {
+      w.sim().current_thread()->SleepFor(Millis(100));
+      for (int i = 0; i < kPerRound; i++) {
+        api->Send(fd, payload.data(), payload.size(), &dst);
+      }
+      w.sim().current_thread()->SleepFor(Millis(100));
+      misses.push_back(FramePool::misses());
+    }
+    api->Close(fd);
+  });
+  w.sim().Run(Seconds(10));
+
+  ASSERT_EQ(misses.size(), static_cast<size_t>(kRounds));
+  EXPECT_EQ(received, kRounds * kPerRound);
+  for (int round = 1; round < kRounds; round++) {
+    EXPECT_EQ(misses[round], misses[0]) << "round " << round << " drew fresh frame buffers";
+  }
+}
+
+TEST_F(PoolLifecycleTest, PoolsArePerThread) {
+  // Churn on this thread first, so its counters are nonzero.
+  { Frame f = Frame::OfSize(FramePool::kMtuBytes); }
+  { auto m = Mbuf::GetCluster(); }
+  const uint64_t frame_misses = FramePool::misses();
+  const uint64_t frame_recycles = FramePool::recycles();
+  const uint64_t mbuf_misses = MbufPool::mbuf_misses();
+  const uint64_t cluster_misses = MbufPool::cluster_misses();
+  const size_t parked_frames = FramePool::parked();
+  const size_t parked_mbufs = MbufPool::parked_mbufs();
+  ASSERT_GT(frame_misses, 0u);
+  ASSERT_GT(mbuf_misses, 0u);
+
+  std::vector<uint64_t> fresh;  // the thread's counters before its churn
+  std::vector<uint64_t> after;  // and after
+  std::thread t([&] {
+    fresh = {FramePool::hits(), FramePool::misses(), FramePool::recycles(), FramePool::parked(),
+             MbufPool::mbuf_hits(), MbufPool::mbuf_misses(), MbufPool::cluster_hits(),
+             MbufPool::cluster_misses(), MbufPool::parked_mbufs(), MbufPool::parked_clusters()};
+    for (int i = 0; i < 8; i++) {
+      Frame f = Frame::OfSize(FramePool::kMtuBytes);
+      auto m = Mbuf::GetCluster();
+    }
+    after = {FramePool::hits(), FramePool::misses(), MbufPool::mbuf_hits(),
+             MbufPool::cluster_hits()};
+  });
+  t.join();
+
+  EXPECT_EQ(fresh, std::vector<uint64_t>(10, 0)) << "a new thread inherited pool state";
+  EXPECT_EQ(after, (std::vector<uint64_t>{7, 1, 7, 7})) << "the thread's churn missed its pools";
+  EXPECT_EQ(FramePool::misses(), frame_misses);
+  EXPECT_EQ(FramePool::recycles(), frame_recycles);
+  EXPECT_EQ(FramePool::parked(), parked_frames);
+  EXPECT_EQ(MbufPool::mbuf_misses(), mbuf_misses);
+  EXPECT_EQ(MbufPool::cluster_misses(), cluster_misses);
+  EXPECT_EQ(MbufPool::parked_mbufs(), parked_mbufs);
 }
 
 TEST_F(PoolLifecycleTest, ChainChurnStaysBounded) {

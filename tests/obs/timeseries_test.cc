@@ -119,6 +119,9 @@ TEST(TimeSeriesSampler, JsonAndCsvExportWithPrefixFilter) {
   std::string filtered = sampler.Json("meta.");
   EXPECT_NE(filtered.find("meta.arp-miss"), std::string::npos);
   EXPECT_EQ(filtered.find("rpc.total"), std::string::npos);
+  std::string dropped = sampler.Json("", "meta.");
+  EXPECT_EQ(dropped.find("meta.arp-miss"), std::string::npos);
+  EXPECT_NE(dropped.find("\"rpc.total\":9"), std::string::npos);
 
   std::string csv = sampler.Csv();
   EXPECT_EQ(csv.find("t_ns,meta.arp-miss,rpc.total"), 0u);

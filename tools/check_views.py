@@ -206,8 +206,15 @@ def view_top():
         doc = json.loads(run('top', *args, '--json'))
         for key in ('psdtop', 'config', 'accepts', 'flows_completed', 'rpc_total',
                     'rpc_per_connection', 'server_traps', 'rpc_ops', 'metastate',
-                    'migrations', 'host_profile', 'timeseries'):
+                    'migrations', 'timeseries', 'host_profile', 'host_timeseries'):
             assert key in doc, f'{args}: missing {key}'
+        # Host wall-clock data sits only in host_profile and host_timeseries:
+        # the rest of a second run of the same binary is identical.
+        again = json.loads(run('top', *args, '--json'))
+        host_keys = ('host_profile', 'host_timeseries')
+        assert ({k: v for k, v in again.items() if k not in host_keys} ==
+                {k: v for k, v in doc.items() if k not in host_keys}), \
+            f'{args}: the virtual part differs between two runs'
         assert doc['psdtop'] == 1 and doc['rpc_total'] >= 1, args
         for op, s in doc['rpc_ops'].items():
             for k in ('count', 'bytes_in', 'bytes_out', 'queue_p50_us', 'queue_p99_us',
@@ -226,9 +233,13 @@ def view_top():
             assert isinstance(s['gauges'], dict) and s['gauges'], f'{args}: empty gauges'
             assert all(isinstance(v, int) for v in s['gauges'].values()), args
         names = set(ts['samples'][0]['gauges'])
-        for prefix in ('meta.', 'prof.'):
-            assert any(n.startswith(prefix) for n in names), f'{args}: no {prefix} gauges'
+        assert any(n.startswith('meta.') for n in names), f'{args}: no meta. gauges'
         assert 'rpc.total' in names, f'{args}: gauges {names}'
+        assert not any(n.startswith('prof.') for n in names), f'{args}: host gauges in timeseries'
+        host_ts = doc['host_timeseries']
+        host = set(host_ts['samples'][0]['gauges'])
+        assert host and all(n.startswith('prof.') for n in host), f'{args}: host gauges {host}'
+        assert len(host_ts['samples']) == len(ts['samples']), args
 
 
 def view_prof():

@@ -13,7 +13,9 @@
 //          the registry dump and a host wall-clock track;
 //   top    a C10K churn run (bench_c10k's workload, bench/common/c10k.h):
 //          per-op RPC table, RPC amplification, shared-metastate totals and
-//          rates, migration phase latencies, host attribution;
+//          rates, migration phase latencies, host attribution (with
+//          --json, everything but host_profile and host_timeseries is
+//          byte-identical between runs);
 //   prof   an engine workload (bench_engine's, at some scale) under the
 //          host wall-clock profiler: per-domain table, JSON or flame lines.
 //
@@ -629,8 +631,9 @@ int Top(const Opts& o) {
     }
     printf("},\n  \"migrations\": %s,\n",
            MigrationsJson(r, IsLibraryConfig(o.config) ? o.c10k.migrate : 0).c_str());
-    printf("  \"host_profile\": %s,\n  \"timeseries\": %s\n}\n",
-           HostProfileJsonFragment(host_rep).c_str(), r.timeseries_json.c_str());
+    printf("  \"timeseries\": %s,\n  \"host_profile\": %s,\n  \"host_timeseries\": %s\n}\n",
+           r.timeseries_json.c_str(), HostProfileJsonFragment(host_rep).c_str(),
+           r.host_timeseries_json.c_str());
     return 0;
   }
 
